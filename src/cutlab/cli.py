@@ -15,7 +15,7 @@ from . import __version__
 from .config import ConfigError, RunConfig, build_family_field, \
     build_submanifold, parse_config, scenario as load_scenario
 from .cutanalysis import warner_bound
-from .geodesics import integrate_geodesic
+from .geodesics import IntegrationError, integrate_geodesic
 from .geometry import GeometryError
 from .stability import (Resolution, curvature_stats,
                         cut_time_continuity_probe,
@@ -23,7 +23,7 @@ from .stability import (Resolution, curvature_stats,
                         hausdorff_convergence_check, run_case,
                         sweep_embedding_family, sweep_metric_family)
 from .submanifold import SubmanifoldSpec
-from .wavefront import eikonal_residual
+from .wavefront import CoverageError, eikonal_residual
 
 
 def _fmt(x) -> str:
@@ -304,8 +304,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_)
         p.add_argument("--config", type=str, help="JSON config path")
         p.add_argument("--scenario", type=str, help="bundled scenario name")
-        p.add_argument("--out", type=str, default="out",
-                       help="output directory")
+        p.add_argument("--out", type=str, default=None,
+                       help="output directory (default: config out, "
+                            "else out/)")
         p.add_argument("--threads", type=int, default=None)
     return ap
 
@@ -329,7 +330,7 @@ def main(argv=None) -> int:
         threads = cfg.threads
     if threads is None:
         threads = int(os.environ.get("CUTLAB_THREADS", "1"))
-    out = Path(args.out if args.out else (cfg.out or "out"))
+    out = Path(args.out if args.out is not None else (cfg.out or "out"))
     handler = {"inj": cmd_inj, "cutlocus": cmd_cutlocus,
                "sweep": cmd_sweep, "validate": cmd_validate}[args.command]
     try:
@@ -337,7 +338,7 @@ def main(argv=None) -> int:
     except ConfigError as ex:
         print(f"config error: {ex}", file=sys.stderr)
         return 2
-    except GeometryError as ex:
+    except (GeometryError, IntegrationError, CoverageError) as ex:
         print(f"FAIL: {ex}", file=sys.stderr)
         return 1
 

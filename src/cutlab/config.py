@@ -119,6 +119,7 @@ def build_family_field(cfg: RunConfig, b: Backend):
 
 def _parse_resolution(block: dict) -> Resolution:
     _check_keys(block, _RES_KEYS, "resolution")
+    # m_N samples the submanifold; parse_config moves it into that spec
     kw = {k: v for k, v in block.items() if k != "m_N"}
     for k in list(kw):
         kw[k] = int(kw[k]) if k == "m" else float(kw[k])
@@ -161,6 +162,11 @@ def parse_config(source) -> RunConfig:
         merged = dict(_scenario_res_overrides(cfg))
         merged.update(data["resolution"])
         cfg.resolution = _parse_resolution(merged)
+        if "m_N" in data["resolution"]:
+            m_N = int(data["resolution"]["m_N"])
+            if m_N <= 0:
+                raise ConfigError("resolution.m_N: must be positive")
+            cfg.submanifold_spec = dict(cfg.submanifold_spec, m_N=m_N)
     if "family" in data:
         fam = data["family"]
         _check_keys(fam, {"kind", "phi", "target", "metric", "tau"}, "family")

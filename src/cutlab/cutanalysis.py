@@ -8,10 +8,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geodesics import hermite_sample, normal_exp_jacobian
+from .geodesics import hermite_batch, normal_exp_jacobian
 from .geometry import Backend
-from .submanifold import SubmanifoldSpec, frame_fn_for, shape_operator
-from .wavefront import WavefrontAtlas, distance
+from .submanifold import (SubmanifoldSpec, foot_points, frame_fn_for,
+                          golden_section, shape_operator)
+from .wavefront import WavefrontAtlas, _candidates, distance
 
 
 @dataclass
@@ -199,11 +200,6 @@ def _h_der(tg, y, yp, i, t):
             + (-6 * s**2 + 6 * s) * y[i + 1] / h + (3 * s**2 - 2 * s) * yp[i + 1])
 
 
-def focal_time(b: Backend, N: SubmanifoldSpec, atlas: WavefrontAtlas,
-               dir_idx: int) -> float:
-    return float(focal_times_batch(b, N, atlas)[dir_idx])
-
-
 def focal_bracket_jacobian(b: Backend, N: SubmanifoldSpec, frame,
                            t_max: float, dt: float, fd: float = 1e-4):
     """Secondary focal oracle: first sign change of det d(exp^nu) along the
@@ -234,83 +230,78 @@ def loop_scan(b: Backend, N: SubmanifoldSpec, atlas: WavefrontAtlas,
     else:
         spacing = 0.0
     batch = atlas.batch
-    tg = batch.t
-    per_dir: list[LoopReturn | None] = []
-    best = np.inf
-    for j in range(batch.n_paths):
-        d_series = np.min(b.aux_distance(batch.pos[j][:, None, :],
-                                         N_pts[None, :, :]), axis=1)
-        esc = np.nonzero(d_series > 3.0 * capture_radius)[0]
-        if not esc.size:
-            per_dir.append(None)
-            continue
-        first = None
-        i0 = int(esc[0])
-        thresh = capture_radius + 0.6 * spacing
-        interior = d_series[1:-1]
-        mins = np.nonzero((interior <= d_series[:-2])
-                          & (interior <= d_series[2:])
-                          & (interior < thresh))[0] + 1
-        for i in mins[mins > i0]:
-            ret = _polish_return(b, N, batch, j, float(tg[i]), capture_radius)
-            if ret is None or ret.d_min > capture_radius:
-                continue
-            if ret.angle_residual <= angle_tol:
-                first = ret
-                best = min(best, ret.t)
-                break
-        per_dir.append(first)
-    return (0.5 * best if np.isfinite(best) else np.inf), per_dir
+    k, n_t, d = batch.pos.shape
+    thresh = capture_radius + 0.6 * spacing
+    # distance to N per atlas sample, from the samples the spatial hash puts
+    # within R of some N sample; the rest read +inf.  No comparison below
+    # changes: values above R >= 3 * capture_radius escape either way, are
+    # never below thresh <= R, and never undercut a local minimum below R
+    R = max(3.0 * capture_radius, thresh)
+    rings = int(math.ceil(R / atlas.cell))
+    near = [_candidates(atlas, q, rings) for q in N_pts]
+    cand = np.concatenate(near)
+    gaps = b.aux_distance(batch.pos.reshape(-1, d)[cand],
+                          np.repeat(N_pts, [len(c) for c in near], axis=0))
+    keep = gaps <= R
+    d_series = np.full(k * n_t, np.inf)
+    np.minimum.at(d_series, cand[keep], gaps[keep])
+    d_series = d_series.reshape(k, n_t)
+    escaped = d_series > 3.0 * capture_radius
+    i0 = np.where(escaped.any(axis=1), escaped.argmax(axis=1), n_t)
+    interior = d_series[:, 1:-1]
+    is_min = ((interior <= d_series[:, :-2]) & (interior <= d_series[:, 2:])
+              & (interior < thresh))
+    J, I = np.nonzero(is_min)
+    I = I + 1
+    after = I > i0[J]
+    J, I = J[after], I[after]            # grid order within each direction
+    t, s_ret, res, d_min = _polish_returns(b, N, batch, J, batch.t[I],
+                                           capture_radius)
+    ok = np.nonzero(~(d_min > capture_radius) & (res <= angle_tol))[0]
+    # the earliest accepted return of each direction is its loop
+    ok = ok[np.unique(J[ok], return_index=True)[1]]
+    per_dir: list[LoopReturn | None] = [None] * k
+    for c in ok:
+        per_dir[J[c]] = LoopReturn(float(t[c]), float(s_ret[c]),
+                                   float(res[c]), float(d_min[c]))
+    return (0.5 * float(np.min(t[ok])) if ok.size else np.inf), per_dir
 
 
-def _polish_return(b, N, batch, j, t0, capture):
-    """Joint (s, t) polish of a capture event by alternating golden sections."""
-    from .submanifold import foot_point
+def _polish_returns(b, N, batch, J, t0, capture):
+    """Joint (s, t) polish of every capture event (path J, grid time t0) by
+    three alternating rounds of golden sections, all events in lockstep.
+    Returns arrays (t, s, angle residual, d_min)."""
+    tg, pos, vel = batch.t, batch.pos, batch.vel
     dt = batch.dt
-    lo, hi = max(t0 - 2 * dt, 0.0), min(t0 + 2 * dt, float(batch.t[-1]))
+    lo = np.maximum(t0 - 2 * dt, 0.0)
+    hi = np.minimum(t0 + 2 * dt, float(tg[-1]))
+    tube = 10 * capture
     t = t0
-    s_ret = 0.0
+    target = np.broadcast_to(N.point, (len(J),) + N.point.shape) \
+        if N.dim == 0 else None
     for _ in range(3):
-        p, _v = batch.sample_at(j, t)
-        fp = foot_point(b, N, b.wrap(p), tube_radius=10 * capture)
-        s_ret = fp.s
+        if N.dim == 1:
+            p, _v = hermite_batch(tg, pos, vel, J, t)
+            s_ret, _, _ = foot_points(b, N, b.wrap(p), tube)
+            target = N.curve(s_ret)
 
-        def f(tt):
-            pp, _ = batch.sample_at(j, tt)
-            target = N.point if N.dim == 0 else N.curve(np.array([s_ret]))[0]
-            return float(b.aux_distance(target, b.wrap(pp)))
+        def f(tt, idx):
+            pp, _ = hermite_batch(tg, pos, vel, J[idx], tt)
+            return b.aux_distance(target[idx], b.wrap(pp))
 
-        t = _golden_min(f, lo, hi, 1e-9)
-    p, v = batch.sample_at(j, t)
+        t = golden_section(f, lo, hi, 1e-9)
+    p, v = hermite_batch(tg, pos, vel, J, t)
     pw = b.wrap(p)
     if N.dim == 0:
-        d_min = float(b.aux_distance(N.point, pw))
-        return LoopReturn(float(t), 0.0, 0.0, d_min)
-    fp = foot_point(b, N, pw, tube_radius=10 * capture)
-    d_min = fp.d_est
-    tan = N.curve.velocity(np.array([fp.s]))[0]
-    base = N.curve(np.array([fp.s]))[0]
-    vn = v / max(float(b.norm(pw, v)), 1e-300)
-    tn = tan / max(float(b.norm(base, tan)), 1e-300)
-    res = abs(float(b.inner(base, vn, tn)))
-    return LoopReturn(float(t), fp.s, res, d_min)
-
-
-def _golden_min(f, a, b_, tol):
-    g = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b_ - g * (b_ - a)
-    d = a + g * (b_ - a)
-    fc, fd = f(c), f(d)
-    while b_ - a > tol:
-        if fc < fd:
-            b_, d, fd = d, c, fc
-            c = b_ - g * (b_ - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + g * (b_ - a)
-            fd = f(d)
-    return 0.5 * (a + b_)
+        zero = np.zeros(len(J))
+        return t, zero, zero, b.aux_distance(N.point, pw)
+    s, d_min, _ = foot_points(b, N, pw, tube)
+    tan = N.curve.velocity(s)
+    base = N.curve(s)
+    vn = v / np.maximum(b.norm(pw, v), 1e-300)[:, None]
+    tn = tan / np.maximum(b.norm(base, tan), 1e-300)[:, None]
+    res = np.abs(b.inner(base, vn, tn))
+    return t, s, res, d_min
 
 
 # ---------------------------------------------------------------------------

@@ -89,19 +89,41 @@ def hermite_sample(tg: np.ndarray, pos: np.ndarray, vel: np.ndarray, t: float):
         return pos[-1].copy(), vel[-1].copy()
     i = int(np.searchsorted(tg, t, side="right")) - 1
     h = tg[i + 1] - tg[i]
-    s = (t - tg[i]) / h
-    p0, p1 = pos[i], pos[i + 1]
-    m0, m1 = vel[i] * h, vel[i + 1] * h
-    h00 = 2 * s**3 - 3 * s**2 + 1
-    h10 = s**3 - 2 * s**2 + s
-    h01 = -2 * s**3 + 3 * s**2
-    h11 = s**3 - s**2
-    p = h00 * p0 + h10 * m0 + h01 * p1 + h11 * m1
-    d00 = (6 * s**2 - 6 * s) / h
-    d10 = (3 * s**2 - 4 * s + 1) / h
-    d01 = (-6 * s**2 + 6 * s) / h
-    d11 = (3 * s**2 - 2 * s) / h
-    v = d00 * p0 + d10 * m0 + d01 * p1 + d11 * m1
+    return _hermite(h, (t - tg[i]) / h, pos[i], pos[i + 1], vel[i], vel[i + 1])
+
+
+def hermite_batch(tg: np.ndarray, pos: np.ndarray, vel: np.ndarray, J, t):
+    """``hermite_sample`` of paths J at times t, element-wise.
+
+    pos/vel have shape (k, n, d) on the shared grid tg; J and t are 1-D and
+    of equal length.  Bit-identical to one ``hermite_sample`` per element.
+    """
+    J = np.asarray(J, dtype=np.int64)[:, None]
+    t = np.asarray(t, dtype=float)
+    # segment index, clamped to the first/last segment outside the grid
+    i = np.searchsorted(tg[1:-1], t, side="right")
+    h = tg[i + 1] - tg[i]
+    seg = i[:, None] + (0, 1)
+    P, V = pos[J, seg], vel[J, seg]
+    p, v = _hermite(h[:, None], ((t - tg[i]) / h)[:, None],
+                    P[:, 0], P[:, 1], V[:, 0], V[:, 1])
+    for end, node in ((t >= tg[-1], -1), (t <= tg[0], 0)):
+        if end.any():
+            p[end], v[end] = pos[J[end, 0], node], vel[J[end, 0], node]
+    return p, v
+
+
+def _hermite(h, s, p0, p1, v0, v1):
+    """Position and velocity of the cubic Hermite segment of width h through
+    (p0, v0), (p1, v1) at local coordinate s in [0, 1]."""
+    # float_power runs libm pow, as ** on a float64 scalar does; ndarray ** 3
+    # takes a SIMD path that can differ in the last bit
+    s2, s3 = np.float_power(s, 2), np.float_power(s, 3)
+    m0, m1 = v0 * h, v1 * h
+    p = ((2 * s3 - 3 * s2 + 1) * p0 + (s3 - 2 * s2 + s) * m0
+         + (-2 * s3 + 3 * s2) * p1 + (s3 - s2) * m1)
+    v = ((6 * s2 - 6 * s) / h * p0 + (3 * s2 - 4 * s + 1) / h * m0
+         + (-6 * s2 + 6 * s) / h * p1 + (3 * s2 - 2 * s) / h * m1)
     return p, v
 
 

@@ -235,6 +235,39 @@ def principal_curvature_bound(b: Backend, N: SubmanifoldSpec,
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
+def golden_section(f, lo, hi, tol: float) -> np.ndarray:
+    """Golden-section minimisation of f over the brackets [lo, hi], element
+    by element.
+
+    ``f(x, idx)`` returns the objective of elements ``idx`` at points ``x``.
+    An element whose bracket is no wider than tol is frozen: it is neither
+    evaluated nor updated again.  Returns the final bracket midpoints.
+    """
+    a = np.array(lo, dtype=float)
+    b = np.array(hi, dtype=float)
+    n = a.size
+    if not n:
+        return a
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    idx = np.arange(n)
+    both = f(np.concatenate([c, d]), np.concatenate([idx, idx]))
+    fc, fd = both[:n], both[n:]
+    while True:
+        act = np.nonzero(b - a > tol)[0]
+        if not act.size:
+            return 0.5 * (a + b)
+        left = fc[act] < fd[act]
+        L, R = act[left], act[~left]
+        b[L], d[L], fd[L] = d[L], c[L], fc[L]
+        c[L] = b[L] - _GOLDEN * (b[L] - a[L])
+        a[R], c[R], fc[R] = c[R], d[R], fd[R]
+        d[R] = a[R] + _GOLDEN * (b[R] - a[R])
+        vals = f(np.where(left, c[act], d[act]), act)
+        fc[L] = vals[left]
+        fd[R] = vals[~left]
+
+
 @dataclass(frozen=True)
 class FootPoint:
     s: float
@@ -247,43 +280,33 @@ def foot_point(b: Backend, N: SubmanifoldSpec, q,
     """Nearest-parameter projection of q onto N in the auxiliary distance,
     golden-section polished; d_est is a first-order g-length inside the
     tubular radius, otherwise the raw auxiliary value flagged coarse."""
-    q = np.asarray(q, dtype=float)
+    s, d_est, coarse = foot_points(b, N, np.asarray(q, dtype=float)[None, :],
+                                   tube_radius, tol)
+    return FootPoint(float(s[0]), float(d_est[0]), bool(coarse[0]))
+
+
+def foot_points(b: Backend, N: SubmanifoldSpec, Q: np.ndarray,
+                tube_radius: float = 0.1, tol: float = 1e-8):
+    """``foot_point`` for every row of Q at once: arrays (s, d_est, coarse)."""
     if N.dim == 0:
-        d_aux = float(b.aux_distance(N.point, q))
-        return _foot_result(b, N.point, q, 0.0, d_aux, tube_radius)
-    pts = N.sample_points()
-    m = pts.shape[0]
-    j = int(b.aux_distance(pts, q[None, :]).argmin())
-    lo, hi = (j - 1) / m, (j + 1) / m
-
-    def f(s):
-        return float(b.aux_distance(N.curve(np.array([s]))[0], q))
-
-    a_, b_ = lo, hi
-    c_ = b_ - _GOLDEN * (b_ - a_)
-    d_ = a_ + _GOLDEN * (b_ - a_)
-    fc, fd = f(c_), f(d_)
-    while (b_ - a_) > tol:
-        if fc < fd:
-            b_, d_, fd = d_, c_, fc
-            c_ = b_ - _GOLDEN * (b_ - a_)
-            fc = f(c_)
-        else:
-            a_, c_, fc = c_, d_, fd
-            d_ = a_ + _GOLDEN * (b_ - a_)
-            fd = f(d_)
-    s_star = float(np.mod(0.5 * (a_ + b_), 1.0))
-    foot = N.curve(np.array([s_star]))[0]
-    return _foot_result(b, foot, q, s_star, f(0.5 * (a_ + b_)), tube_radius)
-
-
-def _foot_result(b: Backend, foot, q, s_star, d_aux, tube_radius) -> FootPoint:
-    if d_aux > tube_radius:
-        return FootPoint(s_star, d_aux, True)
-    gap = b.aux_gap(foot, q)
+        s = np.zeros(len(Q))
+        foot = N.point
+        d_aux = b.aux_distance(N.point, Q)
+    else:
+        pts = N.sample_points()
+        m = pts.shape[0]
+        j = b.aux_distance(pts[None, :, :], Q[:, None, :]).argmin(axis=1)
+        x = golden_section(lambda s, idx: b.aux_distance(N.curve(s), Q[idx]),
+                           (j - 1) / m, (j + 1) / m, tol)
+        s = np.mod(x, 1.0)
+        foot = N.curve(s)
+        d_aux = b.aux_distance(N.curve(x), Q)
+    # inside the tube: first-order g-length of the chart gap at its midpoint
+    gap = b.aux_gap(foot, Q)
     mid = foot + 0.5 * gap if not isinstance(b, ImplicitSurface) else foot
-    d_g = float(np.sqrt(max(b.inner(mid, gap, gap), 0.0)))
-    return FootPoint(s_star, d_g, False)
+    d_g = np.sqrt(np.maximum(b.inner(mid, gap, gap), 0.0))
+    coarse = d_aux > tube_radius
+    return s, np.where(coarse, d_aux, d_g), coarse
 
 
 # ---------------------------------------------------------------------------

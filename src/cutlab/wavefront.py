@@ -2,7 +2,6 @@
 spatial index, conservative error bounds, and eikonal-residual validation."""
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,10 +9,6 @@ import numpy as np
 from .geodesics import BatchPaths, integrate_batch
 from .geometry import Backend, ImplicitSurface, PeriodicChart
 from .submanifold import NormalFrame, SubmanifoldSpec, frames_for
-
-_CHUNK = 64  # directions per integration chunk; fixed so thread count
-             # never changes the arithmetic
-
 
 class CoverageError(Exception):
     """Query outside the t_max coverage of the atlas."""
@@ -66,7 +61,11 @@ class WavefrontAtlas:
 def build_atlas(b: Backend, N: SubmanifoldSpec, m: int, t_max: float,
                 dt: float, threads: int = 1) -> WavefrontAtlas:
     """Integrate all normal directions (m per side for a curve, m circle
-    directions for a point) and index the samples for distance queries."""
+    directions for a point) and index the samples for distance queries.
+
+    ``threads`` is accepted for compatibility and ignored: the directions
+    integrate as one batch, whose RK4 step loop holds the interpreter lock.
+    """
     if m < 16:
         raise ValueError("need m >= 16 directions")
     frames = frames_for(b, N, m)
@@ -76,7 +75,7 @@ def build_atlas(b: Backend, N: SubmanifoldSpec, m: int, t_max: float,
     speeds = b.norm(p0, v0)
     if np.max(np.abs(speeds - 1.0)) > 1e-10:
         raise ValueError("normal frames are not g-unit")
-    batch = _integrate_chunked(b, p0, v0, t_max, dt, threads)
+    batch = integrate_batch(b, p0, v0, t_max, dt)
     local_gap = _local_gaps(b, N, batch, m)
     cert = max(float(np.max(local_gap)), dt)
     med_gap = max(float(np.median(local_gap)), dt)
@@ -98,27 +97,6 @@ def build_atlas(b: Backend, N: SubmanifoldSpec, m: int, t_max: float,
                           wrapped, sample_t, sample_dir, sample_lam,
                           sample_vel, local_gap.reshape(-1), med_gap,
                           cell, grid_shape, origin, order, starts)
-
-
-def _integrate_chunked(b, p0, v0, t_max, dt, threads) -> BatchPaths:
-    k = p0.shape[0]
-    chunks = [(i, min(i + _CHUNK, k)) for i in range(0, k, _CHUNK)]
-
-    def run(lohi):
-        lo, hi = lohi
-        return integrate_batch(b, p0[lo:hi], v0[lo:hi], t_max, dt)
-
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(run, chunks))
-    else:
-        parts = [run(c) for c in chunks]
-    first = parts[0]
-    return BatchPaths(b, first.t,
-                      np.concatenate([p.pos for p in parts]),
-                      np.concatenate([p.vel for p in parts]),
-                      dt, "t_max",
-                      np.concatenate([p.drift for p in parts]))
 
 
 def _local_gaps(b, N, batch: BatchPaths, m: int) -> np.ndarray:
@@ -275,6 +253,8 @@ def eikonal_residual(atlas: WavefrontAtlas, grid_spacing: float,
     N_pts = atlas.N.sample_points()
     keep = np.ones(len(grid), dtype=bool)
     for blockers in ([N_pts] if cut_points is None else [N_pts, cut_points]):
+        if not len(blockers):
+            continue
         for i, q in enumerate(grid):
             if keep[i] and float(np.min(b.aux_distance(blockers, q))) < exclusion_radius:
                 keep[i] = False

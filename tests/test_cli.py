@@ -37,6 +37,49 @@ def test_missing_tau_ladder_named_in_error(tmp_path, capsys):
     assert "family.tau" in capsys.readouterr().err
 
 
+def test_integration_error_is_one_line_fail(tmp_path, capsys):
+    # dt = 0.2 on the warped torus breaks the RK4 speed-drift budget
+    cfg = _write_cfg(tmp_path, {"scenario": "warped-torus-line",
+                                "resolution": {"m": 16, "dt": 0.2}})
+    assert main(["inj", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("FAIL: speed drift") and err.count("\n") == 1
+
+
+def test_coverage_error_is_one_line_fail(tmp_path, capsys):
+    # 16 directions leave the atlas too sparse to certify any distance
+    cfg = _write_cfg(tmp_path, {"scenario": "sphere-equator",
+                                "resolution": {"m": 16, "dt": 0.01,
+                                               "t_max": 0.5}})
+    assert main(["inj", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("FAIL: ") and "coverage" in err
+    assert err.count("\n") == 1
+
+
+def test_validate_without_cut_points_reports_a_verdict(tmp_path, capsys):
+    # t_max = 0.3 ends before every cut, so the eikonal check has no cut
+    # points to exclude around
+    cfg = _write_cfg(tmp_path, {"scenario": "flat-torus-point",
+                                "resolution": {"m": 16, "dt": 0.01,
+                                               "t_max": 0.3}})
+    assert main(["validate", "--config", cfg,
+                 "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("FAIL: verdict")
+
+
+def test_out_precedence_flag_then_config(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = _write_cfg(tmp_path, {**FAST, "out": str(tmp_path / "from_cfg")})
+    assert main(["inj", "--config", cfg]) == 0
+    assert (tmp_path / "from_cfg" / "inj.json").exists()
+    assert main(["inj", "--config", cfg, "--out",
+                 str(tmp_path / "from_flag")]) == 0
+    assert (tmp_path / "from_flag" / "inj.json").exists()
+    assert main(["inj", "--config", _write_cfg(tmp_path, FAST, "b.json")]) == 0
+    assert (tmp_path / "out" / "inj.json").exists()
+
+
 def test_inj_writes_outputs_and_manifest(tmp_path):
     cfg = _write_cfg(tmp_path, FAST)
     out = tmp_path / "out"

@@ -38,6 +38,15 @@ def test_resolution_override_merges():
     assert cfg.resolution.dt == scenario("flat-torus-line").resolution.dt
 
 
+def test_resolution_m_N_sets_submanifold_sampling():
+    cfg = parse_config({"scenario": "flat-torus-line",
+                        "resolution": {"m_N": 16}})
+    assert cfg.build_submanifold(cfg.build_backend()).m_N == 16
+    with pytest.raises(ConfigError, match="resolution.m_N"):
+        parse_config({"scenario": "flat-torus-line",
+                      "resolution": {"m_N": 0}})
+
+
 def test_backend_conflicts_with_scenario():
     with pytest.raises(ConfigError, match="conflicts"):
         parse_config({"scenario": "flat-torus-line",

@@ -113,6 +113,22 @@ def test_loop_scan_point_flat_torus(flat_backend):
     assert all(r.angle_residual <= 1e-3 for r in hits)
 
 
+def test_loop_scan_line_across_chart_seam(flat_backend):
+    # a line hugging y = 1 has its capture tube split by the chart seam; the
+    # hashed return detector must see the same loops as for a mid-chart line
+    found = {}
+    for y0 in (0.5, 0.9995):
+        N = curve_submanifold(chart_curve("horizontal-circle", (1.0, 1.0),
+                                          y0=y0))
+        atlas = build_atlas(flat_backend, N, 64, 1.2, 2e-3)
+        l_half, per_dir = loop_scan(flat_backend, N, atlas)
+        found[y0] = (l_half,
+                     {j for j, r in enumerate(per_dir) if r is not None})
+    assert found[0.9995][0] == pytest.approx(found[0.5][0], abs=1e-9)
+    assert found[0.9995][1] == found[0.5][1]
+    assert len(found[0.5][1]) == 128
+
+
 # -- assembly ---------------------------------------------------------------
 
 def test_compute_profiles_flat_point(flat_backend, point_atlas):

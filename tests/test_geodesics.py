@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from cutlab.geodesics import (IntegrationError, exp_map, hermite_sample,
-                              integrate_batch, integrate_geodesic, normal_exp,
+from cutlab.geodesics import (IntegrationError, exp_map, hermite_batch,
+                              hermite_sample, integrate_batch,
+                              integrate_geodesic, normal_exp,
                               normal_exp_jacobian)
 from cutlab.submanifold import curve_submanifold, chart_curve, frame_fn_for, \
     unit_normal
@@ -127,3 +128,43 @@ def test_jacobian_richardson_consistency(sphere_backend):
     e1 = np.max(np.abs(j1.det - ref))
     e2 = np.max(np.abs(j2.det - ref))
     assert e2 <= e1 + 1e-9
+
+
+def _reference_hermite(tg, pos, vel, t):
+    """The scalar cubic Hermite formula, written out with float64 scalars."""
+    if t <= tg[0]:
+        return pos[0], vel[0]
+    if t >= tg[-1]:
+        return pos[-1], vel[-1]
+    i = int(np.searchsorted(tg, t, side="right")) - 1
+    h = tg[i + 1] - tg[i]
+    s = (t - tg[i]) / h
+    p0, p1, m0, m1 = pos[i], pos[i + 1], vel[i] * h, vel[i + 1] * h
+    p = ((2 * s**3 - 3 * s**2 + 1) * p0 + (s**3 - 2 * s**2 + s) * m0
+         + (-2 * s**3 + 3 * s**2) * p1 + (s**3 - s**2) * m1)
+    v = ((6 * s**2 - 6 * s) / h * p0 + (3 * s**2 - 4 * s + 1) / h * m0
+         + (-6 * s**2 + 6 * s) / h * p1 + (3 * s**2 - 2 * s) / h * m1)
+    return p, v
+
+
+def test_hermite_batch_matches_hermite_sample_bitwise(warped_backend):
+    batch = integrate_batch(warped_backend, [[0.1, 0.2], [0.3, 0.4]],
+                            [[0.6, 0.8], [-0.8, 0.6]], 0.3, 1e-2)
+    tg = batch.t
+    ts = np.concatenate([tg, 0.5 * (tg[:-1] + tg[1:]),
+                         np.linspace(0.0, 0.3, 1001),
+                         [-1.0, -1e-12, tg[-1], 0.3 + 1e-12, 5.0]])
+    J = np.arange(ts.size) % 2
+    P, V = hermite_batch(tg, batch.pos, batch.vel, J, ts)
+    for j, t, p, v in zip(J, ts, P, V):
+        p1, v1 = hermite_sample(tg, batch.pos[j], batch.vel[j], t)
+        p2, v2 = _reference_hermite(tg, batch.pos[j], batch.vel[j], t)
+        np.testing.assert_array_equal(p, p1)
+        np.testing.assert_array_equal(v, v1)
+        np.testing.assert_array_equal(p, p2)
+        np.testing.assert_array_equal(v, v2)
+    # at and beyond both ends the first/last node comes back exactly
+    for t, i in ((-1.0, 0), (tg[0], 0), (tg[-1], -1), (5.0, -1)):
+        p, v = hermite_batch(tg, batch.pos, batch.vel, [1], [t])
+        np.testing.assert_array_equal(p[0], batch.pos[1, i])
+        np.testing.assert_array_equal(v[0], batch.vel[1, i])

@@ -4,7 +4,8 @@ import pytest
 from cutlab.geometry import GeometryError
 from cutlab.submanifold import (chart_curve, curve_submanifold,
                                 direction_circle, embedding_family,
-                                foot_point, frames_for, point_submanifold,
+                                foot_point, foot_points, frames_for,
+                                golden_section, point_submanifold,
                                 principal_curvature_bound, shape_operator,
                                 surface_curve, unit_normal)
 
@@ -126,6 +127,35 @@ def test_foot_point_beyond_tube_is_coarse(flat_backend):
 def test_foot_point_of_point_submanifold(flat_backend):
     fp = foot_point(flat_backend, point_submanifold([0.25, 0.25]), [0.25, 0.3])
     assert fp.d_est == pytest.approx(0.05, abs=1e-9)
+
+
+def test_foot_points_match_foot_point_row_by_row(warped_backend):
+    N = curve_submanifold(chart_curve("horizontal-circle", (1.0, 1.0), y0=0.0))
+    Q = np.array([[0.37, 0.04], [0.999, 0.98], [0.5, 0.4], [0.0, 0.0]])
+    s, d_est, coarse = foot_points(warped_backend, N, Q, tube_radius=0.1)
+    for i, q in enumerate(Q):
+        fp = foot_point(warped_backend, N, q, tube_radius=0.1)
+        assert (fp.s, fp.d_est, fp.coarse) == (s[i], d_est[i], coarse[i])
+
+
+def test_golden_section_per_element_brackets():
+    # f_i(x) = (x - x_i)^2 on brackets of different widths; the last bracket
+    # starts converged and must never be evaluated again
+    x_star = np.array([0.3, -2.0, 7.25, 1.0])
+    lo = np.array([0.0, -3.0, 7.0, 0.9])
+    hi = np.array([1.0, 5.0, 7.5, 0.9 + 1e-10])
+    seen = []
+
+    def f(x, idx):
+        seen.append(idx.copy())
+        return (x - x_star[idx]) ** 2
+
+    got = golden_section(f, lo, hi, 1e-9)
+    np.testing.assert_allclose(got[:3], x_star[:3], atol=1e-8)
+    assert got[3] == 0.5 * (lo[3] + hi[3])
+    assert all(3 not in idx for idx in seen[1:])
+    # narrower brackets converge sooner and drop out of later evaluations
+    assert 2 in seen[1] and 2 not in seen[-1] and 1 in seen[-1]
 
 
 def test_embedding_family_endpoints_chart(flat_backend):
