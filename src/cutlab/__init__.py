@@ -16,9 +16,9 @@ from .submanifold import (CurveSpec, NormalFrame, SubmanifoldSpec, chart_curve,
                           principal_curvature_bound, shape_operator,
                           surface_curve, unit_normal)
 from .wavefront import (CoverageError, WavefrontAtlas, build_atlas, distance,
-                        eikonal_residual, validation_grid)
+                        distance_many, eikonal_residual, validation_grid)
 from .cutanalysis import (CutProfile, PointCloud, compute_profiles, cut_time,
-                          cut_locus_cloud, f_min,
+                          cut_times, cut_locus_cloud, f_min,
                           injectivity_radius_char, injectivity_radius_direct,
                           loop_scan, separating_points, tangential_cut_locus,
                           warner_bound)

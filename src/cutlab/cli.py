@@ -4,7 +4,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -113,12 +112,12 @@ def _coord_header(b):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_inj(cfg: RunConfig, out: Path, threads: int) -> int:
+def cmd_inj(cfg: RunConfig, out: Path) -> int:
     em = _Emitter(cfg, out, "inj")
     b = cfg.build_backend()
     N = cfg.build_submanifold(b)
     t0 = time.perf_counter()
-    result = run_case(b, N, cfg.resolution, threads)
+    result = run_case(b, N, cfg.resolution)
     em.timings["run_case"] = time.perf_counter() - t0
     em.json("inj.json", {"inj_direct": result.inj_direct,
                          "inj_char": result.inj_char,
@@ -139,12 +138,12 @@ def cmd_inj(cfg: RunConfig, out: Path, threads: int) -> int:
     return 0
 
 
-def cmd_cutlocus(cfg: RunConfig, out: Path, threads: int) -> int:
+def cmd_cutlocus(cfg: RunConfig, out: Path) -> int:
     em = _Emitter(cfg, out, "cutlocus")
     b = cfg.build_backend()
     N = cfg.build_submanifold(b)
     t0 = time.perf_counter()
-    result = run_case(b, N, cfg.resolution, threads)
+    result = run_case(b, N, cfg.resolution)
     em.timings["run_case"] = time.perf_counter() - t0
     ch = _coord_header(b)
     em.csv("cut_cloud.csv", ch + ["dir_idx"],
@@ -170,7 +169,7 @@ def cmd_cutlocus(cfg: RunConfig, out: Path, threads: int) -> int:
     return 0
 
 
-def cmd_sweep(cfg: RunConfig, out: Path, threads: int) -> int:
+def cmd_sweep(cfg: RunConfig, out: Path) -> int:
     if cfg.family is None:
         raise ConfigError("family: required for sweep (family.tau ladder)")
     em = _Emitter(cfg, out, "sweep")
@@ -181,18 +180,15 @@ def cmd_sweep(cfg: RunConfig, out: Path, threads: int) -> int:
     t0 = time.perf_counter()
     if kind == "conformal":
         phi = build_family_field(cfg, b)
-        table = sweep_metric_family(b, N, taus, cfg.resolution, phi=phi,
-                                    threads=threads)
+        table = sweep_metric_family(b, N, taus, cfg.resolution, phi=phi)
     elif kind == "blend":
         mspec = dict(cfg.family.get("metric", {}))
         b1 = cfg.build_backend() if not mspec else _blend_target(cfg, mspec)
-        table = sweep_metric_family(b, N, taus, cfg.resolution, b1=b1,
-                                    threads=threads)
+        table = sweep_metric_family(b, N, taus, cfg.resolution, b1=b1)
     elif kind == "embedding":
         tspec = dict(cfg.family.get("target", {}))
         N1 = build_submanifold(b, {"dim": 1, "curve": tspec, "m_N": N.m_N})
-        table = sweep_embedding_family(b, N, N1, taus, cfg.resolution,
-                                       threads=threads)
+        table = sweep_embedding_family(b, N, N1, taus, cfg.resolution)
     else:
         raise ConfigError(f"family.kind: unknown kind {kind!r}")
     em.timings["sweep"] = time.perf_counter() - t0
@@ -234,12 +230,12 @@ def _blend_target(cfg, mspec):
                          "submanifold": cfg.submanifold_spec}).build_backend()
 
 
-def cmd_validate(cfg: RunConfig, out: Path, threads: int) -> int:
+def cmd_validate(cfg: RunConfig, out: Path) -> int:
     em = _Emitter(cfg, out, "validate")
     b = cfg.build_backend()
     N = cfg.build_submanifold(b)
     t0 = time.perf_counter()
-    result = run_case(b, N, cfg.resolution, threads, keep_atlas=True)
+    result = run_case(b, N, cfg.resolution, keep_atlas=True)
     em.timings["run_case"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -307,7 +303,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=str, default=None,
                        help="output directory (default: config out, "
                             "else out/)")
-        p.add_argument("--threads", type=int, default=None)
+        p.add_argument("--threads", type=int, default=None,
+                       help="accepted and ignored")
     return ap
 
 
@@ -325,16 +322,11 @@ def main(argv=None) -> int:
     except ConfigError as ex:
         print(f"config error: {ex}", file=sys.stderr)
         return 2
-    threads = args.threads
-    if threads is None:
-        threads = cfg.threads
-    if threads is None:
-        threads = int(os.environ.get("CUTLAB_THREADS", "1"))
     out = Path(args.out if args.out is not None else (cfg.out or "out"))
     handler = {"inj": cmd_inj, "cutlocus": cmd_cutlocus,
                "sweep": cmd_sweep, "validate": cmd_validate}[args.command]
     try:
-        return handler(cfg, out, threads)
+        return handler(cfg, out)
     except ConfigError as ex:
         print(f"config error: {ex}", file=sys.stderr)
         return 2

@@ -185,6 +185,9 @@ def parse_config(source) -> RunConfig:
         cfg.out = str(data["out"])
     if "seed" in data:
         cfg.seed = int(data["seed"])
+        if cfg.seed != 0:
+            raise ConfigError("seed: must be 0; cutlab runs are deterministic "
+                              "and draw no random numbers")
     if "threads" in data:
         cfg.threads = int(data["threads"])
     return cfg

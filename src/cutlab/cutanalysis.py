@@ -12,7 +12,8 @@ from .geodesics import hermite_batch, normal_exp_jacobian
 from .geometry import Backend
 from .submanifold import (SubmanifoldSpec, foot_points, frame_fn_for,
                           golden_section, shape_operator)
-from .wavefront import WavefrontAtlas, _candidates, distance
+from .wavefront import (CoverageError, WavefrontAtlas, _coverage_reason,
+                        _distance_rows, _edge_margin, distance, ring_pairs)
 
 
 @dataclass
@@ -49,57 +50,111 @@ def excess(atlas: WavefrontAtlas, dir_idx: int, t: float) -> float:
 
 
 def cut_time(atlas: WavefrontAtlas, dir_idx: int, tol: float = 1e-3) -> tuple[float, dict]:
-    """sup{t | d(N, gamma_n(t)) = t} via bisection on the excess function.
+    """sup{t | d(N, gamma_n(t)) = t} along one direction; see cut_times."""
+    rho, flags = cut_times(atlas, tol, [dir_idx])
+    return float(rho[0]), flags[0]
+
+
+def cut_times(atlas: WavefrontAtlas, tol: float = 1e-3,
+              dirs=None) -> tuple[np.ndarray, list[dict]]:
+    """sup{t | d(N, gamma_n(t)) = t} via bisection on the excess function,
+    for the directions ``dirs`` (default: all) in lockstep.
 
     The threshold theta = max(3*err_step, tol) marks the {e <= theta} /
     {e > theta} boundary; a short extrapolation of e back to its pre-kink
-    baseline removes the O(theta) bias of the raw crossing.
+    baseline removes the O(theta) bias of the raw crossing.  Every step
+    probes all searching directions with one distance batch.  A direction
+    whose probe cannot be certified stops; the CoverageError of the first
+    such direction is raised once the others are done.
     """
-    tg = atlas.batch.t
+    batch = atlas.batch
+    tg = batch.t
+    J = np.arange(batch.n_paths) if dirs is None else np.asarray(dirs, int)
+    k = len(J)
+    failed: dict[int, str] = {}
+    dead = np.zeros(k, dtype=bool)
+
+    def excess_at(rows, t):
+        """e at times t on the paths J[rows]; a direction whose probe is
+        not certified keeps its first reason and stops."""
+        if not rows.size:
+            return np.empty(0)
+        p, _ = hermite_batch(tg, batch.pos, batch.vel, J[rows], t)
+        d, _err, _j, _t, status = _distance_rows(atlas, p)
+        for i in np.flatnonzero(status):
+            failed.setdefault(int(rows[i]),
+                              _coverage_reason(atlas, status[i], d[i]))
+        dead[rows[status != 0]] = True
+        return t - d
+
+    def live(rows):
+        return rows[~dead[rows]]
+
     theta = max(2.0 * atlas.dt, tol)
-    flags = {"theta": theta, "no_cut": False, "method": "kink"}
+    flags = [{"theta": theta, "no_cut": False, "method": "kink"}
+             for _ in range(k)]
     # probe below the coverage edge: a still-minimizing direction has d = t,
     # which the distance query refuses within its margin of t_max
-    margin = max(5.0 * atlas.dt, 2.0 * atlas.median_gap)
-    edge = atlas.t_max - margin - 5.0 * atlas.dt
-    # monotone binary search for the first grid point with e > theta
-    lo_i = 0
+    edge = atlas.t_max - _edge_margin(atlas) - 5.0 * atlas.dt
     edge_i = max(int(np.searchsorted(tg, edge, side="right")) - 1, 1)
-    hi_i = edge_i
-    if excess(atlas, dir_idx, float(tg[hi_i])) <= theta:
-        flags["no_cut"] = True
-        flags["method"] = "none"
-        return float(tg[hi_i]), flags
-    while hi_i - lo_i > 1:
-        mid = (lo_i + hi_i) // 2
-        if excess(atlas, dir_idx, float(tg[mid])) > theta:
-            hi_i = mid
-        else:
-            lo_i = mid
-    lo, hi = float(tg[lo_i]), float(tg[hi_i])
+    rho = np.full(k, float(tg[edge_i]))
+    rows = np.arange(k)
+    e_end = excess_at(rows, np.full(k, tg[edge_i]))
+    for i in np.flatnonzero(e_end <= theta):
+        flags[i]["no_cut"] = True
+        flags[i]["method"] = "none"
+    rows = live(rows[~(e_end <= theta)])
+    # monotone binary search for the first grid point with e > theta
+    lo_i = np.zeros(k, dtype=np.int64)
+    hi_i = np.full(k, edge_i, dtype=np.int64)
+    while True:
+        rows = live(rows)
+        act = rows[hi_i[rows] - lo_i[rows] > 1]
+        if not act.size:
+            break
+        mid = (lo_i[act] + hi_i[act]) // 2
+        up = excess_at(act, tg[mid]) > theta
+        hi_i[act[up]] = mid[up]
+        lo_i[act[~up]] = mid[~up]
+    lo, hi = tg[lo_i], tg[hi_i]
     # continuous bisection of the theta-crossing to width tol
-    while hi - lo > 0.25 * tol:
-        mid = 0.5 * (lo + hi)
-        if excess(atlas, dir_idx, mid) > theta:
-            hi = mid
-        else:
-            lo = mid
-    t_cross = hi
+    while True:
+        rows = live(rows)
+        act = rows[hi[rows] - lo[rows] > 0.25 * tol]
+        if not act.size:
+            break
+        mid = 0.5 * (lo[act] + hi[act])
+        up = excess_at(act, mid) > theta
+        hi[act[up]] = mid[up]
+        lo[act[~up]] = mid[~up]
     # extrapolate the kink: quadratic through e at t_cross, +D, +2D down to
     # the pre-kink baseline
     D = max(4.0 * tol, 2.0 * atlas.dt)
     t_end = float(tg[edge_i])
-    base_t = max(t_cross - 3.0 * D, 0.0)
-    baseline = max(0.0, excess(atlas, dir_idx, base_t)) if base_t > 0 else 0.0
-    if t_cross + 2.0 * D <= t_end:
-        e0 = theta
-        e1 = excess(atlas, dir_idx, t_cross + D)
-        e2 = excess(atlas, dir_idx, t_cross + 2.0 * D)
-        rho = _kink_root(t_cross, D, e0, e1, e2, baseline)
-    else:
-        rho = t_cross - theta  # assume unit slope near the coverage edge
-        flags["method"] = "edge"
-    rho = float(np.clip(rho, t_cross - 6.0 * theta, t_cross))
+    t_cross = hi
+    base_t = np.maximum(t_cross - 3.0 * D, 0.0)
+    has_base = rows[base_t[rows] > 0]
+    kink = rows[t_cross[rows] + 2.0 * D <= t_end]
+    e = excess_at(np.concatenate([has_base, kink, kink]),
+                  np.concatenate([base_t[has_base], t_cross[kink] + D,
+                                  t_cross[kink] + 2.0 * D]))
+    baseline = np.zeros(k)
+    baseline[has_base] = e[:len(has_base)]
+    e1, e2 = np.full(k, np.nan), np.full(k, np.nan)
+    e1[kink], e2[kink] = np.split(e[len(has_base):], 2)
+    if failed:
+        raise CoverageError(failed[min(failed)])
+    is_kink = np.zeros(k, dtype=bool)
+    is_kink[kink] = True
+    for i in rows:
+        tc = float(t_cross[i])
+        if is_kink[i]:
+            r = _kink_root(tc, D, theta, float(e1[i]), float(e2[i]),
+                           max(0.0, float(baseline[i])))
+        else:
+            r = tc - theta  # assume unit slope near the coverage edge
+            flags[i]["method"] = "edge"
+        rho[i] = float(np.clip(r, tc - 6.0 * theta, tc))
     return rho, flags
 
 
@@ -238,13 +293,11 @@ def loop_scan(b: Backend, N: SubmanifoldSpec, atlas: WavefrontAtlas,
     # never below thresh <= R, and never undercut a local minimum below R
     R = max(3.0 * capture_radius, thresh)
     rings = int(math.ceil(R / atlas.cell))
-    near = [_candidates(atlas, q, rings) for q in N_pts]
-    cand = np.concatenate(near)
-    gaps = b.aux_distance(batch.pos.reshape(-1, d)[cand],
-                          np.repeat(N_pts, [len(c) for c in near], axis=0))
-    keep = gaps <= R
     d_series = np.full(k * n_t, np.inf)
-    np.minimum.at(d_series, cand[keep], gaps[keep])
+    for qi, cand in ring_pairs(atlas, N_pts, rings):
+        gaps = b.aux_distance(batch.pos.reshape(-1, d)[cand], N_pts[qi])
+        keep = gaps <= R
+        np.minimum.at(d_series, cand[keep], gaps[keep])
     d_series = d_series.reshape(k, n_t)
     escaped = d_series > 3.0 * capture_radius
     i0 = np.where(escaped.any(axis=1), escaped.argmax(axis=1), n_t)
@@ -315,30 +368,29 @@ def compute_profiles(b: Backend, N: SubmanifoldSpec, atlas: WavefrontAtlas,
     focal = focal_times_batch(b, N, atlas)
     if loops is None:
         _, loops = loop_scan(b, N, atlas, capture_radius, angle_tol)
-    profiles = []
-    for j, f in enumerate(atlas.frames):
-        rho, flags = cut_time(atlas, j, tol)
-        # a geodesic never minimizes past its first focal point; the excess
-        # crossing lands late at focal-type cuts (cubic growth), so the focal
-        # time is both a hard bound and the sharper estimate there
-        if focal[j] < rho:
-            rho = float(focal[j])
-            flags["focal_clipped"] = True
-            flags["no_cut"] = False
-        p, _ = atlas.path_point(j, rho)
-        profiles.append(CutProfile(j, f.s, f.side, rho, b.wrap(p),
-                                   flags["no_cut"], float(focal[j]),
-                                   loops[j], flags))
-    return profiles
+    rho, flags = cut_times(atlas, tol)
+    # a geodesic never minimizes past its first focal point; the excess
+    # crossing lands late at focal-type cuts (cubic growth), so the focal
+    # time is both a hard bound and the sharper estimate there
+    clipped = focal < rho
+    rho[clipped] = focal[clipped]
+    for j in np.flatnonzero(clipped):
+        flags[j]["focal_clipped"] = True
+        flags[j]["no_cut"] = False
+    batch = atlas.batch
+    k = len(rho)
+    cut = b.wrap(hermite_batch(batch.t, batch.pos, batch.vel, np.arange(k),
+                               rho)[0])
+    return [CutProfile(j, f.s, f.side, float(rho[j]), cut[j],
+                       flags[j]["no_cut"], float(focal[j]), loops[j],
+                       flags[j])
+            for j, f in enumerate(atlas.frames)]
 
 
 def tangential_cut_locus(atlas: WavefrontAtlas, tol: float = 1e-3):
     """(frame, cut time) over the full direction set, in direction order."""
-    out = []
-    for j, f in enumerate(atlas.frames):
-        rho, _flags = cut_time(atlas, j, tol)
-        out.append((f, rho))
-    return out
+    rho, _flags = cut_times(atlas, tol)
+    return [(f, float(r)) for f, r in zip(atlas.frames, rho)]
 
 
 @dataclass
@@ -381,25 +433,9 @@ def separating_points(b: Backend, N: SubmanifoldSpec,
     """Cluster cut points; clusters reached by >= 2 distinct initial frames
     are separating candidates, with the non-exclusive focal dichotomy flag."""
     prof = [p for p in profiles if not p.no_cut]
-    n = len(prof)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            di = float(b.aux_distance(prof[i].cut_point, prof[j].cut_point))
-            if di <= pair_tol:
-                parent[find(i)] = find(j)
-    clusters: dict[int, list[int]] = {}
-    for i in range(n):
-        clusters.setdefault(find(i), []).append(i)
+    clusters = _clusters(b, np.array([p.cut_point for p in prof]), pair_tol)
     out = []
-    for members in clusters.values():
+    for members in clusters:
         frames = [(prof[i].s, prof[i].side) for i in members]
         distinct = _distinct_frames(N, frames, frame_tol)
         focal = any(np.isfinite(prof[i].focal_t)
@@ -416,6 +452,35 @@ def separating_points(b: Backend, N: SubmanifoldSpec,
                             [prof[i].dir_idx for i in members],
                             distinct, flag))
     return out
+
+
+def _clusters(b: Backend, pts: np.ndarray,
+              pair_tol: float) -> list[list[int]]:
+    """Connected components of the graph joining i < j when
+    aux_distance(pts[i], pts[j]) <= pair_tol, ordered by first member, each
+    in ascending order.  Pairs are measured 256 rows at a time."""
+    n = len(pts)
+    I, J = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for i0 in range(0, n, 256):
+        gaps = b.aux_distance(pts[i0:i0 + 256, None, :], pts[None, :, :])
+        i, j = np.nonzero(gaps <= pair_tol)
+        i += i0
+        I.append(i[i < j])
+        J.append(j[i < j])
+    I, J = np.concatenate(I), np.concatenate(J)
+    # propagate the smallest index over each component
+    label = np.arange(n)
+    while True:
+        new = label.copy()
+        low = np.minimum(label[I], label[J])
+        np.minimum.at(new, I, low)
+        np.minimum.at(new, J, low)
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    first, which = np.unique(label, return_inverse=True)
+    return [list(np.flatnonzero(which == c)) for c in range(len(first))]
 
 
 def _distinct_frames(N, frames, frame_tol):

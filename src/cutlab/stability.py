@@ -93,8 +93,8 @@ class ScenarioResult:
 
 
 def run_case(b: Backend, N: SubmanifoldSpec, res: Resolution,
-             threads: int = 1, keep_atlas: bool = False) -> ScenarioResult:
-    atlas = build_atlas(b, N, res.m, res.t_max, res.dt, threads)
+             keep_atlas: bool = False) -> ScenarioResult:
+    atlas = build_atlas(b, N, res.m, res.t_max, res.dt)
     l_half, loops = loop_scan(b, N, atlas, res.capture_radius, res.angle_tol)
     profiles = compute_profiles(b, N, atlas, res.tol, res.capture_radius,
                                 res.angle_tol, loops=loops)
@@ -183,7 +183,7 @@ def _check_ladder(taus):
 
 def _sweep(description, case_at_tau, taus, res: Resolution,
            final_inj_tol: float, final_dH_tol: float,
-           final_rho_tol: float, threads: int) -> SweepTable:
+           final_rho_tol: float) -> SweepTable:
     taus = _check_ladder(taus)
     base = case_at_tau(0.0)
     base_rec = _case_record(base, None, res)
@@ -233,8 +233,7 @@ def sweep_metric_family(b: Backend, N: SubmanifoldSpec, taus,
                         res: Resolution, phi=None, b1: Backend | None = None,
                         final_inj_tol: float = 1e-2,
                         final_dH_tol: float = 2e-2,
-                        final_rho_tol: float = 1e-2,
-                        threads: int = 1) -> SweepTable:
+                        final_rho_tol: float = 1e-2) -> SweepTable:
     """Sweep g_tau = e^{2 tau phi} g (conformal) or (1-tau) g0 + tau g1
     (blend) at fixed N, against the tau = 0 baseline."""
     if (phi is None) == (b1 is None):
@@ -243,29 +242,28 @@ def sweep_metric_family(b: Backend, N: SubmanifoldSpec, taus,
         desc = f"conformal metric family: {getattr(phi, 'name', 'phi')}"
 
         def case(tau):
-            return run_case(conformal_family(b, phi, tau), N, res, threads)
+            return run_case(conformal_family(b, phi, tau), N, res)
     else:
         desc = "linear metric blend"
 
         def case(tau):
-            return run_case(linear_blend(b, b1, tau), N, res, threads)
+            return run_case(linear_blend(b, b1, tau), N, res)
     return _sweep(desc, case, taus, res, final_inj_tol, final_dH_tol,
-                  final_rho_tol, threads)
+                  final_rho_tol)
 
 
 def sweep_embedding_family(b: Backend, N0: SubmanifoldSpec,
                            N1: SubmanifoldSpec, taus, res: Resolution,
                            final_inj_tol: float = 1e-2,
                            final_dH_tol: float = 2e-2,
-                           final_rho_tol: float = 1e-2,
-                           threads: int = 1) -> SweepTable:
+                           final_rho_tol: float = 1e-2) -> SweepTable:
     """Sweep N_tau interpolating N0 -> N1 at fixed metric."""
 
     def case(tau):
-        return run_case(b, embedding_family(b, N0, N1, tau), res, threads)
+        return run_case(b, embedding_family(b, N0, N1, tau), res)
 
     return _sweep("embedding family", case, taus, res, final_inj_tol,
-                  final_dH_tol, final_rho_tol, threads)
+                  final_dH_tol, final_rho_tol)
 
 
 # ---------------------------------------------------------------------------

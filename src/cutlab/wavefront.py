@@ -2,12 +2,13 @@
 spatial index, conservative error bounds, and eikonal-residual validation."""
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geodesics import BatchPaths, integrate_batch
-from .geometry import Backend, ImplicitSurface, PeriodicChart
+from .geometry import Backend, PeriodicChart, _tangent_frame
 from .submanifold import NormalFrame, SubmanifoldSpec, frames_for
 
 class CoverageError(Exception):
@@ -20,6 +21,139 @@ class DistanceResult:
     err: float
     dir_idx: int
     t: float
+
+
+@dataclass(frozen=True)
+class _Grid:
+    """Uniform cell grid: periodic over a chart's periods, or a box in
+    3-space whose cells past the box hold nothing."""
+
+    origin: np.ndarray
+    width: np.ndarray           # cell width per axis
+    shape: tuple
+    period: np.ndarray | None   # chart periods; None for a box
+
+    @classmethod
+    def over(cls, b: Backend, lo, hi, cell: float) -> "_Grid":
+        """Cells at least ``cell`` wide: a chart's periods split into whole
+        cells, or the box [lo, hi] of an implicit surface."""
+        if isinstance(b, PeriodicChart):
+            L = np.array(b.periods)
+            shape = tuple(int(max(1, np.floor(Li / cell))) for Li in L)
+            return cls(np.zeros(2), L / np.array(shape), shape, L)
+        shape = tuple(int(np.floor((h - l) / cell)) + 1 for l, h in zip(lo, hi))
+        return cls(lo, np.full(3, cell), shape, None)
+
+    def cells(self, pts, wrap: bool = True) -> np.ndarray:
+        """Integer cell coordinates (n, dim); ``wrap`` reduces chart points
+        modulo the periods first (atlas samples are already wrapped)."""
+        if self.period is None:
+            return np.floor((pts - self.origin) / self.width).astype(np.int64)
+        x = np.mod(pts, self.period) if wrap else pts
+        ij = np.floor(x / self.width).astype(np.int64)
+        return np.minimum(ij, np.array(self.shape) - 1)
+
+    def ids(self, ij) -> np.ndarray:
+        mode = "clip" if self.period is None else "wrap"
+        return np.ravel_multi_index(tuple(np.moveaxis(ij, -1, 0)), self.shape,
+                                    mode=mode)
+
+    def ring(self, ij, r: int):
+        """Ids of the cells within r of each row of ij, shape (n, K), and a
+        mask of the cells that exist, each counted once per row."""
+        c = ij[:, None, :] + _ring_offsets(ij.shape[1], r)
+        ids = self.ids(c)
+        if self.period is None:
+            valid = np.all((c >= 0) & (c < np.array(self.shape)), axis=-1)
+        else:       # a ring wider than the grid meets some cells twice
+            ids.sort(axis=1)
+            valid = np.ones(ids.shape, dtype=bool)
+            valid[:, 1:] = ids[:, 1:] != ids[:, :-1]
+        return ids, valid
+
+
+@functools.cache
+def _ring_offsets(dim: int, r: int) -> np.ndarray:
+    """Every offset in {-r, ..., r}^dim, in C order, shape (K, dim)."""
+    return np.stack(np.meshgrid(*[np.arange(-r, r + 1)] * dim, indexing="ij"),
+                    axis=-1).reshape(-1, dim)
+
+
+@dataclass(frozen=True)
+class _Tier:
+    """Samples bucketed on one grid: ``order[starts[c]:starts[c + 1]]`` are
+    the samples of cell ``keys[c]``, or of cell c itself when ``keys`` is
+    None (a dense table over every cell)."""
+
+    grid: _Grid
+    keys: np.ndarray | None
+    starts: np.ndarray
+
+    def ranges(self, ij, r: int):
+        """Query row, start and end in ``order`` of every non-empty cell
+        within ring r of the cells ij."""
+        ids, valid = self.grid.ring(ij, r)
+        ids = np.where(valid, ids, 0)
+        if self.keys is None:
+            at = ids
+        else:
+            at = np.minimum(np.searchsorted(self.keys, ids), len(self.keys) - 1)
+            valid &= self.keys[at] == ids
+        lo, hi = self.starts[at], self.starts[at + 1]
+        keep = valid & (hi > lo)
+        rows = np.broadcast_to(np.arange(len(ij))[:, None], ids.shape)
+        return rows[keep], lo[keep], hi[keep]
+
+
+def _tier(grid: _Grid, pos: np.ndarray, members: np.ndarray, base: int):
+    """Sparse tier of the samples ``members`` (ascending), whose slice of
+    the shared order array starts at ``base``."""
+    ids = grid.ids(grid.cells(pos[members], wrap=False))
+    o = np.argsort(ids, kind="stable")
+    keys, first = np.unique(ids[o], return_index=True)
+    starts = base + np.append(first, len(members))
+    return _Tier(grid, keys, starts), members[o]
+
+
+@dataclass(frozen=True)
+class SampleIndex:
+    """Exact index of the near samples of a query within its coarse ring 1.
+
+    A sample is near q when its gap to q is at most its cap
+    max(1.5 * sample_gap, 3 * dt).  A sample whose cap is below the coarse
+    cell can only be near queries in its coarse ring 1.  Such samples are
+    grouped by power-of-two cap level, each level on cells at least as wide
+    as its largest cap, so a near sample lies in the 3^dim cells around q
+    at its level: that finds them without gathering the far samples of the
+    coarse cells.  The other samples sit on the coarse grid.  Only occupied
+    cells are stored; ``order`` holds the samples of every tier.
+    """
+
+    coarse: _Grid
+    tiers: list
+    order: np.ndarray
+
+
+def _sample_index(b: Backend, coarse: _Grid, pos: np.ndarray,
+                  cap: np.ndarray, cell: float, dt: float,
+                  lo, hi) -> SampleIndex:
+    # the margins absorb rounding in the cell coordinates
+    is_small = cap <= cell * (1.0 - 1e-9)
+    groups = [(coarse, np.flatnonzero(~is_small))]
+    small = np.flatnonzero(is_small)
+    level = np.ceil(np.log2(cap[small] / (3.0 * dt))).astype(np.int64)
+    for k in np.unique(level):
+        members = small[level == k]
+        width = float(np.max(cap[members])) * (1.0 + 1e-9)
+        groups.append((_Grid.over(b, lo, hi, width), members))
+    tiers, orders, base = [], [], 0
+    for grid, members in groups:
+        if members.size:
+            tier, order = _tier(grid, pos, members, base)
+            tiers.append(tier)
+            orders.append(order)
+            base += len(order)
+    return SampleIndex(coarse, tiers, np.concatenate(orders))
 
 
 @dataclass
@@ -42,12 +176,13 @@ class WavefrontAtlas:
     sample_vel: np.ndarray      # velocity at the sample (front direction)
     sample_gap: np.ndarray      # local gap to adjacent-direction samples
     median_gap: float
-    # CSR spatial hash
+    # CSR spatial hash over every sample
     cell: float
     grid_shape: tuple
     origin: np.ndarray
     order: np.ndarray
     starts: np.ndarray
+    index: SampleIndex          # ring-1 near-sample index
 
     @property
     def m(self) -> int:
@@ -76,7 +211,7 @@ def build_atlas(b: Backend, N: SubmanifoldSpec, m: int, t_max: float,
     if np.max(np.abs(speeds - 1.0)) > 1e-10:
         raise ValueError("normal frames are not g-unit")
     batch = integrate_batch(b, p0, v0, t_max, dt)
-    local_gap = _local_gaps(b, N, batch, m)
+    local_gap = _local_gaps(b, N, batch, m).reshape(-1)
     cert = max(float(np.max(local_gap)), dt)
     med_gap = max(float(np.median(local_gap)), dt)
     wrapped = b.wrap(batch.pos.reshape(-1, batch.pos.shape[-1]))
@@ -86,17 +221,21 @@ def build_atlas(b: Backend, N: SubmanifoldSpec, m: int, t_max: float,
     sample_lam = b.lam_sqrt_max(wrapped)
     err = med_gap * float(np.max(sample_lam)) + dt
     cell = max(3.0 * med_gap, 5.0 * dt, 1e-6)
-    origin, grid_shape, ids = _bucket_ids(b, wrapped, cell)
+    lo = np.min(wrapped, axis=0) - 1e-9
+    hi = np.max(wrapped, axis=0) + 1e-9
+    grid = _Grid.over(b, lo, hi, cell)
+    ids = grid.ids(grid.cells(wrapped, wrap=False))
     order = np.argsort(ids, kind="stable")
-    nb = int(np.prod(grid_shape))
-    starts = np.zeros(nb + 1, dtype=np.int64)
+    starts = np.zeros(int(np.prod(grid.shape)) + 1, dtype=np.int64)
     np.add.at(starts[1:], ids, 1)
     starts = np.cumsum(starts)
+    index = _sample_index(b, grid, wrapped, _caps(local_gap, dt), cell, dt,
+                          lo, hi)
     sample_vel = batch.vel.reshape(-1, batch.pos.shape[-1])
     return WavefrontAtlas(b, N, frames, batch, dt, t_max, cert, err,
                           wrapped, sample_t, sample_dir, sample_lam,
-                          sample_vel, local_gap.reshape(-1), med_gap,
-                          cell, grid_shape, origin, order, starts)
+                          sample_vel, local_gap, med_gap,
+                          cell, grid.shape, grid.origin, order, starts, index)
 
 
 def _local_gaps(b, N, batch: BatchPaths, m: int) -> np.ndarray:
@@ -115,88 +254,105 @@ def _local_gaps(b, N, batch: BatchPaths, m: int) -> np.ndarray:
     return np.maximum(out, batch.dt)
 
 
-def _bucket_ids(b, pos, cell):
-    if isinstance(b, PeriodicChart):
-        L = np.array(b.periods)
-        shape = tuple(int(max(1, np.floor(Li / cell))) for Li in L)
-        cells = L / np.array(shape)
-        ij = np.floor(pos / cells).astype(np.int64)
-        ij = np.minimum(ij, np.array(shape) - 1)
-        origin = np.zeros(2)
-        ids = ij[:, 0] * shape[1] + ij[:, 1]
-        return origin, shape, ids
-    lo = np.min(pos, axis=0) - 1e-9
-    hi = np.max(pos, axis=0) + 1e-9
-    shape = tuple(int(np.floor((h - l) / cell)) + 1 for l, h in zip(lo, hi))
-    ij = np.floor((pos - lo) / cell).astype(np.int64)
-    ids = (ij[:, 0] * shape[1] + ij[:, 1]) * shape[2] + ij[:, 2]
-    return lo, shape, ids
+def _caps(gap, dt):
+    """Largest gap at which a sample's first-order model is trusted: for a
+    far sample the auxiliary gap understates the metric gap and t + gap
+    stops being a distance bound."""
+    return np.maximum(1.5 * gap, 3.0 * dt)
 
 
-def _candidates(atlas: WavefrontAtlas, q: np.ndarray, rings: int = 1):
+# distance queries gather candidates for at most _CHUNK_Q queries and about
+# _CHUNK_PAIRS (query, sample) pairs at a time
+_CHUNK_Q = 256
+_CHUNK_PAIRS = 32768
+_RING_LADDER = (2, 4, 8, 16)
+
+
+def _pairs(rows, lo, hi, order):
+    """(query row, sample) pairs of the order slices [lo, hi), in groups of
+    whole queries with about _CHUNK_PAIRS pairs each."""
+    cnt = hi - lo
+    if not cnt.size:
+        return
+    per_row = np.bincount(rows, weights=cnt)
+    group = ((np.cumsum(per_row) - per_row) // _CHUNK_PAIRS)[rows]
+    for g in np.unique(group):
+        sel = np.flatnonzero(group == g)
+        c = cnt[sel]
+        skip = np.cumsum(c) - c
+        at = np.repeat(lo[sel] - skip, c) + np.arange(int(c.sum()))
+        yield np.repeat(rows[sel], c), order[at]
+
+
+def ring_pairs(atlas: WavefrontAtlas, Q: np.ndarray, rings: int):
+    """(query row, sample) pairs of every sample in the coarse cells within
+    ``rings`` of each query, over all samples; yields bounded batches."""
+    grid = atlas.index.coarse
+    full = _Tier(grid, None, atlas.starts)
+    K = (2 * rings + 1) ** Q.shape[1]
+    step = max(1, min(_CHUNK_Q, (1 << 20) // K))
+    for c0 in range(0, len(Q), step):
+        rows, lo, hi = full.ranges(grid.cells(Q[c0:c0 + step]), rings)
+        for qi, s in _pairs(rows + c0, lo, hi, atlas.order):
+            yield qi, s
+
+
+def _distance_rows(atlas: WavefrontAtlas, Q: np.ndarray):
+    """distance() of every row of Q without raising: arrays d, err,
+    dir_idx, t and status (0 certified, 1 no trustworthy sample, 2 at the
+    coverage edge)."""
     b = atlas.backend
-    shape = atlas.grid_shape
-    if isinstance(b, PeriodicChart):
-        L = np.array(b.periods)
-        cells = L / np.array(shape)
-        ij = np.floor(np.mod(q, L) / cells).astype(np.int64)
-        ij = np.minimum(ij, np.array(shape) - 1)
-        offs = range(-rings, rings + 1)
-        cids = sorted({((ij[0] + di) % shape[0]) * shape[1]
-                       + (ij[1] + dj) % shape[1]
-                       for di in offs for dj in offs})
-        idxs = []
-        for cid in cids:
-            lo, hi = atlas.starts[cid], atlas.starts[cid + 1]
-            if hi > lo:
-                idxs.append(atlas.order[lo:hi])
-        return np.concatenate(idxs) if idxs else np.empty(0, dtype=np.int64)
-    ij = np.floor((q - atlas.origin) / atlas.cell).astype(np.int64)
-    offs = range(-rings, rings + 1)
-    idxs = []
-    for di in offs:
-        for dj in offs:
-            for dk in offs:
-                ci, cj, ck = ij[0] + di, ij[1] + dj, ij[2] + dk
-                if not (0 <= ci < shape[0] and 0 <= cj < shape[1]
-                        and 0 <= ck < shape[2]):
-                    continue
-                cid = (ci * shape[1] + cj) * shape[2] + ck
-                lo, hi = atlas.starts[cid], atlas.starts[cid + 1]
-                if hi > lo:
-                    idxs.append(atlas.order[lo:hi])
-    return np.concatenate(idxs) if idxs else np.empty(0, dtype=np.int64)
+    ix = atlas.index
+    n = len(Q)
+    pick = np.full(n, -1, dtype=np.int64)
+    d = np.full(n, np.nan)
+    gap = np.full(n, np.nan)
 
+    def near(qi, s):
+        gaps = b.aux_distance(atlas.sample_pos[s], Q[qi])
+        keep = gaps <= _caps(atlas.sample_gap[s], atlas.dt)
+        return qi[keep], s[keep], gaps[keep]
 
-def distance(atlas: WavefrontAtlas, q) -> DistanceResult:
-    """d(N, q) = min over atlas samples of (t + g-bounded gap correction).
-
-    Ties resolve to the smallest direction index, then smallest t (the
-    flattened samples are ordered that way and argmin takes the first hit).
-    """
-    q = np.asarray(q, dtype=float)
-    cand = np.empty(0, dtype=np.int64)
-    for rings in (1, 2, 4, 8, 16):
-        cand = _candidates(atlas, q, rings)
-        if not cand.size:
-            continue
-        gaps = atlas.backend.aux_distance(atlas.sample_pos[cand], q)
-        # the gap correction is only trustworthy at the local sample spacing:
-        # for a far sample the auxiliary gap understates the metric gap and
-        # t + gap stops being a distance bound
-        cap = np.maximum(1.5 * atlas.sample_gap[cand], 3.0 * atlas.dt)
-        near = gaps <= cap
-        if np.any(near):
-            cand, gaps = cand[near], gaps[near]
+    for c0 in range(0, n, _CHUNK_Q):
+        Qc = Q[c0:c0 + _CHUNK_Q]
+        parts = [t.ranges(t.grid.cells(Qc), 1) for t in ix.tiers]
+        rows, lo, hi = (np.concatenate(a) for a in zip(*parts))
+        for qi, s in _pairs(rows + c0, lo, hi, ix.order):
+            _nearest(atlas, Q, *near(qi, s), pick, d, gap)
+    # no near sample in ring 1: widen the ring over every sample
+    pending = np.flatnonzero(pick < 0)
+    for rings in _RING_LADDER:
+        if not pending.size:
             break
-    else:
-        raise CoverageError("no trustworthy atlas sample near query; "
-                            "increase m or t_max")
-    order = np.argsort(cand, kind="stable")  # (dir, t) deterministic ties
-    cand, gaps = cand[order], gaps[order]
+        for qi, s in ring_pairs(atlas, Q[pending], rings):
+            qi, s, gaps = near(pending[qi], s)
+            _nearest(atlas, Q, qi, s, gaps, pick, d, gap)
+        pending = pending[pick[pending] < 0]
+    found = pick >= 0
+    s = pick[found]
+    err = np.full(n, np.nan)
+    # float_power rounds as the scalar float ** 2 does; ndarray ** 2 may not
+    err[found] = np.float_power(gap[found] * atlas.sample_lam[s], 2) + atlas.dt
+    dir_idx = np.full(n, -1, dtype=np.int64)
+    dir_idx[found] = atlas.sample_dir[s]
+    t = np.full(n, np.nan)
+    t[found] = atlas.sample_t[s]
+    status = np.where(found, 0, 1)
+    status[found & (d >= atlas.t_max - _edge_margin(atlas))] = 2
+    return d, err, dir_idx, t, status
+
+
+def _nearest(atlas, Q, qi, s, gaps, pick, d, gap):
+    """Per query row, the near sample of least first-order distance; ties
+    go to the smallest sample index, i.e. the smallest (dir, t)."""
+    if not qi.size:
+        return
+    o = np.lexsort((s, qi))
+    qi, s, gaps = qi[o], s[o], gaps[o]
     b = atlas.backend
-    pos_c = atlas.sample_pos[cand]
-    vel_c = atlas.sample_vel[cand]
+    pos_c = atlas.sample_pos[s]
+    vel_c = atlas.sample_vel[s]
+    q = Q[qi]
     # first-order model d(q) = t_i + <v_i, q - x_i>_g: the transversal part
     # of the gap contributes only at second order; the absolute value folds
     # the two sides of a geodesic leaving N back to one distance
@@ -204,15 +360,56 @@ def distance(atlas: WavefrontAtlas, q) -> DistanceResult:
         delta = b.aux_gap(pos_c, q)
     else:
         delta = b.tangent_project(pos_c, q - pos_c)
-    vals = np.abs(atlas.sample_t[cand] + b.inner(pos_c, vel_c, delta))
-    i = int(np.argmin(vals))
-    d = float(vals[i])
-    if d >= atlas.t_max - max(5.0 * atlas.dt, 2.0 * atlas.median_gap):
-        raise CoverageError(f"distance {d:.4g} at coverage edge "
-                            f"t_max={atlas.t_max}; increase t_max")
-    err = float(gaps[i] * atlas.sample_lam[cand[i]]) ** 2 + atlas.dt
-    return DistanceResult(d, err, int(atlas.sample_dir[cand[i]]),
-                          float(atlas.sample_t[cand[i]]))
+    vals = np.abs(atlas.sample_t[s] + b.inner(pos_c, vel_c, delta))
+    head = np.flatnonzero(np.r_[True, qi[1:] != qi[:-1]])
+    low = np.minimum.reduceat(vals, head)
+    hit = np.flatnonzero(vals == np.repeat(low, np.diff(np.r_[head, len(qi)])))
+    first = hit[np.r_[True, qi[hit[1:]] != qi[hit[:-1]]]]
+    rows = qi[first]
+    pick[rows] = s[first]
+    d[rows] = vals[first]
+    gap[rows] = gaps[first]
+
+
+def _edge_margin(atlas: WavefrontAtlas) -> float:
+    return max(5.0 * atlas.dt, 2.0 * atlas.median_gap)
+
+
+def _coverage_reason(atlas: WavefrontAtlas, status: int, d: float) -> str:
+    if status == 1:
+        return "no trustworthy atlas sample near query; increase m or t_max"
+    if 2.0 * atlas.median_gap > 5.0 * atlas.dt:
+        # the margin comes from the spacing of the direction set
+        return (f"distance {d:.4g} at coverage edge t_max={atlas.t_max} "
+                f"less margin 2*median_gap={2.0 * atlas.median_gap:.4g}; "
+                "increase m")
+    return (f"distance {d:.4g} at coverage edge t_max={atlas.t_max}; "
+            "increase t_max")
+
+
+def distance_many(atlas: WavefrontAtlas, Q) -> DistanceResult:
+    """``distance`` of every row of Q, as a DistanceResult of arrays.
+
+    Raises the CoverageError of the first row that cannot be certified.
+    """
+    Q = np.asarray(Q, dtype=float).reshape(-1, atlas.sample_pos.shape[1])
+    d, err, dir_idx, t, status = _distance_rows(atlas, Q)
+    bad = np.flatnonzero(status)
+    if bad.size:
+        i = bad[0]
+        raise CoverageError(_coverage_reason(atlas, status[i], d[i]))
+    return DistanceResult(d, err, dir_idx, t)
+
+
+def distance(atlas: WavefrontAtlas, q) -> DistanceResult:
+    """d(N, q) = min over atlas samples of (t + g-bounded gap correction).
+
+    Ties resolve to the smallest direction index, then smallest t (the
+    flattened samples are ordered that way).
+    """
+    r = distance_many(atlas, q)
+    return DistanceResult(float(r.d[0]), float(r.err[0]), int(r.dir_idx[0]),
+                          float(r.t[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +442,9 @@ def eikonal_residual(atlas: WavefrontAtlas, grid_spacing: float,
                      exclusion_radius: float | None = None,
                      cut_points: np.ndarray | None = None) -> dict:
     """Distribution of | ||grad u||_g - 1 | on a grid, excluding tubes around
-    N and around the supplied cut-locus cloud where u is not differentiable."""
+    N and around the supplied cut-locus cloud where u is not differentiable.
+    A point whose central-difference probes cannot all be certified is
+    dropped."""
     b = atlas.backend
     if exclusion_radius is None:
         exclusion_radius = max(2.0 * grid_spacing, 2.0 * atlas.err)
@@ -253,25 +452,22 @@ def eikonal_residual(atlas: WavefrontAtlas, grid_spacing: float,
     N_pts = atlas.N.sample_points()
     keep = np.ones(len(grid), dtype=bool)
     for blockers in ([N_pts] if cut_points is None else [N_pts, cut_points]):
-        if not len(blockers):
-            continue
-        for i, q in enumerate(grid):
-            if keep[i] and float(np.min(b.aux_distance(blockers, q))) < exclusion_radius:
-                keep[i] = False
+        if len(blockers):
+            keep &= ~(_min_aux_distance(b, grid, blockers) < exclusion_radius)
     h = 0.5 * grid_spacing
-    residuals = []
-    dropped = 0
-    for q in grid[keep]:
-        try:
-            grad_norm = _grad_norm(atlas, q, h)
-        except CoverageError:
-            dropped += 1
-            continue
-        residuals.append(abs(grad_norm - 1.0))
-    residuals = np.array(residuals)
+    pts = grid[keep]
+    probes, steps = _gradient_probes(b, pts, h)
+    d, _err, _j, _t, status = _distance_rows(
+        atlas, probes.reshape(-1, probes.shape[-1]))
+    d = d.reshape(len(pts), 2, 2)
+    ok = ~np.any(status.reshape(len(pts), 4) != 0, axis=1)
+    # central differences (u(q + h e) - u(q - h e)) / (2 h) along each axis
+    du = (d[:, :, 0] - d[:, :, 1]) / (2 * steps)
+    residuals = np.array([abs(_grad_norm(b, q, g) - 1.0)
+                          for q, g in zip(pts[ok], du[ok])])
     return {
         "count": int(residuals.size),
-        "dropped": int(dropped),
+        "dropped": int(np.count_nonzero(~ok)),
         "excluded": int(np.count_nonzero(~keep)),
         "frac_below_1e2": float(np.mean(residuals < 1e-2)) if residuals.size else 0.0,
         "median": float(np.median(residuals)) if residuals.size else float("nan"),
@@ -280,26 +476,45 @@ def eikonal_residual(atlas: WavefrontAtlas, grid_spacing: float,
     }
 
 
-def _grad_norm(atlas: WavefrontAtlas, q: np.ndarray, h: float) -> float:
-    b = atlas.backend
+def _min_aux_distance(b: Backend, pts: np.ndarray,
+                      others: np.ndarray) -> np.ndarray:
+    """Auxiliary distance from each point to its nearest point of others,
+    _CHUNK_Q points at a time."""
+    out = np.empty(len(pts))
+    for i in range(0, len(pts), _CHUNK_Q):
+        q = pts[i:i + _CHUNK_Q]
+        gaps = b.aux_distance(others[None, :, :], q[:, None, :])
+        out[i:i + _CHUNK_Q] = np.min(gaps, axis=1)
+    return out
+
+
+def _gradient_probes(b: Backend, pts: np.ndarray, h: float):
+    """Probe points q +- h e along two axes per point, shape (n, 2, 2, d)
+    with [axis, sign], and the half-width of each difference, (n, 2) or a
+    scalar.  On a surface the axes span the tangent plane and the probes
+    are projected, so the half-width is half their chord."""
     if isinstance(b, PeriodicChart):
-        du = np.empty(2)
-        for i in range(2):
-            e = np.zeros(2)
-            e[i] = h
-            du[i] = (distance(atlas, q + e).d - distance(atlas, q - e).d) / (2 * h)
+        E = h * np.eye(2)
+        plus, minus = pts[:, None, :] + E, pts[:, None, :] - E
+        return np.stack([plus, minus], axis=2), h
+    axes = np.stack(_tangent_frame(b.unit_surface_normal(pts)), axis=1)
+    probes = np.empty((len(pts), 2, 2, 3))
+    steps = np.empty((len(pts), 2))
+    for k, q in enumerate(pts):
+        for i, e in enumerate(axes[k]):
+            probes[k, i, 0] = b.project(q + h * e)
+            probes[k, i, 1] = b.project(q - h * e)
+            steps[k, i] = 0.5 * float(np.linalg.norm(probes[k, i, 0]
+                                                     - probes[k, i, 1]))
+    return probes, steps
+
+
+def _grad_norm(b: Backend, q: np.ndarray, du: np.ndarray) -> float:
+    """g-norm of the differential du (components along the probe axes)."""
+    if isinstance(b, PeriodicChart):
         g = b.metric(q[None, :])[0]
         ginv = np.linalg.inv(g)
         return float(np.sqrt(du @ ginv @ du))
-    from .geometry import _tangent_frame
-    n = b.unit_surface_normal(q[None, :])
-    e1, e2 = _tangent_frame(n)
-    du = np.empty(2)
-    for i, e in enumerate((e1[0], e2[0])):
-        qp = b.project(q + h * e)
-        qm = b.project(q - h * e)
-        step = 0.5 * float(np.linalg.norm(qp - qm))
-        du[i] = (distance(atlas, qp).d - distance(atlas, qm).d) / (2 * step)
     return float(np.sqrt(np.sum(du ** 2)) / np.exp(b.psi(q[None, :])[0]))
 
 

@@ -17,7 +17,7 @@ class TimedCase:
         self.backend = cfg.build_backend()
         self.N = cfg.build_submanifold(self.backend)
         t0 = time.perf_counter()
-        self.result = run_case(self.backend, self.N, res, threads=1,
+        self.result = run_case(self.backend, self.N, res,
                                keep_atlas=keep_atlas)
         self.runtime = time.perf_counter() - t0
 

@@ -111,3 +111,107 @@ def jacobi_first_zero_const_K(K, kappa, dim):
     if kappa < -rk:
         return math.atanh(-rk / kappa) / rk
     return math.inf
+
+
+# -- brute-force atlas distance ---------------------------------------------
+def brute_distance(atlas, q):
+    """Reference for wavefront.distance without its index: every atlas
+    sample is scanned.  Same near rule (gap <= max(1.5 sample_gap, 3 dt)),
+    same ring ladder (coarse cells within 1, 2, 4, 8, 16 of q's cell, cyclic
+    on a chart), same first-order value and (dir, t) tie-break.  The
+    geometry (gaps, inner products) is the backend's own.
+
+    Returns (d, err, dir_idx, t, ring, status) with status 0 certified,
+    1 no near sample in any ring, 2 within the coverage margin of t_max.
+    """
+    b = atlas.backend
+    q = np.asarray(q, dtype=float)
+    pos = atlas.sample_pos
+    shape = np.array(atlas.grid_shape)
+    if b.periods is not None:
+        L = np.array(b.periods)
+        width = L / shape
+
+        def cell(x):
+            return np.minimum(np.floor(x / width).astype(np.int64), shape - 1)
+
+        diff = np.abs(cell(pos) - cell(np.mod(q, L)))
+        ring_of = np.max(np.minimum(diff, shape - diff), axis=1)
+    else:
+        def cell(x):
+            return np.floor((x - atlas.origin) / atlas.cell).astype(np.int64)
+
+        ring_of = np.max(np.abs(cell(pos) - cell(q)), axis=1)
+    gaps = b.aux_distance(pos, q)
+    cap = np.maximum(1.5 * atlas.sample_gap, 3.0 * atlas.dt)
+    for ring in (1, 2, 4, 8, 16):
+        near = np.flatnonzero((ring_of <= ring) & (gaps <= cap))
+        if near.size:
+            break
+    else:
+        return (math.nan, math.nan, -1, math.nan, None, 1)
+    x, v = pos[near], atlas.sample_vel[near]
+    if b.periods is not None:
+        delta = b.aux_gap(x, q)
+    else:
+        delta = b.tangent_project(x, q - x)
+    vals = np.abs(atlas.sample_t[near] + b.inner(x, v, delta))
+    i = int(np.argmin(vals))        # first minimum: smallest (dir, t)
+    s = near[i]
+    d = float(vals[i])
+    err = float(gaps[s] * atlas.sample_lam[s]) ** 2 + atlas.dt
+    margin = max(5.0 * atlas.dt, 2.0 * atlas.median_gap)
+    status = 2 if d >= atlas.t_max - margin else 0
+    return (d, err, int(atlas.sample_dir[s]), float(atlas.sample_t[s]), ring,
+            status)
+
+
+# -- scalar cut-time search -------------------------------------------------
+def reference_cut_time(atlas, dir_idx, distance_fn, kink_root, tol=1e-3):
+    """One direction's cut time by the scalar search: grid binary search on
+    the excess e(t) = t - d(N, gamma(t)), continuous bisection of the theta
+    crossing, then the kink extrapolation ``kink_root``.  ``distance_fn(q)``
+    returns d(N, q) and raises where the atlas cannot certify it."""
+    def excess(t):
+        p, _ = atlas.path_point(dir_idx, t)
+        return t - distance_fn(p)
+
+    tg = atlas.batch.t
+    theta = max(2.0 * atlas.dt, tol)
+    flags = {"theta": theta, "no_cut": False, "method": "kink"}
+    margin = max(5.0 * atlas.dt, 2.0 * atlas.median_gap)
+    edge = atlas.t_max - margin - 5.0 * atlas.dt
+    lo_i = 0
+    edge_i = max(int(np.searchsorted(tg, edge, side="right")) - 1, 1)
+    hi_i = edge_i
+    if excess(float(tg[hi_i])) <= theta:
+        flags["no_cut"] = True
+        flags["method"] = "none"
+        return float(tg[hi_i]), flags
+    while hi_i - lo_i > 1:
+        mid = (lo_i + hi_i) // 2
+        if excess(float(tg[mid])) > theta:
+            hi_i = mid
+        else:
+            lo_i = mid
+    lo, hi = float(tg[lo_i]), float(tg[hi_i])
+    while hi - lo > 0.25 * tol:
+        mid = 0.5 * (lo + hi)
+        if excess(mid) > theta:
+            hi = mid
+        else:
+            lo = mid
+    t_cross = hi
+    D = max(4.0 * tol, 2.0 * atlas.dt)
+    t_end = float(tg[edge_i])
+    base_t = max(t_cross - 3.0 * D, 0.0)
+    baseline = max(0.0, excess(base_t)) if base_t > 0 else 0.0
+    if t_cross + 2.0 * D <= t_end:
+        e1 = excess(t_cross + D)
+        e2 = excess(t_cross + 2.0 * D)
+        rho = kink_root(t_cross, D, theta, e1, e2, baseline)
+    else:
+        rho = t_cross - theta
+        flags["method"] = "edge"
+    rho = float(np.clip(rho, t_cross - 6.0 * theta, t_cross))
+    return rho, flags

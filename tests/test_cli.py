@@ -57,6 +57,23 @@ def test_coverage_error_is_one_line_fail(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_coverage_edge_names_the_binding_knob(tmp_path, capsys):
+    # the margin below t_max is 2 * median_gap (0.76 with 16 directions),
+    # not 5 * dt, so more directions help and a longer front does not
+    cfg = json.dumps({"scenario": "sphere-equator",
+                      "resolution": {"m": 16, "dt": 0.01, "t_max": 0.5}})
+    assert main(["inj", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("FAIL: distance ") and "coverage edge" in err
+    assert err.rstrip().endswith("increase m")
+
+
+def test_nonzero_seed_is_a_config_error(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, {**FAST, "seed": 1})
+    assert main(["inj", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "seed" in capsys.readouterr().err
+
+
 def test_validate_without_cut_points_reports_a_verdict(tmp_path, capsys):
     # t_max = 0.3 ends before every cut, so the eikonal check has no cut
     # points to exclude around

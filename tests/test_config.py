@@ -93,3 +93,9 @@ def test_sweep_scenarios_carry_families():
         assert cfg.family is not None
         taus = cfg.family["tau"]
         assert all(t2 < t1 for t1, t2 in zip(taus, taus[1:]))
+
+
+def test_nonzero_seed_rejected_by_name():
+    with pytest.raises(ConfigError, match="seed"):
+        parse_config({"scenario": "flat-torus-line", "seed": 3})
+    assert parse_config({"scenario": "flat-torus-line", "seed": 0}).seed == 0

@@ -3,18 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from cutlab.cutanalysis import (CutProfile, compute_profiles, cut_time,
+from cutlab.config import scenario
+from cutlab.cutanalysis import (CutProfile, _clusters, _kink_root,
+                                compute_profiles, cut_time, cut_times,
                                 cut_locus_cloud, excess, f_min,
                                 focal_bracket_jacobian, focal_times_batch,
                                 injectivity_radius_char,
                                 injectivity_radius_direct, loop_scan,
                                 separating_points, warner_bound)
+from cutlab.geometry import ImplicitSurface, level_surface
 from cutlab.submanifold import chart_curve, curve_submanifold, \
-    point_submanifold, unit_normal
-from cutlab.wavefront import build_atlas, distance
+    point_submanifold, surface_curve, unit_normal
+from cutlab.wavefront import CoverageError, build_atlas, distance
 
 from oracles import (fine_scan_cut_time, flat_torus_point_distance,
-                     jacobi_first_zero_const_K)
+                     jacobi_first_zero_const_K, reference_cut_time)
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +58,50 @@ def test_cut_time_no_cut_flag(flat_backend):
     rho, flags = cut_time(atlas, 0)
     assert flags["no_cut"]
     assert rho >= 0.3
+
+
+def _atlas(name, m, t_max, dt):
+    cfg = scenario(name)
+    b = cfg.build_backend()
+    return build_atlas(b, cfg.build_submanifold(b), m, t_max, dt)
+
+
+@pytest.mark.parametrize("name, m, t_max, dt", [
+    ("flat-torus-line", 64, 0.8, 1e-3),
+    ("flat-torus-point", 64, 0.78, 2e-3),
+    ("warped-torus-bump-sweep", 64, 1.6, 4e-3),
+    ("sphere-equator", 64, 3.4, 4e-3),
+])
+def test_cut_times_match_scalar_search_bitwise(name, m, t_max, dt):
+    atlas = _atlas(name, m, t_max, dt)
+    rho, flags = cut_times(atlas)
+    for j in range(atlas.batch.n_paths):
+        want = reference_cut_time(atlas, j, lambda q: distance(atlas, q).d,
+                                  _kink_root)
+        assert (rho[j], flags[j]) == want, j
+    methods = {f["method"] for f in flags}
+    assert "kink" in methods
+    assert cut_time(atlas, 5) == (rho[5], flags[5])
+
+
+def test_cut_times_raise_the_first_failing_direction():
+    # 16 directions on an ellipsoid: the coverage margin swallows the front,
+    # and the directions fail with different distances
+    b = ImplicitSurface(level_surface("ellipsoid", semi_axes=(1.0, 0.8, 0.6)))
+    atlas = build_atlas(b, curve_submanifold(surface_curve("equator")), 16,
+                        0.5, 1e-2)
+    with pytest.raises(CoverageError) as ex:
+        cut_times(atlas)
+    failures = []
+    for j in range(atlas.batch.n_paths):
+        try:
+            reference_cut_time(atlas, j, lambda q: distance(atlas, q).d,
+                               _kink_root)
+        except CoverageError as first:
+            failures.append(str(first))
+    assert len(set(failures)) > 1
+    assert str(ex.value) == failures[0]
+    assert "increase m" in failures[0]
 
 
 # -- focal times ------------------------------------------------------------
@@ -150,6 +197,36 @@ def test_separating_points_flat_point(flat_backend, point_atlas):
     assert seps
     assert all(sp.flag == "sep" for sp in seps)
     assert all(sp.multiplicity >= 2 for sp in seps)
+
+
+@pytest.mark.parametrize("name", ["flat-torus-line", "sphere-equator"])
+def test_clusters_match_pair_loop(name, rng):
+    # clumps of nearby points, some across the chart seam, plus stragglers
+    b = scenario(name).build_backend()
+    centres = rng.random((6, b.dim))
+    centres[0, 0] = 0.9995
+    pts = np.concatenate([centres[rng.integers(0, 6, 120)]
+                          + 1e-3 * rng.standard_normal((120, b.dim)),
+                          rng.random((30, b.dim))])
+    pts = b.wrap(pts) if b.dim == 2 else b.project(pts)
+    pair_tol = 2e-3
+    parent = list(range(len(pts)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            if float(b.aux_distance(pts[i], pts[j])) <= pair_tol:
+                parent[find(i)] = find(j)
+    want: dict[int, list[int]] = {}
+    for i in range(len(pts)):
+        want.setdefault(find(i), []).append(i)
+    got = _clusters(b, pts, pair_tol)
+    assert got == list(want.values())
+    assert 1 < len(got) < len(pts)
 
 
 def test_injectivity_radius_char_branches():

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+from cutlab.config import scenario
 from cutlab.submanifold import chart_curve, curve_submanifold, \
-    point_submanifold
-from cutlab.wavefront import (CoverageError, build_atlas, distance,
-                              eikonal_residual, validation_grid)
+    point_submanifold, surface_curve
+from cutlab.wavefront import (CoverageError, _distance_rows, build_atlas,
+                              distance, distance_many, eikonal_residual,
+                              validation_grid)
 
-from oracles import flat_torus_line_distance, flat_torus_point_distance
+from oracles import (brute_distance, flat_torus_line_distance,
+                     flat_torus_point_distance)
 
 
 @pytest.fixture(scope="module")
@@ -102,3 +105,123 @@ def test_eikonal_residual_flat_line(flat_line_atlas):
     rep = eikonal_residual(flat_line_atlas, 0.05, cut_points=cut)
     assert rep["count"] > 100
     assert rep["frac_below_1e2"] >= 0.95
+
+
+# -- batched queries against the brute-force scan ----------------------------
+
+@pytest.fixture(scope="module")
+def bump_atlas():
+    # base case of the bump sweep: sample caps reach 0.89 against a 0.046 cell
+    cfg = scenario("warped-torus-bump-sweep")
+    b = cfg.build_backend()
+    return build_atlas(b, cfg.build_submanifold(b), 64, 1.6, 4e-3)
+
+
+@pytest.fixture(scope="module")
+def sphere_atlas(sphere_backend):
+    N = curve_submanifold(surface_curve("equator", radius=1.0))
+    return build_atlas(sphere_backend, N, 64, 3.4, 4e-3)
+
+
+def _queries(atlas, rng, n=80):
+    """Scattered points plus points on and beside the atlas geodesics, where
+    the cut-time search probes."""
+    b = atlas.backend
+    if b.dim == 2:
+        scattered = rng.random((n, 2)) * np.array(b.periods)
+    else:
+        scattered = b.project(rng.standard_normal((n, 3)))
+    J = rng.integers(0, atlas.batch.n_paths, n)
+    T = rng.random(n) * atlas.t_max
+    on_paths = np.array([atlas.path_point(j, t)[0] for j, t in zip(J, T)])
+    beside = on_paths + 1e-3 * rng.standard_normal(on_paths.shape)
+    if b.dim == 3:
+        beside = b.project(beside)
+    return np.concatenate([scattered, on_paths, beside])
+
+
+def _assert_rows_match_brute(atlas, Q):
+    d, err, j, t, status = _distance_rows(atlas, Q)
+    want = [brute_distance(atlas, q) for q in Q]
+    np.testing.assert_array_equal(status, [w[5] for w in want])
+    np.testing.assert_array_equal(d, [w[0] for w in want])
+    np.testing.assert_array_equal(err, [w[1] for w in want])
+    np.testing.assert_array_equal(j, [w[2] for w in want])
+    np.testing.assert_array_equal(t, [w[3] for w in want])
+    return want
+
+
+@pytest.mark.parametrize("name", ["flat_line_atlas", "flat_point_atlas",
+                                  "bump_atlas", "sphere_atlas"])
+def test_distance_many_matches_brute_scan_bitwise(name, request, rng):
+    atlas = request.getfixturevalue(name)
+    Q = _queries(atlas, rng)
+    if name == "flat_line_atlas":
+        Q = np.concatenate([[[0.3, 0.2]], Q])   # equidistant from both sides
+    want = _assert_rows_match_brute(atlas, Q)
+    ok = np.array([w[5] == 0 for w in want])
+    assert ok.sum() > len(Q) // 2
+    r = distance_many(atlas, Q[ok])
+    np.testing.assert_array_equal(r.d, [w[0] for w, k in zip(want, ok) if k])
+    np.testing.assert_array_equal(r.dir_idx,
+                                  [w[2] for w, k in zip(want, ok) if k])
+    one = distance(atlas, Q[ok][0])
+    assert (one.d, one.err, one.dir_idx, one.t) == \
+        (r.d[0], r.err[0], r.dir_idx[0], r.t[0])
+
+
+def test_distance_many_ring_ladder_matches_brute_scan(flat_backend):
+    # a short front from a point under the bump metric: queries just past it
+    # find no near sample in ring 1 and widen the ring
+    cfg = scenario("warped-torus-bump-sweep")
+    atlas = build_atlas(cfg.build_backend(), point_submanifold([0.25, 0.25]),
+                        64, 0.3, 4e-3)
+    x, y = np.meshgrid(np.linspace(0.5, 0.65, 16), np.linspace(0.1, 0.25, 16))
+    Q = np.stack([x.ravel(), y.ravel()], axis=-1)
+    want = _assert_rows_match_brute(atlas, Q)
+    rings = [w[4] for w in want if w[4] is not None]
+    assert max(rings) > 1 and min(rings) == 1
+    assert {w[5] for w in want} == {0, 1, 2}
+
+
+def test_uncertified_queries_raise_the_scalar_message(flat_backend,
+                                                      sphere_backend):
+    # the coverage margin max(5 dt, 2 median_gap) is set by dt on the first
+    # atlas and by the direction spacing on the second
+    N = curve_submanifold(chart_curve("horizontal-circle", (1.0, 1.0), y0=0.0))
+    short = build_atlas(flat_backend, N, 64, 0.3, 1e-2)
+    sparse = build_atlas(sphere_backend,
+                         curve_submanifold(surface_curve("equator")), 16, 0.5,
+                         1e-2)
+    for atlas, knob in ((short, "t_max"), (sparse, "m")):
+        Q = _queries(atlas, np.random.default_rng(7), 40)
+        status = _distance_rows(atlas, Q)[4]
+        assert 2 in status
+        messages = []
+        for q in Q[status != 0]:
+            with pytest.raises(CoverageError) as ex:
+                distance(atlas, q)
+            messages.append(str(ex.value))
+        assert any(f"increase {knob}" in m for m in messages)
+        with pytest.raises(CoverageError) as ex:
+            distance_many(atlas, Q)
+        assert str(ex.value) == messages[0]
+    status = _distance_rows(short, np.array([[0.1, 0.5]]))[4]
+    assert status[0] == 1
+    with pytest.raises(CoverageError, match="no trustworthy atlas sample"):
+        distance_many(short, [[0.1, 0.1], [0.1, 0.5]])
+
+
+def test_distance_err_squares_like_a_python_float(flat_point_atlas, rng):
+    # err = (gap * lam)^2 + dt must round like the scalar float ** 2, which
+    # an ndarray ** 2 misses in about one case per thousand
+    atlas = flat_point_atlas
+    Q = rng.random((4000, 2))
+    d, err, j, t, status = _distance_rows(atlas, Q)
+    ok = np.flatnonzero(status == 0)
+    tg = atlas.batch.t
+    s = j[ok] * len(tg) + np.searchsorted(tg, t[ok])
+    gaps = atlas.backend.aux_distance(atlas.sample_pos[s], Q[ok])
+    want = [float(g * lam) ** 2 + atlas.dt
+            for g, lam in zip(gaps, atlas.sample_lam[s])]
+    np.testing.assert_array_equal(err[ok], want)
