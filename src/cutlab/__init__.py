@@ -14,7 +14,8 @@ from .submanifold import (CurveSpec, NormalFrame, SubmanifoldSpec, chart_curve,
                           curve_submanifold, direction_circle,
                           embedding_family, foot_point, point_submanifold,
                           principal_curvature_bound, shape_operator,
-                          surface_curve, unit_normal)
+                          shape_operators, surface_curve, unit_normal,
+                          unit_normals)
 from .wavefront import (CoverageError, WavefrontAtlas, build_atlas, distance,
                         distance_many, eikonal_residual, validation_grid)
 from .cutanalysis import (CutProfile, PointCloud, compute_profiles, cut_time,

@@ -11,7 +11,7 @@ import numpy as np
 from .geodesics import hermite_batch, normal_exp_jacobian
 from .geometry import Backend
 from .submanifold import (SubmanifoldSpec, foot_points, frame_fn_for,
-                          golden_section, shape_operator)
+                          golden_section, shape_operators)
 from .wavefront import (CoverageError, WavefrontAtlas, _coverage_reason,
                         _distance_rows, _edge_margin, distance, ring_pairs)
 
@@ -199,7 +199,8 @@ def focal_times_batch(b: Backend, N: SubmanifoldSpec, atlas: WavefrontAtlas,
         y[:, 0], yp[:, 0] = 0.0, 1.0
     else:
         y[:, 0] = 1.0
-        yp[:, 0] = [shape_operator(b, N, f.s, f.side) for f in atlas.frames]
+        yp[:, 0] = shape_operators(b, N, [f.s for f in atlas.frames],
+                                   [f.side for f in atlas.frames])
     tg = batch.t
     for i in range(n - 1):
         h = tg[i + 1] - tg[i]

@@ -111,7 +111,10 @@ def chart_metric_field(name: str, periods, **params) -> ChartMetricField:
         a = float(params.get("amplitude", 0.2))
         k = int(params.get("harmonic", 1))
         b = lambda p: 1.0 + a * np.sin(2.0 * np.pi * k * p[..., 0] / L1)
-        fn = _diag(lambda p: np.ones(p.shape[:-1]), lambda p: b(p) ** 2)
+        # np.square, not ** 2: numpy squares an array but calls pow on a
+        # lone value, so one point would read a different g22 than a batch
+        fn = _diag(lambda p: np.ones(p.shape[:-1]),
+                   lambda p: np.square(b(p)))
     elif name == "warped-diag-g22":
         # diag(1, 1 + a sin 2pi k x): g22 itself perturbed, not its square root
         a = float(params.get("amplitude", 0.1))
@@ -154,8 +157,31 @@ def blended_chart_field(g0: ChartMetricField, g1: ChartMetricField,
 # periodic chart backend
 # ---------------------------------------------------------------------------
 
+def _spd_det(pts, g) -> np.ndarray:
+    """det g of chart metrics g at pts; raises unless every g is finite and
+    positive definite."""
+    if not np.isfinite(g).all():
+        bad = pts[~np.all(np.isfinite(g), axis=(-2, -1))]
+        raise GeometryError(f"non-finite metric entries at {bad[:1]}")
+    det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
+    if (det <= 1e-12).any() or (g[..., 0, 0] <= 0.0).any():
+        bad = pts[(det <= 1e-12) | (g[..., 0, 0] <= 0.0)]
+        raise GeometryError(f"metric not positive definite at {bad[:1]}")
+    return det
+
+
+class _Christoffel:
+    """The bilinear Christoffel action, shared by both backends."""
+
+    def christoffel_mixed(self, pts, u, w) -> np.ndarray:
+        """Bilinear Christoffel action Gamma(u, w) via polarization."""
+        up = self.gamma2(pts, u + w)
+        um = self.gamma2(pts, u - w)
+        return 0.25 * (up - um)
+
+
 @dataclass(frozen=True)
-class PeriodicChart:
+class PeriodicChart(_Christoffel):
     """Torus-like chart [0, L1) x [0, L2) with a smooth periodic metric field.
 
     Chart coordinates stay unwrapped during integration (the metric field is
@@ -178,13 +204,7 @@ class PeriodicChart:
         pts = np.asarray(pts, dtype=float)
         g = self.metric_field(pts)
         if check:
-            if not np.all(np.isfinite(g)):
-                bad = pts[~np.all(np.isfinite(g), axis=(-2, -1))]
-                raise GeometryError(f"non-finite metric entries at {bad[:1]}")
-            det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
-            if np.any(det <= 1e-12) or np.any(g[..., 0, 0] <= 0.0):
-                bad = pts[(det <= 1e-12) | (g[..., 0, 0] <= 0.0)]
-                raise GeometryError(f"metric not positive definite at {bad[:1]}")
+            _spd_det(pts, g)
         return g
 
     def inner(self, pts, v, w) -> np.ndarray:
@@ -203,42 +223,35 @@ class PeriodicChart:
 
     # -- Christoffel action ------------------------------------------------
 
-    def _metric_jet(self, pts):
-        h = self.fd_step
-        e1 = np.array([h, 0.0])
-        e2 = np.array([0.0, h])
-        g = self.metric(pts)
-        dg = np.empty(pts.shape[:-1] + (2, 2, 2))   # dg[..., l, i, j] = d_l g_ij
-        dg[..., 0, :, :] = (self.metric(pts + e1, check=False)
-                            - self.metric(pts - e1, check=False)) / (2.0 * h)
-        dg[..., 1, :, :] = (self.metric(pts + e2, check=False)
-                            - self.metric(pts - e2, check=False)) / (2.0 * h)
-        return g, dg
-
     def gamma2(self, pts, v) -> np.ndarray:
         """Gamma^k_ij v^i v^j, the quadratic Christoffel action on v."""
         pts = np.asarray(pts, dtype=float)
         v = np.asarray(v, dtype=float)
-        g, dg = self._metric_jet(pts)
-        det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
-        if np.any(np.abs(det) <= 1e-12):
-            raise GeometryError("singular metric in christoffel_apply")
+        h = self.fd_step
+        e1 = np.array([h, 0.0])
+        e2 = np.array([0.0, h])
+        # the metric and its central-difference stencil in one field call
+        stencil = np.stack([pts, pts + e1, pts - e1, pts + e2, pts - e2])
+        G = self.metric(stencil, check=False)
+        g = G[0]
+        det = _spd_det(pts, g)
         ginv = np.empty_like(g)
         ginv[..., 0, 0] = g[..., 1, 1] / det
         ginv[..., 1, 1] = g[..., 0, 0] / det
         ginv[..., 0, 1] = -g[..., 0, 1] / det
         ginv[..., 1, 0] = -g[..., 1, 0] / det
-        # cov_l = d_i g_jl v^i v^j - 1/2 d_l g_ij v^i v^j, with dg[l, i, j] = d_l g_ij
-        a = np.einsum("...ijl,...i,...j->...l", dg, v, v)
-        b = np.einsum("...lij,...i,...j->...l", dg, v, v)
+        dg = np.stack([G[1] - G[2], G[3] - G[4]], axis=-3) / (2.0 * h)
+        # cov_l = d_i g_jl v^i v^j - 1/2 d_l g_ij v^i v^j, with dg[l, i, j] =
+        # d_l g_ij; each sum runs over (i, j) in row-major order with the
+        # product taken as (dg v^i) v^j, the rounding of an einsum over i, j
+        A = dg * v[..., :, None, None] * v[..., None, :, None]   # [i, j, l]
+        B = dg * v[..., None, :, None] * v[..., None, None, :]   # [l, i, j]
+        a = (A[..., 0, 0, :] + A[..., 0, 1, :] + A[..., 1, 0, :]
+             + A[..., 1, 1, :])
+        b = B[..., 0, 0] + B[..., 0, 1] + B[..., 1, 0] + B[..., 1, 1]
         cov = a - 0.5 * b
-        return np.einsum("...kl,...l->...k", ginv, cov)
-
-    def christoffel_mixed(self, pts, u, w) -> np.ndarray:
-        """Bilinear Christoffel action Gamma(u, w) via polarization."""
-        up = self.gamma2(pts, u + w)
-        um = self.gamma2(pts, u - w)
-        return 0.25 * (up - um)
+        return (ginv[..., :, 0] * cov[..., 0, None]
+                + ginv[..., :, 1] * cov[..., 1, None])
 
     # -- curvature ---------------------------------------------------------
 
@@ -357,7 +370,7 @@ def level_surface(name: str, **params) -> LevelSurface:
 
 
 @dataclass(frozen=True)
-class ImplicitSurface:
+class ImplicitSurface(_Christoffel):
     """Surface {h = 0} in 3-space with metric e^{2 psi} * (induced)."""
 
     surface: LevelSurface
@@ -442,11 +455,6 @@ class ImplicitSurface:
             acc = (acc + 2.0 * np.sum(dpsi * v, axis=-1)[..., None] * v
                    - vv[..., None] * dpsi_t)
         return acc
-
-    def christoffel_mixed(self, pts, u, w) -> np.ndarray:
-        up = self.gamma2(pts, u + w)
-        um = self.gamma2(pts, u - w)
-        return 0.25 * (up - um)
 
     # -- curvature ---------------------------------------------------------
 

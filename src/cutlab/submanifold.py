@@ -7,7 +7,8 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import Backend, GeometryError, ImplicitSurface, PeriodicChart
+from .geometry import (ZERO_FIELD, Backend, GeometryError, ImplicitSurface,
+                       PeriodicChart)
 
 _DS = 1e-5          # parameter step for curve/normal-field derivatives
 _ROT = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -124,24 +125,35 @@ def _side_int(side) -> int:
 def unit_normal(b: Backend, N: SubmanifoldSpec, s: float, side) -> NormalFrame:
     """g-unit normal to the curve at c(s); side + is the chart/ambient-oriented
     left of c'(s)."""
+    base, n = unit_normals(b, N, [s], [side])
+    return NormalFrame(float(np.mod(s, 1.0)), _side_int(side), base[0], n[0])
+
+
+def unit_normals(b: Backend, N: SubmanifoldSpec, s, sides):
+    """``unit_normal`` at every parameter s[i] with side sides[i]: arrays
+    (base, n) of shape (k, dim).
+
+    Raises the GeometryError of the first row, in order, whose curve
+    velocity or normal is degenerate.
+    """
     if N.dim != 1:
         raise GeometryError("unit_normal needs a curve; use direction_circle")
-    sgn = _side_int(side)
-    s_arr = np.array([float(s)])
-    base = N.curve(s_arr)[0]
-    tan = N.curve.velocity(s_arr)[0]
-    tnorm = float(b.norm(base, tan))
-    if tnorm < 1e-10:
-        raise GeometryError(f"degenerate curve velocity at s={s}")
+    sgn = np.array([_side_int(side) for side in sides])
+    s = np.asarray(s, dtype=float)
+    base = N.curve(s)
+    tan = N.curve.velocity(s)
     if isinstance(b, PeriodicChart):
-        g = b.metric(base[None, :])[0]
-        raw = _ROT @ (g @ tan)
+        raw = (_ROT @ (b.metric(base) @ tan[:, :, None]))[:, :, 0]
     else:
         raw = np.cross(b.unit_surface_normal(base), tan)
-    nrm = float(b.norm(base, raw))
-    if nrm < 1e-14:
-        raise GeometryError(f"degenerate normal at s={s}")
-    return NormalFrame(float(np.mod(s, 1.0)), sgn, base, sgn * raw / nrm)
+    slow = b.norm(base, tan) < 1e-10
+    nrm = b.norm(base, raw)
+    bad = np.flatnonzero(slow | (nrm < 1e-14))
+    if bad.size:
+        i = bad[0]
+        what = "curve velocity" if slow[i] else "normal"
+        raise GeometryError(f"degenerate {what} at s={float(s[i])}")
+    return base, sgn[:, None] * raw / nrm[:, None]
 
 
 def direction_frame(b: Backend, p, angle: float) -> NormalFrame:
@@ -167,11 +179,11 @@ def frames_for(b: Backend, N: SubmanifoldSpec, m: int) -> list[NormalFrame]:
     for a curve, m circle directions for a point (fixed ordering)."""
     if N.dim == 0:
         return direction_circle(b, N.point, m)
-    out = []
-    for side in (1, -1):
-        for s in N.sample_params(m):
-            out.append(unit_normal(b, N, float(s), side))
-    return out
+    s = np.tile(N.sample_params(m), 2)
+    sides = np.repeat([1, -1], m)
+    base, n = unit_normals(b, N, s, sides)
+    return [NormalFrame(float(np.mod(si, 1.0)), int(side), p, v)
+            for si, side, p, v in zip(s, sides, base, n)]
 
 
 def frame_fn_for(b: Backend, N: SubmanifoldSpec):
@@ -193,26 +205,38 @@ def shape_operator(b: Backend, N: SubmanifoldSpec, s: float, side) -> float:
     y'(0) = kappa directly.  On a flat chart this makes the inward normal of
     a circle of radius r give kappa = -1/r (focal at the center at t = r).
     """
+    return float(shape_operators(b, N, [s], [side])[0])
+
+
+def shape_operators(b: Backend, N: SubmanifoldSpec, s, sides) -> np.ndarray:
+    """``shape_operator`` at every parameter s[i] with side sides[i].
+
+    Raises the GeometryError that a loop of ``shape_operator`` calls would
+    raise first.
+    """
     if N.dim != 1:
         raise GeometryError("shape_operator needs a curve")
-    s = float(s)
-    f0 = unit_normal(b, N, s, side)
-    fp = unit_normal(b, N, s + _DS, side)
-    fm = unit_normal(b, N, s - _DS, side)
-    dn = (fp.n - fm.n) / (2.0 * _DS)
-    base = f0.base
-    tan = N.curve.velocity(np.array([s]))[0]
+    s = np.asarray(s, dtype=float)
+    sgn = np.array([_side_int(side) for side in sides])
+    # the normals at s, s + ds and s - ds of each row, in that order
+    s3 = np.stack([s, s + _DS, s - _DS], axis=1).ravel()
+    base, n = unit_normals(b, N, s3, np.repeat(sgn, 3))
+    base, n0 = base[0::3], n[0::3]
+    dn = (n[1::3] - n[2::3]) / (2.0 * _DS)
+    tan = N.curve.velocity(s)
     if isinstance(b, PeriodicChart):
-        Dn = dn + b.christoffel_mixed(base[None, :], tan[None, :],
-                                      f0.n[None, :])[0]
+        Dn = dn + b.christoffel_mixed(base, tan, n0)
     else:
-        Dn = b.tangent_project(base[None, :], dn[None, :])[0]
-        from .geometry import ZERO_FIELD
+        Dn = b.tangent_project(base, dn)
         if b.psi is not ZERO_FIELD:
-            dpsi = b.psi_gradient(base[None, :])[0]
-            Dn = Dn + np.dot(dpsi, tan) * f0.n + np.dot(dpsi, f0.n) * tan
-    t2 = float(b.inner(base, tan, tan))
-    return float(b.inner(base, Dn, tan)) / t2
+            dpsi = b.psi_gradient(base)
+            Dn = Dn + _dot(dpsi, tan) * n0 + _dot(dpsi, n0) * tan
+    return b.inner(base, Dn, tan) / b.inner(base, tan, tan)
+
+
+def _dot(u, v) -> np.ndarray:
+    """Row-wise u . v as a (k, 1) column, rounded as np.dot of two rows."""
+    return (u[:, None, :] @ v[:, :, None])[:, 0]
 
 
 def principal_curvature_bound(b: Backend, N: SubmanifoldSpec,
@@ -221,11 +245,9 @@ def principal_curvature_bound(b: Backend, N: SubmanifoldSpec,
     factor.  A point has no shape operator; the bound is 0."""
     if N.dim == 0:
         return 0.0
-    kmax = 0.0
-    for s in N.sample_params():
-        for side in (1, -1):
-            kmax = max(kmax, abs(shape_operator(b, N, float(s), side)))
-    return safety * kmax
+    s = N.sample_params()
+    kappa = shape_operators(b, N, np.repeat(s, 2), np.tile([1, -1], len(s)))
+    return safety * float(np.max(np.abs(kappa)))
 
 
 # ---------------------------------------------------------------------------

@@ -309,24 +309,25 @@ def _distance_rows(atlas: WavefrontAtlas, Q: np.ndarray):
     gap = np.full(n, np.nan)
 
     def near(qi, s):
-        gaps = b.aux_distance(atlas.sample_pos[s], Q[qi])
+        vec = b.aux_gap(atlas.sample_pos[s], Q[qi])
+        # the length b.aux_distance takes, on both backends, bit for bit
+        gaps = np.sqrt(np.sum(vec ** 2, axis=-1))
         keep = gaps <= _caps(atlas.sample_gap[s], atlas.dt)
-        return qi[keep], s[keep], gaps[keep]
+        return qi[keep], s[keep], gaps[keep], vec[keep]
 
     for c0 in range(0, n, _CHUNK_Q):
         Qc = Q[c0:c0 + _CHUNK_Q]
         parts = [t.ranges(t.grid.cells(Qc), 1) for t in ix.tiers]
         rows, lo, hi = (np.concatenate(a) for a in zip(*parts))
         for qi, s in _pairs(rows + c0, lo, hi, ix.order):
-            _nearest(atlas, Q, *near(qi, s), pick, d, gap)
+            _nearest(atlas, *near(qi, s), pick, d, gap)
     # no near sample in ring 1: widen the ring over every sample
     pending = np.flatnonzero(pick < 0)
     for rings in _RING_LADDER:
         if not pending.size:
             break
         for qi, s in ring_pairs(atlas, Q[pending], rings):
-            qi, s, gaps = near(pending[qi], s)
-            _nearest(atlas, Q, qi, s, gaps, pick, d, gap)
+            _nearest(atlas, *near(pending[qi], s), pick, d, gap)
         pending = pending[pick[pending] < 0]
     found = pick >= 0
     s = pick[found]
@@ -342,24 +343,22 @@ def _distance_rows(atlas: WavefrontAtlas, Q: np.ndarray):
     return d, err, dir_idx, t, status
 
 
-def _nearest(atlas, Q, qi, s, gaps, pick, d, gap):
+def _nearest(atlas, qi, s, gaps, vec, pick, d, gap):
     """Per query row, the near sample of least first-order distance; ties
-    go to the smallest sample index, i.e. the smallest (dir, t)."""
+    go to the smallest sample index, i.e. the smallest (dir, t).  vec holds
+    each pair's auxiliary gap from the sample to the query."""
     if not qi.size:
         return
     o = np.lexsort((s, qi))
-    qi, s, gaps = qi[o], s[o], gaps[o]
+    qi, s, gaps, vec = qi[o], s[o], gaps[o], vec[o]
     b = atlas.backend
     pos_c = atlas.sample_pos[s]
     vel_c = atlas.sample_vel[s]
-    q = Q[qi]
     # first-order model d(q) = t_i + <v_i, q - x_i>_g: the transversal part
     # of the gap contributes only at second order; the absolute value folds
-    # the two sides of a geodesic leaving N back to one distance
-    if isinstance(b, PeriodicChart):
-        delta = b.aux_gap(pos_c, q)
-    else:
-        delta = b.tangent_project(pos_c, q - pos_c)
+    # the two sides of a geodesic leaving N back to one distance (on a
+    # surface the gap is first projected to the tangent plane at x_i)
+    delta = b.constrain_velocity(pos_c, vec)
     vals = np.abs(atlas.sample_t[s] + b.inner(pos_c, vel_c, delta))
     head = np.flatnonzero(np.r_[True, qi[1:] != qi[:-1]])
     low = np.minimum.reduceat(vals, head)

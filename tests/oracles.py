@@ -215,3 +215,78 @@ def reference_cut_time(atlas, dir_idx, distance_fn, kink_root, tol=1e-3):
         flags["method"] = "edge"
     rho = float(np.clip(rho, t_cross - 6.0 * theta, t_cross))
     return rho, flags
+
+
+# -- einsum Christoffel action of a chart metric ----------------------------
+def einsum_gamma2(b, pts, v):
+    """Gamma^k_ij v^i v^j of a PeriodicChart as three einsums over the
+    metric and its central differences, with one metric call per stencil
+    shift."""
+    pts = np.asarray(pts, dtype=float)
+    v = np.asarray(v, dtype=float)
+    h = b.fd_step
+    e1 = np.array([h, 0.0])
+    e2 = np.array([0.0, h])
+    g = b.metric(pts)
+    dg = np.empty(pts.shape[:-1] + (2, 2, 2))   # dg[..., l, i, j] = d_l g_ij
+    dg[..., 0, :, :] = (b.metric(pts + e1, check=False)
+                        - b.metric(pts - e1, check=False)) / (2.0 * h)
+    dg[..., 1, :, :] = (b.metric(pts + e2, check=False)
+                        - b.metric(pts - e2, check=False)) / (2.0 * h)
+    det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
+    ginv = np.empty_like(g)
+    ginv[..., 0, 0] = g[..., 1, 1] / det
+    ginv[..., 1, 1] = g[..., 0, 0] / det
+    ginv[..., 0, 1] = -g[..., 0, 1] / det
+    ginv[..., 1, 0] = -g[..., 1, 0] / det
+    a = np.einsum("...ijl,...i,...j->...l", dg, v, v)
+    bb = np.einsum("...lij,...i,...j->...l", dg, v, v)
+    return np.einsum("...kl,...l->...k", ginv, a - 0.5 * bb)
+
+
+# -- one-direction unit normal and shape operator ---------------------------
+_DS = 1e-5
+_ROT = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+
+def reference_unit_normal(b, N, s, side):
+    """(base, n) of the g-unit normal at c(s), side +1 or -1, computed for
+    one parameter at a time; raises GeometryError like the package."""
+    from cutlab.geometry import GeometryError
+    s_arr = np.array([float(s)])
+    base = N.curve(s_arr)[0]
+    tan = N.curve.velocity(s_arr)[0]
+    if float(b.norm(base, tan)) < 1e-10:
+        raise GeometryError(f"degenerate curve velocity at s={s}")
+    if b.periods is not None:
+        g = b.metric(base[None, :])[0]
+        raw = _ROT @ (g @ tan)
+    else:
+        raw = np.cross(b.unit_surface_normal(base), tan)
+    nrm = float(b.norm(base, raw))
+    if nrm < 1e-14:
+        raise GeometryError(f"degenerate normal at s={s}")
+    return base, side * raw / nrm
+
+
+def reference_shape_operator(b, N, s, side):
+    """kappa = g(S_n e, e) / g(e, e) at c(s) from a central difference of
+    the unit normal field plus the connection term, one parameter at a
+    time."""
+    from cutlab.geometry import ZERO_FIELD
+    s = float(s)
+    base, n0 = reference_unit_normal(b, N, s, side)
+    _, n_p = reference_unit_normal(b, N, s + _DS, side)
+    _, n_m = reference_unit_normal(b, N, s - _DS, side)
+    dn = (n_p - n_m) / (2.0 * _DS)
+    tan = N.curve.velocity(np.array([s]))[0]
+    if b.periods is not None:
+        Dn = dn + b.christoffel_mixed(base[None, :], tan[None, :],
+                                      n0[None, :])[0]
+    else:
+        Dn = b.tangent_project(base[None, :], dn[None, :])[0]
+        if b.psi is not ZERO_FIELD:
+            dpsi = b.psi_gradient(base[None, :])[0]
+            Dn = Dn + np.dot(dpsi, tan) * n0 + np.dot(dpsi, n0) * tan
+    t2 = float(b.inner(base, tan, tan))
+    return float(b.inner(base, Dn, tan)) / t2

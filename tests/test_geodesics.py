@@ -36,6 +36,48 @@ def test_unit_speed_drift_budget(warped_backend):
     assert path.drift <= 1e-6
 
 
+# -- conserved quantities: each metric below has a Killing field ------------
+
+_ANGLES = 2.0 * np.pi * np.arange(16) / 16
+
+
+def _chart_starts(b):
+    p0 = np.stack([np.linspace(0.0, 1.0, 16, endpoint=False),
+                   np.full(16, 0.3)], axis=-1)
+    v0 = np.stack([np.cos(_ANGLES), np.sin(_ANGLES)], axis=-1)
+    return p0, v0 / b.norm(p0, v0)[:, None]
+
+
+@pytest.mark.parametrize("dt", [1e-3, 2e-3, 4e-3])
+def test_warped_clairaut_momentum_is_conserved(warped_backend, dt):
+    # g = diag(1, b(x)^2) does not depend on y: p_y = b(x)^2 y' is constant
+    b = warped_backend
+    B = integrate_batch(b, *_chart_starts(b), 1.5, dt)
+    p_y = b.metric(B.pos)[..., 1, 1] * B.vel[..., 1]
+    assert np.max(np.abs(p_y - p_y[:, :1])) <= 1e-6
+
+
+@pytest.mark.parametrize("dt", [1e-3, 4e-3])
+def test_flat_torus_momenta_are_exact(flat_backend, dt):
+    B = integrate_batch(flat_backend, *_chart_starts(flat_backend), 1.5, dt)
+    assert np.array_equal(B.vel, np.broadcast_to(B.vel[:, :1], B.vel.shape))
+
+
+@pytest.mark.parametrize("dt", [1e-3, 2e-3, 4e-3])
+def test_sphere_axial_angular_momentum_is_conserved(sphere_backend, dt):
+    # rotations about the z axis are isometries: x y' - y x' is constant
+    z = np.linspace(-0.8, 0.8, 16)
+    r = np.sqrt(1.0 - z * z)
+    p0 = np.stack([r * np.cos(_ANGLES), r * np.sin(_ANGLES), z], axis=-1)
+    e_phi = np.stack([-np.sin(_ANGLES), np.cos(_ANGLES), np.zeros(16)], -1)
+    e_up = np.cross(p0, e_phi)
+    v0 = (np.cos(3 * _ANGLES)[:, None] * e_phi
+          + np.sin(3 * _ANGLES)[:, None] * e_up)
+    B = integrate_batch(sphere_backend, p0, v0, 3.0, dt)
+    L = B.pos[..., 0] * B.vel[..., 1] - B.pos[..., 1] * B.vel[..., 0]
+    assert np.max(np.abs(L - L[:, :1])) <= 1e-12
+
+
 def test_oversized_step_trips_drift_audit(sphere_backend):
     with pytest.raises(IntegrationError):
         integrate_geodesic(sphere_backend, [1.0, 0.0, 0.0],

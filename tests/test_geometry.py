@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cutlab.geometry import (GeometryError, ImplicitSurface, PeriodicChart,
-                             ZERO_FIELD, ambient_scalar_field,
-                             chart_metric_field, chart_scalar_field,
-                             conformal_family, level_surface, linear_blend,
-                             metric_eval, same_backend_family)
+from cutlab.geometry import (ChartMetricField, GeometryError,
+                             ImplicitSurface, PeriodicChart, ZERO_FIELD,
+                             ambient_scalar_field, chart_metric_field,
+                             chart_scalar_field, conformal_family,
+                             level_surface, linear_blend, metric_eval,
+                             same_backend_family)
 
-from oracles import diag_metric_christoffel_action, warped_curvature
+from oracles import (diag_metric_christoffel_action, einsum_gamma2,
+                     warped_curvature)
 
 pts2 = st.tuples(st.floats(0, 1), st.floats(0, 1)).map(np.array)
 vecs2 = st.tuples(st.floats(-2, 2), st.floats(-2, 2)).map(np.array)
@@ -98,6 +100,75 @@ def test_christoffel_mixed_polarization():
     quad = lambda vv: b.gamma2(p, vv)
     rhs = 0.5 * (quad(u + w) - quad(u) - quad(w))
     assert np.max(np.abs(lhs - rhs)) <= 1e-9
+
+
+def _chart(name, **params):
+    return PeriodicChart((1.0, 1.0),
+                         chart_metric_field(name, (1.0, 1.0), **params))
+
+
+_GAMMA2_BACKENDS = {
+    "flat": lambda: _chart("flat"),
+    "warped-diag": lambda: _chart("warped-diag", amplitude=0.2),
+    "warped-diag-g22": lambda: _chart("warped-diag-g22", amplitude=0.1),
+    "conformal-bump": lambda: _chart("conformal-bump", amplitude=0.1),
+    "conformal-family": lambda: conformal_family(
+        warped(), chart_scalar_field("sine-y", (1.0, 1.0), amplitude=1.0),
+        0.2),
+    "linear-blend": lambda: linear_blend(
+        warped(), _chart("conformal-bump", amplitude=0.1), 0.3),
+}
+
+
+def _gamma2_inputs(n, seed):
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-1.0, 2.0, (n, 2))
+    v = rng.normal(size=(n, 2))
+    v[::3, 0] = 0.0         # axis-aligned and sign-mixed velocities
+    v[1::3] = -np.abs(v[1::3])
+    return pts, v
+
+
+@pytest.mark.parametrize("n", [1, 5, 128])
+@pytest.mark.parametrize("name", sorted(_GAMMA2_BACKENDS))
+def test_gamma2_matches_einsum_oracle_bitwise(name, n):
+    b = _GAMMA2_BACKENDS[name]()
+    pts, v = _gamma2_inputs(n, n)
+    assert b.gamma2(pts, v).tobytes() == einsum_gamma2(b, pts, v).tobytes()
+
+
+def test_gamma2_off_diagonal_field_matches_oracle():
+    # no bundled field has g12 != 0; the einsum sums the 2x2 products in
+    # another order there, so agreement is held to a relative 1e-13
+    def fn(p):
+        g = np.zeros(p.shape[:-1] + (2, 2))
+        sx = np.sin(2.0 * np.pi * p[..., 0])
+        cy = np.cos(2.0 * np.pi * p[..., 1])
+        g[..., 0, 0] = 1.5 + 0.3 * sx
+        g[..., 1, 1] = 1.2 + 0.2 * cy
+        g[..., 0, 1] = g[..., 1, 0] = 0.3 * sx * cy
+        return g
+
+    b = PeriodicChart((1.0, 1.0), ChartMetricField("off-diagonal", {}, fn))
+    for n in (1, 5, 128):
+        pts, v = _gamma2_inputs(n, 7 + n)
+        got, want = b.gamma2(pts, v), einsum_gamma2(b, pts, v)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_gamma2_checks_the_metric_at_every_call():
+    bad = _chart("warped-diag-g22", amplitude=2.0)
+    pts = np.array([[0.1, 0.0], [0.75, 0.0]])   # g22 = 1 - 2 < 0 at x = 0.75
+    with pytest.raises(GeometryError, match="not positive definite"):
+        bad.gamma2(pts, np.ones((2, 2)))
+
+
+def test_chart_metric_of_one_point_equals_its_batch_row():
+    # a point evaluated alone reads the same metric as inside a batch
+    b = warped()
+    pts = np.random.default_rng(5).uniform(0.0, 1.0, (20000, 2))
+    one = np.stack([b.metric(p) for p in pts])
+    assert one.tobytes() == b.metric(pts).tobytes()
 
 
 # -- Gauss curvature --------------------------------------------------------

@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
 
-from cutlab.geometry import GeometryError
-from cutlab.submanifold import (chart_curve, curve_submanifold,
+from cutlab.geometry import (GeometryError, ImplicitSurface, PeriodicChart,
+                             ambient_scalar_field, chart_metric_field,
+                             conformal_family, level_surface)
+from cutlab.submanifold import (CurveSpec, chart_curve, curve_submanifold,
                                 direction_circle, embedding_family,
                                 foot_point, foot_points, frames_for,
                                 golden_section, point_submanifold,
                                 principal_curvature_bound, shape_operator,
-                                surface_curve, unit_normal)
+                                shape_operators, surface_curve, unit_normal,
+                                unit_normals)
+
+from oracles import reference_shape_operator, reference_unit_normal
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +92,85 @@ def test_principal_curvature_bound(flat_backend, chart_circle):
         pytest.approx(1.1 * 5.0, rel=1e-4)
     assert principal_curvature_bound(
         flat_backend, point_submanifold([0.5, 0.5])) == 0.0
+
+
+def _ellipsoid_latitude(a, b, c, z0):
+    """The curve {z = z0} on the ellipsoid with semi-axes (a, b, c)."""
+    rho = np.sqrt(1.0 - (z0 / c) ** 2)
+
+    def fn(s):
+        t = 2.0 * np.pi * s
+        return np.stack([a * rho * np.cos(t), b * rho * np.sin(t),
+                         np.full_like(s, z0)], axis=-1)
+
+    return curve_submanifold(CurveSpec("ellipse", {}, fn))
+
+
+def _frame_case(name):
+    L = (1.0, 1.0)
+    sphere = ImplicitSurface(level_surface("sphere", radius=1.0))
+    if name == "warped-circle":
+        return (PeriodicChart(L, chart_metric_field("warped-diag", L,
+                                                    amplitude=0.2)),
+                curve_submanifold(chart_curve("chart-circle", L,
+                                              center=(0.4, 0.6), r=0.2)))
+    if name == "bump-line":
+        return (PeriodicChart(L, chart_metric_field("conformal-bump", L,
+                                                    amplitude=0.1)),
+                curve_submanifold(chart_curve("horizontal-circle", L,
+                                              y0=0.3)))
+    if name == "sphere-latitude":
+        return sphere, curve_submanifold(surface_curve("latitude", z0=0.3))
+    if name == "ellipsoid":
+        return (ImplicitSurface(level_surface("ellipsoid",
+                                              semi_axes=(1.4, 1.0, 0.7))),
+                _ellipsoid_latitude(1.4, 1.0, 0.7, 0.3))
+    psi = ambient_scalar_field("sine-z", amplitude=0.5, wavenumber=2.0)
+    return (conformal_family(sphere, psi, 0.7),
+            curve_submanifold(surface_curve("latitude", z0=0.3)))
+
+
+@pytest.mark.parametrize("name", ["warped-circle", "bump-line",
+                                  "sphere-latitude", "ellipsoid",
+                                  "sphere-psi"])
+def test_batched_normals_and_shape_operators_match_scalar_bodies(name):
+    b, N = _frame_case(name)
+    s = np.concatenate([N.sample_params(64),
+                        np.random.default_rng(3).uniform(-1.0, 2.0, 16)])
+    s = np.repeat(s, 2)
+    sides = np.tile([1, -1], len(s) // 2)
+    base, n = unit_normals(b, N, s, sides)
+    kappa = shape_operators(b, N, s, sides)
+    for i in range(len(s)):
+        ref_base, ref_n = reference_unit_normal(b, N, s[i], sides[i])
+        assert base[i].tobytes() == ref_base.tobytes()
+        assert n[i].tobytes() == ref_n.tobytes()
+        ref_kappa = reference_shape_operator(b, N, s[i], sides[i])
+        assert kappa[i] == ref_kappa
+    assert principal_curvature_bound(b, N) == 1.1 * max(
+        abs(reference_shape_operator(b, N, si, side))
+        for si in N.sample_params() for side in (1, -1))
+
+
+def test_degenerate_row_raises_the_scalar_loop_message(sphere_backend):
+    # c(s) = (0, 0, 1.2 + 0.2 cos 2 pi s) moves along the surface normal:
+    # its normal is degenerate wherever it moves and its velocity vanishes
+    # at s = 0 (the central difference is exactly symmetric there)
+    def fn(s):
+        z = 1.2 + 0.2 * np.cos(2.0 * np.pi * s)
+        return np.stack([np.zeros_like(s), np.zeros_like(s), z], axis=-1)
+
+    N = curve_submanifold(CurveSpec("radial", {}, fn))
+    for rows, want in (([0.3, 0.0], "degenerate normal at s=0.3"),
+                       ([0.0, 0.3], "degenerate curve velocity at s=0.0")):
+        for batched, scalar in ((unit_normals, reference_unit_normal),
+                                (shape_operators, reference_shape_operator)):
+            with pytest.raises(GeometryError) as got:
+                batched(sphere_backend, N, rows, [1, -1])
+            with pytest.raises(GeometryError) as ref:
+                for si, side in zip(rows, [1, -1]):
+                    scalar(sphere_backend, N, si, side)
+            assert str(got.value) == str(ref.value) == want
 
 
 def test_latitude_requires_interior_height():
