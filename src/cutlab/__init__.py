@@ -5,9 +5,9 @@ __version__ = "0.1.0"
 
 from .geometry import (ChartMetricField, GeometryError, ImplicitSurface,
                        PeriodicChart, ScalarField, ZERO_FIELD,
-                       ambient_scalar_field, aux_distance, chart_metric_field,
-                       chart_scalar_field, conformal_family, gauss_curvature,
-                       level_surface, linear_blend, metric_eval)
+                       ambient_scalar_field, chart_metric_field,
+                       chart_scalar_field, conformal_family, level_surface,
+                       linear_blend, metric_eval, validation_grid)
 from .geodesics import (GeodesicPath, IntegrationError, exp_map,
                         integrate_geodesic, normal_exp, normal_exp_jacobian)
 from .submanifold import (CurveSpec, NormalFrame, SubmanifoldSpec, chart_curve,
@@ -17,12 +17,11 @@ from .submanifold import (CurveSpec, NormalFrame, SubmanifoldSpec, chart_curve,
                           shape_operators, surface_curve, unit_normal,
                           unit_normals)
 from .wavefront import (CoverageError, WavefrontAtlas, build_atlas, distance,
-                        distance_many, eikonal_residual, validation_grid)
+                        distance_many, eikonal_residual)
 from .cutanalysis import (CutProfile, PointCloud, compute_profiles, cut_time,
                           cut_times, cut_locus_cloud, f_min,
                           injectivity_radius_char, injectivity_radius_direct,
-                          loop_scan, separating_points, tangential_cut_locus,
-                          warner_bound)
+                          loop_scan, separating_points, warner_bound)
 from .stability import (HausdorffReport, Resolution, ScenarioResult,
                         SweepTable, curvature_stats,
                         cut_time_continuity_probe,

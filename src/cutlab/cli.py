@@ -64,7 +64,9 @@ class _Emitter:
                                 default=_json_default) + "\n")
         self.files.append(p)
 
-    def manifest(self) -> None:
+    def finish(self) -> int:
+        """Write manifest.json; exit code 1, with a FAIL line naming the
+        first verdict that failed, or 0."""
         inventory = {}
         for p in self.files:
             inventory[p.name] = hashlib.sha256(p.read_bytes()).hexdigest()
@@ -85,6 +87,11 @@ class _Emitter:
         (self.out / "manifest.json").write_text(
             json.dumps(payload, indent=2, sort_keys=True,
                        default=_json_default) + "\n")
+        bad = [k for k, v in self.verdicts.items() if not v]
+        if bad:
+            print(f"FAIL: verdict {bad[0]}", file=sys.stderr)
+            return 1
+        return 0
 
 
 def _json_default(x):
@@ -131,11 +138,7 @@ def cmd_inj(cfg: RunConfig, out: Path) -> int:
            _profile_rows(result))
     em.verdicts["inj_estimators_agree"] = \
         abs(result.inj_direct - result.inj_char) <= 5e-3
-    em.manifest()
-    if not em.verdicts["inj_estimators_agree"]:
-        print("FAIL: verdict inj_estimators_agree", file=sys.stderr)
-        return 1
-    return 0
+    return em.finish()
 
 
 def cmd_cutlocus(cfg: RunConfig, out: Path) -> int:
@@ -162,11 +165,7 @@ def cmd_cutlocus(cfg: RunConfig, out: Path) -> int:
             covered >= set(int(d) for d in result.cloud.dir_idx),
     })
     em.verdicts["nonempty_cloud"] = len(result.cloud.points) > 0
-    em.manifest()
-    if not em.verdicts["nonempty_cloud"]:
-        print("FAIL: verdict nonempty_cloud", file=sys.stderr)
-        return 1
-    return 0
+    return em.finish()
 
 
 def cmd_sweep(cfg: RunConfig, out: Path) -> int:
@@ -215,12 +214,7 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
     fv = probe_focal.get("verdict")
     em.verdicts["focal_free_probe"] = True if isinstance(fv, str) else bool(fv)
     em.verdicts["hausdorff_check"] = bool(probe_dh.get("verdict"))
-    em.manifest()
-    bad = [k for k, v in em.verdicts.items() if not v]
-    if bad:
-        print(f"FAIL: verdict {bad[0]}", file=sys.stderr)
-        return 1
-    return 0
+    return em.finish()
 
 
 def _blend_target(cfg, mspec):
@@ -275,12 +269,7 @@ def cmd_validate(cfg: RunConfig, out: Path) -> int:
                               "warner": warner})
     em.verdicts["eikonal_95pct"] = eik["frac_below_1e2"] >= 0.95
     em.verdicts["warner_lower_bound"] = warner.get("f_min_ge_eps_std", True)
-    em.manifest()
-    bad = [k for k, v in em.verdicts.items() if not v]
-    if bad:
-        print(f"FAIL: verdict {bad[0]}", file=sys.stderr)
-        return 1
-    return 0
+    return em.finish()
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ bundled scenario registry."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -26,6 +27,21 @@ def _check_keys(block: dict, allowed: set[str], where: str):
             raise ConfigError(f"{where}.{k}: unknown key")
 
 
+def _number(value, key: str, integer: bool = False, positive: bool = True):
+    """value as a finite float, or as an int when ``integer``, above 0 when
+    ``positive``; anything else is a ConfigError that names key."""
+    try:
+        x = math.nan if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        x = math.nan
+    if not math.isfinite(x) or (integer and not x.is_integer()):
+        want = "an integer" if integer else "a number"
+        raise ConfigError(f"{key}: expected {want}, got {value!r}")
+    if positive and x <= 0:
+        raise ConfigError(f"{key}: must be positive")
+    return int(x) if integer else x
+
+
 @dataclass
 class RunConfig:
     scenario: str | None
@@ -35,7 +51,6 @@ class RunConfig:
     family: dict | None
     out: str | None = None
     seed: int = 0
-    threads: int | None = None
     raw: dict = field(default_factory=dict)
 
     def build_backend(self) -> Backend:
@@ -56,17 +71,15 @@ def build_backend(spec: dict) -> Backend:
                        "fd_step", "curv_step"}, "backend")
     kind = spec.get("kind")
     if kind == "periodic-chart":
-        periods = tuple(float(v) for v in spec.get("periods", (1.0, 1.0)))
+        periods = tuple(_number(v, "backend.periods")
+                        for v in spec.get("periods", (1.0, 1.0)))
         mspec = dict(spec.get("metric", {"name": "flat"}))
         name = mspec.pop("name", None)
         if name is None:
             raise ConfigError("backend.metric.name: required")
         fld = chart_metric_field(name, periods, **mspec)
-        kw = {}
-        if "fd_step" in spec:
-            kw["fd_step"] = float(spec["fd_step"])
-        if "curv_step" in spec:
-            kw["curv_step"] = float(spec["curv_step"])
+        kw = {k: _number(spec[k], f"backend.{k}")
+              for k in ("fd_step", "curv_step") if k in spec}
         return PeriodicChart(periods, fld, **kw)
     if kind == "implicit-surface":
         sspec = dict(spec.get("surface", {"name": "sphere"}))
@@ -88,7 +101,7 @@ def build_backend(spec: dict) -> Backend:
 def build_submanifold(b: Backend, spec: dict) -> SubmanifoldSpec:
     _check_keys(spec, {"dim", "point", "curve", "m_N"}, "submanifold")
     dim = spec.get("dim")
-    m_N = int(spec.get("m_N", 256))
+    m_N = _number(spec.get("m_N", 256), "submanifold.m_N", integer=True)
     if dim == 0:
         if "point" not in spec:
             raise ConfigError("submanifold.point: required for dim 0")
@@ -120,26 +133,26 @@ def build_family_field(cfg: RunConfig, b: Backend):
 def _parse_resolution(block: dict) -> Resolution:
     _check_keys(block, _RES_KEYS, "resolution")
     # m_N samples the submanifold; parse_config moves it into that spec
-    kw = {k: v for k, v in block.items() if k != "m_N"}
-    for k in list(kw):
-        kw[k] = int(kw[k]) if k == "m" else float(kw[k])
-        if kw[k] <= 0:
-            raise ConfigError(f"resolution.{k}: must be positive")
+    kw = {k: _number(v, f"resolution.{k}", integer=k == "m")
+          for k, v in block.items() if k != "m_N"}
+    if kw["m"] < 16:
+        raise ConfigError("resolution.m: need at least 16 directions")
     return Resolution(**kw)
 
 
 def parse_config(source) -> RunConfig:
-    """Parse a config dict, JSON string, or path to a JSON file."""
-    if isinstance(source, (str, Path)) and Path(str(source)).exists():
-        text = Path(source).read_text()
+    """Parse a config dict, a JSON string (text starting with "{"), or a
+    path to a JSON file."""
+    if isinstance(source, (str, Path)):
+        text = str(source)
+        if not text.lstrip().startswith("{"):
+            try:
+                text = Path(text).read_text()
+            except OSError as ex:
+                raise ConfigError(f"config: cannot read {text!r}: "
+                                  f"{ex.strerror}") from ex
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as ex:
-            raise ConfigError(f"config JSON parse error at line {ex.lineno}, "
-                              f"column {ex.colno}: {ex.msg}") from ex
-    elif isinstance(source, str):
-        try:
-            data = json.loads(source)
         except json.JSONDecodeError as ex:
             raise ConfigError(f"config JSON parse error at line {ex.lineno}, "
                               f"column {ex.colno}: {ex.msg}") from ex
@@ -155,17 +168,19 @@ def parse_config(source) -> RunConfig:
                               "when no scenario is named")
         cfg = RunConfig(None, data["backend"], data["submanifold"],
                         Resolution(), None, raw=dict(data))
-        build_backend(cfg.backend_spec)   # validate eagerly
+        try:                              # validate eagerly
+            build_backend(cfg.backend_spec)
+        except (GeometryError, TypeError, ValueError) as ex:
+            raise ConfigError(f"backend: {ex}") from ex
     if "backend" in data and cfg.scenario is not None:
         raise ConfigError("config.backend: conflicts with scenario")
     if "resolution" in data:
-        merged = dict(_scenario_res_overrides(cfg))
+        merged = cfg.resolution.as_dict()
         merged.update(data["resolution"])
         cfg.resolution = _parse_resolution(merged)
         if "m_N" in data["resolution"]:
-            m_N = int(data["resolution"]["m_N"])
-            if m_N <= 0:
-                raise ConfigError("resolution.m_N: must be positive")
+            m_N = _number(data["resolution"]["m_N"], "resolution.m_N",
+                          integer=True)
             cfg.submanifold_spec = dict(cfg.submanifold_spec, m_N=m_N)
     if "family" in data:
         fam = data["family"]
@@ -184,17 +199,13 @@ def parse_config(source) -> RunConfig:
     if "out" in data:
         cfg.out = str(data["out"])
     if "seed" in data:
-        cfg.seed = int(data["seed"])
+        cfg.seed = _number(data["seed"], "seed", integer=True, positive=False)
         if cfg.seed != 0:
             raise ConfigError("seed: must be 0; cutlab runs are deterministic "
                               "and draw no random numbers")
-    if "threads" in data:
-        cfg.threads = int(data["threads"])
+    if "threads" in data:       # accepted for compatibility; no effect
+        _number(data["threads"], "threads", integer=True, positive=False)
     return cfg
-
-
-def _scenario_res_overrides(cfg: RunConfig) -> dict:
-    return cfg.resolution.as_dict()
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geodesics import hermite_batch, normal_exp_jacobian
+from .geodesics import _hermite, hermite_batch, normal_exp_jacobian
 from .geometry import Backend
 from .submanifold import (SubmanifoldSpec, foot_points, frame_fn_for,
                           golden_section, shape_operators)
@@ -230,9 +230,9 @@ def _first_zero(tg, y, yp, start, tol):
     i = int(flips[0]) + start
     t = float(tg[i] - y[i] * (tg[i + 1] - tg[i]) / (y[i + 1] - y[i]))
     # Newton polish on the cubic Hermite interpolant of y
+    h = tg[i + 1] - tg[i]
     for _ in range(8):
-        yt = _h_val(tg, y, yp, i, t)
-        dyt = _h_der(tg, y, yp, i, t)
+        yt, dyt = _hermite(h, (t - tg[i]) / h, y[i], y[i + 1], yp[i], yp[i + 1])
         if dyt == 0.0:
             break
         step = yt / dyt
@@ -240,20 +240,6 @@ def _first_zero(tg, y, yp, start, tol):
         if abs(step) < tol:
             break
     return float(np.clip(t, tg[i], tg[i + 1]))
-
-
-def _h_val(tg, y, yp, i, t):
-    h = tg[i + 1] - tg[i]
-    s = (t - tg[i]) / h
-    return ((2 * s**3 - 3 * s**2 + 1) * y[i] + (s**3 - 2 * s**2 + s) * h * yp[i]
-            + (-2 * s**3 + 3 * s**2) * y[i + 1] + (s**3 - s**2) * h * yp[i + 1])
-
-
-def _h_der(tg, y, yp, i, t):
-    h = tg[i + 1] - tg[i]
-    s = (t - tg[i]) / h
-    return ((6 * s**2 - 6 * s) * y[i] / h + (3 * s**2 - 4 * s + 1) * yp[i]
-            + (-6 * s**2 + 6 * s) * y[i + 1] / h + (3 * s**2 - 2 * s) * yp[i + 1])
 
 
 def focal_bracket_jacobian(b: Backend, N: SubmanifoldSpec, frame,
@@ -386,12 +372,6 @@ def compute_profiles(b: Backend, N: SubmanifoldSpec, atlas: WavefrontAtlas,
                        flags[j]["no_cut"], float(focal[j]), loops[j],
                        flags[j])
             for j, f in enumerate(atlas.frames)]
-
-
-def tangential_cut_locus(atlas: WavefrontAtlas, tol: float = 1e-3):
-    """(frame, cut time) over the full direction set, in direction order."""
-    rho, _flags = cut_times(atlas, tol)
-    return [(f, float(r)) for f, r in zip(atlas.frames, rho)]
 
 
 @dataclass

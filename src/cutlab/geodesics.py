@@ -2,12 +2,11 @@
 and the finite-difference Jacobian of the normal exponential map."""
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Backend, ImplicitSurface, PeriodicChart
+from .geometry import Backend
 
 
 class IntegrationError(Exception):
@@ -28,12 +27,10 @@ class BatchPaths:
     pos/vel have shape (k, n, d); t has shape (n,).
     """
 
-    backend: Backend
     t: np.ndarray
     pos: np.ndarray
     vel: np.ndarray
     dt: float
-    termination: str
     drift: np.ndarray  # per-path max speed drift
 
     @property
@@ -41,9 +38,8 @@ class BatchPaths:
         return self.pos.shape[0]
 
     def path(self, i: int) -> "GeodesicPath":
-        return GeodesicPath(self.backend, self.t.copy(), self.pos[i].copy(),
-                            self.vel[i].copy(), self.dt, self.termination,
-                            float(self.drift[i]))
+        return GeodesicPath(self.t.copy(), self.pos[i].copy(),
+                            self.vel[i].copy(), self.dt, float(self.drift[i]))
 
     def sample_at(self, i: int, t: float):
         """Cubic-Hermite position/velocity of path i at arbitrary time t."""
@@ -54,12 +50,10 @@ class BatchPaths:
 class GeodesicPath:
     """Single time-sampled geodesic with step metadata."""
 
-    backend: Backend
     t: np.ndarray
     pos: np.ndarray
     vel: np.ndarray
     dt: float
-    termination: str
     drift: float
 
     def sample_at(self, t: float):
@@ -68,35 +62,19 @@ class GeodesicPath:
     def endpoint(self) -> np.ndarray:
         return self.pos[-1]
 
-    def write_csv(self, fh) -> None:
-        d = self.pos.shape[1]
-        w = csv.writer(fh)
-        w.writerow(["t"] + [f"x{i+1}" for i in range(d)]
-                   + [f"v{i+1}" for i in range(d)] + ["speed"])
-        speed = self.backend.norm(self.pos, self.vel)
-        for k in range(len(self.t)):
-            row = ([self.t[k]] + list(self.pos[k]) + list(self.vel[k])
-                   + [speed[k]])
-            w.writerow([f"{x:.17g}" for x in row])
-
 
 def hermite_sample(tg: np.ndarray, pos: np.ndarray, vel: np.ndarray, t: float):
     """Cubic Hermite interpolation of (pos, vel) at time t on grid tg."""
-    t = float(t)
-    if t <= tg[0]:
-        return pos[0].copy(), vel[0].copy()
-    if t >= tg[-1]:
-        return pos[-1].copy(), vel[-1].copy()
-    i = int(np.searchsorted(tg, t, side="right")) - 1
-    h = tg[i + 1] - tg[i]
-    return _hermite(h, (t - tg[i]) / h, pos[i], pos[i + 1], vel[i], vel[i + 1])
+    p, v = hermite_batch(tg, pos[None], vel[None], [0], [t])
+    return p[0], v[0]
 
 
 def hermite_batch(tg: np.ndarray, pos: np.ndarray, vel: np.ndarray, J, t):
-    """``hermite_sample`` of paths J at times t, element-wise.
+    """Cubic Hermite interpolation of paths J at times t, element-wise;
+    outside the grid the first or last node comes back.
 
     pos/vel have shape (k, n, d) on the shared grid tg; J and t are 1-D and
-    of equal length.  Bit-identical to one ``hermite_sample`` per element.
+    of equal length.
     """
     J = np.asarray(J, dtype=np.int64)[:, None]
     t = np.asarray(t, dtype=float)
@@ -136,8 +114,9 @@ def integrate_batch(b: Backend, p0: np.ndarray, v0: np.ndarray,
                     drift_budget: float = DRIFT_BUDGET) -> BatchPaths:
     """Classical fixed-step RK4 on (x' = v, v' = -Gamma(x)(v, v)).
 
-    Implicit surfaces are re-projected onto {h = 0} after every step and the
-    velocity is re-tangentialized with its pre-projection norm restored.
+    Every step ends in ``b.retract``: an implicit surface re-projects the
+    point onto {h = 0} and re-tangentializes the velocity with its
+    pre-projection norm restored.
     """
     if t_max <= 0.0 or dt <= 0.0:
         raise ValueError("t_max and dt must be positive")
@@ -152,7 +131,6 @@ def integrate_batch(b: Backend, p0: np.ndarray, v0: np.ndarray,
     vel = np.empty((k, n_steps + 1, d))
     pos[:, 0] = p0
     vel[:, 0] = v0
-    implicit = isinstance(b, ImplicitSurface)
     x, v = p0.copy(), v0.copy()
     for i in range(n_steps):
         h = tg[i + 1] - tg[i]
@@ -160,15 +138,8 @@ def integrate_batch(b: Backend, p0: np.ndarray, v0: np.ndarray,
         k2x, k2v = _rhs(b, x + 0.5 * h * k1x, v + 0.5 * h * k1v)
         k3x, k3v = _rhs(b, x + 0.5 * h * k2x, v + 0.5 * h * k2v)
         k4x, k4v = _rhs(b, x + h * k3x, v + h * k3v)
-        x = x + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-        v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-        if implicit:
-            speed = b.norm(x, v)
-            x = b.project(x)
-            v = b.tangent_project(x, v)
-            new_speed = b.norm(x, v)
-            scale = np.where(new_speed > 0.0, speed / np.maximum(new_speed, 1e-300), 1.0)
-            v = v * scale[..., None]
+        x, v = b.retract(x + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x),
+                         v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v))
         pos[:, i + 1] = x
         vel[:, i + 1] = v
     speeds = b.norm(pos, vel)
@@ -180,7 +151,7 @@ def integrate_batch(b: Backend, p0: np.ndarray, v0: np.ndarray,
         raise IntegrationError(
             f"speed drift {np.max(drift):.3e} exceeds budget {budget:.3e}",
             t=t_bad)
-    return BatchPaths(b, tg, pos, vel, dt, "t_max", drift)
+    return BatchPaths(tg, pos, vel, dt, drift)
 
 
 def integrate_geodesic(b: Backend, p, v, t_max: float, dt: float,
@@ -263,17 +234,8 @@ def normal_exp_jacobian(b: Backend, frame_fn, s0: float, side,
     ds1 = (batch.pos[3] - batch.pos[1]) / (2.0 * fd)
     ds2 = (batch.pos[4] - batch.pos[0]) / (4.0 * fd)
     dr = batch.vel[2]
-    det1 = _pair_det(b, batch.pos[2], ds1, dr)
-    det2 = _pair_det(b, batch.pos[2], ds2, dr)
+    det1 = b.pair_det(batch.pos[2], ds1, dr)
+    det2 = b.pair_det(batch.pos[2], ds2, dr)
     scale = np.maximum(np.max(np.abs(det1)), 1e-30)
     warn = bool(np.max(np.abs(det1 - det2)) > 0.10 * scale)
     return NormalExpJacobian(batch.t.copy(), det1, fd, warn)
-
-
-def _pair_det(b: Backend, base: np.ndarray, a: np.ndarray, c: np.ndarray):
-    """2D determinant of the pair (a, c) in chart or ambient-tangent coords."""
-    if isinstance(b, PeriodicChart):
-        return a[:, 0] * c[:, 1] - a[:, 1] * c[:, 0]
-    n = b.unit_surface_normal(base)
-    cross = np.cross(a, c)
-    return np.sum(cross * n, axis=-1)

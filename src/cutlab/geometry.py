@@ -1,13 +1,16 @@
 """Surface backends: periodic-chart metrics and implicit surfaces in 3-space.
 
 Points and tangent vectors are plain numpy arrays (shape (2,) for chart
-backends, (3,) for implicit surfaces).  All backend methods accept batched
-inputs with the coordinate axis last.  Backends are immutable; every
-operation is a pure function of its inputs.
+backends, (3,) for implicit surfaces).  All backend methods but
+``dual_norm`` accept batched inputs with the coordinate axis last.  Backends
+are immutable; every operation is a pure function of its inputs.
+
+Only this module tells the two kinds apart: the other modules reach the
+difference through the methods that both backends define.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -170,8 +173,19 @@ def _spd_det(pts, g) -> np.ndarray:
     return det
 
 
-class _Christoffel:
-    """The bilinear Christoffel action, shared by both backends."""
+_ROT = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+
+def _dot(u, v) -> np.ndarray:
+    """Row-wise u . v as a (k, 1) column, rounded as np.dot of two rows."""
+    return (u[:, None, :] @ v[:, :, None])[:, 0]
+
+
+class _Shared:
+    """Methods that both backends define the same way."""
+
+    def norm(self, pts, v) -> np.ndarray:
+        return np.sqrt(np.maximum(self.inner(pts, v, v), 0.0))
 
     def christoffel_mixed(self, pts, u, w) -> np.ndarray:
         """Bilinear Christoffel action Gamma(u, w) via polarization."""
@@ -181,7 +195,7 @@ class _Christoffel:
 
 
 @dataclass(frozen=True)
-class PeriodicChart(_Christoffel):
+class PeriodicChart(_Shared):
     """Torus-like chart [0, L1) x [0, L2) with a smooth periodic metric field.
 
     Chart coordinates stay unwrapped during integration (the metric field is
@@ -192,7 +206,6 @@ class PeriodicChart(_Christoffel):
     metric_field: ChartMetricField
     fd_step: float = 1e-4       # Christoffel finite differences
     curv_step: float = 1e-3     # second differences for Gauss curvature
-    kind: str = field(default="PeriodicChart", init=False)
 
     @property
     def dim(self) -> int:
@@ -210,9 +223,6 @@ class PeriodicChart(_Christoffel):
     def inner(self, pts, v, w) -> np.ndarray:
         g = self.metric(pts)
         return np.einsum("...ij,...i,...j->...", g, v, w)
-
-    def norm(self, pts, v) -> np.ndarray:
-        return np.sqrt(np.maximum(self.inner(pts, v, v), 0.0))
 
     def lam_sqrt_max(self, pts) -> np.ndarray:
         """sqrt of the largest metric eigenvalue (chart-gap -> g-length bound)."""
@@ -317,12 +327,51 @@ class PeriodicChart(_Christoffel):
     def aux_distance(self, p, q) -> np.ndarray:
         return np.sqrt(np.sum(self.aux_gap(p, q) ** 2, axis=-1))
 
-    # integration hooks (no constraint for charts)
-    def constrain_point(self, pts):
-        return pts
+    # -- the chart's side of the shared algorithms -----------------------------
 
     def constrain_velocity(self, pts, v):
         return v
+
+    def retract(self, x, v):
+        """A state after an RK4 step; a chart has no constraint to restore."""
+        return x, v
+
+    def tangent_basis(self, pts):
+        """The coordinate axes at every point, as two arrays of pts' shape."""
+        return tuple(np.broadcast_to(e, np.shape(pts)) for e in np.eye(2))
+
+    def left_normal(self, base, tan):
+        """Normals to the tangents (k, 2), to their left: the rotated g tan."""
+        return (_ROT @ (self.metric(base) @ tan[:, :, None]))[:, :, 0]
+
+    def pair_det(self, base, a, c):
+        """Determinant of each pair of rows (a, c) in chart coordinates."""
+        return a[:, 0] * c[:, 1] - a[:, 1] * c[:, 0]
+
+    def covariant_derivative(self, base, tan, n0, dn):
+        """D_tan n of a field n = n0 with coordinate derivative dn."""
+        return dn + self.christoffel_mixed(base, tan, n0)
+
+    def gap_length(self, foot, Q):
+        """First-order g-length of the gap foot -> Q, metric at its middle."""
+        gap = self.aux_gap(foot, Q)
+        return self.norm(foot + 0.5 * gap, gap)
+
+    def interpolate(self, p, q, tau):
+        """p moved by tau times its wraparound gap to q."""
+        return p + tau * self.aux_gap(p, q)
+
+    def probe_pairs(self, pts, h: float):
+        """Points q +- h e along the tangent basis of each point q, shape
+        (n, 2, 2, 2) with [axis, sign], and the half-width h of each pair."""
+        step = h * np.stack(self.tangent_basis(pts), axis=1)
+        plus, minus = pts[:, None, :] + step, pts[:, None, :] - step
+        return np.stack([plus, minus], axis=2), h
+
+    def dual_norm(self, q, du) -> float:
+        """g-norm at one point q of the differential with components du."""
+        g = self.metric(q[None, :])[0]
+        return float(np.sqrt(du @ np.linalg.inv(g) @ du))
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +419,7 @@ def level_surface(name: str, **params) -> LevelSurface:
 
 
 @dataclass(frozen=True)
-class ImplicitSurface(_Christoffel):
+class ImplicitSurface(_Shared):
     """Surface {h = 0} in 3-space with metric e^{2 psi} * (induced)."""
 
     surface: LevelSurface
@@ -378,7 +427,6 @@ class ImplicitSurface(_Christoffel):
     fd_step: float = 1e-5       # psi gradient differences
     curv_step: float = 1e-3     # surface Laplacian of psi
     proj_tol: float = 1e-11
-    kind: str = field(default="ImplicitSurface", init=False)
 
     @property
     def dim(self) -> int:
@@ -419,9 +467,6 @@ class ImplicitSurface(_Christoffel):
     def inner(self, pts, v, w) -> np.ndarray:
         return self.conformal_weight(pts) * np.sum(
             np.asarray(v, float) * np.asarray(w, float), axis=-1)
-
-    def norm(self, pts, v) -> np.ndarray:
-        return np.sqrt(np.maximum(self.inner(pts, v, v), 0.0))
 
     def lam_sqrt_max(self, pts) -> np.ndarray:
         return np.exp(self.psi(pts))
@@ -508,11 +553,67 @@ class ImplicitSurface(_Christoffel):
     def aux_distance(self, p, q) -> np.ndarray:
         return np.linalg.norm(self.aux_gap(p, q), axis=-1)
 
-    def constrain_point(self, pts):
-        return self.project(pts)
+    # -- the surface's side of the shared algorithms -------------------------
 
     def constrain_velocity(self, pts, v):
         return self.tangent_project(pts, v)
+
+    def retract(self, x, v):
+        """Project a post-step state onto {h = 0}, tangent at its old speed."""
+        speed = self.norm(x, v)
+        x = self.project(x)
+        v = self.tangent_project(x, v)
+        new_speed = self.norm(x, v)
+        scale = np.where(new_speed > 0.0,
+                         speed / np.maximum(new_speed, 1e-300), 1.0)
+        return x, v * scale[..., None]
+
+    def tangent_basis(self, pts):
+        """An orthonormal basis of the tangent plane at every point."""
+        return _tangent_frame(self.unit_surface_normal(pts))
+
+    def left_normal(self, base, tan):
+        """Normals to the tangents (k, 3), to their left: n x tan."""
+        return np.cross(self.unit_surface_normal(base), tan)
+
+    def pair_det(self, base, a, c):
+        """det of the row pairs (a, c) in the oriented tangent plane at base."""
+        return np.sum(np.cross(a, c) * self.unit_surface_normal(base), axis=-1)
+
+    def covariant_derivative(self, base, tan, n0, dn):
+        """D_tan n: the tangent part of dn plus the conformal terms."""
+        Dn = self.tangent_project(base, dn)
+        if self.psi is not ZERO_FIELD:
+            dpsi = self.psi_gradient(base)
+            Dn = Dn + _dot(dpsi, tan) * n0 + _dot(dpsi, n0) * tan
+        return Dn
+
+    def gap_length(self, foot, Q):
+        """First-order g-length of the chord foot -> Q, metric at foot."""
+        return self.norm(foot, self.aux_gap(foot, Q))
+
+    def interpolate(self, p, q, tau):
+        """The ambient blend (1 - tau) p + tau q, projected onto {h = 0}."""
+        return self.project((1.0 - tau) * p + tau * q)
+
+    def probe_pairs(self, pts, h: float):
+        """Points q +- h e along the tangent basis of each point q, projected
+        one point at a time, shape (n, 2, 2, 3) with [axis, sign], and half
+        the chord of each pair, shape (n, 2)."""
+        axes = np.stack(self.tangent_basis(pts), axis=1)
+        probes = np.empty((len(pts), 2, 2, 3))
+        steps = np.empty((len(pts), 2))
+        for k, q in enumerate(pts):
+            for i, e in enumerate(axes[k]):
+                probes[k, i, 0] = self.project(q + h * e)
+                probes[k, i, 1] = self.project(q - h * e)
+                steps[k, i] = 0.5 * float(np.linalg.norm(probes[k, i, 0]
+                                                         - probes[k, i, 1]))
+        return probes, steps
+
+    def dual_norm(self, q, du) -> float:
+        """g-norm at one point q of du, given along an orthonormal basis."""
+        return float(np.sqrt(np.sum(du ** 2)) / np.exp(self.psi(q[None, :])[0]))
 
 
 def _tangent_frame(n: np.ndarray):
@@ -541,18 +642,26 @@ def metric_eval(b: Backend, p, v, w) -> float:
     return b.inner(p, v, w)
 
 
-def christoffel_apply(b: Backend, p, v) -> np.ndarray:
-    """Quadratic Christoffel action Gamma(p)(v, v)."""
-    return b.gamma2(p, v)
-
-
-def gauss_curvature(b: Backend, p) -> np.ndarray:
-    return b.gauss_curvature(p)
-
-
-def aux_distance(b: Backend, p, q) -> np.ndarray:
-    """Auxiliary comparison distance: wraparound chart / ambient chordal."""
-    return b.aux_distance(p, q)
+def validation_grid(b: Backend, spacing: float) -> np.ndarray:
+    """Evaluation grid: chart lattice, or a projected lat-long net on an
+    implicit surface."""
+    if isinstance(b, PeriodicChart):
+        L1, L2 = b.periods
+        xs = np.arange(0.0, L1, spacing)
+        ys = np.arange(0.0, L2, spacing)
+        return np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
+    probe = b.project(np.array([[1.0, 0.0, 0.0]]))
+    r = float(np.linalg.norm(probe[0]))
+    n_lat = max(8, int(np.pi * r / spacing))
+    pts = []
+    for i in range(1, n_lat):
+        phi = -0.5 * np.pi + np.pi * i / n_lat
+        n_lon = max(8, int(2 * np.pi * r * np.cos(phi) / spacing))
+        for j in range(n_lon):
+            th = 2 * np.pi * j / n_lon
+            pts.append([np.cos(phi) * np.cos(th), np.cos(phi) * np.sin(th),
+                        np.sin(phi)])
+    return b.project(r * np.array(pts))
 
 
 def conformal_family(b: Backend, phi: ScalarField, tau: float) -> Backend:
@@ -589,6 +698,4 @@ def linear_blend(b0: PeriodicChart, b1: PeriodicChart, tau: float) -> PeriodicCh
 
 
 def same_backend_family(a: Backend, b: Backend) -> bool:
-    if isinstance(a, PeriodicChart) and isinstance(b, PeriodicChart):
-        return a.periods == b.periods
-    return isinstance(a, ImplicitSurface) and isinstance(b, ImplicitSurface)
+    return type(a) is type(b) and a.periods == b.periods

@@ -12,10 +12,10 @@ from .cutanalysis import (CutProfile, PointCloud, compute_profiles,
                           injectivity_radius_direct, loop_scan,
                           separating_points, warner_bound)
 from .geometry import Backend, GeometryError, conformal_family, linear_blend, \
-    same_backend_family
+    same_backend_family, validation_grid
 from .submanifold import SubmanifoldSpec, embedding_family, \
     principal_curvature_bound
-from .wavefront import build_atlas, validation_grid
+from .wavefront import build_atlas
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,9 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import (ZERO_FIELD, Backend, GeometryError, ImplicitSurface,
-                       PeriodicChart)
+from .geometry import Backend, GeometryError
 
 _DS = 1e-5          # parameter step for curve/normal-field derivatives
-_ROT = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
 @dataclass(frozen=True)
@@ -142,10 +140,7 @@ def unit_normals(b: Backend, N: SubmanifoldSpec, s, sides):
     s = np.asarray(s, dtype=float)
     base = N.curve(s)
     tan = N.curve.velocity(s)
-    if isinstance(b, PeriodicChart):
-        raw = (_ROT @ (b.metric(base) @ tan[:, :, None]))[:, :, 0]
-    else:
-        raw = np.cross(b.unit_surface_normal(base), tan)
+    raw = b.left_normal(base, tan)
     slow = b.norm(base, tan) < 1e-10
     nrm = b.norm(base, raw)
     bad = np.flatnonzero(slow | (nrm < 1e-14))
@@ -159,12 +154,8 @@ def unit_normals(b: Backend, N: SubmanifoldSpec, s, sides):
 def direction_frame(b: Backend, p, angle: float) -> NormalFrame:
     """g-unit vector at a point p, at the given chart/tangent-plane angle."""
     p = np.asarray(p, dtype=float)
-    if isinstance(b, PeriodicChart):
-        raw = np.array([np.cos(angle), np.sin(angle)])
-    else:
-        from .geometry import _tangent_frame
-        e1, e2 = _tangent_frame(b.unit_surface_normal(p[None, :]))
-        raw = np.cos(angle) * e1[0] + np.sin(angle) * e2[0]
+    e1, e2 = b.tangent_basis(p[None, :])
+    raw = np.cos(angle) * e1[0] + np.sin(angle) * e2[0]
     nrm = float(b.norm(p, raw))
     return NormalFrame(float(angle), 1, p, raw / nrm)
 
@@ -224,19 +215,8 @@ def shape_operators(b: Backend, N: SubmanifoldSpec, s, sides) -> np.ndarray:
     base, n0 = base[0::3], n[0::3]
     dn = (n[1::3] - n[2::3]) / (2.0 * _DS)
     tan = N.curve.velocity(s)
-    if isinstance(b, PeriodicChart):
-        Dn = dn + b.christoffel_mixed(base, tan, n0)
-    else:
-        Dn = b.tangent_project(base, dn)
-        if b.psi is not ZERO_FIELD:
-            dpsi = b.psi_gradient(base)
-            Dn = Dn + _dot(dpsi, tan) * n0 + _dot(dpsi, n0) * tan
+    Dn = b.covariant_derivative(base, tan, n0, dn)
     return b.inner(base, Dn, tan) / b.inner(base, tan, tan)
-
-
-def _dot(u, v) -> np.ndarray:
-    """Row-wise u . v as a (k, 1) column, rounded as np.dot of two rows."""
-    return (u[:, None, :] @ v[:, :, None])[:, 0]
 
 
 def principal_curvature_bound(b: Backend, N: SubmanifoldSpec,
@@ -323,12 +303,9 @@ def foot_points(b: Backend, N: SubmanifoldSpec, Q: np.ndarray,
         s = np.mod(x, 1.0)
         foot = N.curve(s)
         d_aux = b.aux_distance(N.curve(x), Q)
-    # inside the tube: first-order g-length of the chart gap at its midpoint
-    gap = b.aux_gap(foot, Q)
-    mid = foot + 0.5 * gap if not isinstance(b, ImplicitSurface) else foot
-    d_g = np.sqrt(np.maximum(b.inner(mid, gap, gap), 0.0))
+    # inside the tube: the first-order g-length of the gap
     coarse = d_aux > tube_radius
-    return s, np.where(coarse, d_aux, d_g), coarse
+    return s, np.where(coarse, d_aux, b.gap_length(foot, Q)), coarse
 
 
 # ---------------------------------------------------------------------------
@@ -337,25 +314,20 @@ def foot_points(b: Backend, N: SubmanifoldSpec, Q: np.ndarray,
 
 def embedding_family(b: Backend, N0: SubmanifoldSpec, N1: SubmanifoldSpec,
                      tau: float) -> SubmanifoldSpec:
-    """Interpolated embedding: chart-linear with the wraparound choice that
-    minimizes displacement; ambient-linear then projected on surfaces."""
+    """Interpolated embedding, ``b.interpolate`` at every point: chart-linear
+    with the wraparound choice that minimizes displacement, or ambient-linear
+    then projected on surfaces."""
     if N0.dim != N1.dim:
         raise GeometryError("embedding_family needs matching dimensions")
     if tau == 0.0:
         return N0
     if N0.dim == 0:
-        if isinstance(b, PeriodicChart):
-            p = N0.point + tau * b.aux_gap(N0.point, N1.point)
-        else:
-            p = b.project((1.0 - tau) * N0.point + tau * N1.point)
-        return SubmanifoldSpec(0, point=p, m_N=N0.m_N)
+        return SubmanifoldSpec(0, point=b.interpolate(N0.point, N1.point, tau),
+                               m_N=N0.m_N)
     c0, c1 = N0.curve, N1.curve
-    if isinstance(b, PeriodicChart):
-        def fn(s):
-            a = c0.fn(s)
-            return a + tau * b.aux_gap(a, c1.fn(s))
-    else:
-        def fn(s):
-            return b.project((1.0 - tau) * c0.fn(s) + tau * c1.fn(s))
+
+    def fn(s):
+        return b.interpolate(c0.fn(s), c1.fn(s), tau)
+
     spec = CurveSpec(f"family({c0.name},{c1.name})", {"tau": tau}, fn)
     return SubmanifoldSpec(1, curve=spec, m_N=N0.m_N)

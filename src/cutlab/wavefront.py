@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geodesics import BatchPaths, integrate_batch
-from .geometry import Backend, PeriodicChart, _tangent_frame
+from .geometry import Backend, validation_grid
 from .submanifold import NormalFrame, SubmanifoldSpec, frames_for
 
 class CoverageError(Exception):
@@ -37,7 +37,7 @@ class _Grid:
     def over(cls, b: Backend, lo, hi, cell: float) -> "_Grid":
         """Cells at least ``cell`` wide: a chart's periods split into whole
         cells, or the box [lo, hi] of an implicit surface."""
-        if isinstance(b, PeriodicChart):
+        if b.periods is not None:
             L = np.array(b.periods)
             shape = tuple(int(max(1, np.floor(Li / cell))) for Li in L)
             return cls(np.zeros(2), L / np.array(shape), shape, L)
@@ -194,13 +194,10 @@ class WavefrontAtlas:
 
 
 def build_atlas(b: Backend, N: SubmanifoldSpec, m: int, t_max: float,
-                dt: float, threads: int = 1) -> WavefrontAtlas:
+                dt: float) -> WavefrontAtlas:
     """Integrate all normal directions (m per side for a curve, m circle
-    directions for a point) and index the samples for distance queries.
-
-    ``threads`` is accepted for compatibility and ignored: the directions
-    integrate as one batch, whose RK4 step loop holds the interpreter lock.
-    """
+    directions for a point) as one batch and index the samples for distance
+    queries."""
     if m < 16:
         raise ValueError("need m >= 16 directions")
     frames = frames_for(b, N, m)
@@ -415,28 +412,6 @@ def distance(atlas: WavefrontAtlas, q) -> DistanceResult:
 # eikonal validation
 # ---------------------------------------------------------------------------
 
-def validation_grid(b: Backend, spacing: float) -> np.ndarray:
-    """Evaluation grid: chart lattice, or a projected lat-long net on an
-    implicit surface."""
-    if isinstance(b, PeriodicChart):
-        L1, L2 = b.periods
-        xs = np.arange(0.0, L1, spacing)
-        ys = np.arange(0.0, L2, spacing)
-        return np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
-    probe = b.project(np.array([[1.0, 0.0, 0.0]]))
-    r = float(np.linalg.norm(probe[0]))
-    n_lat = max(8, int(np.pi * r / spacing))
-    pts = []
-    for i in range(1, n_lat):
-        phi = -0.5 * np.pi + np.pi * i / n_lat
-        n_lon = max(8, int(2 * np.pi * r * np.cos(phi) / spacing))
-        for j in range(n_lon):
-            th = 2 * np.pi * j / n_lon
-            pts.append([np.cos(phi) * np.cos(th), np.cos(phi) * np.sin(th),
-                        np.sin(phi)])
-    return b.project(r * np.array(pts))
-
-
 def eikonal_residual(atlas: WavefrontAtlas, grid_spacing: float,
                      exclusion_radius: float | None = None,
                      cut_points: np.ndarray | None = None) -> dict:
@@ -453,16 +428,17 @@ def eikonal_residual(atlas: WavefrontAtlas, grid_spacing: float,
     for blockers in ([N_pts] if cut_points is None else [N_pts, cut_points]):
         if len(blockers):
             keep &= ~(_min_aux_distance(b, grid, blockers) < exclusion_radius)
-    h = 0.5 * grid_spacing
     pts = grid[keep]
-    probes, steps = _gradient_probes(b, pts, h)
+    # u at q +- h e along two tangent axes e per point; steps is the half-width
+    # of each difference
+    probes, steps = b.probe_pairs(pts, 0.5 * grid_spacing)
     d, _err, _j, _t, status = _distance_rows(
         atlas, probes.reshape(-1, probes.shape[-1]))
     d = d.reshape(len(pts), 2, 2)
     ok = ~np.any(status.reshape(len(pts), 4) != 0, axis=1)
     # central differences (u(q + h e) - u(q - h e)) / (2 h) along each axis
     du = (d[:, :, 0] - d[:, :, 1]) / (2 * steps)
-    residuals = np.array([abs(_grad_norm(b, q, g) - 1.0)
+    residuals = np.array([abs(b.dual_norm(q, g) - 1.0)
                           for q, g in zip(pts[ok], du[ok])])
     return {
         "count": int(residuals.size),
@@ -485,61 +461,3 @@ def _min_aux_distance(b: Backend, pts: np.ndarray,
         gaps = b.aux_distance(others[None, :, :], q[:, None, :])
         out[i:i + _CHUNK_Q] = np.min(gaps, axis=1)
     return out
-
-
-def _gradient_probes(b: Backend, pts: np.ndarray, h: float):
-    """Probe points q +- h e along two axes per point, shape (n, 2, 2, d)
-    with [axis, sign], and the half-width of each difference, (n, 2) or a
-    scalar.  On a surface the axes span the tangent plane and the probes
-    are projected, so the half-width is half their chord."""
-    if isinstance(b, PeriodicChart):
-        E = h * np.eye(2)
-        plus, minus = pts[:, None, :] + E, pts[:, None, :] - E
-        return np.stack([plus, minus], axis=2), h
-    axes = np.stack(_tangent_frame(b.unit_surface_normal(pts)), axis=1)
-    probes = np.empty((len(pts), 2, 2, 3))
-    steps = np.empty((len(pts), 2))
-    for k, q in enumerate(pts):
-        for i, e in enumerate(axes[k]):
-            probes[k, i, 0] = b.project(q + h * e)
-            probes[k, i, 1] = b.project(q - h * e)
-            steps[k, i] = 0.5 * float(np.linalg.norm(probes[k, i, 0]
-                                                     - probes[k, i, 1]))
-    return probes, steps
-
-
-def _grad_norm(b: Backend, q: np.ndarray, du: np.ndarray) -> float:
-    """g-norm of the differential du (components along the probe axes)."""
-    if isinstance(b, PeriodicChart):
-        g = b.metric(q[None, :])[0]
-        ginv = np.linalg.inv(g)
-        return float(np.sqrt(du @ ginv @ du))
-    return float(np.sqrt(np.sum(du ** 2)) / np.exp(b.psi(q[None, :])[0]))
-
-
-# ---------------------------------------------------------------------------
-# convergence of distance functions along a family
-# ---------------------------------------------------------------------------
-
-def distance_convergence_probe(family, taus, q_family, m: int, t_max: float,
-                               dt: float, tol: float = 1e-2) -> dict:
-    """|d_tau(N_tau, q_tau) - d_0(N_0, q_0)| along a ladder of taus.
-
-    ``family(tau) -> (backend, N)`` and ``q_family(tau) -> point``.  The
-    ladder must decrease to 0; the verdict asks the deviations to decrease
-    to below tol.
-    """
-    b0, N0 = family(0.0)
-    atlas0 = build_atlas(b0, N0, m, t_max, dt)
-    d0 = distance(atlas0, q_family(0.0)).d
-    rows = []
-    for tau in taus:
-        bt, Nt = family(tau)
-        atlas = build_atlas(bt, Nt, m, t_max, dt)
-        dt_val = distance(atlas, q_family(tau)).d
-        rows.append({"tau": tau, "d": dt_val, "deviation": abs(dt_val - d0)})
-    devs = [r["deviation"] for r in rows]
-    slack = 2.0 * atlas0.err
-    decreasing = all(devs[i + 1] <= devs[i] + slack for i in range(len(devs) - 1))
-    return {"d0": d0, "rows": rows,
-            "verdict": bool(decreasing and devs[-1] < tol)}

@@ -64,3 +64,11 @@ def sphere_backend():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20260826)
+
+
+@pytest.fixture(scope="session")
+def sphere_psi_backend():
+    from cutlab.geometry import ImplicitSurface, ambient_scalar_field, \
+        level_surface
+    return ImplicitSurface(level_surface("sphere", radius=1.0),
+                           psi=ambient_scalar_field("linear-z", amplitude=0.3))

@@ -290,3 +290,127 @@ def reference_shape_operator(b, N, s, side):
             Dn = Dn + np.dot(dpsi, tan) * n0 + np.dot(dpsi, n0) * tan
     t2 = float(b.inner(base, tan, tan))
     return float(b.inner(base, Dn, tan)) / t2
+
+
+# -- the chart / surface branches of the shared algorithms ------------------
+# Each reference below keeps the body that branched on the backend kind
+# before the branches became backend methods; the package must agree with
+# it bit for bit.
+
+def reference_integrate(b, p0, v0, t_max, dt):
+    """(pos, vel) of the fixed-step RK4 batch, re-projecting onto an
+    implicit surface after every step with the pre-projection speed."""
+    p0 = np.atleast_2d(np.asarray(p0, dtype=float))
+    v0 = np.atleast_2d(np.asarray(v0, dtype=float))
+    n_steps = int(np.ceil(t_max / dt - 1e-12))
+    tg = np.append(dt * np.arange(n_steps), t_max)
+    pos, vel = [p0], [v0]
+    x, v = p0.copy(), v0.copy()
+
+    def rhs(x, v):
+        return v, -b.gamma2(x, v)
+
+    for i in range(n_steps):
+        h = tg[i + 1] - tg[i]
+        k1x, k1v = rhs(x, v)
+        k2x, k2v = rhs(x + 0.5 * h * k1x, v + 0.5 * h * k1v)
+        k3x, k3v = rhs(x + 0.5 * h * k2x, v + 0.5 * h * k2v)
+        k4x, k4v = rhs(x + h * k3x, v + h * k3v)
+        x = x + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
+        v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
+        if b.periods is None:
+            speed = b.norm(x, v)
+            x = b.project(x)
+            v = b.tangent_project(x, v)
+            new_speed = b.norm(x, v)
+            scale = np.where(new_speed > 0.0,
+                             speed / np.maximum(new_speed, 1e-300), 1.0)
+            v = v * scale[..., None]
+        pos.append(x)
+        vel.append(v)
+    return np.stack(pos, axis=1), np.stack(vel, axis=1)
+
+
+def reference_pair_det(b, base, a, c):
+    """2D determinant of the pairs (a, c) in chart or ambient-tangent
+    coordinates."""
+    if b.periods is not None:
+        return a[:, 0] * c[:, 1] - a[:, 1] * c[:, 0]
+    n = b.unit_surface_normal(base)
+    cross = np.cross(a, c)
+    return np.sum(cross * n, axis=-1)
+
+
+def reference_direction_frame(b, p, angle):
+    """g-unit vector at a point p at the given chart / tangent-plane angle."""
+    from cutlab.geometry import _tangent_frame
+    p = np.asarray(p, dtype=float)
+    if b.periods is not None:
+        raw = np.array([np.cos(angle), np.sin(angle)])
+    else:
+        e1, e2 = _tangent_frame(b.unit_surface_normal(p[None, :]))
+        raw = np.cos(angle) * e1[0] + np.sin(angle) * e2[0]
+    return raw / float(b.norm(p, raw))
+
+
+def reference_foot_points(b, N, Q, tube_radius=0.1, tol=1e-8):
+    """(s, d_est, coarse) of the foot points of the rows of Q; inside the
+    tube d_est is the g-length of the gap, with the metric at the gap's
+    midpoint on a chart and at the foot on a surface."""
+    from cutlab.submanifold import golden_section
+    if N.dim == 0:
+        s = np.zeros(len(Q))
+        foot = N.point
+        d_aux = b.aux_distance(N.point, Q)
+    else:
+        pts = N.sample_points()
+        m = pts.shape[0]
+        j = b.aux_distance(pts[None, :, :], Q[:, None, :]).argmin(axis=1)
+        x = golden_section(lambda s, idx: b.aux_distance(N.curve(s), Q[idx]),
+                           (j - 1) / m, (j + 1) / m, tol)
+        s = np.mod(x, 1.0)
+        foot = N.curve(s)
+        d_aux = b.aux_distance(N.curve(x), Q)
+    gap = b.aux_gap(foot, Q)
+    mid = foot + 0.5 * gap if b.periods is not None else foot
+    d_g = np.sqrt(np.maximum(b.inner(mid, gap, gap), 0.0))
+    coarse = d_aux > tube_radius
+    return s, np.where(coarse, d_aux, d_g), coarse
+
+
+def reference_interpolate(b, x0, x1, tau):
+    """Embedding-family point between x0 and x1: chart-linear along the
+    wraparound gap, or ambient-linear then projected on a surface."""
+    if b.periods is not None:
+        return x0 + tau * b.aux_gap(x0, x1)
+    return b.project((1.0 - tau) * x0 + tau * x1)
+
+
+def reference_gradient_probes(b, pts, h):
+    """Probe points q +- h e, shape (n, 2, 2, d) with [axis, sign], and the
+    half-width of each difference: h on a chart, half the chord of the
+    projected probes on a surface."""
+    from cutlab.geometry import _tangent_frame
+    if b.periods is not None:
+        E = h * np.eye(2)
+        plus, minus = pts[:, None, :] + E, pts[:, None, :] - E
+        return np.stack([plus, minus], axis=2), h
+    axes = np.stack(_tangent_frame(b.unit_surface_normal(pts)), axis=1)
+    probes = np.empty((len(pts), 2, 2, 3))
+    steps = np.empty((len(pts), 2))
+    for k, q in enumerate(pts):
+        for i, e in enumerate(axes[k]):
+            probes[k, i, 0] = b.project(q + h * e)
+            probes[k, i, 1] = b.project(q - h * e)
+            steps[k, i] = 0.5 * float(np.linalg.norm(probes[k, i, 0]
+                                                     - probes[k, i, 1]))
+    return probes, steps
+
+
+def reference_grad_norm(b, q, du):
+    """g-norm at q of the differential du given along the probe axes."""
+    if b.periods is not None:
+        g = b.metric(q[None, :])[0]
+        ginv = np.linalg.inv(g)
+        return float(np.sqrt(du @ ginv @ du))
+    return float(np.sqrt(np.sum(du ** 2)) / np.exp(b.psi(q[None, :])[0]))

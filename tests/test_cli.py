@@ -165,3 +165,45 @@ def test_validate_refinement_ratio_warped(tmp_path):
     assert main(["validate", "--config", cfg, "--out", str(out)]) == 0
     rep = json.loads((out / "validate.json").read_text())
     assert 12.0 <= rep["refinement"]["ratio"] <= 20.0
+
+
+_INLINE = {"backend": {"kind": "periodic-chart", "periods": [1.0, 1.0],
+                       "metric": {"name": "flat"}},
+           "submanifold": {"dim": 1, "m_N": 64,
+                           "curve": {"name": "horizontal-circle", "y0": 0.0}},
+           "resolution": {"m": 64, "dt": 2e-3, "t_max": 1.2}}
+
+
+@pytest.mark.parametrize("cfg, key", [
+    ({**FAST, "threads": "abc"}, "threads"),
+    ({**FAST, "seed": "x"}, "seed"),
+    ({**FAST, "resolution": {"m": "many"}}, "resolution.m"),
+    ({**FAST, "resolution": {"m_N": "x"}}, "resolution.m_N"),
+    ({**FAST, "resolution": {"dt": None}}, "resolution.dt"),
+    ({**_INLINE, "submanifold": {**_INLINE["submanifold"], "m_N": "x"}},
+     "submanifold.m_N"),
+    ({**FAST, "resolution": {"m": 8}}, "resolution.m"),
+    ({**FAST, "resolution": {"m": 16.7}}, "resolution.m"),
+    ({**_INLINE, "backend": {**_INLINE["backend"],
+                             "metric": {"name": "no-such-metric"}}},
+     "backend"),
+], ids=["threads", "seed", "m-text", "m_N-text", "dt-null", "submanifold-m_N",
+        "m-below-16", "m-fraction", "unknown-metric"])
+def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, cfg, key):
+    argv = ["inj", "--config", json.dumps(cfg), "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key}: ") and err.count("\n") == 1
+
+
+def test_long_inline_json_config_runs(tmp_path):
+    cfg = json.dumps({**_INLINE, "seed": 0, "threads": 1,
+                      "out": str(tmp_path / "from_cfg")})
+    assert len(cfg) > 300
+    assert main(["inj", "--config", cfg]) == 0
+    assert (tmp_path / "from_cfg" / "inj.json").exists()
+
+
+def test_unreadable_config_path_exits_2(tmp_path, capsys):
+    assert main(["inj", "--config", str(tmp_path / "missing.json")]) == 2
+    assert "missing.json" in capsys.readouterr().err

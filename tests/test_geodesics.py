@@ -8,7 +8,7 @@ from cutlab.geodesics import (IntegrationError, exp_map, hermite_batch,
 from cutlab.submanifold import curve_submanifold, chart_curve, frame_fn_for, \
     unit_normal
 
-from oracles import great_circle
+from oracles import great_circle, reference_integrate, reference_pair_det
 
 
 def test_flat_torus_geodesics_are_straight(flat_backend):
@@ -210,3 +210,32 @@ def test_hermite_batch_matches_hermite_sample_bitwise(warped_backend):
         p, v = hermite_batch(tg, batch.pos, batch.vel, [1], [t])
         np.testing.assert_array_equal(p[0], batch.pos[1, i])
         np.testing.assert_array_equal(v[0], batch.vel[1, i])
+
+
+# -- backend steps against the bodies that branched on the backend kind -----
+
+_STARTS = {"warped": ([[0.1, 0.2], [0.5, 0.9]], [[0.6, 0.8], [0.0, 1.0]]),
+           "sphere_psi": ([[1.0, 0.0, 0.0], [0.0, 0.6, 0.8]],
+                          [[0.0, 0.6, 0.8], [1.0, 0.0, 0.0]])}
+
+
+@pytest.mark.parametrize("name", ["warped", "sphere_psi"])
+def test_integrate_batch_matches_reference_bitwise(name, request):
+    b = request.getfixturevalue(name + "_backend")
+    p0, v0 = _STARTS[name]
+    batch = integrate_batch(b, p0, v0, 0.6, 2e-3)
+    pos, vel = reference_integrate(b, p0, v0, 0.6, 2e-3)
+    np.testing.assert_array_equal(batch.pos, pos)
+    np.testing.assert_array_equal(batch.vel, vel)
+
+
+@pytest.mark.parametrize("name", ["warped", "sphere_psi"])
+def test_pair_det_matches_reference_bitwise(name, request, rng):
+    b = request.getfixturevalue(name + "_backend")
+    p0, v0 = _STARTS[name]
+    batch = integrate_batch(b, p0, v0, 0.6, 2e-3)
+    base = batch.pos.reshape(-1, batch.pos.shape[-1])
+    a, c = (b.constrain_velocity(base, rng.normal(size=base.shape))
+            for _ in range(2))
+    np.testing.assert_array_equal(b.pair_det(base, a, c),
+                                  reference_pair_det(b, base, a, c))

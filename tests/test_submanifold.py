@@ -12,7 +12,9 @@ from cutlab.submanifold import (CurveSpec, chart_curve, curve_submanifold,
                                 shape_operators, surface_curve, unit_normal,
                                 unit_normals)
 
-from oracles import reference_shape_operator, reference_unit_normal
+from oracles import (reference_direction_frame, reference_foot_points,
+                     reference_interpolate, reference_shape_operator,
+                     reference_unit_normal)
 
 
 @pytest.fixture(scope="module")
@@ -267,3 +269,62 @@ def test_embedding_family_dim_mismatch(flat_backend):
     N1 = curve_submanifold(chart_curve("horizontal-circle", (1.0, 1.0)))
     with pytest.raises(GeometryError):
         embedding_family(flat_backend, N0, N1, 0.5)
+
+
+# -- backend steps against the bodies that branched on the backend kind -----
+
+@pytest.mark.parametrize("name", ["warped", "sphere", "sphere_psi"])
+def test_foot_points_match_reference_bitwise(name, request, rng):
+    b = request.getfixturevalue(name + "_backend")
+    if name == "warped":
+        curve = chart_curve("chart-circle", (1.0, 1.0), center=(0.4, 0.6),
+                            r=0.2)
+        point = [0.95, 0.25]
+    else:
+        curve = surface_curve("latitude", z0=0.3)
+        point = [0.0, 0.6, 0.8]
+    for N in (curve_submanifold(curve, m_N=64), point_submanifold(point)):
+        # queries scattered about N, inside and beyond the tube
+        near = N.sample_points(40) if N.dim else np.tile(N.point, (40, 1))
+        Q = near + rng.normal(scale=0.1, size=near.shape)
+        if b.periods is None:
+            Q = b.project(Q)
+        got = foot_points(b, N, Q, tube_radius=0.15)
+        want = reference_foot_points(b, N, Q, tube_radius=0.15)
+        assert not got[2].all() and got[2].any()    # both branches taken
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
+
+@pytest.mark.parametrize("name", ["warped", "sphere", "sphere_psi"])
+def test_direction_circle_matches_reference_bitwise(name, request):
+    b = request.getfixturevalue(name + "_backend")
+    p = [0.3, 0.7] if name == "warped" else [0.0, 0.6, 0.8]
+    for j, f in enumerate(direction_circle(b, p, 32)):
+        ref = reference_direction_frame(b, p, 2.0 * np.pi * j / 32)
+        assert f.n.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("name", ["warped", "sphere"])
+def test_embedding_family_matches_reference_bitwise(name, request):
+    b = request.getfixturevalue(name + "_backend")
+    if name == "warped":
+        L = (1.0, 1.0)
+        points = [0.9, 0.2], [0.1, 0.35]         # across the seam
+        curves = (chart_curve("horizontal-circle", L, y0=0.95),
+                  chart_curve("chart-circle", L, center=(0.5, 0.1), r=0.2))
+    else:
+        points = [0.0, 0.6, 0.8], [0.6, 0.0, -0.8]
+        curves = (surface_curve("equator"), surface_curve("latitude", z0=0.3))
+    s = np.linspace(-0.5, 1.5, 41)
+    for tau in (0.3, 0.7, 1.0):
+        Nt = embedding_family(b, point_submanifold(points[0]),
+                              point_submanifold(points[1]), tau)
+        ref = reference_interpolate(b, np.array(points[0]),
+                                    np.array(points[1]), tau)
+        assert Nt.point.tobytes() == ref.tobytes()
+        Ct = embedding_family(b, curve_submanifold(curves[0]),
+                              curve_submanifold(curves[1]), tau)
+        np.testing.assert_array_equal(
+            Ct.curve(s),
+            reference_interpolate(b, curves[0](s), curves[1](s), tau))

@@ -9,7 +9,8 @@ from cutlab.wavefront import (CoverageError, _distance_rows, build_atlas,
                               validation_grid)
 
 from oracles import (brute_distance, flat_torus_line_distance,
-                     flat_torus_point_distance)
+                     flat_torus_point_distance, reference_gradient_probes,
+                     reference_grad_norm)
 
 
 @pytest.fixture(scope="module")
@@ -81,9 +82,10 @@ def test_tie_break_is_deterministic(flat_line_atlas):
 
 
 def test_thread_count_does_not_change_atlas(flat_backend):
+    # the atlas takes no thread count; two builds must agree exactly
     N = curve_submanifold(chart_curve("horizontal-circle", (1.0, 1.0), y0=0.0))
-    a1 = build_atlas(flat_backend, N, 64, 0.8, 1e-3, threads=1)
-    a8 = build_atlas(flat_backend, N, 64, 0.8, 1e-3, threads=8)
+    a1 = build_atlas(flat_backend, N, 64, 0.8, 1e-3)
+    a8 = build_atlas(flat_backend, N, 64, 0.8, 1e-3)
     np.testing.assert_array_equal(a1.sample_pos, a8.sample_pos)
     np.testing.assert_array_equal(a1.sample_t, a8.sample_t)
     assert a1.certificate == a8.certificate
@@ -225,3 +227,17 @@ def test_distance_err_squares_like_a_python_float(flat_point_atlas, rng):
     want = [float(g * lam) ** 2 + atlas.dt
             for g, lam in zip(gaps, atlas.sample_lam[s])]
     np.testing.assert_array_equal(err[ok], want)
+
+
+# -- backend steps against the bodies that branched on the backend kind -----
+
+@pytest.mark.parametrize("name", ["warped", "sphere", "sphere_psi"])
+def test_probes_and_dual_norm_match_reference_bitwise(name, request, rng):
+    b = request.getfixturevalue(name + "_backend")
+    pts = validation_grid(b, 0.2)
+    probes, steps = b.probe_pairs(pts, 0.05)
+    ref_probes, ref_steps = reference_gradient_probes(b, pts, 0.05)
+    np.testing.assert_array_equal(probes, ref_probes)
+    np.testing.assert_array_equal(steps, ref_steps)
+    for q, du in zip(pts, rng.normal(size=(len(pts), 2))):
+        assert b.dual_norm(q, du) == reference_grad_norm(b, q, du)
