@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -40,6 +41,16 @@ def _number(value, key: str, integer: bool = False, positive: bool = True):
     if positive and x <= 0:
         raise ConfigError(f"{key}: must be positive")
     return int(x) if integer else x
+
+
+@contextmanager
+def _named(key: str):
+    """Re-raise a constructor's rejection of a config value as a ConfigError
+    that names the key."""
+    try:
+        yield
+    except (GeometryError, TypeError, ValueError) as ex:
+        raise ConfigError(f"{key}: {ex}") from ex
 
 
 @dataclass
@@ -105,29 +116,36 @@ def build_submanifold(b: Backend, spec: dict) -> SubmanifoldSpec:
     if dim == 0:
         if "point" not in spec:
             raise ConfigError("submanifold.point: required for dim 0")
-        return point_submanifold(spec["point"], m_N=m_N)
+        with _named("submanifold.point"):
+            N = point_submanifold(spec["point"], m_N=m_N)
+        if N.point.shape != (b.dim,):
+            raise ConfigError(f"submanifold.point: expected {b.dim} "
+                              f"coordinates, got {spec['point']!r}")
+        return N
     if dim == 1:
-        cspec = dict(spec.get("curve", {}))
-        name = cspec.pop("name", None)
-        if name is None:
-            raise ConfigError("submanifold.curve.name: required")
-        if isinstance(b, PeriodicChart):
-            curve = chart_curve(name, b.periods, **cspec)
-        else:
-            curve = surface_curve(name, **cspec)
+        with _named("submanifold.curve"):
+            cspec = dict(spec.get("curve", {}))
+            name = cspec.pop("name", None)
+            if name is None:
+                raise ConfigError("submanifold.curve.name: required")
+            if isinstance(b, PeriodicChart):
+                curve = chart_curve(name, b.periods, **cspec)
+            else:
+                curve = surface_curve(name, **cspec)
         return curve_submanifold(curve, m_N=m_N)
     raise ConfigError(f"submanifold.dim: must be 0 or 1, got {dim!r}")
 
 
 def build_family_field(cfg: RunConfig, b: Backend):
     """Scalar field for a conformal family, from the family block."""
-    fspec = dict(cfg.family.get("phi", {}))
-    name = fspec.pop("name", None)
-    if name is None:
-        raise ConfigError("family.phi.name: required")
-    if isinstance(b, PeriodicChart):
-        return chart_scalar_field(name, b.periods, **fspec)
-    return ambient_scalar_field(name, **fspec)
+    with _named("family.phi"):
+        fspec = dict(cfg.family.get("phi", {}))
+        name = fspec.pop("name", None)
+        if name is None:
+            raise ConfigError("family.phi.name: required")
+        if isinstance(b, PeriodicChart):
+            return chart_scalar_field(name, b.periods, **fspec)
+        return ambient_scalar_field(name, **fspec)
 
 
 def _parse_resolution(block: dict) -> Resolution:
@@ -168,10 +186,8 @@ def parse_config(source) -> RunConfig:
                               "when no scenario is named")
         cfg = RunConfig(None, data["backend"], data["submanifold"],
                         Resolution(), None, raw=dict(data))
-        try:                              # validate eagerly
+        with _named("backend"):           # validate eagerly
             build_backend(cfg.backend_spec)
-        except (GeometryError, TypeError, ValueError) as ex:
-            raise ConfigError(f"backend: {ex}") from ex
     if "backend" in data and cfg.scenario is not None:
         raise ConfigError("config.backend: conflicts with scenario")
     if "resolution" in data:

@@ -20,6 +20,28 @@ class GeometryError(Exception):
     """Raised for degenerate metric data (non-SPD, non-finite, mismatch)."""
 
 
+def check_params(kind: str, name: str, params: dict, known: dict):
+    """Raise a GeometryError unless ``name`` is a known ``kind`` and its
+    constructor reads every key of ``params``; ``known`` maps each name to
+    the parameters it reads."""
+    if name not in known:
+        raise GeometryError(f"unknown {kind} {name!r}")
+    for key in params:
+        if key not in known[name]:
+            raise GeometryError(f"{kind} {name!r}: unknown parameter {key!r}")
+
+
+def row_sum(a) -> np.ndarray:
+    """np.sum(a, axis=-1) over an axis of length 2 or 3, bit for bit: NumPy
+    adds such rows left to right, and + 0.0 turns a -0.0 sum into +0.0 as
+    its reduction does.  Component sums skip the reduction's overhead."""
+    out = a[..., 0] + a[..., 1]
+    if a.shape[-1] == 3:
+        out += a[..., 2]
+    out += 0.0
+    return out
+
+
 # ---------------------------------------------------------------------------
 # scalar fields (conformal exponents, perturbation bumps)
 # ---------------------------------------------------------------------------
@@ -39,6 +61,9 @@ class ScalarField:
 def chart_scalar_field(name: str, periods, **params) -> ScalarField:
     """Built-in periodic scalar fields on a chart with the given periods."""
     L1, L2 = float(periods[0]), float(periods[1])
+    check_params("chart scalar field", name, params, {
+        "constant": ("value",), "sine-x": ("amplitude", "harmonic"),
+        "sine-y": ("amplitude", "harmonic"), "bump-xy": ("amplitude",)})
     if name == "constant":
         c = float(params.get("value", 0.0))
         fn = lambda p: np.full(p.shape[:-1], c)
@@ -54,13 +79,14 @@ def chart_scalar_field(name: str, periods, **params) -> ScalarField:
         a = float(params.get("amplitude", 1.0))
         fn = lambda p: (a * np.sin(2.0 * np.pi * p[..., 0] / L1)
                         * np.sin(2.0 * np.pi * p[..., 1] / L2))
-    else:
-        raise GeometryError(f"unknown chart scalar field {name!r}")
     return ScalarField(name, dict(params), fn)
 
 
 def ambient_scalar_field(name: str, **params) -> ScalarField:
     """Built-in scalar fields on 3-space (conformal exponents for surfaces)."""
+    check_params("ambient scalar field", name, params, {
+        "constant": ("value",), "linear-z": ("amplitude",),
+        "sine-z": ("amplitude", "wavenumber")})
     if name == "constant":
         c = float(params.get("value", 0.0))
         fn = lambda p: np.full(p.shape[:-1], c)
@@ -71,8 +97,6 @@ def ambient_scalar_field(name: str, **params) -> ScalarField:
         a = float(params.get("amplitude", 1.0))
         k = float(params.get("wavenumber", 1.0))
         fn = lambda p: a * np.sin(k * p[..., 2])
-    else:
-        raise GeometryError(f"unknown ambient scalar field {name!r}")
     return ScalarField(name, dict(params), fn)
 
 
@@ -98,6 +122,10 @@ class ChartMetricField:
 
 def chart_metric_field(name: str, periods, **params) -> ChartMetricField:
     L1, L2 = float(periods[0]), float(periods[1])
+    check_params("chart metric field", name, params, {
+        "flat": (), "warped-diag": ("amplitude", "harmonic"),
+        "warped-diag-g22": ("amplitude", "harmonic"),
+        "conformal-bump": ("amplitude",)})
 
     def _diag(f11, f22):
         def fn(p):
@@ -134,8 +162,6 @@ def chart_metric_field(name: str, periods, **params) -> ChartMetricField:
             g[..., 0, 0] = w
             g[..., 1, 1] = w
             return g
-    else:
-        raise GeometryError(f"unknown chart metric field {name!r}")
     return ChartMetricField(name, dict(params), fn)
 
 
@@ -325,7 +351,8 @@ class PeriodicChart(_Shared):
         return d
 
     def aux_distance(self, p, q) -> np.ndarray:
-        return np.sqrt(np.sum(self.aux_gap(p, q) ** 2, axis=-1))
+        d = self.aux_gap(p, q)
+        return np.sqrt(row_sum(d * d))
 
     # -- the chart's side of the shared algorithms -----------------------------
 
@@ -390,6 +417,8 @@ class LevelSurface:
 
 
 def level_surface(name: str, **params) -> LevelSurface:
+    check_params("implicit surface", name, params,
+                 {"sphere": ("radius",), "ellipsoid": ("semi_axes",)})
     if name == "sphere":
         r = float(params.get("radius", 1.0))
 
@@ -413,8 +442,6 @@ def level_surface(name: str, **params) -> LevelSurface:
         def hess(p):
             return np.broadcast_to(np.diag(2.0 / ax ** 2),
                                    p.shape[:-1] + (3, 3)).copy()
-    else:
-        raise GeometryError(f"unknown implicit surface {name!r}")
     return LevelSurface(name, dict(params), h, grad, hess)
 
 
@@ -438,26 +465,30 @@ class ImplicitSurface(_Shared):
 
     # -- constraint --------------------------------------------------------
 
-    def project(self, pts) -> np.ndarray:
-        """Newton projection onto {h = 0} along grad h."""
+    def project(self, pts, rowwise: bool = False) -> np.ndarray:
+        """Newton projection onto {h = 0} along grad h.  Every row steps
+        until all rows have converged; with ``rowwise`` a converged row stops,
+        so that each row ends where projecting it alone would."""
         x = np.array(pts, dtype=float)
         for _ in range(30):
             hv = self.surface.h(x)
-            if np.all(np.abs(hv) <= self.proj_tol):
+            off = ~(np.abs(hv) <= self.proj_tol)     # NaN steps on
+            if not np.any(off):
                 break
             g = self.surface.grad(x)
-            x = x - (hv / np.sum(g * g, axis=-1))[..., None] * g
+            step = (hv / row_sum(g * g))[..., None] * g
+            x = x - (np.where(off[..., None], step, 0.0) if rowwise else step)
         else:
             raise GeometryError("implicit projection did not converge")
         return x
 
     def unit_surface_normal(self, pts) -> np.ndarray:
         g = self.surface.grad(np.asarray(pts, dtype=float))
-        return g / np.linalg.norm(g, axis=-1, keepdims=True)
+        return g / np.sqrt(row_sum(g * g))[..., None]
 
     def tangent_project(self, pts, v) -> np.ndarray:
         n = self.unit_surface_normal(pts)
-        return v - np.sum(v * n, axis=-1, keepdims=True) * n
+        return v - row_sum(v * n)[..., None] * n
 
     # -- metric ------------------------------------------------------------
 
@@ -465,8 +496,8 @@ class ImplicitSurface(_Shared):
         return np.exp(2.0 * self.psi(pts))
 
     def inner(self, pts, v, w) -> np.ndarray:
-        return self.conformal_weight(pts) * np.sum(
-            np.asarray(v, float) * np.asarray(w, float), axis=-1)
+        return self.conformal_weight(pts) * row_sum(
+            np.asarray(v, float) * np.asarray(w, float))
 
     def lam_sqrt_max(self, pts) -> np.ndarray:
         return np.exp(self.psi(pts))
@@ -551,7 +582,8 @@ class ImplicitSurface(_Shared):
         return np.asarray(q, dtype=float) - np.asarray(p, dtype=float)
 
     def aux_distance(self, p, q) -> np.ndarray:
-        return np.linalg.norm(self.aux_gap(p, q), axis=-1)
+        d = self.aux_gap(p, q)
+        return np.sqrt(row_sum(d * d))
 
     # -- the surface's side of the shared algorithms -------------------------
 
@@ -597,19 +629,15 @@ class ImplicitSurface(_Shared):
         return self.project((1.0 - tau) * p + tau * q)
 
     def probe_pairs(self, pts, h: float):
-        """Points q +- h e along the tangent basis of each point q, projected
-        one point at a time, shape (n, 2, 2, 3) with [axis, sign], and half
+        """Points q +- h e along the tangent basis of each point q, each
+        projected as if alone, shape (n, 2, 2, 3) with [axis, sign], and half
         the chord of each pair, shape (n, 2)."""
-        axes = np.stack(self.tangent_basis(pts), axis=1)
-        probes = np.empty((len(pts), 2, 2, 3))
-        steps = np.empty((len(pts), 2))
-        for k, q in enumerate(pts):
-            for i, e in enumerate(axes[k]):
-                probes[k, i, 0] = self.project(q + h * e)
-                probes[k, i, 1] = self.project(q - h * e)
-                steps[k, i] = 0.5 * float(np.linalg.norm(probes[k, i, 0]
-                                                         - probes[k, i, 1]))
-        return probes, steps
+        step = h * np.stack(self.tangent_basis(pts), axis=1)
+        raw = np.stack([pts[:, None, :] + step, pts[:, None, :] - step], axis=2)
+        probes = self.project(raw.reshape(-1, 3), rowwise=True).reshape(raw.shape)
+        # _dot rounds as the np.linalg.norm of one chord does
+        chord = (probes[:, :, 0] - probes[:, :, 1]).reshape(-1, 3)
+        return probes, 0.5 * np.sqrt(_dot(chord, chord)).reshape(len(pts), 2)
 
     def dual_norm(self, q, du) -> float:
         """g-norm at one point q of du, given along an orthonormal basis."""

@@ -7,7 +7,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import Backend, GeometryError
+from .geometry import Backend, GeometryError, check_params
 
 _DS = 1e-5          # parameter step for curve/normal-field derivatives
 
@@ -32,6 +32,8 @@ class CurveSpec:
 
 def chart_curve(name: str, periods, **params) -> CurveSpec:
     L1, L2 = float(periods[0]), float(periods[1])
+    check_params("chart curve", name, params, {
+        "horizontal-circle": ("y0",), "chart-circle": ("center", "r")})
     if name == "horizontal-circle":
         y0 = float(params.get("y0", 0.0))
 
@@ -44,21 +46,16 @@ def chart_curve(name: str, periods, **params) -> CurveSpec:
         def fn(s):
             a = 2.0 * np.pi * s
             return np.stack([cx + r * np.cos(a), cy + r * np.sin(a)], axis=-1)
-    else:
-        raise GeometryError(f"unknown chart curve {name!r}")
     return CurveSpec(name, dict(params), fn)
 
 
 def surface_curve(name: str, **params) -> CurveSpec:
+    check_params("surface curve", name, params,
+                 {"equator": ("radius",), "latitude": ("radius", "z0")})
     r = float(params.get("radius", 1.0))
-    if name == "equator":
-        z0 = 0.0
-    elif name == "latitude":
-        z0 = float(params.get("z0", 0.0))
-        if abs(z0) >= r:
-            raise GeometryError("latitude z0 must satisfy |z0| < radius")
-    else:
-        raise GeometryError(f"unknown surface curve {name!r}")
+    z0 = float(params.get("z0", 0.0))
+    if name == "latitude" and abs(z0) >= r:
+        raise GeometryError("latitude z0 must satisfy |z0| < radius")
     rho = np.sqrt(r * r - z0 * z0)
 
     def fn(s):

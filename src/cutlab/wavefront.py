@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geodesics import BatchPaths, integrate_batch
-from .geometry import Backend, validation_grid
+from .geometry import Backend, row_sum, validation_grid
 from .submanifold import NormalFrame, SubmanifoldSpec, frames_for
 
 class CoverageError(Exception):
@@ -298,20 +298,12 @@ def _distance_rows(atlas: WavefrontAtlas, Q: np.ndarray):
     """distance() of every row of Q without raising: arrays d, err,
     dir_idx, t and status (0 certified, 1 no trustworthy sample, 2 at the
     coverage edge)."""
-    b = atlas.backend
     ix = atlas.index
     n = len(Q)
     pick = np.full(n, -1, dtype=np.int64)
     d = np.full(n, np.nan)
     gap = np.full(n, np.nan)
-
-    def near(qi, s):
-        vec = b.aux_gap(atlas.sample_pos[s], Q[qi])
-        # the length b.aux_distance takes, on both backends, bit for bit
-        gaps = np.sqrt(np.sum(vec ** 2, axis=-1))
-        keep = gaps <= _caps(atlas.sample_gap[s], atlas.dt)
-        return qi[keep], s[keep], gaps[keep], vec[keep]
-
+    near = functools.partial(_near, atlas, Q, atlas.backend.wrap(Q))
     for c0 in range(0, n, _CHUNK_Q):
         Qc = Q[c0:c0 + _CHUNK_Q]
         parts = [t.ranges(t.grid.cells(Qc), 1) for t in ix.tiers]
@@ -340,31 +332,59 @@ def _distance_rows(atlas: WavefrontAtlas, Q: np.ndarray):
     return d, err, dir_idx, t, status
 
 
+def _near(atlas, Q, Qw, qi, s):
+    """The (query row, sample) pairs whose auxiliary gap is at most the
+    sample's cap, with that gap's length and vector; Qw is Q wrapped.
+
+    Row gathers use take and masks flatnonzero: NumPy's fancy and boolean
+    indexing copy the same values several times slower."""
+    b = atlas.backend
+    x = atlas.sample_pos.take(s, axis=0)
+    cap = _caps(atlas.sample_gap.take(s), atlas.dt)
+    if b.periods is not None:
+        # np.mod in aux_gap is costly: first drop the pairs whose folded
+        # gap min(|dx|, L - |dx|), which is within rounding of the exact
+        # one, exceeds the cap by more than a 1e-6 relative margin
+        L = np.array(b.periods)
+        f = np.abs(Qw.take(qi, axis=0) - x)
+        f = np.minimum(f, L - f)
+        i = np.flatnonzero(row_sum(f * f) <= np.square(cap * (1.0 + 1e-6)))
+        qi, s, x, cap = qi.take(i), s.take(i), x.take(i, axis=0), cap.take(i)
+    vec = b.aux_gap(x, Q.take(qi, axis=0))
+    # the length b.aux_distance takes, on both backends, bit for bit
+    gaps = np.sqrt(row_sum(vec * vec))
+    i = np.flatnonzero(gaps <= cap)
+    return qi.take(i), s.take(i), gaps.take(i), vec.take(i, axis=0)
+
+
 def _nearest(atlas, qi, s, gaps, vec, pick, d, gap):
     """Per query row, the near sample of least first-order distance; ties
     go to the smallest sample index, i.e. the smallest (dir, t).  vec holds
-    each pair's auxiliary gap from the sample to the query."""
+    each pair's auxiliary gap from the sample to the query; each pair
+    occurs once."""
     if not qi.size:
         return
-    o = np.lexsort((s, qi))
-    qi, s, gaps, vec = qi[o], s[o], gaps[o], vec[o]
     b = atlas.backend
-    pos_c = atlas.sample_pos[s]
-    vel_c = atlas.sample_vel[s]
+    pos_c = atlas.sample_pos.take(s, axis=0)
+    vel_c = atlas.sample_vel.take(s, axis=0)
     # first-order model d(q) = t_i + <v_i, q - x_i>_g: the transversal part
     # of the gap contributes only at second order; the absolute value folds
     # the two sides of a geodesic leaving N back to one distance (on a
     # surface the gap is first projected to the tangent plane at x_i)
     delta = b.constrain_velocity(pos_c, vec)
-    vals = np.abs(atlas.sample_t[s] + b.inner(pos_c, vel_c, delta))
-    head = np.flatnonzero(np.r_[True, qi[1:] != qi[:-1]])
-    low = np.minimum.reduceat(vals, head)
-    hit = np.flatnonzero(vals == np.repeat(low, np.diff(np.r_[head, len(qi)])))
-    first = hit[np.r_[True, qi[hit[1:]] != qi[hit[:-1]]]]
-    rows = qi[first]
-    pick[rows] = s[first]
-    d[rows] = vals[first]
-    gap[rows] = gaps[first]
+    vals = np.abs(atlas.sample_t.take(s) + b.inner(pos_c, vel_c, delta))
+    # the least value of each query, then the least sample among its hits
+    row = qi - qi.min()
+    low = np.full(row.max() + 1, np.inf)
+    np.minimum.at(low, row, vals)
+    hit = np.flatnonzero(vals == low[row])
+    first = np.full(len(low), len(atlas.sample_t))
+    np.minimum.at(first, row[hit], s[hit])
+    hit = hit[s[hit] == first[row[hit]]]
+    rows = qi[hit]
+    pick[rows] = s[hit]
+    d[rows] = vals[hit]
+    gap[rows] = gaps[hit]
 
 
 def _edge_margin(atlas: WavefrontAtlas) -> float:

@@ -166,6 +166,41 @@ def brute_distance(atlas, q):
             status)
 
 
+def reference_near(atlas, Q, qi, s):
+    """The distance query's near filter with no prefilter: the exact
+    auxiliary gap of every (query row, sample) pair, kept when its length is
+    at most the sample's cap.  Returns (qi, s, gap length, gap vector)."""
+    b = atlas.backend
+    vec = b.aux_gap(atlas.sample_pos[s], Q[qi])
+    gaps = np.sqrt(np.sum(vec ** 2, axis=-1))
+    keep = gaps <= np.maximum(1.5 * atlas.sample_gap[s], 3.0 * atlas.dt)
+    return qi[keep], s[keep], gaps[keep], vec[keep]
+
+
+def reference_nearest(atlas, qi, s, gaps, vec, pick, d, gap):
+    """The distance query's pick by sorting: per query row, the near sample
+    of least first-order value, ties to the smallest sample index, found by
+    a lexsort on (row, sample) and a segmented minimum.  Writes pick, d and
+    gap of the rows it sees."""
+    if not qi.size:
+        return
+    o = np.lexsort((s, qi))
+    qi, s, gaps, vec = qi[o], s[o], gaps[o], vec[o]
+    b = atlas.backend
+    pos_c = atlas.sample_pos[s]
+    vel_c = atlas.sample_vel[s]
+    delta = b.constrain_velocity(pos_c, vec)
+    vals = np.abs(atlas.sample_t[s] + b.inner(pos_c, vel_c, delta))
+    head = np.flatnonzero(np.r_[True, qi[1:] != qi[:-1]])
+    low = np.minimum.reduceat(vals, head)
+    hit = np.flatnonzero(vals == np.repeat(low, np.diff(np.r_[head, len(qi)])))
+    first = hit[np.r_[True, qi[hit[1:]] != qi[hit[:-1]]]]
+    rows = qi[first]
+    pick[rows] = s[first]
+    d[rows] = vals[first]
+    gap[rows] = gaps[first]
+
+
 # -- scalar cut-time search -------------------------------------------------
 def reference_cut_time(atlas, dir_idx, distance_fn, kink_root, tol=1e-3):
     """One direction's cut time by the scalar search: grid binary search on

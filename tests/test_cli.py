@@ -207,3 +207,51 @@ def test_long_inline_json_config_runs(tmp_path):
 def test_unreadable_config_path_exits_2(tmp_path, capsys):
     assert main(["inj", "--config", str(tmp_path / "missing.json")]) == 2
     assert "missing.json" in capsys.readouterr().err
+
+
+_POINT = {**_INLINE, "submanifold": {"dim": 0, "point": [0.25, 0.25]}}
+_SPHERE = {**_INLINE, "backend": {"kind": "implicit-surface",
+                                  "surface": {"name": "sphere"}},
+           "submanifold": {"dim": 1, "curve": {"name": "equator"}}}
+_SWEEP = {**FAST, "family": {"kind": "conformal", "tau": [0.2, 0.1],
+                             "phi": {"name": "sine-y", "amplitude": 1.0}}}
+
+
+def _with(cfg, block, **change):
+    """cfg with the named sub-block of ``block`` updated by change."""
+    (key, sub), = change.items()
+    return {**cfg, block: {**cfg[block], key: {**cfg[block][key], **sub}}}
+
+
+@pytest.mark.parametrize("command, cfg, key, word", [
+    ("inj", {**_POINT, "submanifold": {"dim": 0, "point": "abc"}},
+     "submanifold.point", "abc"),
+    ("inj", {**_POINT, "submanifold": {"dim": 0, "point": [0.5]}},
+     "submanifold.point", "2 coordinates"),
+    ("inj", _with(_INLINE, "submanifold", curve={"y0": "x"}),
+     "submanifold.curve", "'x'"),
+    ("inj", _with(_INLINE, "submanifold", curve={"y00": 0.1}),
+     "submanifold.curve", "'y00'"),
+    ("inj", _with(_SPHERE, "submanifold", curve={"z0": 0.3}),
+     "submanifold.curve", "'z0'"),
+    ("inj", _with(_INLINE, "backend", metric={"amplitud": 0.5}), "backend",
+     "'amplitud'"),
+    ("inj", _with(_SPHERE, "backend", surface={"radiu": 2.0}), "backend",
+     "'radiu'"),
+    ("inj", {**_SPHERE, "backend": {**_SPHERE["backend"], "psi": {
+        "name": "linear-z", "wavenumber": 2.0}}}, "backend", "'wavenumber'"),
+    ("sweep", _with(_SWEEP, "family", phi={"amplitude": "x"}), "family.phi",
+     "'x'"),
+    ("sweep", _with(_SWEEP, "family", phi={"amplitud": 0.5}), "family.phi",
+     "'amplitud'"),
+], ids=["point-text", "point-length", "curve-value", "curve-unknown-name",
+        "surface-curve-unknown-name", "metric-unknown-name",
+        "surface-unknown-name", "psi-unknown-name", "phi-value",
+        "phi-unknown-name"])
+def test_bad_named_block_exits_2_naming_the_block(tmp_path, capsys, command,
+                                                  cfg, key, word):
+    argv = [command, "--config", json.dumps(cfg), "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key}: ") and err.count("\n") == 1
+    assert word in err

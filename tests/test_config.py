@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from cutlab.config import ConfigError, SCENARIOS, parse_config, scenario
+from cutlab.config import (ConfigError, SCENARIOS, build_family_field,
+                           build_submanifold, parse_config, scenario)
 from cutlab.geometry import ImplicitSurface, PeriodicChart
 
 
@@ -93,6 +94,13 @@ def test_sweep_scenarios_carry_families():
         assert cfg.family is not None
         taus = cfg.family["tau"]
         assert all(t2 < t1 for t1, t2 in zip(taus, taus[1:]))
+        # the family's named field or target curve passes the strict
+        # parameter check
+        b = cfg.build_backend()
+        if "phi" in cfg.family:
+            build_family_field(cfg, b)
+        if "target" in cfg.family:
+            build_submanifold(b, {"dim": 1, "curve": cfg.family["target"]})
 
 
 def test_nonzero_seed_rejected_by_name():

@@ -7,7 +7,8 @@ from cutlab.geometry import (ChartMetricField, GeometryError,
                              ambient_scalar_field, chart_metric_field,
                              chart_scalar_field, conformal_family,
                              level_surface, linear_blend, metric_eval,
-                             same_backend_family)
+                             row_sum, same_backend_family)
+from cutlab.submanifold import chart_curve, surface_curve
 
 from oracles import (diag_metric_christoffel_action, einsum_gamma2,
                      warped_curvature)
@@ -272,3 +273,66 @@ def test_same_backend_family():
     assert same_backend_family(flat(), warped())
     assert same_backend_family(sphere(), sphere(2.0))
     assert not same_backend_family(flat(), sphere())
+
+
+# -- named constructors ------------------------------------------------------
+
+@pytest.mark.parametrize("build, name, other", [
+    (lambda n, **kw: chart_metric_field(n, (1.0, 1.0), **kw), "flat",
+     "amplitude"),
+    (lambda n, **kw: chart_scalar_field(n, (1.0, 1.0), **kw), "constant",
+     "amplitude"),
+    (ambient_scalar_field, "constant", "amplitude"),
+    (level_surface, "sphere", "semi_axes"),
+    (lambda n, **kw: chart_curve(n, (1.0, 1.0), **kw), "horizontal-circle",
+     "r"),
+    (surface_curve, "equator", "z0"),
+], ids=["chart-metric", "chart-scalar", "ambient-scalar", "level-surface",
+        "chart-curve", "surface-curve"])
+def test_named_constructors_reject_unknown_parameters_by_name(build, name,
+                                                              other):
+    build(name)
+    with pytest.raises(GeometryError, match="unknown parameter 'amplitud'"):
+        build(name, amplitud=0.5)
+    # other is read by another name of the same constructor, not by this one
+    with pytest.raises(GeometryError, match=f"'{name}': .*'{other}'"):
+        build(name, **{other: 1.0})
+    with pytest.raises(GeometryError, match="unknown .*'no-such'"):
+        build("no-such")
+
+
+# -- rounding rules of the batched kernels -----------------------------------
+
+@pytest.mark.parametrize("width", [2, 3])
+def test_row_sum_equals_numpy_sum_bitwise(width, rng):
+    n = 100_000
+    a = rng.standard_normal((n, width)) * 10.0 ** rng.integers(-8, 9,
+                                                              (n, width))
+    special = [0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300, np.inf, -np.inf]
+    a[:2000] = rng.choice(special, (2000, width))
+    a[:8] = -0.0                                 # a -0.0 sum reads +0.0
+    with np.errstate(invalid="ignore"):          # inf - inf
+        want = np.sum(a, axis=-1)
+        got = row_sum(a)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    a = a[2000:]
+    want = want[2000:]
+    np.testing.assert_array_equal(row_sum(a.reshape(100, -1, width)),
+                                  want.reshape(100, -1))
+    assert row_sum(a[9]) == np.sum(a[9])
+
+
+@pytest.mark.parametrize("name", ["sphere", "ellipsoid", "sphere_psi"])
+def test_rowwise_projection_matches_one_point_projections_bitwise(
+        name, rng, sphere_psi_backend):
+    b = {"sphere": sphere(),
+         "ellipsoid": ImplicitSurface(level_surface(
+             "ellipsoid", semi_axes=(1.4, 1.0, 0.7))),
+         "sphere_psi": sphere_psi_backend}[name]
+    u = rng.standard_normal((400, 3))
+    # from on the surface to 0.3 off it: from 0 to several Newton steps
+    P = b.project(u) * (1.0 + 10.0 ** rng.uniform(-13.0, -0.5, (400, 1)))
+    want = np.array([b.project(p) for p in P])
+    np.testing.assert_array_equal(b.project(P, rowwise=True), want)
+    # the rows need different step counts, so stepping together differs
+    assert not np.array_equal(b.project(P), want)

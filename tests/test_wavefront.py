@@ -4,13 +4,14 @@ import pytest
 from cutlab.config import scenario
 from cutlab.submanifold import chart_curve, curve_submanifold, \
     point_submanifold, surface_curve
-from cutlab.wavefront import (CoverageError, _distance_rows, build_atlas,
-                              distance, distance_many, eikonal_residual,
-                              validation_grid)
+from cutlab import wavefront
+from cutlab.wavefront import (CoverageError, _distance_rows, _near, _nearest,
+                              build_atlas, distance, distance_many,
+                              eikonal_residual, validation_grid)
 
 from oracles import (brute_distance, flat_torus_line_distance,
                      flat_torus_point_distance, reference_gradient_probes,
-                     reference_grad_norm)
+                     reference_grad_norm, reference_near, reference_nearest)
 
 
 @pytest.fixture(scope="module")
@@ -231,7 +232,15 @@ def test_distance_err_squares_like_a_python_float(flat_point_atlas, rng):
 
 # -- backend steps against the bodies that branched on the backend kind -----
 
-@pytest.mark.parametrize("name", ["warped", "sphere", "sphere_psi"])
+@pytest.fixture(scope="module")
+def ellipsoid_backend():
+    from cutlab.geometry import ImplicitSurface, level_surface
+    return ImplicitSurface(level_surface("ellipsoid",
+                                         semi_axes=(1.4, 1.0, 0.7)))
+
+
+@pytest.mark.parametrize("name", ["warped", "sphere", "sphere_psi",
+                                  "ellipsoid"])
 def test_probes_and_dual_norm_match_reference_bitwise(name, request, rng):
     b = request.getfixturevalue(name + "_backend")
     pts = validation_grid(b, 0.2)
@@ -241,3 +250,126 @@ def test_probes_and_dual_norm_match_reference_bitwise(name, request, rng):
     np.testing.assert_array_equal(steps, ref_steps)
     for q, du in zip(pts, rng.normal(size=(len(pts), 2))):
         assert b.dual_norm(q, du) == reference_grad_norm(b, q, du)
+
+
+# -- the near filter's prefilter and the sort-free pick ----------------------
+
+def _seam_queries(rng, n=40):
+    """Points within 1e-4 of the chart's seams x = 0 = 1 and y = 0 = 1."""
+    side = rng.integers(0, 2, (n, 2))
+    off = 1e-4 * rng.random((n, 2))
+    seam = np.where(side == 0, off, 1.0 - off)
+    free = rng.random((n, 2))
+    pick_axis = rng.integers(0, 3, n)     # seam in x, in y, or in both
+    return np.where(pick_axis[:, None] == np.array([0, 1]), free, seam)
+
+
+@pytest.mark.parametrize("name", ["flat_point_atlas", "bump_atlas"])
+def test_distance_many_matches_brute_scan_at_the_seam(name, request, rng):
+    # the prefilter folds each gap component back to min(|dx|, L - |dx|);
+    # queries beside the seam and whole periods away test the fold
+    atlas = request.getfixturevalue(name)
+    base = _seam_queries(rng)
+    shifts = np.array([[0, 0], [1, 0], [-1, 0], [0, 2], [-2, -2], [2, -1]])
+    Q = np.concatenate([base + k for k in shifts])
+    want = _assert_rows_match_brute(atlas, Q)
+    assert sum(w[5] == 0 for w in want) > len(Q) // 2
+
+
+def _at_cap_pairs(atlas, rng, n=1500, steps=48):
+    """Queries at the cap of random samples, on a ladder of one-ulp moves
+    of their x coordinate, shifted by 0, +-1 and +-2 periods: pairs on both
+    sides of gap == cap at rounding resolution.  Returns Q, qi, s and the
+    number of pairs whose exact gap equals the cap."""
+    b = atlas.backend
+    s0 = rng.integers(0, len(atlas.sample_t), n)
+    caps = np.maximum(1.5 * atlas.sample_gap, 3.0 * atlas.dt)
+    x, cap = atlas.sample_pos[s0], caps[s0]
+    ang = rng.random(n) * 2.0 * np.pi
+    q0 = x + cap[:, None] * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+    Q, S = [], []
+    for k in (0, 1, -1, 2, -2):
+        q = q0 + k * np.array(b.periods)
+        for j in range(-steps, steps + 1):
+            qj = q.copy()
+            qj[:, 0] += j * np.spacing(qj[:, 0])
+            Q.append(qj)
+            S.append(s0)
+    Q, s = np.concatenate(Q), np.concatenate(S)
+    exact = np.sqrt(np.sum(b.aux_gap(atlas.sample_pos[s], Q) ** 2, axis=-1))
+    at_cap = int(np.count_nonzero(exact == caps[s]))
+    return Q, np.arange(len(Q)), s, at_cap
+
+
+@pytest.mark.parametrize("name", ["flat_point_atlas", "bump_atlas"])
+def test_near_filter_keeps_pairs_at_the_cap(name, request, rng):
+    atlas = request.getfixturevalue(name)
+    Q, qi, s, at_cap = _at_cap_pairs(atlas, rng)
+    assert at_cap >= 20
+    got = _near(atlas, Q, atlas.backend.wrap(Q), qi, s)
+    want = reference_near(atlas, Q, qi, s)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+    # queries at a cap go through the index as well
+    near_q = want[0][rng.permutation(len(want[0]))[:150]]
+    _assert_rows_match_brute(atlas, Q[near_q])
+
+
+def test_sort_free_pick_matches_the_lexsort_pick_on_ties(flat_line_atlas,
+                                                         rng):
+    # with a zero gap each value is the sample's t, shared by every
+    # direction at one time step, so most rows tie
+    atlas = flat_line_atlas
+    n_t = len(atlas.batch.t)
+    n_s = len(atlas.sample_t)
+    tied = 0
+    for trial in range(40):
+        n_q = int(rng.integers(1, 300))
+        k = int(rng.integers(1, 3000))
+        step = rng.integers(0, 3, k) if trial % 2 else rng.integers(0, n_t, k)
+        s = rng.integers(0, n_s // n_t, k) * n_t + step
+        qi = rng.integers(0, n_q, k) + int(rng.integers(0, 50))
+        key = np.unique(qi * n_s + s)            # each pair once
+        key = key[rng.permutation(len(key))]
+        qi, s = key // n_s, key % n_s
+        vec = np.zeros((len(s), 2))
+        if trial % 4 == 3:
+            vec = 1e-3 * rng.standard_normal(vec.shape)
+        gaps = rng.random(len(s))
+        out = []
+        for pick_fn in (_nearest, reference_nearest):
+            pick = np.full(400, -1)
+            d, gap = np.full(400, np.nan), np.full(400, np.nan)
+            pick_fn(atlas, qi, s, gaps, vec, pick, d, gap)
+            out.append((pick, d, gap))
+        for g, w in zip(*out):
+            np.testing.assert_array_equal(g, w)
+        t = atlas.sample_t[s]
+        rows = np.unique(qi)
+        tied += sum(np.count_nonzero((qi == r) & (t == out[0][1][r])) > 1
+                    for r in rows[:20])
+    assert tied > 100
+
+
+@pytest.mark.parametrize("case", ["groups", "ladder"])
+def test_distance_rows_match_the_lexsort_pick(case, flat_line_atlas,
+                                              flat_backend, monkeypatch, rng):
+    # small pair groups split the queries across many _nearest calls; a
+    # short front from a point sends queries up the ring ladder
+    if case == "groups":
+        atlas = flat_line_atlas
+        Q = np.concatenate([_queries(atlas, rng), _seam_queries(rng)])
+    else:
+        atlas = build_atlas(flat_backend, point_submanifold([0.25, 0.25]),
+                            64, 0.3, 4e-3)
+        x, y = np.meshgrid(np.linspace(0.5, 0.65, 12),
+                           np.linspace(0.1, 0.25, 12))
+        Q = np.stack([x.ravel(), y.ravel()], axis=-1)
+    monkeypatch.setattr(wavefront, "_CHUNK_PAIRS", 97)
+    got = _distance_rows(atlas, Q)
+    monkeypatch.setattr(wavefront, "_nearest", reference_nearest)
+    want = _distance_rows(atlas, Q)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+    if case == "ladder":
+        assert {0, 1, 2} <= set(got[4].tolist())
