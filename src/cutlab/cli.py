@@ -11,8 +11,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, RunConfig, build_family_field, \
-    build_submanifold, parse_config, scenario as load_scenario
+from .config import ConfigError, RunConfig, build_curve, \
+    build_family_field, parse_config, scenario as load_scenario
 from .cutanalysis import warner_bound
 from .geodesics import IntegrationError, integrate_geodesic
 from .geometry import GeometryError
@@ -185,8 +185,8 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
         b1 = cfg.build_backend() if not mspec else _blend_target(cfg, mspec)
         table = sweep_metric_family(b, N, taus, cfg.resolution, b1=b1)
     elif kind == "embedding":
-        tspec = dict(cfg.family.get("target", {}))
-        N1 = build_submanifold(b, {"dim": 1, "curve": tspec, "m_N": N.m_N})
+        N1 = build_curve(b, cfg.family.get("target", {}), "family.target",
+                         N.m_N)
         table = sweep_embedding_family(b, N, N1, taus, cfg.resolution)
     else:
         raise ConfigError(f"family.kind: unknown kind {kind!r}")

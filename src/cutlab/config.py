@@ -53,6 +53,15 @@ def _named(key: str):
         raise ConfigError(f"{key}: {ex}") from ex
 
 
+def _name_of(block, key: str):
+    """The name of the config block under key and a copy of its parameters."""
+    params = dict(block)
+    name = params.pop("name", None)
+    if name is None:
+        raise ConfigError(f"{key}.name: required")
+    return name, params
+
+
 @dataclass
 class RunConfig:
     scenario: str | None
@@ -78,32 +87,22 @@ _RES_KEYS = {"m", "m_N", "dt", "t_max", "tol", "capture_radius", "angle_tol",
 
 
 def build_backend(spec: dict) -> Backend:
-    _check_keys(spec, {"kind", "periods", "metric", "surface", "psi",
-                       "fd_step", "curv_step"}, "backend")
+    _check_keys(spec, {"kind", "periods", "metric", "surface", "psi"},
+                "backend")
     kind = spec.get("kind")
     if kind == "periodic-chart":
         periods = tuple(_number(v, "backend.periods")
                         for v in spec.get("periods", (1.0, 1.0)))
-        mspec = dict(spec.get("metric", {"name": "flat"}))
-        name = mspec.pop("name", None)
-        if name is None:
-            raise ConfigError("backend.metric.name: required")
-        fld = chart_metric_field(name, periods, **mspec)
-        kw = {k: _number(spec[k], f"backend.{k}")
-              for k in ("fd_step", "curv_step") if k in spec}
-        return PeriodicChart(periods, fld, **kw)
+        name, mspec = _name_of(spec.get("metric", {"name": "flat"}),
+                               "backend.metric")
+        return PeriodicChart(periods, chart_metric_field(name, periods, **mspec))
     if kind == "implicit-surface":
-        sspec = dict(spec.get("surface", {"name": "sphere"}))
-        name = sspec.pop("name", None)
-        if name is None:
-            raise ConfigError("backend.surface.name: required")
+        name, sspec = _name_of(spec.get("surface", {"name": "sphere"}),
+                               "backend.surface")
         surf = level_surface(name, **sspec)
         psi = ZERO_FIELD
         if "psi" in spec:
-            pspec = dict(spec["psi"])
-            pname = pspec.pop("name", None)
-            if pname is None:
-                raise ConfigError("backend.psi.name: required")
+            pname, pspec = _name_of(spec["psi"], "backend.psi")
             psi = ambient_scalar_field(pname, **pspec)
         return ImplicitSurface(surf, psi=psi)
     raise ConfigError(f"backend.kind: unknown kind {kind!r}")
@@ -123,26 +122,25 @@ def build_submanifold(b: Backend, spec: dict) -> SubmanifoldSpec:
                               f"coordinates, got {spec['point']!r}")
         return N
     if dim == 1:
-        with _named("submanifold.curve"):
-            cspec = dict(spec.get("curve", {}))
-            name = cspec.pop("name", None)
-            if name is None:
-                raise ConfigError("submanifold.curve.name: required")
-            if isinstance(b, PeriodicChart):
-                curve = chart_curve(name, b.periods, **cspec)
-            else:
-                curve = surface_curve(name, **cspec)
-        return curve_submanifold(curve, m_N=m_N)
+        return build_curve(b, spec.get("curve", {}), "submanifold.curve", m_N)
     raise ConfigError(f"submanifold.dim: must be 0 or 1, got {dim!r}")
+
+
+def build_curve(b: Backend, spec, key: str, m_N: int) -> SubmanifoldSpec:
+    """The named curve of the config block ``spec``; errors name ``key``."""
+    with _named(key):
+        name, cspec = _name_of(spec, key)
+        if isinstance(b, PeriodicChart):
+            curve = chart_curve(name, b.periods, **cspec)
+        else:
+            curve = surface_curve(name, **cspec)
+    return curve_submanifold(curve, m_N=m_N)
 
 
 def build_family_field(cfg: RunConfig, b: Backend):
     """Scalar field for a conformal family, from the family block."""
     with _named("family.phi"):
-        fspec = dict(cfg.family.get("phi", {}))
-        name = fspec.pop("name", None)
-        if name is None:
-            raise ConfigError("family.phi.name: required")
+        name, fspec = _name_of(cfg.family.get("phi", {}), "family.phi")
         if isinstance(b, PeriodicChart):
             return chart_scalar_field(name, b.periods, **fspec)
         return ambient_scalar_field(name, **fspec)

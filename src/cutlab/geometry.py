@@ -11,7 +11,7 @@ difference through the methods that both backends define.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -43,19 +43,102 @@ def row_sum(a) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# scalar fields (conformal exponents, perturbation bumps)
+# jets: a field's value with its first and second derivatives
+# ---------------------------------------------------------------------------
+
+class Jet(NamedTuple):
+    """A field at a batch of points and its coordinate derivatives, None
+    above the order asked for.  Derivative axes (d1[l], d2[l, m]) lead, the
+    value's own axes ((2, 2) for a chart metric) follow and the point axes
+    come last, so every operation runs along the points."""
+
+    val: np.ndarray
+    d1: np.ndarray | None = None
+    d2: np.ndarray | None = None
+
+
+def _const(p, c: float, order: int) -> Jet:
+    zero = lambda k: np.zeros(p.shape[-1:] * k + p.shape[:-1])
+    return Jet(np.full(p.shape[:-1], c), *(zero(k) for k in (1, 2)[:order]))
+
+
+def _sinusoid(p, order: int, axis: int, amp: float, w: float,
+              offset: float | None = None) -> Jet:
+    """[offset +] amp sin(w x) of the coordinate x = p[..., axis]."""
+    arg = w * p[..., axis]
+    val = amp * np.sin(arg)
+    d1 = d2 = None
+    if order:
+        d1 = np.zeros(p.shape[-1:] + arg.shape)
+        d1[axis] = amp * w * np.cos(arg)
+    if order > 1:
+        d2 = np.zeros(p.shape[-1:] * 2 + arg.shape)
+        d2[axis, axis] = -(w * w) * val
+    return Jet(val if offset is None else offset + val, d1, d2)
+
+
+def _sum(a: float, A: Jet, b: float, B: Jet) -> Jet:
+    """The jet of a A + b B."""
+    return Jet(*(None if x is None else a * x + b * y for x, y in zip(A, B)))
+
+
+def _times(f: Jet, G: Jet) -> Jet:
+    """The jet of f G for a scalar f and a G of any rank (product rule)."""
+    val = f.val * G.val
+    if G.d1 is None:
+        return Jet(val)
+    lift = (slice(None),) + (None,) * (G.val.ndim - f.val.ndim)   # d -> d, 1..
+    d1 = f.d1[lift] * G.val + f.val * G.d1
+    if G.d2 is None:
+        return Jet(val, d1)
+    cross = f.d1[lift][:, None] * G.d1                # [l, m] = f_l G_m
+    d2 = (f.d2[(slice(None),) + lift] * G.val + cross + cross.swapaxes(0, 1)
+          + f.val * G.d2)
+    return Jet(val, d1, d2)
+
+
+def _exp(c: float, f: Jet) -> Jet:
+    """The jet of exp(c f) for a scalar f (chain rule)."""
+    e = np.exp(c * f.val)
+    if f.d1 is None:
+        return Jet(e)
+    cf1 = c * f.d1
+    d2 = None if f.d2 is None else e * (c * f.d2 + cf1[:, None] * cf1)
+    return Jet(e, e * cf1, d2)
+
+
+def _diag(p, order: int, j11, j22) -> Jet:
+    """The chart metric jet diag(j11, j22); a float entry is a constant."""
+    parts = [np.zeros((2,) * (k + 2) + p.shape[:-1]) for k in range(order + 1)]
+    for i, j in enumerate((j11, j22)):
+        for k, x in enumerate(j[:order + 1] if isinstance(j, Jet) else (j,)):
+            parts[k][(slice(None),) * k + (i, i)] = x
+    return Jet(*parts)
+
+
+def _points_first(t, k: int = 2) -> np.ndarray:
+    """A view of a jet array, k value axes first, with the point axes first."""
+    return t.transpose(tuple(range(k, t.ndim)) + tuple(range(k)))
+
+
+# ---------------------------------------------------------------------------
+# named fields: scalar fields (conformal exponents, bumps) and chart metrics
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Named smooth scalar field with the parameters that built it."""
+    """Named smooth field with the parameters that built it; ``jet(p,
+    order)`` is its one definition and a call returns the jet's value."""
 
     name: str
     params: dict
-    fn: Callable[[np.ndarray], np.ndarray]
+    jet: Callable[[np.ndarray, int], Jet]
 
     def __call__(self, pts):
-        return self.fn(np.asarray(pts, dtype=float))
+        return self.jet(np.asarray(pts, dtype=float), 0).val
+
+
+ChartMetricField = ScalarField      # values are 2x2 tensors, (2, 2, ...)
 
 
 def chart_scalar_field(name: str, periods, **params) -> ScalarField:
@@ -64,22 +147,19 @@ def chart_scalar_field(name: str, periods, **params) -> ScalarField:
     check_params("chart scalar field", name, params, {
         "constant": ("value",), "sine-x": ("amplitude", "harmonic"),
         "sine-y": ("amplitude", "harmonic"), "bump-xy": ("amplitude",)})
+    a = float(params.get("amplitude", 1.0))
+    c = 2.0 * np.pi * int(params.get("harmonic", 1))
     if name == "constant":
-        c = float(params.get("value", 0.0))
-        fn = lambda p: np.full(p.shape[:-1], c)
+        value = float(params.get("value", 0.0))
+        jet = lambda p, order: _const(p, value, order)
     elif name == "sine-x":
-        a = float(params.get("amplitude", 1.0))
-        k = int(params.get("harmonic", 1))
-        fn = lambda p: a * np.sin(2.0 * np.pi * k * p[..., 0] / L1)
+        jet = lambda p, order: _sinusoid(p, order, 0, a, c / L1)
     elif name == "sine-y":
-        a = float(params.get("amplitude", 1.0))
-        k = int(params.get("harmonic", 1))
-        fn = lambda p: a * np.sin(2.0 * np.pi * k * p[..., 1] / L2)
+        jet = lambda p, order: _sinusoid(p, order, 1, a, c / L2)
     elif name == "bump-xy":
-        a = float(params.get("amplitude", 1.0))
-        fn = lambda p: (a * np.sin(2.0 * np.pi * p[..., 0] / L1)
-                        * np.sin(2.0 * np.pi * p[..., 1] / L2))
-    return ScalarField(name, dict(params), fn)
+        jet = lambda p, order: _times(_sinusoid(p, order, 0, a, c / L1),
+                                      _sinusoid(p, order, 1, 1.0, c / L2))
+    return ScalarField(name, dict(params), jet)
 
 
 def ambient_scalar_field(name: str, **params) -> ScalarField:
@@ -87,37 +167,23 @@ def ambient_scalar_field(name: str, **params) -> ScalarField:
     check_params("ambient scalar field", name, params, {
         "constant": ("value",), "linear-z": ("amplitude",),
         "sine-z": ("amplitude", "wavenumber")})
+    a = float(params.get("amplitude", 1.0))
     if name == "constant":
-        c = float(params.get("value", 0.0))
-        fn = lambda p: np.full(p.shape[:-1], c)
+        value = float(params.get("value", 0.0))
+        jet = lambda p, order: _const(p, value, order)
     elif name == "linear-z":
-        a = float(params.get("amplitude", 1.0))
-        fn = lambda p: a * p[..., 2]
+        def jet(p, order):
+            z = _const(p, 0.0, order)
+            if order:
+                z.d1[2] = a
+            return z._replace(val=a * p[..., 2])
     elif name == "sine-z":
-        a = float(params.get("amplitude", 1.0))
         k = float(params.get("wavenumber", 1.0))
-        fn = lambda p: a * np.sin(k * p[..., 2])
-    return ScalarField(name, dict(params), fn)
+        jet = lambda p, order: _sinusoid(p, order, 2, a, k)
+    return ScalarField(name, dict(params), jet)
 
 
-ZERO_FIELD = ScalarField("constant", {"value": 0.0},
-                         lambda p: np.zeros(p.shape[:-1]))
-
-
-# ---------------------------------------------------------------------------
-# chart metric fields
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ChartMetricField:
-    """Map from chart points (n, 2) to symmetric 2x2 tensors (n, 2, 2)."""
-
-    name: str
-    params: dict
-    fn: Callable[[np.ndarray], np.ndarray]
-
-    def __call__(self, pts):
-        return self.fn(np.asarray(pts, dtype=float))
+ZERO_FIELD = ambient_scalar_field("constant", value=0.0)
 
 
 def chart_metric_field(name: str, periods, **params) -> ChartMetricField:
@@ -126,60 +192,46 @@ def chart_metric_field(name: str, periods, **params) -> ChartMetricField:
         "flat": (), "warped-diag": ("amplitude", "harmonic"),
         "warped-diag-g22": ("amplitude", "harmonic"),
         "conformal-bump": ("amplitude",)})
-
-    def _diag(f11, f22):
-        def fn(p):
-            g = np.zeros(p.shape[:-1] + (2, 2))
-            g[..., 0, 0] = f11(p)
-            g[..., 1, 1] = f22(p)
-            return g
-        return fn
-
+    c = 2.0 * np.pi * int(params.get("harmonic", 1))
     if name == "flat":
-        fn = _diag(lambda p: np.ones(p.shape[:-1]),
-                   lambda p: np.ones(p.shape[:-1]))
+        jet = lambda p, order: _diag(p, order, 1.0, 1.0)
     elif name == "warped-diag":
+        # diag(1, b^2) with b = 1 + a sin 2pi k x; b b squares as np.square,
+        # so one point reads the same g22 as a batch row
         a = float(params.get("amplitude", 0.2))
-        k = int(params.get("harmonic", 1))
-        b = lambda p: 1.0 + a * np.sin(2.0 * np.pi * k * p[..., 0] / L1)
-        # np.square, not ** 2: numpy squares an array but calls pow on a
-        # lone value, so one point would read a different g22 than a batch
-        fn = _diag(lambda p: np.ones(p.shape[:-1]),
-                   lambda p: np.square(b(p)))
+
+        def jet(p, order):
+            b = _sinusoid(p, order, 0, a, c / L1, offset=1.0)
+            return _diag(p, order, 1.0, _times(b, b))
     elif name == "warped-diag-g22":
         # diag(1, 1 + a sin 2pi k x): g22 itself perturbed, not its square root
         a = float(params.get("amplitude", 0.1))
-        k = int(params.get("harmonic", 1))
-        fn = _diag(lambda p: np.ones(p.shape[:-1]),
-                   lambda p: 1.0 + a * np.sin(2.0 * np.pi * k * p[..., 0] / L1))
+        jet = lambda p, order: _diag(
+            p, order, 1.0, _sinusoid(p, order, 0, a, c / L1, offset=1.0))
     elif name == "conformal-bump":
-        a = float(params.get("amplitude", 0.1))
-        phi = chart_scalar_field("bump-xy", (L1, L2), amplitude=a)
-
-        def fn(p):
-            g = np.zeros(p.shape[:-1] + (2, 2))
-            w = np.exp(2.0 * phi(p))
-            g[..., 0, 0] = w
-            g[..., 1, 1] = w
-            return g
-    return ChartMetricField(name, dict(params), fn)
+        phi = chart_scalar_field("bump-xy", (L1, L2),
+                                 amplitude=float(params.get("amplitude", 0.1)))
+        jet = lambda p, order: _times(_exp(2.0, phi.jet(p, order)),
+                                      _diag(p, order, 1.0, 1.0))
+    return ChartMetricField(name, dict(params), jet)
 
 
 def conformal_chart_field(base: ChartMetricField, phi: ScalarField,
                           tau: float) -> ChartMetricField:
-    def fn(p):
-        w = np.exp(2.0 * tau * phi(p))
-        return base(p) * w[..., None, None]
-    return ChartMetricField(f"conformal({base.name})",
-                            {"base": base.params, "phi": phi.name, "tau": tau},
-                            fn)
+    """e^{2 tau phi} base: d(e^{2 tau phi} g) = e^{2 tau phi}(dg + 2 tau g dphi)."""
+    return ChartMetricField(
+        f"conformal({base.name})",
+        {"base": base.params, "phi": phi.name, "tau": tau},
+        lambda p, order: _times(_exp(2.0 * tau, phi.jet(p, order)),
+                                base.jet(p, order)))
 
 
 def blended_chart_field(g0: ChartMetricField, g1: ChartMetricField,
                         tau: float) -> ChartMetricField:
-    def fn(p):
-        return (1.0 - tau) * g0(p) + tau * g1(p)
-    return ChartMetricField(f"blend({g0.name},{g1.name})", {"tau": tau}, fn)
+    return ChartMetricField(
+        f"blend({g0.name},{g1.name})", {"tau": tau},
+        lambda p, order: _sum(1.0 - tau, g0.jet(p, order),
+                              tau, g1.jet(p, order)))
 
 
 # ---------------------------------------------------------------------------
@@ -187,19 +239,21 @@ def blended_chart_field(g0: ChartMetricField, g1: ChartMetricField,
 # ---------------------------------------------------------------------------
 
 def _spd_det(pts, g) -> np.ndarray:
-    """det g of chart metrics g at pts; raises unless every g is finite and
-    positive definite."""
+    """det g of chart metrics g (2, 2, ...) at pts; raises unless every g
+    is finite and positive definite."""
     if not np.isfinite(g).all():
-        bad = pts[~np.all(np.isfinite(g), axis=(-2, -1))]
+        bad = pts[~np.all(np.isfinite(g), axis=(0, 1))]
         raise GeometryError(f"non-finite metric entries at {bad[:1]}")
-    det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
-    if (det <= 1e-12).any() or (g[..., 0, 0] <= 0.0).any():
-        bad = pts[(det <= 1e-12) | (g[..., 0, 0] <= 0.0)]
+    det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
+    if (det <= 1e-12).any() or (g[0, 0] <= 0.0).any():
+        bad = pts[(det <= 1e-12) | (g[0, 0] <= 0.0)]
         raise GeometryError(f"metric not positive definite at {bad[:1]}")
     return det
 
 
 _ROT = np.array([[0.0, -1.0], [1.0, 0.0]])
+_ADJ_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])   # adj g = det g * g^{-1}
+_JET_CHUNK = 4096        # points per metric 2-jet, 28 floats each
 
 
 def _dot(u, v) -> np.ndarray:
@@ -215,9 +269,7 @@ class _Shared:
 
     def christoffel_mixed(self, pts, u, w) -> np.ndarray:
         """Bilinear Christoffel action Gamma(u, w) via polarization."""
-        up = self.gamma2(pts, u + w)
-        um = self.gamma2(pts, u - w)
-        return 0.25 * (up - um)
+        return 0.25 * (self.gamma2(pts, u + w) - self.gamma2(pts, u - w))
 
 
 @dataclass(frozen=True)
@@ -230,8 +282,6 @@ class PeriodicChart(_Shared):
 
     periods: tuple[float, float]
     metric_field: ChartMetricField
-    fd_step: float = 1e-4       # Christoffel finite differences
-    curv_step: float = 1e-3     # second differences for Gauss curvature
 
     @property
     def dim(self) -> int:
@@ -244,18 +294,15 @@ class PeriodicChart(_Shared):
         g = self.metric_field(pts)
         if check:
             _spd_det(pts, g)
-        return g
+        return _points_first(g)
 
     def inner(self, pts, v, w) -> np.ndarray:
-        g = self.metric(pts)
-        return np.einsum("...ij,...i,...j->...", g, v, w)
+        return np.einsum("...ij,...i,...j->...", self.metric(pts), v, w)
 
     def lam_sqrt_max(self, pts) -> np.ndarray:
         """sqrt of the largest metric eigenvalue (chart-gap -> g-length bound)."""
-        g = self.metric(pts, check=False)
-        a, b2, c = g[..., 0, 0], g[..., 0, 1], g[..., 1, 1]
-        lam = 0.5 * (a + c + np.sqrt((a - c) ** 2 + 4.0 * b2 ** 2))
-        return np.sqrt(lam)
+        (a, b2), (_, c) = self.metric_field(pts)
+        return np.sqrt(0.5 * (a + c + np.sqrt((a - c) ** 2 + 4.0 * b2 ** 2)))
 
     # -- Christoffel action ------------------------------------------------
 
@@ -263,63 +310,36 @@ class PeriodicChart(_Shared):
         """Gamma^k_ij v^i v^j, the quadratic Christoffel action on v."""
         pts = np.asarray(pts, dtype=float)
         v = np.asarray(v, dtype=float)
-        h = self.fd_step
-        e1 = np.array([h, 0.0])
-        e2 = np.array([0.0, h])
-        # the metric and its central-difference stencil in one field call
-        stencil = np.stack([pts, pts + e1, pts - e1, pts + e2, pts - e2])
-        G = self.metric(stencil, check=False)
-        g = G[0]
+        g, dg, _ = self.metric_field.jet(pts, 1)      # dg[l, i, j] = d_l g_ij
         det = _spd_det(pts, g)
-        ginv = np.empty_like(g)
-        ginv[..., 0, 0] = g[..., 1, 1] / det
-        ginv[..., 1, 1] = g[..., 0, 0] / det
-        ginv[..., 0, 1] = -g[..., 0, 1] / det
-        ginv[..., 1, 0] = -g[..., 1, 0] / det
-        dg = np.stack([G[1] - G[2], G[3] - G[4]], axis=-3) / (2.0 * h)
-        # cov_l = d_i g_jl v^i v^j - 1/2 d_l g_ij v^i v^j, with dg[l, i, j] =
-        # d_l g_ij; each sum runs over (i, j) in row-major order with the
-        # product taken as (dg v^i) v^j, the rounding of an einsum over i, j
-        A = dg * v[..., :, None, None] * v[..., None, :, None]   # [i, j, l]
-        B = dg * v[..., None, :, None] * v[..., None, None, :]   # [l, i, j]
-        a = (A[..., 0, 0, :] + A[..., 0, 1, :] + A[..., 1, 0, :]
-             + A[..., 1, 1, :])
-        b = B[..., 0, 0] + B[..., 0, 1] + B[..., 1, 0] + B[..., 1, 1]
-        cov = a - 0.5 * b
-        return (ginv[..., :, 0] * cov[..., 0, None]
-                + ginv[..., :, 1] * cov[..., 1, None])
+        # cov_l = (v . d)(g v)_l - 1/2 d_l g(v, v) = T[l, i, j] v^i v^j with
+        # T[l, i, j] = d_i g_jl - 1/2 d_l g_ij; then g^{-1} cov by the adjugate
+        x, y = v[..., 0], v[..., 1]
+        T = dg.transpose((2, 0, 1) + tuple(range(3, dg.ndim))) - 0.5 * dg
+        U = T[:, :, 0] * x
+        U += T[:, :, 1] * y
+        cov = U[:, 0] * x
+        cov += U[:, 1] * y
+        cov /= det
+        adj = g[::-1, ::-1] * _ADJ_SIGNS.reshape((2, 2) + (1,) * det.ndim)
+        return _points_first(adj[:, 0] * cov[0] + adj[:, 1] * cov[1], 1)
 
     # -- curvature ---------------------------------------------------------
 
     def gauss_curvature(self, pts) -> np.ndarray:
-        """Gauss curvature via the Brioschi formula with central differences."""
-        pts = np.asarray(pts, dtype=float)
-        h = self.curv_step
-        e1 = np.array([h, 0.0])
-        e2 = np.array([0.0, h])
+        """Gauss curvature by Brioschi's formula on the metric's 2-jet."""
+        rows = np.asarray(pts, dtype=float).reshape(-1, 2)
+        K = np.empty(len(rows))
+        for i in range(0, len(rows), _JET_CHUNK):
+            K[i:i + _JET_CHUNK] = self._brioschi(rows[i:i + _JET_CHUNK])
+        return K.reshape(np.shape(pts)[:-1])
 
-        def comp(p):
-            g = self.metric_field(p)
-            return g[..., 0, 0], g[..., 0, 1], g[..., 1, 1]
-
-        E, F, G = comp(pts)
-        Eu_p, Fu_p, Gu_p = comp(pts + e1)
-        Eu_m, Fu_m, Gu_m = comp(pts - e1)
-        Ev_p, Fv_p, Gv_p = comp(pts + e2)
-        Ev_m, Fv_m, Gv_m = comp(pts - e2)
-        E_u = (Eu_p - Eu_m) / (2 * h)
-        F_u = (Fu_p - Fu_m) / (2 * h)
-        G_u = (Gu_p - Gu_m) / (2 * h)
-        E_v = (Ev_p - Ev_m) / (2 * h)
-        F_v = (Fv_p - Fv_m) / (2 * h)
-        G_v = (Gv_p - Gv_m) / (2 * h)
-        E_vv = (Ev_p - 2 * E + Ev_m) / h ** 2
-        G_uu = (Gu_p - 2 * G + Gu_m) / h ** 2
-        Fpp = comp(pts + e1 + e2)[1]
-        Fpm = comp(pts + e1 - e2)[1]
-        Fmp = comp(pts - e1 + e2)[1]
-        Fmm = comp(pts - e1 - e2)[1]
-        F_uv = (Fpp - Fpm - Fmp + Fmm) / (4 * h ** 2)
+    def _brioschi(self, pts) -> np.ndarray:
+        g, dg, ddg = self.metric_field.jet(pts, 2)
+        (E, F), (_, G) = g
+        (E_u, F_u), (_, G_u) = dg[0]
+        (E_v, F_v), (_, G_v) = dg[1]
+        E_vv, F_uv, G_uu = ddg[1, 1, 0, 0], ddg[0, 1, 0, 1], ddg[0, 0, 1, 1]
 
         def det3(a11, a12, a13, a21, a22, a23, a31, a32, a33):
             return (a11 * (a22 * a33 - a23 * a32)
@@ -332,23 +352,18 @@ class PeriodicChart(_Shared):
         m2 = det3(0.0, 0.5 * E_v, 0.5 * G_u,
                   0.5 * E_v, E, F,
                   0.5 * G_u, F, G)
-        det = E * G - F ** 2
-        return (m1 - m2) / det ** 2
+        return (m1 - m2) / (E * G - F ** 2) ** 2
 
     # -- auxiliary (Hausdorff) distance -------------------------------------
 
     def wrap(self, pts) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        L = np.array(self.periods)
-        return np.mod(pts, L)
+        return np.mod(np.asarray(pts, dtype=float), np.array(self.periods))
 
     def aux_gap(self, p, q) -> np.ndarray:
         """Wraparound chart displacement q - p, each component in [-L/2, L/2)."""
-        p = np.asarray(p, dtype=float)
-        q = np.asarray(q, dtype=float)
         L = np.array(self.periods)
-        d = np.mod(q - p + 0.5 * L, L) - 0.5 * L
-        return d
+        d = np.asarray(q, dtype=float) - np.asarray(p, dtype=float)
+        return np.mod(d + 0.5 * L, L) - 0.5 * L
 
     def aux_distance(self, p, q) -> np.ndarray:
         d = self.aux_gap(p, q)
@@ -358,6 +373,11 @@ class PeriodicChart(_Shared):
 
     def constrain_velocity(self, pts, v):
         return v
+
+    def lower(self, pts, v):
+        """The covector g v of each velocity: row_sum(lower(x, v) * w) is
+        g_x(v, w)."""
+        return (self.metric(pts) @ v[..., None])[..., 0]
 
     def retract(self, x, v):
         """A state after an RK4 step; a chart has no constraint to restore."""
@@ -421,27 +441,15 @@ def level_surface(name: str, **params) -> LevelSurface:
                  {"sphere": ("radius",), "ellipsoid": ("semi_axes",)})
     if name == "sphere":
         r = float(params.get("radius", 1.0))
-
-        def h(p):
-            return np.sum(p * p, axis=-1) - r * r
-
-        def grad(p):
-            return 2.0 * p
-
-        def hess(p):
-            return np.broadcast_to(2.0 * np.eye(3), p.shape[:-1] + (3, 3)).copy()
+        h = lambda p: np.sum(p * p, axis=-1) - r * r
+        grad = lambda p: 2.0 * p
+        H = 2.0 * np.eye(3)
     elif name == "ellipsoid":
         ax = np.array([float(a) for a in params.get("semi_axes", (1, 1, 1))])
-
-        def h(p):
-            return np.sum((p / ax) ** 2, axis=-1) - 1.0
-
-        def grad(p):
-            return 2.0 * p / ax ** 2
-
-        def hess(p):
-            return np.broadcast_to(np.diag(2.0 / ax ** 2),
-                                   p.shape[:-1] + (3, 3)).copy()
+        h = lambda p: np.sum((p / ax) ** 2, axis=-1) - 1.0
+        grad = lambda p: 2.0 * p / ax ** 2
+        H = np.diag(2.0 / ax ** 2)
+    hess = lambda p: np.broadcast_to(H, p.shape[:-1] + (3, 3)).copy()
     return LevelSurface(name, dict(params), h, grad, hess)
 
 
@@ -451,8 +459,6 @@ class ImplicitSurface(_Shared):
 
     surface: LevelSurface
     psi: ScalarField = ZERO_FIELD
-    fd_step: float = 1e-5       # psi gradient differences
-    curv_step: float = 1e-3     # surface Laplacian of psi
     proj_tol: float = 1e-11
 
     @property
@@ -492,25 +498,17 @@ class ImplicitSurface(_Shared):
 
     # -- metric ------------------------------------------------------------
 
-    def conformal_weight(self, pts) -> np.ndarray:
-        return np.exp(2.0 * self.psi(pts))
-
     def inner(self, pts, v, w) -> np.ndarray:
-        return self.conformal_weight(pts) * row_sum(
+        return np.exp(2.0 * self.psi(pts)) * row_sum(
             np.asarray(v, float) * np.asarray(w, float))
 
     def lam_sqrt_max(self, pts) -> np.ndarray:
         return np.exp(self.psi(pts))
 
     def psi_gradient(self, pts) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        h = self.fd_step
-        out = np.empty_like(pts)
-        for i in range(3):
-            e = np.zeros(3)
-            e[i] = h
-            out[..., i] = (self.psi(pts + e) - self.psi(pts - e)) / (2.0 * h)
-        return out
+        """The ambient gradient of psi."""
+        return _points_first(self.psi.jet(np.asarray(pts, dtype=float), 1).d1,
+                             1)
 
     # -- geodesic acceleration ----------------------------------------------
 
@@ -551,27 +549,25 @@ class ImplicitSurface(_Shared):
         den = np.sum(g * g, axis=-1) ** 2
         return num / den
 
-    def _surface_laplacian(self, fld: ScalarField, pts) -> np.ndarray:
-        """Laplace-Beltrami of a scalar field on the induced metric, by
-        second differences along projected tangent steps."""
-        pts = np.asarray(pts, dtype=float)
-        eps = self.curv_step
-        n = self.unit_surface_normal(pts)
-        e1, e2 = _tangent_frame(n)
-        f0 = fld(pts)
-        out = np.zeros(pts.shape[:-1])
-        for e in (e1, e2):
-            fp = fld(self.project(pts + eps * e))
-            fm = fld(self.project(pts - eps * e))
-            out = out + (fp - 2.0 * f0 + fm) / eps ** 2
-        return out
-
     def gauss_curvature(self, pts) -> np.ndarray:
-        K = self._induced_curvature(np.asarray(pts, dtype=float))
-        if self.psi is not ZERO_FIELD:
-            lap = self._surface_laplacian(self.psi, pts)
-            K = (K - lap) / self.conformal_weight(pts)
-        return K
+        """K = (K_induced - Lap psi) e^{-2 psi}, with the induced Laplacian
+        of psi from its ambient 2-jet: tr_T Hess psi - H dpsi/dn, where
+        H = div n is the mean curvature (the sum of the principal ones)."""
+        pts = np.asarray(pts, dtype=float)
+        K = self._induced_curvature(pts)
+        if self.psi is ZERO_FIELD:
+            return K
+        psi = self.psi.jet(pts, 2)
+        gh = self.surface.grad(pts)
+        norm = np.sqrt(row_sum(gh * gh))
+        n = gh / norm[..., None]
+
+        tangent_trace = lambda A: (np.trace(A, axis1=-2, axis2=-1)
+                                   - np.einsum("...i,...ij,...j->...", n, A, n))
+        lap = (tangent_trace(_points_first(psi.d2))
+               - tangent_trace(self.surface.hess(pts)) / norm
+               * row_sum(_points_first(psi.d1, 1) * n))
+        return (K - lap) / np.exp(2.0 * psi.val)
 
     # -- auxiliary distance -------------------------------------------------
 
@@ -589,6 +585,13 @@ class ImplicitSurface(_Shared):
 
     def constrain_velocity(self, pts, v):
         return self.tangent_project(pts, v)
+
+    def lower(self, pts, v):
+        """The covector e^{2 psi} v of each velocity, v itself when psi is
+        zero: row_sum(lower(x, v) * w) is g_x(v, w) for tangent w."""
+        if self.psi is ZERO_FIELD:
+            return v
+        return np.exp(2.0 * self.psi(pts))[..., None] * v
 
     def retract(self, x, v):
         """Project a post-step state onto {h = 0}, tangent at its old speed."""
@@ -674,9 +677,7 @@ def validation_grid(b: Backend, spacing: float) -> np.ndarray:
     """Evaluation grid: chart lattice, or a projected lat-long net on an
     implicit surface."""
     if isinstance(b, PeriodicChart):
-        L1, L2 = b.periods
-        xs = np.arange(0.0, L1, spacing)
-        ys = np.arange(0.0, L2, spacing)
+        xs, ys = (np.arange(0.0, L, spacing) for L in b.periods)
         return np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
     probe = b.project(np.array([[1.0, 0.0, 0.0]]))
     r = float(np.linalg.norm(probe[0]))
@@ -698,16 +699,14 @@ def conformal_family(b: Backend, phi: ScalarField, tau: float) -> Backend:
         if tau == 0.0:
             return b
         return PeriodicChart(b.periods,
-                             conformal_chart_field(b.metric_field, phi, tau),
-                             fd_step=b.fd_step, curv_step=b.curv_step)
+                             conformal_chart_field(b.metric_field, phi, tau))
     if tau == 0.0 and b.psi is ZERO_FIELD:
         return b
     base_psi = b.psi
     name = f"{base_psi.name}+{tau}*{phi.name}"
-    combined = ScalarField(name, {"tau": tau},
-                           lambda p: base_psi(p) + tau * phi(p))
-    return ImplicitSurface(b.surface, psi=combined, fd_step=b.fd_step,
-                           curv_step=b.curv_step, proj_tol=b.proj_tol)
+    combined = ScalarField(name, {"tau": tau}, lambda p, order: _sum(
+        1.0, base_psi.jet(p, order), tau, phi.jet(p, order)))
+    return ImplicitSurface(b.surface, psi=combined, proj_tol=b.proj_tol)
 
 
 def linear_blend(b0: PeriodicChart, b1: PeriodicChart, tau: float) -> PeriodicChart:
@@ -721,8 +720,7 @@ def linear_blend(b0: PeriodicChart, b1: PeriodicChart, tau: float) -> PeriodicCh
     if tau == 1.0:
         return b1
     return PeriodicChart(b0.periods,
-                         blended_chart_field(b0.metric_field, b1.metric_field, tau),
-                         fd_step=b0.fd_step, curv_step=b0.curv_step)
+                         blended_chart_field(b0.metric_field, b1.metric_field, tau))
 
 
 def same_backend_family(a: Backend, b: Backend) -> bool:

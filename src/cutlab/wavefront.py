@@ -174,6 +174,7 @@ class WavefrontAtlas:
     sample_dir: np.ndarray
     sample_lam: np.ndarray      # sqrt of max metric eigenvalue at the sample
     sample_vel: np.ndarray      # velocity at the sample (front direction)
+    sample_covel: np.ndarray    # the velocity lowered by the metric there
     sample_gap: np.ndarray      # local gap to adjacent-direction samples
     median_gap: float
     # CSR spatial hash over every sample
@@ -231,7 +232,8 @@ def build_atlas(b: Backend, N: SubmanifoldSpec, m: int, t_max: float,
     sample_vel = batch.vel.reshape(-1, batch.pos.shape[-1])
     return WavefrontAtlas(b, N, frames, batch, dt, t_max, cert, err,
                           wrapped, sample_t, sample_dir, sample_lam,
-                          sample_vel, local_gap, med_gap,
+                          sample_vel, b.lower(wrapped, sample_vel),
+                          local_gap, med_gap,
                           cell, grid.shape, grid.origin, order, starts, index)
 
 
@@ -364,15 +366,14 @@ def _nearest(atlas, qi, s, gaps, vec, pick, d, gap):
     occurs once."""
     if not qi.size:
         return
-    b = atlas.backend
-    pos_c = atlas.sample_pos.take(s, axis=0)
-    vel_c = atlas.sample_vel.take(s, axis=0)
     # first-order model d(q) = t_i + <v_i, q - x_i>_g: the transversal part
     # of the gap contributes only at second order; the absolute value folds
     # the two sides of a geodesic leaving N back to one distance (on a
     # surface the gap is first projected to the tangent plane at x_i)
-    delta = b.constrain_velocity(pos_c, vec)
-    vals = np.abs(atlas.sample_t.take(s) + b.inner(pos_c, vel_c, delta))
+    delta = atlas.backend.constrain_velocity(atlas.sample_pos.take(s, axis=0),
+                                             vec)
+    vals = np.abs(atlas.sample_t.take(s)
+                  + row_sum(atlas.sample_covel.take(s, axis=0) * delta))
     # the least value of each query, then the least sample among its hits
     row = qi - qi.min()
     low = np.full(row.max() + 1, np.inf)

@@ -252,31 +252,83 @@ def reference_cut_time(atlas, dir_idx, distance_fn, kink_root, tol=1e-3):
     return rho, flags
 
 
-# -- einsum Christoffel action of a chart metric ----------------------------
-def einsum_gamma2(b, pts, v):
-    """Gamma^k_ij v^i v^j of a PeriodicChart as three einsums over the
-    metric and its central differences, with one metric call per stencil
-    shift."""
-    pts = np.asarray(pts, dtype=float)
-    v = np.asarray(v, dtype=float)
-    h = b.fd_step
-    e1 = np.array([h, 0.0])
-    e2 = np.array([0.0, h])
-    g = b.metric(pts)
-    dg = np.empty(pts.shape[:-1] + (2, 2, 2))   # dg[..., l, i, j] = d_l g_ij
-    dg[..., 0, :, :] = (b.metric(pts + e1, check=False)
-                        - b.metric(pts - e1, check=False)) / (2.0 * h)
-    dg[..., 1, :, :] = (b.metric(pts + e2, check=False)
-                        - b.metric(pts - e2, check=False)) / (2.0 * h)
+# -- Christoffel action and curvature of a chart metric ---------------------
+def _ginv(g):
     det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
     ginv = np.empty_like(g)
     ginv[..., 0, 0] = g[..., 1, 1] / det
     ginv[..., 1, 1] = g[..., 0, 0] / det
     ginv[..., 0, 1] = -g[..., 0, 1] / det
     ginv[..., 1, 0] = -g[..., 1, 0] / det
+    return ginv
+
+
+def _contract_gamma2(g, dg, v):
+    """Gamma^k_ij v^i v^j from g and dg[..., l, i, j] = d_l g_ij, as three
+    einsums."""
     a = np.einsum("...ijl,...i,...j->...l", dg, v, v)
     bb = np.einsum("...lij,...i,...j->...l", dg, v, v)
-    return np.einsum("...kl,...l->...k", ginv, a - 0.5 * bb)
+    return np.einsum("...kl,...l->...k", _ginv(g), a - 0.5 * bb)
+
+
+def einsum_gamma2(b, pts, v):
+    """Gamma^k_ij v^i v^j of a PeriodicChart as three einsums over the
+    value and first derivatives of its metric field's jet."""
+    g, dg, _ = b.metric_field.jet(np.asarray(pts, dtype=float), 1)
+    # the jet puts the point axes last
+    return _contract_gamma2(np.moveaxis(g, (0, 1), (-2, -1)),
+                            np.moveaxis(dg, (0, 1, 2), (-3, -2, -1)),
+                            np.asarray(v, dtype=float))
+
+
+FD_GAMMA2_STEP = 1e-4
+FD_CURVATURE_STEP = 1e-3
+
+
+def fd_gamma2(b, pts, v, h=FD_GAMMA2_STEP):
+    """Gamma^k_ij v^i v^j of a PeriodicChart with the metric's first
+    derivatives taken by central differences of its values."""
+    pts = np.asarray(pts, dtype=float)
+    e1, e2 = np.array([h, 0.0]), np.array([0.0, h])
+    dg = np.stack([b.metric(pts + e1, check=False)
+                   - b.metric(pts - e1, check=False),
+                   b.metric(pts + e2, check=False)
+                   - b.metric(pts - e2, check=False)], axis=-3) / (2.0 * h)
+    return _contract_gamma2(b.metric(pts), dg, np.asarray(v, dtype=float))
+
+
+def fd_gauss_curvature(b, pts, h=FD_CURVATURE_STEP):
+    """Gauss curvature of a PeriodicChart by the Brioschi formula, with the
+    metric's derivatives taken by central and second differences."""
+    pts = np.asarray(pts, dtype=float)
+    e1, e2 = np.array([h, 0.0]), np.array([0.0, h])
+
+    def comp(p):
+        g = b.metric(p, check=False)
+        return g[..., 0, 0], g[..., 0, 1], g[..., 1, 1]
+
+    E, F, G = comp(pts)
+    (Eup, Fup, Gup), (Eum, Fum, Gum) = comp(pts + e1), comp(pts - e1)
+    (Evp, Fvp, Gvp), (Evm, Fvm, Gvm) = comp(pts + e2), comp(pts - e2)
+    E_u, F_u, G_u = ((p - m) / (2 * h) for p, m in
+                     ((Eup, Eum), (Fup, Fum), (Gup, Gum)))
+    E_v, F_v, G_v = ((p - m) / (2 * h) for p, m in
+                     ((Evp, Evm), (Fvp, Fvm), (Gvp, Gvm)))
+    E_vv = (Evp - 2 * E + Evm) / h ** 2
+    G_uu = (Gup - 2 * G + Gum) / h ** 2
+    F_uv = (comp(pts + e1 + e2)[1] - comp(pts + e1 - e2)[1]
+            - comp(pts - e1 + e2)[1] + comp(pts - e1 - e2)[1]) / (4 * h ** 2)
+    m1 = np.linalg.det(np.stack([
+        np.stack([-0.5 * E_vv + F_uv - 0.5 * G_uu, 0.5 * E_u, F_u - 0.5 * E_v],
+                 axis=-1),
+        np.stack([F_v - 0.5 * G_u, E, F], axis=-1),
+        np.stack([0.5 * G_v, F, G], axis=-1)], axis=-2))
+    zero = np.zeros_like(E)
+    m2 = np.linalg.det(np.stack([
+        np.stack([zero, 0.5 * E_v, 0.5 * G_u], axis=-1),
+        np.stack([0.5 * E_v, E, F], axis=-1),
+        np.stack([0.5 * G_u, F, G], axis=-1)], axis=-2))
+    return (m1 - m2) / (E * G - F ** 2) ** 2
 
 
 # -- one-direction unit normal and shape operator ---------------------------

@@ -196,6 +196,15 @@ def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, cfg, key):
     assert err.startswith(f"config error: {key}: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("key", ["fd_step", "curv_step"])
+def test_removed_step_knobs_are_rejected_by_name(tmp_path, capsys, key):
+    # the metric jets are exact: no finite-difference step is left to set
+    cfg = {**_INLINE, "backend": {**_INLINE["backend"], key: 1e-4}}
+    argv = ["inj", "--config", json.dumps(cfg), "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"config error: backend.{key}: unknown key\n"
+
+
 def test_long_inline_json_config_runs(tmp_path):
     cfg = json.dumps({**_INLINE, "seed": 0, "threads": 1,
                       "out": str(tmp_path / "from_cfg")})
@@ -215,6 +224,9 @@ _SPHERE = {**_INLINE, "backend": {"kind": "implicit-surface",
            "submanifold": {"dim": 1, "curve": {"name": "equator"}}}
 _SWEEP = {**FAST, "family": {"kind": "conformal", "tau": [0.2, 0.1],
                              "phi": {"name": "sine-y", "amplitude": 1.0}}}
+_SHIFT = {"scenario": "torus-line-shift-sweep",
+          "family": {"kind": "embedding", "tau": [0.2, 0.1],
+                     "target": {"name": "horizontal-circle", "y0": 0.1}}}
 
 
 def _with(cfg, block, **change):
@@ -244,10 +256,14 @@ def _with(cfg, block, **change):
      "'x'"),
     ("sweep", _with(_SWEEP, "family", phi={"amplitud": 0.5}), "family.phi",
      "'amplitud'"),
+    ("sweep", _with(_SHIFT, "family", target={"y00": 0.1}), "family.target",
+     "'y00'"),
+    ("sweep", _with(_SHIFT, "family", target={"y0": "x"}), "family.target",
+     "'x'"),
 ], ids=["point-text", "point-length", "curve-value", "curve-unknown-name",
         "surface-curve-unknown-name", "metric-unknown-name",
         "surface-unknown-name", "psi-unknown-name", "phi-value",
-        "phi-unknown-name"])
+        "phi-unknown-name", "target-unknown-name", "target-value"])
 def test_bad_named_block_exits_2_naming_the_block(tmp_path, capsys, command,
                                                   cfg, key, word):
     argv = [command, "--config", json.dumps(cfg), "--out", str(tmp_path / "o")]

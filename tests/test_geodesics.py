@@ -48,13 +48,23 @@ def _chart_starts(b):
     return p0, v0 / b.norm(p0, v0)[:, None]
 
 
-@pytest.mark.parametrize("dt", [1e-3, 2e-3, 4e-3])
-def test_warped_clairaut_momentum_is_conserved(warped_backend, dt):
+def _clairaut_drift(b, dt):
     # g = diag(1, b(x)^2) does not depend on y: p_y = b(x)^2 y' is constant
-    b = warped_backend
     B = integrate_batch(b, *_chart_starts(b), 1.5, dt)
     p_y = b.metric(B.pos)[..., 1, 1] * B.vel[..., 1]
-    assert np.max(np.abs(p_y - p_y[:, :1])) <= 1e-6
+    return np.max(np.abs(p_y - p_y[:, :1]))
+
+
+@pytest.mark.parametrize("dt", [1e-3, 2e-3, 4e-3])
+def test_warped_clairaut_momentum_is_conserved(warped_backend, dt):
+    assert _clairaut_drift(warped_backend, dt) <= 1e-9
+
+
+def test_warped_clairaut_drift_scales_as_rk4(warped_backend):
+    # with exact Christoffel symbols the only drift is RK4's O(dt^4)
+    # truncation: 4x the step gives 256x the drift, and at least 50x
+    assert (_clairaut_drift(warped_backend, 4e-3)
+            >= 50.0 * _clairaut_drift(warped_backend, 1e-3))
 
 
 @pytest.mark.parametrize("dt", [1e-3, 4e-3])

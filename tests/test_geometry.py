@@ -3,15 +3,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cutlab.geometry import (ChartMetricField, GeometryError,
-                             ImplicitSurface, PeriodicChart, ZERO_FIELD,
-                             ambient_scalar_field, chart_metric_field,
-                             chart_scalar_field, conformal_family,
+                             ImplicitSurface, Jet, PeriodicChart, ZERO_FIELD,
+                             ambient_scalar_field, blended_chart_field,
+                             chart_metric_field, chart_scalar_field,
+                             conformal_chart_field, conformal_family,
                              level_surface, linear_blend, metric_eval,
                              row_sum, same_backend_family)
 from cutlab.submanifold import chart_curve, surface_curve
 
 from oracles import (diag_metric_christoffel_action, einsum_gamma2,
-                     warped_curvature)
+                     fd_gamma2, fd_gauss_curvature, warped_curvature)
 
 pts2 = st.tuples(st.floats(0, 1), st.floats(0, 1)).map(np.array)
 vecs2 = st.tuples(st.floats(-2, 2), st.floats(-2, 2)).map(np.array)
@@ -89,7 +90,7 @@ def test_warped_christoffels_match_closed_form(x):
     v = np.array([0.7, -0.4])
     want = diag_metric_christoffel_action(1.0, 0.0, bx ** 2, 2 * bx * dbx, v)
     got = b.gamma2(np.array([[x, 0.33]]), v[None, :])[0]
-    assert np.max(np.abs(got - want)) <= 1e-6
+    assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_christoffel_mixed_polarization():
@@ -130,31 +131,58 @@ def _gamma2_inputs(n, seed):
     return pts, v
 
 
+def _rel_dev(got, want):
+    """max |got - want| over max |want|; 0 where both vanish."""
+    dev = np.max(np.abs(got - want))
+    return dev / np.max(np.abs(want)) if dev else 0.0
+
+
 @pytest.mark.parametrize("n", [1, 5, 128])
 @pytest.mark.parametrize("name", sorted(_GAMMA2_BACKENDS))
 def test_gamma2_matches_einsum_oracle_bitwise(name, n):
+    # the einsums contract the same metric jet, but the package sums
+    # (v . d)(g v) - 1/2 d g(v, v) in another order and inverts g by its
+    # adjugate, so agreement is held to a relative 1e-13, the rule of the
+    # off-diagonal test below; the stencil reference checks the jet's
+    # derivatives against differences of the metric's values
     b = _GAMMA2_BACKENDS[name]()
     pts, v = _gamma2_inputs(n, n)
-    assert b.gamma2(pts, v).tobytes() == einsum_gamma2(b, pts, v).tobytes()
+    got = b.gamma2(pts, v)
+    assert _rel_dev(got, einsum_gamma2(b, pts, v)) <= 1e-13
+    assert _rel_dev(got, fd_gamma2(b, pts, v)) <= 1e-6
+
+
+def _off_diagonal_jet(p, order):
+    """A metric with g12 != 0 and its first derivatives, by hand, in the
+    jet layout: dg[l, i, j, ...] = d_l g_ij."""
+    if order > 1:
+        raise NotImplementedError
+    w = 2.0 * np.pi
+    sx, cx = np.sin(w * p[..., 0]), np.cos(w * p[..., 0])
+    sy, cy = np.sin(w * p[..., 1]), np.cos(w * p[..., 1])
+    g = np.zeros((2, 2) + p.shape[:-1])
+    g[0, 0] = 1.5 + 0.3 * sx
+    g[1, 1] = 1.2 + 0.2 * cy
+    g[0, 1] = g[1, 0] = 0.3 * sx * cy
+    if not order:
+        return Jet(g)
+    dg = np.zeros((2, 2, 2) + p.shape[:-1])
+    dg[0, 0, 0] = 0.3 * w * cx
+    dg[1, 1, 1] = -0.2 * w * sy
+    dg[0, 0, 1] = dg[0, 1, 0] = 0.3 * w * cx * cy
+    dg[1, 0, 1] = dg[1, 1, 0] = -0.3 * w * sx * sy
+    return Jet(g, dg)
 
 
 def test_gamma2_off_diagonal_field_matches_oracle():
-    # no bundled field has g12 != 0; the einsum sums the 2x2 products in
-    # another order there, so agreement is held to a relative 1e-13
-    def fn(p):
-        g = np.zeros(p.shape[:-1] + (2, 2))
-        sx = np.sin(2.0 * np.pi * p[..., 0])
-        cy = np.cos(2.0 * np.pi * p[..., 1])
-        g[..., 0, 0] = 1.5 + 0.3 * sx
-        g[..., 1, 1] = 1.2 + 0.2 * cy
-        g[..., 0, 1] = g[..., 1, 0] = 0.3 * sx * cy
-        return g
-
-    b = PeriodicChart((1.0, 1.0), ChartMetricField("off-diagonal", {}, fn))
+    # no bundled field has g12 != 0: a hand-made jet checks that entry
+    b = PeriodicChart((1.0, 1.0),
+                      ChartMetricField("off-diagonal", {}, _off_diagonal_jet))
     for n in (1, 5, 128):
         pts, v = _gamma2_inputs(n, 7 + n)
-        got, want = b.gamma2(pts, v), einsum_gamma2(b, pts, v)
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        got = b.gamma2(pts, v)
+        assert _rel_dev(got, einsum_gamma2(b, pts, v)) <= 1e-13
+        assert _rel_dev(got, fd_gamma2(b, pts, v)) <= 1e-6
 
 
 def test_gamma2_checks_the_metric_at_every_call():
@@ -189,7 +217,7 @@ def test_sphere_curvature(r):
 def test_warped_curvature_closed_form(x):
     b = warped(0.2)
     got = float(b.gauss_curvature(np.array([[x, 0.2]]))[0])
-    assert got == pytest.approx(warped_curvature(0.2, x), abs=5e-3)
+    assert got == pytest.approx(warped_curvature(0.2, x), abs=1e-10)
 
 
 def test_conformal_curvature_relation():
@@ -202,7 +230,86 @@ def test_conformal_curvature_relation():
     p = np.array([[0.2, 0.35]])
     ph = float(phi(p)[0])
     want = tau * 8 * np.pi ** 2 * ph * np.exp(-2 * tau * ph)
-    assert float(b.gauss_curvature(p)[0]) == pytest.approx(want, rel=2e-2)
+    assert float(b.gauss_curvature(p)[0]) == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("name", sorted(_GAMMA2_BACKENDS))
+def test_chart_curvature_matches_second_differences(name):
+    b = _GAMMA2_BACKENDS[name]()
+    pts, _ = _gamma2_inputs(128, 11)
+    K = b.gauss_curvature(pts)
+    assert _rel_dev(K, fd_gauss_curvature(b, pts)) <= 1e-5
+
+
+def test_conformal_sphere_curvature_closed_form(sphere_psi_backend, rng):
+    # psi = 0.3 z on the unit sphere: z is a first spherical harmonic, so
+    # Lap_S psi = -0.6 z and K = (K_induced - Lap_S psi) e^{-2 psi}
+    # = (1 + 0.6 z) e^{-0.6 z}
+    b = sphere_psi_backend
+    p = b.project(rng.standard_normal((200, 3)))
+    z = p[:, 2]
+    want = (1.0 + 0.6 * z) * np.exp(-0.6 * z)
+    np.testing.assert_allclose(b.gauss_curvature(p), want, rtol=1e-10)
+
+
+# -- jets: every named field's derivatives against differences of its values --
+
+_L = (1.0, 1.3)
+_SINE_Y = chart_scalar_field("sine-y", _L, amplitude=0.7, harmonic=2)
+_WARPED = chart_metric_field("warped-diag", _L, amplitude=0.3, harmonic=2)
+_BUMP = chart_metric_field("conformal-bump", _L, amplitude=0.2)
+_JET_FIELDS = {
+    "chart-constant": chart_scalar_field("constant", _L, value=0.4),
+    "sine-x": chart_scalar_field("sine-x", _L, amplitude=0.7, harmonic=2),
+    "sine-y": _SINE_Y,
+    "bump-xy": chart_scalar_field("bump-xy", _L, amplitude=0.6),
+    "ambient-constant": ambient_scalar_field("constant", value=-0.3),
+    "linear-z": ambient_scalar_field("linear-z", amplitude=0.8),
+    "sine-z": ambient_scalar_field("sine-z", amplitude=0.5, wavenumber=3.0),
+    "flat": chart_metric_field("flat", _L),
+    "warped-diag": _WARPED,
+    "warped-diag-g22": chart_metric_field("warped-diag-g22", _L,
+                                          amplitude=0.4, harmonic=3),
+    "conformal-bump": _BUMP,
+    "conformal": conformal_chart_field(_WARPED, _SINE_Y, 0.3),
+    "blend": blended_chart_field(_WARPED, _BUMP, 0.35),
+    "surface-psi": conformal_family(
+        sphere(psi=ambient_scalar_field("linear-z", amplitude=0.4)),
+        ambient_scalar_field("sine-z", amplitude=0.5, wavenumber=2.0),
+        0.7).psi,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_JET_FIELDS))
+def test_jet_matches_differences_of_its_values(name, rng):
+    fld = _JET_FIELDS[name]
+    dim = 3 if name in ("ambient-constant", "linear-z", "sine-z",
+                        "surface-psi") else 2
+    p = rng.uniform(-1.0, 2.0, (64, dim))
+    jet = fld.jet(p, 2)
+    np.testing.assert_array_equal(jet.val, fld(p))
+    for order in (0, 1):
+        low = fld.jet(p, order)
+        np.testing.assert_array_equal(low.val, jet.val)
+        assert (low.d1 is None) == (order == 0) and low.d2 is None
+    np.testing.assert_array_equal(fld.jet(p, 1).d1, jet.d1)
+    # central differences with O(h^2) truncation, about (w h)^2 / 6 of the
+    # derivative for a wavenumber w <= 6 pi here; the bounds are a few times
+    # that, relative to the size of the derivative
+    E = np.eye(dim)
+    h = 1e-4
+    for l in range(dim):
+        fd = (fld(p + h * E[l]) - fld(p - h * E[l])) / (2 * h)
+        assert np.max(np.abs(jet.d1[l] - fd)) <= 5e-6 * (
+            1.0 + np.max(np.abs(fd)))
+    h = 1e-3
+    for l in range(dim):
+        for m in range(dim):
+            e, f = h * E[l], h * E[m]
+            fd = (fld(p + e + f) - fld(p + e - f) - fld(p - e + f)
+                  + fld(p - e - f)) / (4 * h * h)
+            assert np.max(np.abs(jet.d2[l, m] - fd)) <= 5e-4 * (
+                1.0 + np.max(np.abs(fd)))
 
 
 # -- families ---------------------------------------------------------------
