@@ -3,19 +3,16 @@ points and closed curves on compact surfaces, with stability sweeps."""
 
 __version__ = "0.1.0"
 
-from .geometry import (ChartMetricField, GeometryError, ImplicitSurface,
-                       PeriodicChart, ScalarField, ZERO_FIELD,
-                       ambient_scalar_field, chart_metric_field,
-                       chart_scalar_field, conformal_family, level_surface,
-                       linear_blend, metric_eval, validation_grid)
-from .geodesics import (GeodesicPath, IntegrationError, exp_map,
-                        integrate_geodesic, normal_exp, normal_exp_jacobian)
+from .geometry import (GeometryError, ImplicitSurface, PeriodicChart,
+                       ScalarField, ZERO_FIELD, ambient_scalar_field,
+                       chart_metric_field, chart_scalar_field,
+                       conformal_family, level_surface, linear_blend,
+                       validation_grid)
+from .geodesics import IntegrationError, integrate_batch, normal_exp_jacobian
 from .submanifold import (CurveSpec, NormalFrame, SubmanifoldSpec, chart_curve,
-                          curve_submanifold, direction_circle,
-                          embedding_family, foot_point, point_submanifold,
-                          principal_curvature_bound, shape_operator,
-                          shape_operators, surface_curve, unit_normal,
-                          unit_normals)
+                          curve_submanifold, embedding_family, foot_point,
+                          point_submanifold, principal_curvature_bound,
+                          shape_operators, surface_curve, unit_normals)
 from .wavefront import (CoverageError, WavefrontAtlas, build_atlas, distance,
                         distance_many, eikonal_residual)
 from .cutanalysis import (CutProfile, PointCloud, compute_profiles, cut_time,

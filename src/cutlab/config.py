@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .geometry import (Backend, GeometryError, ImplicitSurface, PeriodicChart,
@@ -71,7 +71,6 @@ class RunConfig:
     family: dict | None
     out: str | None = None
     seed: int = 0
-    raw: dict = field(default_factory=dict)
 
     def build_backend(self) -> Backend:
         return build_backend(self.backend_spec)
@@ -177,13 +176,12 @@ def parse_config(source) -> RunConfig:
     _check_keys(data, _TOP_KEYS, "config")
     if "scenario" in data:
         cfg = scenario(data["scenario"])
-        cfg.raw = dict(data)
     else:
         if "backend" not in data or "submanifold" not in data:
             raise ConfigError("config.backend / config.submanifold: required "
                               "when no scenario is named")
         cfg = RunConfig(None, data["backend"], data["submanifold"],
-                        Resolution(), None, raw=dict(data))
+                        Resolution(), None)
         with _named("backend"):           # validate eagerly
             build_backend(cfg.backend_spec)
     if "backend" in data and cfg.scenario is not None:

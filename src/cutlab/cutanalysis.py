@@ -10,8 +10,8 @@ import numpy as np
 
 from .geodesics import _hermite, hermite_batch, normal_exp_jacobian
 from .geometry import Backend
-from .submanifold import (SubmanifoldSpec, foot_points, frame_fn_for,
-                          golden_section, shape_operators)
+from .submanifold import (SubmanifoldSpec, foot_points, golden_section,
+                          shape_operators)
 from .wavefront import (CoverageError, WavefrontAtlas, _coverage_reason,
                         _distance_rows, _edge_margin, distance, ring_pairs)
 
@@ -246,8 +246,7 @@ def focal_bracket_jacobian(b: Backend, N: SubmanifoldSpec, frame,
                            t_max: float, dt: float, fd: float = 1e-4):
     """Secondary focal oracle: first sign change of det d(exp^nu) along the
     direction of ``frame``; None if the determinant never changes sign."""
-    jac = normal_exp_jacobian(b, frame_fn_for(b, N), frame.s, frame.side,
-                              t_max, dt, fd)
+    jac = normal_exp_jacobian(b, N, frame.s, frame.side, t_max, dt, fd)
     return jac.first_zero(), jac
 
 

@@ -1,4 +1,4 @@
-"""Geodesic integration: RK4 on the geodesic ODE, exponential maps,
+"""Geodesic integration: RK4 on the geodesic ODE, cubic-Hermite sampling,
 and the finite-difference Jacobian of the normal exponential map."""
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Backend
+from .submanifold import SubmanifoldSpec, unit_normals
 
 
 class IntegrationError(Exception):
@@ -37,30 +38,9 @@ class BatchPaths:
     def n_paths(self) -> int:
         return self.pos.shape[0]
 
-    def path(self, i: int) -> "GeodesicPath":
-        return GeodesicPath(self.t.copy(), self.pos[i].copy(),
-                            self.vel[i].copy(), self.dt, float(self.drift[i]))
-
     def sample_at(self, i: int, t: float):
         """Cubic-Hermite position/velocity of path i at arbitrary time t."""
         return hermite_sample(self.t, self.pos[i], self.vel[i], t)
-
-
-@dataclass
-class GeodesicPath:
-    """Single time-sampled geodesic with step metadata."""
-
-    t: np.ndarray
-    pos: np.ndarray
-    vel: np.ndarray
-    dt: float
-    drift: float
-
-    def sample_at(self, t: float):
-        return hermite_sample(self.t, self.pos, self.vel, t)
-
-    def endpoint(self) -> np.ndarray:
-        return self.pos[-1]
 
 
 def hermite_sample(tg: np.ndarray, pos: np.ndarray, vel: np.ndarray, t: float):
@@ -154,32 +134,6 @@ def integrate_batch(b: Backend, p0: np.ndarray, v0: np.ndarray,
     return BatchPaths(tg, pos, vel, dt, drift)
 
 
-def integrate_geodesic(b: Backend, p, v, t_max: float, dt: float,
-                       drift_budget: float = DRIFT_BUDGET) -> GeodesicPath:
-    batch = integrate_batch(b, np.asarray(p, float)[None, :],
-                            np.asarray(v, float)[None, :], t_max, dt,
-                            drift_budget)
-    return batch.path(0)
-
-
-def exp_map(b: Backend, p, v, dt: float = 1e-3) -> np.ndarray:
-    """exp_p(v): integrate to t = 1 with ||v||_g-scaled steps."""
-    p = np.asarray(p, dtype=float)
-    v = np.asarray(v, dtype=float)
-    speed = float(b.norm(p, v))
-    if speed == 0.0:
-        return p.copy()
-    vhat = v / speed
-    return integrate_geodesic(b, p, vhat, speed, dt).endpoint()
-
-
-def normal_exp(b: Backend, frame, t: float, dt: float = 1e-3) -> np.ndarray:
-    """gamma_n(t) for a unit normal frame produced by the submanifold module."""
-    if t == 0.0:
-        return np.asarray(frame.base, dtype=float).copy()
-    return integrate_geodesic(b, frame.base, frame.n, t, dt).endpoint()
-
-
 # ---------------------------------------------------------------------------
 # Jacobian of the normal exponential map
 # ---------------------------------------------------------------------------
@@ -213,23 +167,19 @@ class NormalExpJacobian:
         return lo - dlo * (hi - lo) / (dhi - dlo)
 
 
-def normal_exp_jacobian(b: Backend, frame_fn, s0: float, side,
+def normal_exp_jacobian(b: Backend, N: SubmanifoldSpec, s0: float, side,
                         t_max: float, dt: float, fd: float = 1e-4
                         ) -> NormalExpJacobian:
     """Finite-difference Jacobian determinant of (s, r) -> exp^nu(r n(s)).
 
-    ``frame_fn(s, side)`` must return a unit normal frame; for a point
-    submanifold s is the direction angle.  The r-derivative is the exact
-    geodesic velocity; the s-derivative is a central difference of whole
-    geodesics, so one call integrates three paths and evaluates det on the
-    full t-grid.  A Richardson disagreement above 10% between fd and 2*fd
-    sets ``fd_warning``.
+    The start states come from ``unit_normals``; for a point submanifold s
+    is the direction angle.  The r-derivative is the exact geodesic
+    velocity; the s-derivative is a central difference of whole geodesics,
+    so one call integrates five paths and evaluates det on the full t-grid.
+    A Richardson disagreement above 10% between fd and 2*fd sets
+    ``fd_warning``.
     """
-    frames = [frame_fn(s0 - 2 * fd, side), frame_fn(s0 - fd, side),
-              frame_fn(s0, side), frame_fn(s0 + fd, side),
-              frame_fn(s0 + 2 * fd, side)]
-    p0 = np.stack([f.base for f in frames])
-    v0 = np.stack([f.n for f in frames])
+    p0, v0 = unit_normals(b, N, s0 + fd * np.arange(-2.0, 3.0), [side] * 5)
     batch = integrate_batch(b, p0, v0, t_max, dt)
     ds1 = (batch.pos[3] - batch.pos[1]) / (2.0 * fd)
     ds2 = (batch.pos[4] - batch.pos[0]) / (4.0 * fd)

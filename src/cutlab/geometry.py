@@ -1,9 +1,9 @@
 """Surface backends: periodic-chart metrics and implicit surfaces in 3-space.
 
 Points and tangent vectors are plain numpy arrays (shape (2,) for chart
-backends, (3,) for implicit surfaces).  All backend methods but
-``dual_norm`` accept batched inputs with the coordinate axis last.  Backends
-are immutable; every operation is a pure function of its inputs.
+backends, (3,) for implicit surfaces).  Every backend method accepts batched
+inputs with the coordinate axis last.  Backends are immutable; every
+operation is a pure function of its inputs.
 
 Only this module tells the two kinds apart: the other modules reach the
 difference through the methods that both backends define.
@@ -138,9 +138,6 @@ class ScalarField:
         return self.jet(np.asarray(pts, dtype=float), 0).val
 
 
-ChartMetricField = ScalarField      # values are 2x2 tensors, (2, 2, ...)
-
-
 def chart_scalar_field(name: str, periods, **params) -> ScalarField:
     """Built-in periodic scalar fields on a chart with the given periods."""
     L1, L2 = float(periods[0]), float(periods[1])
@@ -186,7 +183,7 @@ def ambient_scalar_field(name: str, **params) -> ScalarField:
 ZERO_FIELD = ambient_scalar_field("constant", value=0.0)
 
 
-def chart_metric_field(name: str, periods, **params) -> ChartMetricField:
+def chart_metric_field(name: str, periods, **params) -> ScalarField:
     L1, L2 = float(periods[0]), float(periods[1])
     check_params("chart metric field", name, params, {
         "flat": (), "warped-diag": ("amplitude", "harmonic"),
@@ -213,22 +210,22 @@ def chart_metric_field(name: str, periods, **params) -> ChartMetricField:
                                  amplitude=float(params.get("amplitude", 0.1)))
         jet = lambda p, order: _times(_exp(2.0, phi.jet(p, order)),
                                       _diag(p, order, 1.0, 1.0))
-    return ChartMetricField(name, dict(params), jet)
+    return ScalarField(name, dict(params), jet)
 
 
-def conformal_chart_field(base: ChartMetricField, phi: ScalarField,
-                          tau: float) -> ChartMetricField:
+def conformal_chart_field(base: ScalarField, phi: ScalarField,
+                          tau: float) -> ScalarField:
     """e^{2 tau phi} base: d(e^{2 tau phi} g) = e^{2 tau phi}(dg + 2 tau g dphi)."""
-    return ChartMetricField(
+    return ScalarField(
         f"conformal({base.name})",
         {"base": base.params, "phi": phi.name, "tau": tau},
         lambda p, order: _times(_exp(2.0 * tau, phi.jet(p, order)),
                                 base.jet(p, order)))
 
 
-def blended_chart_field(g0: ChartMetricField, g1: ChartMetricField,
-                        tau: float) -> ChartMetricField:
-    return ChartMetricField(
+def blended_chart_field(g0: ScalarField, g1: ScalarField,
+                        tau: float) -> ScalarField:
+    return ScalarField(
         f"blend({g0.name},{g1.name})", {"tau": tau},
         lambda p, order: _sum(1.0 - tau, g0.jet(p, order),
                               tau, g1.jet(p, order)))
@@ -253,7 +250,7 @@ def _spd_det(pts, g) -> np.ndarray:
 
 _ROT = np.array([[0.0, -1.0], [1.0, 0.0]])
 _ADJ_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])   # adj g = det g * g^{-1}
-_JET_CHUNK = 4096        # points per metric 2-jet, 28 floats each
+_JET_CHUNK = 4096        # points per curvature call: jets, Hessians, adjugates
 
 
 def _dot(u, v) -> np.ndarray:
@@ -271,6 +268,15 @@ class _Shared:
         """Bilinear Christoffel action Gamma(u, w) via polarization."""
         return 0.25 * (self.gamma2(pts, u + w) - self.gamma2(pts, u - w))
 
+    def gauss_curvature(self, pts) -> np.ndarray:
+        """Gauss curvature at every point, _JET_CHUNK rows at a time so that
+        the per-point jets and matrices stay small."""
+        rows = np.asarray(pts, dtype=float).reshape(-1, self.dim)
+        K = np.empty(len(rows))
+        for i in range(0, len(rows), _JET_CHUNK):
+            K[i:i + _JET_CHUNK] = self._curvature(rows[i:i + _JET_CHUNK])
+        return K.reshape(np.shape(pts)[:-1])
+
 
 @dataclass(frozen=True)
 class PeriodicChart(_Shared):
@@ -281,7 +287,7 @@ class PeriodicChart(_Shared):
     """
 
     periods: tuple[float, float]
-    metric_field: ChartMetricField
+    metric_field: ScalarField
 
     @property
     def dim(self) -> int:
@@ -326,15 +332,8 @@ class PeriodicChart(_Shared):
 
     # -- curvature ---------------------------------------------------------
 
-    def gauss_curvature(self, pts) -> np.ndarray:
+    def _curvature(self, pts) -> np.ndarray:
         """Gauss curvature by Brioschi's formula on the metric's 2-jet."""
-        rows = np.asarray(pts, dtype=float).reshape(-1, 2)
-        K = np.empty(len(rows))
-        for i in range(0, len(rows), _JET_CHUNK):
-            K[i:i + _JET_CHUNK] = self._brioschi(rows[i:i + _JET_CHUNK])
-        return K.reshape(np.shape(pts)[:-1])
-
-    def _brioschi(self, pts) -> np.ndarray:
         g, dg, ddg = self.metric_field.jet(pts, 2)
         (E, F), (_, G) = g
         (E_u, F_u), (_, G_u) = dg[0]
@@ -415,10 +414,10 @@ class PeriodicChart(_Shared):
         plus, minus = pts[:, None, :] + step, pts[:, None, :] - step
         return np.stack([plus, minus], axis=2), h
 
-    def dual_norm(self, q, du) -> float:
-        """g-norm at one point q of the differential with components du."""
-        g = self.metric(q[None, :])[0]
-        return float(np.sqrt(du @ np.linalg.inv(g) @ du))
+    def dual_norm(self, q, du) -> np.ndarray:
+        """g-norm at each point q of the differential with components du."""
+        ginv = np.linalg.inv(self.metric(q))
+        return np.sqrt((du[:, None, :] @ ginv @ du[:, :, None])[:, 0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +448,7 @@ def level_surface(name: str, **params) -> LevelSurface:
         h = lambda p: np.sum((p / ax) ** 2, axis=-1) - 1.0
         grad = lambda p: 2.0 * p / ax ** 2
         H = np.diag(2.0 / ax ** 2)
-    hess = lambda p: np.broadcast_to(H, p.shape[:-1] + (3, 3)).copy()
+    hess = lambda p: np.broadcast_to(H, p.shape[:-1] + (3, 3))
     return LevelSurface(name, dict(params), h, grad, hess)
 
 
@@ -549,11 +548,10 @@ class ImplicitSurface(_Shared):
         den = np.sum(g * g, axis=-1) ** 2
         return num / den
 
-    def gauss_curvature(self, pts) -> np.ndarray:
+    def _curvature(self, pts) -> np.ndarray:
         """K = (K_induced - Lap psi) e^{-2 psi}, with the induced Laplacian
         of psi from its ambient 2-jet: tr_T Hess psi - H dpsi/dn, where
         H = div n is the mean curvature (the sum of the principal ones)."""
-        pts = np.asarray(pts, dtype=float)
         K = self._induced_curvature(pts)
         if self.psi is ZERO_FIELD:
             return K
@@ -642,9 +640,9 @@ class ImplicitSurface(_Shared):
         chord = (probes[:, :, 0] - probes[:, :, 1]).reshape(-1, 3)
         return probes, 0.5 * np.sqrt(_dot(chord, chord)).reshape(len(pts), 2)
 
-    def dual_norm(self, q, du) -> float:
-        """g-norm at one point q of du, given along an orthonormal basis."""
-        return float(np.sqrt(np.sum(du ** 2)) / np.exp(self.psi(q[None, :])[0]))
+    def dual_norm(self, q, du) -> np.ndarray:
+        """g-norm at each point q of du, given along an orthonormal basis."""
+        return np.sqrt(np.sum(du ** 2, axis=-1)) / np.exp(self.psi(q))
 
 
 def _tangent_frame(n: np.ndarray):
@@ -667,11 +665,6 @@ Backend = PeriodicChart | ImplicitSurface
 # ---------------------------------------------------------------------------
 # spec-level operations
 # ---------------------------------------------------------------------------
-
-def metric_eval(b: Backend, p, v, w) -> float:
-    """g_p(v, w)."""
-    return b.inner(p, v, w)
-
 
 def validation_grid(b: Backend, spacing: float) -> np.ndarray:
     """Evaluation grid: chart lattice, or a projected lat-long net on an

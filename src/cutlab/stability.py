@@ -270,27 +270,23 @@ def sweep_embedding_family(b: Backend, N0: SubmanifoldSpec,
 # probes
 # ---------------------------------------------------------------------------
 
-def cut_time_continuity_probe(table: SweepTable,
-                              final_tol: float = 1e-2) -> dict:
-    """Max/mean matched cut-time deviation per tau; verdict: decreasing
-    (2 err slack) to below final_tol."""
+def cut_time_continuity_probe(table: SweepTable) -> dict:
+    """Max/mean matched cut-time deviation per tau; the verdict is the
+    sweep's own: rho_dev_max decreasing (2 err slack) to below its final
+    tolerance."""
     if any("error" in r for r in table.records):
         return {"verdict": False, "reason": "sweep error"}
-    err = table.base["err"]
-    mx = table.column("rho_dev_max")
-    mn = table.column("rho_dev_mean")
-    return {"taus": table.taus, "max_dev": mx, "mean_dev": mn,
-            "verdict": _decreasing(mx, 2.0 * err) and mx[-1] < final_tol}
+    v = table.verdicts
+    return {"taus": table.taus, "max_dev": table.column("rho_dev_max"),
+            "mean_dev": table.column("rho_dev_mean"),
+            "verdict": v["rho_decreasing"] and v["rho_final"]}
 
 
 def focal_free_persistence_probe(table: SweepTable,
                                  margin: float = 1e-2) -> dict:
     """Flags (min_n t_f - rho) > margin per tau.  When the tau = 0 case is
     focal-coincident the hypothesis fails and no verdict is issued."""
-    base_rec = table.base
-    base_margin = base_rec.get("focal_margin")
-    if base_margin is None:     # compute from records only when present
-        base_margin = math.inf
+    base_margin = table.base["focal_margin"]
     out = {"taus": table.taus, "margin": margin}
     if base_margin <= margin:
         out["verdict"] = "hypothesis not satisfied"
@@ -314,11 +310,11 @@ def focal_free_persistence_probe(table: SweepTable,
 
 
 def hausdorff_convergence_check(table: SweepTable) -> dict:
-    """Both one-sided Hausdorff components must decrease along the ladder."""
+    """Both one-sided Hausdorff components must decrease along the ladder
+    (the sweep's dH_side_a_decreasing and dH_side_b_decreasing)."""
     if any("error" in r for r in table.records):
         return {"verdict": False, "reason": "sweep error"}
-    err = table.base["err"]
-    a = table.column("d_H_tau_to_0")
-    bb = table.column("d_H_0_to_tau")
-    return {"side_tau_to_0": a, "side_0_to_tau": bb,
-            "verdict": _decreasing(a, 2.0 * err) and _decreasing(bb, 2.0 * err)}
+    v = table.verdicts
+    return {"side_tau_to_0": table.column("d_H_tau_to_0"),
+            "side_0_to_tau": table.column("d_H_0_to_tau"),
+            "verdict": v["dH_side_a_decreasing"] and v["dH_side_b_decreasing"]}

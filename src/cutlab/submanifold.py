@@ -1,4 +1,4 @@
-"""Points and closed embedded curves: unit normal frames, shape operator,
+"""Points and closed embedded curves: unit normal frames, shape operators,
 principal-curvature bound, foot-point projection, embedding families."""
 from __future__ import annotations
 
@@ -117,24 +117,24 @@ def _side_int(side) -> int:
     raise GeometryError(f"invalid side {side!r}")
 
 
-def unit_normal(b: Backend, N: SubmanifoldSpec, s: float, side) -> NormalFrame:
-    """g-unit normal to the curve at c(s); side + is the chart/ambient-oriented
-    left of c'(s)."""
-    base, n = unit_normals(b, N, [s], [side])
-    return NormalFrame(float(np.mod(s, 1.0)), _side_int(side), base[0], n[0])
-
-
 def unit_normals(b: Backend, N: SubmanifoldSpec, s, sides):
-    """``unit_normal`` at every parameter s[i] with side sides[i]: arrays
-    (base, n) of shape (k, dim).
+    """Unit normals of N, the start states of its normal geodesics: arrays
+    (base, n) of shape (k, dim), one row per parameter s[i].
+
+    On a curve, row i is the g-unit normal at c(s[i]) on side sides[i]; side
+    + is the chart/ambient-oriented left of c'(s).  At a point, row i is the
+    g-unit vector at chart/tangent-plane angle s[i] and sides is ignored.
 
     Raises the GeometryError of the first row, in order, whose curve
     velocity or normal is degenerate.
     """
-    if N.dim != 1:
-        raise GeometryError("unit_normal needs a curve; use direction_circle")
-    sgn = np.array([_side_int(side) for side in sides])
     s = np.asarray(s, dtype=float)
+    if N.dim == 0:
+        e1, e2 = b.tangent_basis(N.point[None, :])
+        raw = np.cos(s)[:, None] * e1 + np.sin(s)[:, None] * e2
+        return (np.broadcast_to(N.point, raw.shape),
+                raw / b.norm(N.point, raw)[:, None])
+    sgn = np.array([_side_int(side) for side in sides])
     base = N.curve(s)
     tan = N.curve.velocity(s)
     raw = b.left_normal(base, tan)
@@ -148,62 +148,39 @@ def unit_normals(b: Backend, N: SubmanifoldSpec, s, sides):
     return base, sgn[:, None] * raw / nrm[:, None]
 
 
-def direction_frame(b: Backend, p, angle: float) -> NormalFrame:
-    """g-unit vector at a point p, at the given chart/tangent-plane angle."""
-    p = np.asarray(p, dtype=float)
-    e1, e2 = b.tangent_basis(p[None, :])
-    raw = np.cos(angle) * e1[0] + np.sin(angle) * e2[0]
-    nrm = float(b.norm(p, raw))
-    return NormalFrame(float(angle), 1, p, raw / nrm)
-
-
-def direction_circle(b: Backend, p, m: int) -> list[NormalFrame]:
-    """m g-unit directions at p, at equal chart/tangent angles from (1, 0)."""
-    return [direction_frame(b, p, 2.0 * np.pi * j / m) for j in range(m)]
-
-
 def frames_for(b: Backend, N: SubmanifoldSpec, m: int) -> list[NormalFrame]:
     """Direction set driving atlases and profiles: m parameters x both sides
-    for a curve, m circle directions for a point (fixed ordering)."""
+    for a curve, m circle directions at equal angles from (1, 0) for a point
+    (fixed ordering)."""
     if N.dim == 0:
-        return direction_circle(b, N.point, m)
-    s = np.tile(N.sample_params(m), 2)
-    sides = np.repeat([1, -1], m)
+        s = 2.0 * np.pi * np.arange(m) / m
+        sides = np.ones(m, dtype=int)
+    else:
+        s = np.tile(N.sample_params(m), 2)
+        sides = np.repeat([1, -1], m)
     base, n = unit_normals(b, N, s, sides)
-    return [NormalFrame(float(np.mod(si, 1.0)), int(side), p, v)
+    return [NormalFrame(float(si), int(side), p, v)
             for si, side, p, v in zip(s, sides, base, n)]
-
-
-def frame_fn_for(b: Backend, N: SubmanifoldSpec):
-    """(s, side) -> NormalFrame, smooth in s; s is the angle for a point."""
-    if N.dim == 0:
-        return lambda s, side: direction_frame(b, N.point, s)
-    return lambda s, side: unit_normal(b, N, s, side)
 
 
 # ---------------------------------------------------------------------------
 # shape operator and curvature bound
 # ---------------------------------------------------------------------------
 
-def shape_operator(b: Backend, N: SubmanifoldSpec, s: float, side) -> float:
-    """Scalar shape operator kappa = g(S_n e, e) for the g-unit tangent e,
-    via a finite-difference covariant derivative of the unit normal field.
+def shape_operators(b: Backend, N: SubmanifoldSpec, s, sides) -> np.ndarray:
+    """Scalar shape operator kappa = g(S_n e, e) for the g-unit tangent e at
+    every parameter s[i] with side sides[i], via a finite-difference
+    covariant derivative of the unit normal field.
 
     Sign convention: traveling along n, the focal ODE uses y(0) = 1,
     y'(0) = kappa directly.  On a flat chart this makes the inward normal of
     a circle of radius r give kappa = -1/r (focal at the center at t = r).
-    """
-    return float(shape_operators(b, N, [s], [side])[0])
 
-
-def shape_operators(b: Backend, N: SubmanifoldSpec, s, sides) -> np.ndarray:
-    """``shape_operator`` at every parameter s[i] with side sides[i].
-
-    Raises the GeometryError that a loop of ``shape_operator`` calls would
-    raise first.
+    Raises the GeometryError of the first degenerate row, as
+    ``unit_normals`` does.
     """
     if N.dim != 1:
-        raise GeometryError("shape_operator needs a curve")
+        raise GeometryError("shape_operators needs a curve")
     s = np.asarray(s, dtype=float)
     sgn = np.array([_side_int(side) for side in sides])
     # the normals at s, s + ds and s - ds of each row, in that order

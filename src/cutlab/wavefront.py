@@ -459,8 +459,7 @@ def eikonal_residual(atlas: WavefrontAtlas, grid_spacing: float,
     ok = ~np.any(status.reshape(len(pts), 4) != 0, axis=1)
     # central differences (u(q + h e) - u(q - h e)) / (2 h) along each axis
     du = (d[:, :, 0] - d[:, :, 1]) / (2 * steps)
-    residuals = np.array([abs(b.dual_norm(q, g) - 1.0)
-                          for q, g in zip(pts[ok], du[ok])])
+    residuals = np.abs(b.dual_norm(pts[ok], du[ok]) - 1.0)
     return {
         "count": int(residuals.size),
         "dropped": int(np.count_nonzero(~ok)),

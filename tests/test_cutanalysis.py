@@ -13,7 +13,7 @@ from cutlab.cutanalysis import (CutProfile, _clusters, _kink_root,
                                 separating_points, warner_bound)
 from cutlab.geometry import ImplicitSurface, level_surface
 from cutlab.submanifold import chart_curve, curve_submanifold, \
-    point_submanifold, surface_curve, unit_normal
+    frames_for, point_submanifold, surface_curve
 from cutlab.wavefront import CoverageError, build_atlas, distance
 
 from oracles import (fine_scan_cut_time, flat_torus_point_distance,
@@ -137,7 +137,7 @@ def test_focal_time_flat_circle_matches_closed_form(flat_backend):
 def test_focal_jacobian_oracle_agrees(sphere_backend):
     from cutlab.submanifold import surface_curve
     N = curve_submanifold(surface_curve("equator", radius=1.0))
-    frame = unit_normal(sphere_backend, N, 0.2, "+")
+    frame = frames_for(sphere_backend, N, 5)[1]      # s = 0.2, side +
     t0, jac = focal_bracket_jacobian(sphere_backend, N, frame, 2.0, 1e-3)
     assert t0 == pytest.approx(np.pi / 2, abs=1e-5)
 

@@ -1,39 +1,38 @@
 import numpy as np
 import pytest
 
-from cutlab.geodesics import (IntegrationError, exp_map, hermite_batch,
+from cutlab.geodesics import (IntegrationError, hermite_batch,
                               hermite_sample, integrate_batch,
-                              integrate_geodesic, normal_exp,
                               normal_exp_jacobian)
-from cutlab.submanifold import curve_submanifold, chart_curve, frame_fn_for, \
-    unit_normal
+from cutlab.submanifold import curve_submanifold, chart_curve, unit_normals
 
 from oracles import great_circle, reference_integrate, reference_pair_det
 
 
 def test_flat_torus_geodesics_are_straight(flat_backend):
-    path = integrate_geodesic(flat_backend, [0.1, 0.2], [0.6, 0.8], 1.0, 1e-3)
+    path = integrate_batch(flat_backend, [[0.1, 0.2]], [[0.6, 0.8]], 1.0,
+                           1e-3)
     want = np.array([0.1, 0.2]) + 0.7 * np.array([0.6, 0.8])
-    np.testing.assert_allclose(path.sample_at(0.7)[0], want, atol=1e-12)
-    assert path.drift <= 1e-12
+    np.testing.assert_allclose(path.sample_at(0, 0.7)[0], want, atol=1e-12)
+    assert path.drift[0] <= 1e-12
 
 
 def test_great_circle_closed_form(sphere_backend):
     b = sphere_backend
     p0 = np.array([1.0, 0.0, 0.0])
     v0 = np.array([0.0, 0.6, 0.8])
-    path = integrate_geodesic(b, p0, v0, 6.0, 1e-3)
+    path = integrate_batch(b, p0, v0, 6.0, 1e-3)
     for t in (0.5, 2.0, np.pi, 5.5):
-        got, vel = path.sample_at(t)
+        got, vel = path.sample_at(0, t)
         np.testing.assert_allclose(got, great_circle(p0, v0, t), atol=1e-7)
         assert abs(np.linalg.norm(vel) - 1.0) <= 1e-7
-    assert abs(b.surface.h(path.pos).max()) <= 1e-10
+    assert abs(b.surface.h(path.pos[0]).max()) <= 1e-10
 
 
 def test_unit_speed_drift_budget(warped_backend):
-    path = integrate_geodesic(warped_backend, [0.3, 0.1], [1.0, 0.0], 1.0,
-                              1e-3)
-    assert path.drift <= 1e-6
+    path = integrate_batch(warped_backend, [[0.3, 0.1]], [[1.0, 0.0]], 1.0,
+                           1e-3)
+    assert path.drift[0] <= 1e-6
 
 
 # -- conserved quantities: each metric below has a Killing field ------------
@@ -90,16 +89,16 @@ def test_sphere_axial_angular_momentum_is_conserved(sphere_backend, dt):
 
 def test_oversized_step_trips_drift_audit(sphere_backend):
     with pytest.raises(IntegrationError):
-        integrate_geodesic(sphere_backend, [1.0, 0.0, 0.0],
-                           [0.0, 1.0, 0.0], 3.0, 0.75)
+        integrate_batch(sphere_backend, [[1.0, 0.0, 0.0]],
+                        [[0.0, 1.0, 0.0]], 3.0, 0.75)
 
 
 def test_rk4_refinement_order(warped_backend):
     # endpoint error should fall ~2^4 per halving; accept [12, 20]
     b = warped_backend
-    p0, v0 = [0.1, 0.2], [0.8, 0.6]
-    ref = integrate_geodesic(b, p0, v0, 1.0, 1e-4).endpoint()
-    e = {dt: np.linalg.norm(integrate_geodesic(b, p0, v0, 1.0, dt).endpoint()
+    p0, v0 = [[0.1, 0.2]], [[0.8, 0.6]]
+    ref = integrate_batch(b, p0, v0, 1.0, 1e-4).pos[0, -1]
+    e = {dt: np.linalg.norm(integrate_batch(b, p0, v0, 1.0, dt).pos[0, -1]
                             - ref)
          for dt in (4e-3, 2e-3)}
     ratio = e[4e-3] / e[2e-3]
@@ -112,12 +111,12 @@ def test_batch_matches_single(warped_backend):
     v0 = np.array([[1.0, 0.0], [0.0, 1.0]])
     batch = integrate_batch(b, p0, v0, 0.8, 1e-3)
     for i in range(2):
-        single = integrate_geodesic(b, p0[i], v0[i], 0.8, 1e-3)
-        np.testing.assert_array_equal(batch.pos[i], single.pos)
+        single = integrate_batch(b, p0[i:i + 1], v0[i:i + 1], 0.8, 1e-3)
+        np.testing.assert_array_equal(batch.pos[i], single.pos[0])
 
 
 def test_final_grid_point_is_exactly_t_max(flat_backend):
-    path = integrate_geodesic(flat_backend, [0, 0], [1, 0], 0.7771, 1e-3)
+    path = integrate_batch(flat_backend, [[0, 0]], [[1, 0]], 0.7771, 1e-3)
     assert path.t[-1] == 0.7771
 
 
@@ -131,20 +130,10 @@ def test_hermite_sample_reproduces_grid_and_interpolates():
     np.testing.assert_allclose(p, [np.sin(0.437), np.cos(0.437)], atol=1e-6)
 
 
-def test_exp_map_zero_vector(flat_backend):
-    p = np.array([0.3, 0.4])
-    np.testing.assert_array_equal(exp_map(flat_backend, p, np.zeros(2)), p)
-
-
-def test_exp_map_scales_with_vector_length(flat_backend):
-    got = exp_map(flat_backend, np.array([0.0, 0.0]), np.array([0.3, 0.4]))
-    np.testing.assert_allclose(got, [0.3, 0.4], atol=1e-12)
-
-
 def test_normal_exp_flat_line(flat_backend):
     N = curve_submanifold(chart_curve("horizontal-circle", (1.0, 1.0), y0=0.0))
-    f = unit_normal(flat_backend, N, 0.25, "+")
-    got = normal_exp(flat_backend, f, 0.3)
+    base, n = unit_normals(flat_backend, N, [0.25], ["+"])
+    got = integrate_batch(flat_backend, base, n, 0.3, 1e-3).pos[0, -1]
     np.testing.assert_allclose(got, [0.25, 0.3], atol=1e-10)
 
 
@@ -152,8 +141,7 @@ def test_normal_exp_flat_line(flat_backend):
 
 def test_jacobian_det_positive_before_focal_flat(flat_backend):
     N = curve_submanifold(chart_curve("horizontal-circle", (1.0, 1.0), y0=0.0))
-    jac = normal_exp_jacobian(flat_backend, frame_fn_for(flat_backend, N),
-                              0.25, 1, 0.9, 1e-3)
+    jac = normal_exp_jacobian(flat_backend, N, 0.25, 1, 0.9, 1e-3)
     assert np.all(jac.det > 0.0)
     assert jac.first_zero() is None
 
@@ -161,9 +149,7 @@ def test_jacobian_det_positive_before_focal_flat(flat_backend):
 def test_jacobian_first_zero_sphere_equator(sphere_backend):
     from cutlab.submanifold import surface_curve
     N = curve_submanifold(surface_curve("equator", radius=1.0))
-    jac = normal_exp_jacobian(sphere_backend,
-                              frame_fn_for(sphere_backend, N),
-                              0.125, 1, 2.0, 1e-3)
+    jac = normal_exp_jacobian(sphere_backend, N, 0.125, 1, 2.0, 1e-3)
     assert jac.first_zero() == pytest.approx(np.pi / 2, abs=1e-6)
     assert not jac.fd_warning
 
@@ -172,9 +158,8 @@ def test_jacobian_richardson_consistency(sphere_backend):
     # halving the s-step changes the FD derivative ~4x less (2nd order)
     from cutlab.submanifold import surface_curve
     N = curve_submanifold(surface_curve("equator", radius=1.0))
-    fn = frame_fn_for(sphere_backend, N)
-    j1 = normal_exp_jacobian(sphere_backend, fn, 0.1, 1, 1.0, 1e-3, fd=2e-4)
-    j2 = normal_exp_jacobian(sphere_backend, fn, 0.1, 1, 1.0, 1e-3, fd=1e-4)
+    j1 = normal_exp_jacobian(sphere_backend, N, 0.1, 1, 1.0, 1e-3, fd=2e-4)
+    j2 = normal_exp_jacobian(sphere_backend, N, 0.1, 1, 1.0, 1e-3, fd=1e-4)
     # det = |c'(s)| cos t = 2 pi cos t on the unit sphere equator
     ref = 2.0 * np.pi * np.cos(np.linspace(0, 1.0, len(j1.det)))
     e1 = np.max(np.abs(j1.det - ref))

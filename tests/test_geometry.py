@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cutlab.geometry import (ChartMetricField, GeometryError,
-                             ImplicitSurface, Jet, PeriodicChart, ZERO_FIELD,
+from cutlab.geometry import (GeometryError, ImplicitSurface, Jet,
+                             PeriodicChart, ScalarField, ZERO_FIELD,
                              ambient_scalar_field, blended_chart_field,
                              chart_metric_field, chart_scalar_field,
                              conformal_chart_field, conformal_family,
-                             level_surface, linear_blend, metric_eval,
-                             row_sum, same_backend_family)
+                             level_surface, linear_blend, row_sum,
+                             same_backend_family)
 from cutlab.submanifold import chart_curve, surface_curve
 
 from oracles import (diag_metric_christoffel_action, einsum_gamma2,
@@ -37,25 +37,25 @@ def sphere(r=1.0, psi=ZERO_FIELD):
 def test_flat_orthonormal_pairing():
     b = flat()
     p = np.array([0.3, 0.7])
-    assert metric_eval(b, p, np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-    assert metric_eval(b, p, np.array([3.0, 4.0]), np.array([3.0, 4.0])) == 25.0
+    assert b.inner(p, np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
+    assert b.inner(p, np.array([3.0, 4.0]), np.array([3.0, 4.0])) == 25.0
 
 
 def test_sphere_induced_metric_is_ambient_dot():
     b = sphere()
     p = np.array([1.0, 0.0, 0.0])
     v = np.array([0.0, 1.0, 0.0])
-    assert metric_eval(b, p, v, v) == pytest.approx(1.0, abs=1e-14)
+    assert b.inner(p, v, v) == pytest.approx(1.0, abs=1e-14)
 
 
 @settings(max_examples=25, deadline=None)
 @given(p=pts2, v=vecs2, w=vecs2)
 def test_metric_symmetric_bilinear(p, v, w):
     b = warped()
-    gvw = metric_eval(b, p, v, w)
-    assert gvw == pytest.approx(metric_eval(b, p, w, v), abs=1e-12)
-    assert metric_eval(b, p, 2 * v, w) == pytest.approx(2 * gvw, rel=1e-12,
-                                                        abs=1e-12)
+    gvw = b.inner(p, v, w)
+    assert gvw == pytest.approx(b.inner(p, w, v), abs=1e-12)
+    assert b.inner(p, 2 * v, w) == pytest.approx(2 * gvw, rel=1e-12,
+                                                  abs=1e-12)
 
 
 def test_metric_periodicity_at_identified_boundary():
@@ -177,7 +177,7 @@ def _off_diagonal_jet(p, order):
 def test_gamma2_off_diagonal_field_matches_oracle():
     # no bundled field has g12 != 0: a hand-made jet checks that entry
     b = PeriodicChart((1.0, 1.0),
-                      ChartMetricField("off-diagonal", {}, _off_diagonal_jet))
+                      ScalarField("off-diagonal", {}, _off_diagonal_jet))
     for n in (1, 5, 128):
         pts, v = _gamma2_inputs(n, 7 + n)
         got = b.gamma2(pts, v)
@@ -325,7 +325,7 @@ def test_homothety_scales_metric():
     b = conformal_family(flat(), phi, 0.3)
     p = np.array([0.5, 0.5])
     v = np.array([1.0, 0.0])
-    assert metric_eval(b, p, v, v) == pytest.approx(np.exp(0.6), rel=1e-12)
+    assert b.inner(p, v, v) == pytest.approx(np.exp(0.6), rel=1e-12)
 
 
 def test_linear_blend_endpoints_and_midpoint():
@@ -343,7 +343,7 @@ def test_conformal_family_on_surface():
     b = conformal_family(sphere(), phi, 0.2)
     p = np.array([0.0, 0.0, 1.0])
     v = np.array([1.0, 0.0, 0.0])
-    assert metric_eval(b, p, v, v) == pytest.approx(np.exp(0.4), rel=1e-12)
+    assert b.inner(p, v, v) == pytest.approx(np.exp(0.4), rel=1e-12)
 
 
 # -- auxiliary distance and constraints -------------------------------------

@@ -4,13 +4,20 @@
 spec's ``kind`` and ``__init__.py`` re-exports them.  Every other module
 reaches the chart / surface difference only through backend methods, so a
 new backend needs edits in ``geometry.py`` alone.
+
+The benchmark's tracer (``bench/tracing.py``) patches package names and reads
+atlas fields from outside; the last test keeps a refactor from dropping one.
 """
 import ast
+import dataclasses
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "cutlab"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "cutlab"
 KINDS = {"PeriodicChart", "ImplicitSurface"}
 ALLOWED = {"geometry.py", "config.py", "__init__.py"}
 
@@ -42,3 +49,36 @@ def test_checker_sees_imports_and_isinstance():
            "ok = isinstance(b, g.ImplicitSurface)\n")
     assert kind_references(src) == [(1, "PeriodicChart"),
                                     (3, "ImplicitSurface")]
+
+
+def _bench_tracing():
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracing", ROOT / "bench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module     # its dataclasses look themselves up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracer_patches_and_restores_every_traced_name():
+    from cutlab import stability
+    from cutlab.config import scenario
+
+    tracing = _bench_tracing()
+    cfg = scenario("flat-torus-line")
+    b = cfg.build_backend()
+    N = cfg.build_submanifold(b)
+    res = dataclasses.replace(cfg.resolution, m=16, dt=1e-2)
+    tracer = tracing.Tracer().install()
+    patched = list(tracer._undo)
+    try:
+        stability.run_case(b, N, res)
+    finally:
+        tracer.uninstall()
+    assert patched
+    for owner, attr, orig in patched:
+        assert owner.__dict__[attr] is orig
+    metrics = tracing.layer_metrics(tracer.dump(), 1.0, 1.0, 0.0)
+    assert list(metrics) == [name for name, _ in tracing.PER_LAYER]
+    assert metrics["stability.run_case.count"] == 1
+    assert metrics["wavefront.atlas.samples"] > 0

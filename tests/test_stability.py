@@ -4,9 +4,10 @@ import pytest
 from cutlab.cutanalysis import PointCloud
 from cutlab.geometry import GeometryError, chart_metric_field, \
     chart_scalar_field
-from cutlab.stability import (Resolution, curvature_stats, hausdorff,
-                              hausdorff_convergence_check, hausdorff_report,
-                              run_case, sweep_metric_family)
+from cutlab.stability import (Resolution, SweepTable, _sweep_verdicts,
+                              curvature_stats, cut_time_continuity_probe,
+                              hausdorff, hausdorff_convergence_check,
+                              hausdorff_report, run_case, sweep_metric_family)
 from cutlab.submanifold import chart_curve, curve_submanifold
 
 from oracles import brute_hausdorff, chart_aux_dist
@@ -121,6 +122,22 @@ def test_null_sweep_convergence_check(null_sweep):
     assert chk["verdict"]
     assert all(v <= 1e-12 for v in chk["side_tau_to_0"])
     assert all(v <= 1e-12 for v in chk["side_0_to_tau"])
+
+
+def test_probes_report_the_sweep_verdicts():
+    # the final rho_dev_max, 5e-3, is below 1e-2 but above this sweep's
+    # final_rho_tol of 1e-3: the probe follows the sweep's own verdict, so
+    # sweep.json cannot disagree with itself
+    recs = [{"tau": tau, "inj_dev": x, "d_H": x, "d_H_tau_to_0": x,
+             "d_H_0_to_tau": x, "rho_dev_max": rho, "rho_dev_mean": rho / 2}
+            for tau, x, rho in ((0.2, 4e-3, 2e-2), (0.1, 1e-3, 5e-3))]
+    table = SweepTable("hand-made", [0.2, 0.1], {},
+                       {"err": 1e-5, "focal_margin": 0.1}, recs)
+    table.verdicts = _sweep_verdicts(table, 1e-5, inj_tol=1e-2, dH_tol=2e-2,
+                                     rho_tol=1e-3)
+    assert table.verdicts["rho_decreasing"] and not table.verdicts["rho_final"]
+    assert cut_time_continuity_probe(table)["verdict"] is False
+    assert hausdorff_convergence_check(table)["verdict"] is True
 
 
 def test_sweep_rejects_bad_ladder(flat_backend):

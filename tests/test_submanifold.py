@@ -5,12 +5,10 @@ from cutlab.geometry import (GeometryError, ImplicitSurface, PeriodicChart,
                              ambient_scalar_field, chart_metric_field,
                              conformal_family, level_surface)
 from cutlab.submanifold import (CurveSpec, chart_curve, curve_submanifold,
-                                direction_circle, embedding_family,
-                                foot_point, foot_points, frames_for,
-                                golden_section, point_submanifold,
-                                principal_curvature_bound, shape_operator,
-                                shape_operators, surface_curve, unit_normal,
-                                unit_normals)
+                                embedding_family, foot_point, foot_points,
+                                frames_for, golden_section, point_submanifold,
+                                principal_curvature_bound, shape_operators,
+                                surface_curve, unit_normals)
 
 from oracles import (reference_direction_frame, reference_foot_points,
                      reference_interpolate, reference_shape_operator,
@@ -35,54 +33,64 @@ def test_curve_velocity_smooth_across_seam():
     np.testing.assert_allclose(v, np.tile([1.0, 0.0], (3, 1)), atol=1e-6)
 
 
+def _normal(b, N, s, side):
+    """``unit_normals`` at the one parameter s on one side: (base, n)."""
+    base, n = unit_normals(b, N, [s], [side])
+    return base[0], n[0]
+
+
+def _kappa(b, N, s, side):
+    return float(shape_operators(b, N, [s], [side])[0])
+
+
 def test_unit_normal_is_unit_and_orthogonal(warped_backend, chart_circle):
     b, N = warped_backend, chart_circle
     for s in (0.0, 0.13, 0.5, 0.77):
         for side in (1, -1):
-            f = unit_normal(b, N, s, side)
+            base, n = _normal(b, N, s, side)
             tan = N.curve.velocity(np.array([s]))[0]
-            assert float(b.norm(f.base, f.n)) == pytest.approx(1.0, abs=1e-9)
-            assert abs(float(b.inner(f.base, f.n, tan))) <= 1e-8
+            assert float(b.norm(base, n)) == pytest.approx(1.0, abs=1e-9)
+            assert abs(float(b.inner(base, n, tan))) <= 1e-8
 
 
 def test_unit_normal_sides_are_opposite(flat_backend, chart_circle):
-    fp = unit_normal(flat_backend, chart_circle, 0.3, "+")
-    fm = unit_normal(flat_backend, chart_circle, 0.3, "-")
-    np.testing.assert_allclose(fp.n, -fm.n, atol=1e-14)
+    _, n_plus = _normal(flat_backend, chart_circle, 0.3, "+")
+    _, n_minus = _normal(flat_backend, chart_circle, 0.3, "-")
+    np.testing.assert_allclose(n_plus, -n_minus, atol=1e-14)
 
 
 def test_unit_normal_orientation_flat_circle(flat_backend, chart_circle):
     # side + is left of c'; for a counterclockwise circle that is inward
-    f = unit_normal(flat_backend, chart_circle, 0.0, "+")
-    np.testing.assert_allclose(f.base, [0.7, 0.5], atol=1e-14)
-    np.testing.assert_allclose(f.n, [-1.0, 0.0], atol=1e-9)
+    base, n = _normal(flat_backend, chart_circle, 0.0, "+")
+    np.testing.assert_allclose(base, [0.7, 0.5], atol=1e-14)
+    np.testing.assert_allclose(n, [-1.0, 0.0], atol=1e-9)
 
 
 def test_shape_operator_flat_line_is_zero(flat_backend):
     N = curve_submanifold(chart_curve("horizontal-circle", (1.0, 1.0), y0=0.2))
     for side in (1, -1):
-        assert abs(shape_operator(flat_backend, N, 0.4, side)) <= 1e-8
+        assert abs(_kappa(flat_backend, N, 0.4, side)) <= 1e-8
 
 
 def test_shape_operator_flat_circle(flat_backend, chart_circle):
     # inward normal: focal point at the center, t = r, so kappa = -1/r
-    assert shape_operator(flat_backend, chart_circle, 0.2, "+") == \
+    assert _kappa(flat_backend, chart_circle, 0.2, "+") == \
         pytest.approx(-5.0, rel=1e-5)
-    assert shape_operator(flat_backend, chart_circle, 0.2, "-") == \
+    assert _kappa(flat_backend, chart_circle, 0.2, "-") == \
         pytest.approx(5.0, rel=1e-5)
 
 
 def test_shape_operator_sphere_equator(sphere_backend):
     N = curve_submanifold(surface_curve("equator", radius=1.0))
     for side in (1, -1):
-        assert abs(shape_operator(sphere_backend, N, 0.1, side)) <= 1e-6
+        assert abs(_kappa(sphere_backend, N, 0.1, side)) <= 1e-6
 
 
 def test_shape_operator_sphere_latitude(sphere_backend):
     z0 = 0.6
     N = curve_submanifold(surface_curve("latitude", radius=1.0, z0=z0))
     want = z0 / np.sqrt(1.0 - z0 * z0)
-    got = {side: shape_operator(sphere_backend, N, 0.25, side)
+    got = {side: _kappa(sphere_backend, N, 0.25, side)
            for side in (1, -1)}
     assert sorted(abs(v) for v in got.values()) == \
         pytest.approx([want, want], rel=1e-4)
@@ -186,8 +194,9 @@ def test_frames_for_counts_and_order(flat_backend, chart_circle):
     assert [f.side for f in frames] == [1] * 8 + [-1] * 8
     pt = frames_for(flat_backend, point_submanifold([0.2, 0.3]), 8)
     assert len(pt) == 8
-    circ = direction_circle(flat_backend, [0.2, 0.3], 8)
-    np.testing.assert_array_equal(pt[3].n, circ[3].n)
+    _, n = unit_normals(flat_backend, point_submanifold([0.2, 0.3]),
+                        [pt[3].s], [1])
+    np.testing.assert_array_equal(pt[3].n, n[0])
 
 
 def test_foot_point_flat_line(flat_backend):
@@ -300,8 +309,9 @@ def test_foot_points_match_reference_bitwise(name, request, rng):
 def test_direction_circle_matches_reference_bitwise(name, request):
     b = request.getfixturevalue(name + "_backend")
     p = [0.3, 0.7] if name == "warped" else [0.0, 0.6, 0.8]
-    for j, f in enumerate(direction_circle(b, p, 32)):
+    for j, f in enumerate(frames_for(b, point_submanifold(p), 32)):
         ref = reference_direction_frame(b, p, 2.0 * np.pi * j / 32)
+        assert f.s == 2.0 * np.pi * j / 32
         assert f.n.tobytes() == ref.tobytes()
 
 
