@@ -179,18 +179,23 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
     t0 = time.perf_counter()
     if kind == "conformal":
         phi = build_family_field(cfg, b)
-        table = sweep_metric_family(b, N, taus, cfg.resolution, phi=phi)
+        table = sweep_metric_family(b, N, taus, cfg.resolution, phi=phi,
+                                    workers=cfg.threads)
     elif kind == "blend":
         mspec = dict(cfg.family.get("metric", {}))
         b1 = cfg.build_backend() if not mspec else _blend_target(cfg, mspec)
-        table = sweep_metric_family(b, N, taus, cfg.resolution, b1=b1)
+        table = sweep_metric_family(b, N, taus, cfg.resolution, b1=b1,
+                                    workers=cfg.threads)
     elif kind == "embedding":
         N1 = build_curve(b, cfg.family.get("target", {}), "family.target",
                          N.m_N)
-        table = sweep_embedding_family(b, N, N1, taus, cfg.resolution)
+        table = sweep_embedding_family(b, N, N1, taus, cfg.resolution,
+                                       workers=cfg.threads)
     else:
         raise ConfigError(f"family.kind: unknown kind {kind!r}")
     em.timings["sweep"] = time.perf_counter() - t0
+    for tau, secs in table.seconds.items():     # measured where it ran
+        em.timings[f"case tau={tau:.12g}"] = secs
     probe_rho = cut_time_continuity_probe(table)
     probe_focal = focal_free_persistence_probe(table)
     probe_dh = hausdorff_convergence_check(table)
@@ -275,6 +280,17 @@ def cmd_validate(cfg: RunConfig, out: Path) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+def _thread_count(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return n
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="cutlab",
@@ -291,8 +307,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=str, default=None,
                        help="output directory (default: config out, "
                             "else out/)")
-        p.add_argument("--threads", type=int, default=None,
-                       help="accepted and ignored")
+        p.add_argument("--threads", type=_thread_count, default=None,
+                       help="most processes a sweep runs its cases on "
+                            "(default: config threads, else one per CPU)")
     return ap
 
 
@@ -310,6 +327,8 @@ def main(argv=None) -> int:
     except ConfigError as ex:
         print(f"config error: {ex}", file=sys.stderr)
         return 2
+    if args.threads is not None:
+        cfg.threads = args.threads
     out = Path(args.out if args.out is not None else (cfg.out or "out"))
     handler = {"inj": cmd_inj, "cutlocus": cmd_cutlocus,
                "sweep": cmd_sweep, "validate": cmd_validate}[args.command]

@@ -71,6 +71,7 @@ class RunConfig:
     family: dict | None
     out: str | None = None
     seed: int = 0
+    threads: int | None = None      # sweep worker processes; None: one per CPU
 
     def build_backend(self) -> Backend:
         return build_backend(self.backend_spec)
@@ -215,8 +216,8 @@ def parse_config(source) -> RunConfig:
         if cfg.seed != 0:
             raise ConfigError("seed: must be 0; cutlab runs are deterministic "
                               "and draw no random numbers")
-    if "threads" in data:       # accepted for compatibility; no effect
-        _number(data["threads"], "threads", integer=True, positive=False)
+    if "threads" in data:
+        cfg.threads = _number(data["threads"], "threads", integer=True)
     return cfg
 
 

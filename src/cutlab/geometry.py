@@ -675,15 +675,15 @@ def validation_grid(b: Backend, spacing: float) -> np.ndarray:
     probe = b.project(np.array([[1.0, 0.0, 0.0]]))
     r = float(np.linalg.norm(probe[0]))
     n_lat = max(8, int(np.pi * r / spacing))
-    pts = []
+    rings = []
     for i in range(1, n_lat):
         phi = -0.5 * np.pi + np.pi * i / n_lat
         n_lon = max(8, int(2 * np.pi * r * np.cos(phi) / spacing))
-        for j in range(n_lon):
-            th = 2 * np.pi * j / n_lon
-            pts.append([np.cos(phi) * np.cos(th), np.cos(phi) * np.sin(th),
-                        np.sin(phi)])
-    return b.project(r * np.array(pts))
+        th = 2 * np.pi * np.arange(n_lon) / n_lon
+        rings.append(np.stack([np.cos(phi) * np.cos(th),
+                               np.cos(phi) * np.sin(th),
+                               np.full(n_lon, np.sin(phi))], axis=-1))
+    return b.project(r * np.concatenate(rings))
 
 
 def conformal_family(b: Backend, phi: ScalarField, tau: float) -> Backend:

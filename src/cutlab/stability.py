@@ -3,6 +3,9 @@ metric and embedding families, with the cut-time and focal-free probes."""
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -135,6 +138,7 @@ class SweepTable:
     base: dict                  # tau = 0 record
     records: list[dict]         # per-tau, in ladder order
     verdicts: dict = field(default_factory=dict)
+    seconds: dict = field(default_factory=dict)     # tau -> case wall time
 
     def column(self, key):
         return [r.get(key) for r in self.records]
@@ -181,22 +185,116 @@ def _check_ladder(taus):
     return taus
 
 
-def _sweep(description, case_at_tau, taus, res: Resolution,
-           final_inj_tol: float, final_dH_tol: float,
-           final_rho_tol: float) -> SweepTable:
-    taus = _check_ladder(taus)
-    base = case_at_tau(0.0)
-    base_rec = _case_record(base, None, res)
-    records = []
+def _run_cases(case_at_tau, base: ScenarioResult, res: Resolution,
+               taus) -> dict:
+    """{tau: (record, seconds)} for one worker's share of the ladder.  A
+    GeometryError or ValueError becomes the case's error record; any other
+    exception becomes (type, message) in place of the record, and the share
+    stops there, as the serial loop would."""
+    out = {}
     for tau in taus:
+        t0 = time.perf_counter()
         try:
-            r = case_at_tau(tau)
-            rec = _case_record(r, base, res)
+            rec = _case_record(case_at_tau(tau), base, res)
         except (GeometryError, ValueError) as ex:     # record and continue
             rec = {"error": f"{type(ex).__name__}: {ex}"}
+        except Exception as ex:
+            out[tau] = ((type(ex), str(ex)), time.perf_counter() - t0)
+            break
         rec["tau"] = tau
+        out[tau] = (rec, time.perf_counter() - t0)
+    return out
+
+
+def _read_all(fd: int) -> bytes:
+    chunks = []
+    while chunk := os.read(fd, 1 << 16):
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _fork_map(job, n: int) -> list:
+    """[job(0), ..., job(n - 1)]: job(0) runs in this process and every
+    other in a forked child, which pickles its result to a pipe and ends
+    with os._exit.  A child that ends without a result gives None.  Every
+    child is reaped before this returns or raises; when this process's own
+    share raises, the children are killed first."""
+    kids, data = [], []
+    done = False
+    try:
+        for w in range(1, n):
+            rfd, wfd = os.pipe()
+            pid = os.fork()
+            if pid == 0:                    # child: never returns
+                code = 1
+                try:
+                    os.close(rfd)
+                    with os.fdopen(wfd, "wb") as fh:
+                        pickle.dump(job(w), fh, pickle.HIGHEST_PROTOCOL)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(wfd)
+            kids.append((pid, rfd))
+        results = [job(0)]
+        data = [_read_all(rfd) for _, rfd in kids]
+        done = True
+    finally:
+        codes = []
+        for pid, rfd in kids:
+            os.close(rfd)
+            if not done:
+                import signal       # only on this path: import cutlab stays lean
+                os.kill(pid, signal.SIGKILL)
+            codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    return results + [pickle.loads(raw) if code == 0 and raw else None
+                      for raw, code in zip(data, codes)]
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:              # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _sweep(description, case_at_tau, taus, res: Resolution,
+           final_inj_tol: float, final_dH_tol: float,
+           final_rho_tol: float, workers: int | None = None) -> SweepTable:
+    """The tau = 0 base, then the ladder's cases on n = min(workers,
+    len(taus)) processes (workers None: one per CPU this process may use):
+    worker w runs taus[w::n], worker 0 here and the others in forked
+    children.  The table does not depend on n; an error that is not a
+    record is raised as the serial loop would raise it, from the earliest
+    failing tau."""
+    taus = _check_ladder(taus)
+    if workers is None:
+        workers = _cpus()
+    elif workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    t0 = time.perf_counter()
+    base = case_at_tau(0.0)
+    base_rec = _case_record(base, None, res)
+    seconds = {0.0: time.perf_counter() - t0}
+    n = min(workers, len(taus)) if hasattr(os, "fork") else 1
+    shares = _fork_map(lambda w: _run_cases(case_at_tau, base, res,
+                                            taus[w::n]), n)
+    outcomes = {}
+    for w, share in enumerate(shares):
+        if share is None:
+            raise RuntimeError(f"sweep worker for tau {taus[w::n]} ended "
+                               "without a result")
+        outcomes.update(share)
+    records = []
+    for tau in taus:
+        rec, seconds[tau] = outcomes[tau]
+        if isinstance(rec, tuple):      # (type, message) of a raised error
+            etype, message = rec
+            raise etype(message)
         records.append(rec)
-    table = SweepTable(description, taus, res.as_dict(), base_rec, records)
+    table = SweepTable(description, taus, res.as_dict(), base_rec, records,
+                       seconds=seconds)
     table.verdicts = _sweep_verdicts(table, base.err, final_inj_tol,
                                      final_dH_tol, final_rho_tol)
     return table
@@ -233,9 +331,11 @@ def sweep_metric_family(b: Backend, N: SubmanifoldSpec, taus,
                         res: Resolution, phi=None, b1: Backend | None = None,
                         final_inj_tol: float = 1e-2,
                         final_dH_tol: float = 2e-2,
-                        final_rho_tol: float = 1e-2) -> SweepTable:
+                        final_rho_tol: float = 1e-2,
+                        workers: int | None = None) -> SweepTable:
     """Sweep g_tau = e^{2 tau phi} g (conformal) or (1-tau) g0 + tau g1
-    (blend) at fixed N, against the tau = 0 baseline."""
+    (blend) at fixed N, against the tau = 0 baseline, on up to ``workers``
+    processes (default: one per available CPU)."""
     if (phi is None) == (b1 is None):
         raise ValueError("give exactly one of phi (conformal) or b1 (blend)")
     if phi is not None:
@@ -249,21 +349,23 @@ def sweep_metric_family(b: Backend, N: SubmanifoldSpec, taus,
         def case(tau):
             return run_case(linear_blend(b, b1, tau), N, res)
     return _sweep(desc, case, taus, res, final_inj_tol, final_dH_tol,
-                  final_rho_tol)
+                  final_rho_tol, workers)
 
 
 def sweep_embedding_family(b: Backend, N0: SubmanifoldSpec,
                            N1: SubmanifoldSpec, taus, res: Resolution,
                            final_inj_tol: float = 1e-2,
                            final_dH_tol: float = 2e-2,
-                           final_rho_tol: float = 1e-2) -> SweepTable:
-    """Sweep N_tau interpolating N0 -> N1 at fixed metric."""
+                           final_rho_tol: float = 1e-2,
+                           workers: int | None = None) -> SweepTable:
+    """Sweep N_tau interpolating N0 -> N1 at fixed metric, on up to
+    ``workers`` processes (default: one per available CPU)."""
 
     def case(tau):
         return run_case(b, embedding_family(b, N0, N1, tau), res)
 
     return _sweep("embedding family", case, taus, res, final_inj_tol,
-                  final_dH_tol, final_rho_tol)
+                  final_dH_tol, final_rho_tol, workers)
 
 
 # ---------------------------------------------------------------------------

@@ -501,3 +501,21 @@ def reference_grad_norm(b, q, du):
         ginv = np.linalg.inv(g)
         return float(np.sqrt(du @ ginv @ du))
     return float(np.sqrt(np.sum(du ** 2)) / np.exp(b.psi(q[None, :])[0]))
+
+
+def reference_validation_grid(b, spacing):
+    """The lat-long net on an implicit surface, built point by point: the
+    body of geometry.validation_grid before it built one array per
+    latitude."""
+    probe = b.project(np.array([[1.0, 0.0, 0.0]]))
+    r = float(np.linalg.norm(probe[0]))
+    n_lat = max(8, int(np.pi * r / spacing))
+    pts = []
+    for i in range(1, n_lat):
+        phi = -0.5 * np.pi + np.pi * i / n_lat
+        n_lon = max(8, int(2 * np.pi * r * np.cos(phi) / spacing))
+        for j in range(n_lon):
+            th = 2 * np.pi * j / n_lon
+            pts.append([np.cos(phi) * np.cos(th), np.cos(phi) * np.sin(th),
+                        np.sin(phi)])
+    return b.project(r * np.array(pts))

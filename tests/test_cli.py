@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 
 import pytest
 
@@ -146,6 +147,36 @@ def test_thread_flag_does_not_change_results(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+@pytest.mark.parametrize("value", ["0", "-1", "two"])
+def test_bad_thread_flag_exits_2_naming_it(tmp_path, capsys, value):
+    with pytest.raises(SystemExit) as ex:
+        main(["sweep", "--scenario", "torus-line-shift-sweep", "--out",
+              str(tmp_path / "o"), "--threads", value])
+    assert ex.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenario", ["torus-line-shift-sweep",
+                                      "warped-torus-bump-sweep"])
+def test_sweep_outputs_do_not_depend_on_threads(tmp_path, scenario):
+    cfg = _write_cfg(tmp_path, {"scenario": scenario,
+                                "resolution": {"m": 32, "dt": 1e-2}})
+    outs, codes = [], set()
+    for th in (1, 2, 3):
+        out = tmp_path / f"t{th}"
+        codes.add(main(["sweep", "--config", cfg, "--out", str(out),
+                        "--threads", str(th)]))
+        with pytest.raises(ChildProcessError):      # no worker left behind
+            os.waitpid(-1, os.WNOHANG)
+        outs.append(out)
+    assert len(codes) == 1
+    for name in ("sweep.json", "sweep.csv"):
+        assert len({(o / name).read_bytes() for o in outs}) == 1
+    timings = json.loads((outs[2] / "manifest.json").read_text())["timings_s"]
+    assert {"case tau=0", "case tau=0.2", "case tau=0.1", "case tau=0.05",
+            "case tau=0.025"} <= set(timings)
+
+
 def test_validate_reports(tmp_path):
     cfg = _write_cfg(tmp_path, FAST)
     out = tmp_path / "out"
@@ -176,6 +207,9 @@ _INLINE = {"backend": {"kind": "periodic-chart", "periods": [1.0, 1.0],
 
 @pytest.mark.parametrize("cfg, key", [
     ({**FAST, "threads": "abc"}, "threads"),
+    ({**FAST, "threads": 0}, "threads"),
+    ({**FAST, "threads": -2}, "threads"),
+    ({**FAST, "threads": 1.5}, "threads"),
     ({**FAST, "seed": "x"}, "seed"),
     ({**FAST, "resolution": {"m": "many"}}, "resolution.m"),
     ({**FAST, "resolution": {"m_N": "x"}}, "resolution.m_N"),
@@ -187,7 +221,8 @@ _INLINE = {"backend": {"kind": "periodic-chart", "periods": [1.0, 1.0],
     ({**_INLINE, "backend": {**_INLINE["backend"],
                              "metric": {"name": "no-such-metric"}}},
      "backend"),
-], ids=["threads", "seed", "m-text", "m_N-text", "dt-null", "submanifold-m_N",
+], ids=["threads", "threads-zero", "threads-negative", "threads-fraction",
+        "seed", "m-text", "m_N-text", "dt-null", "submanifold-m_N",
         "m-below-16", "m-fraction", "unknown-metric"])
 def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, cfg, key):
     argv = ["inj", "--config", json.dumps(cfg), "--out", str(tmp_path / "o")]

@@ -11,6 +11,8 @@ atlas fields from outside; the last test keeps a refactor from dropping one.
 import ast
 import dataclasses
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -49,6 +51,17 @@ def test_checker_sees_imports_and_isinstance():
            "ok = isinstance(b, g.ImplicitSurface)\n")
     assert kind_references(src) == [(1, "PeriodicChart"),
                                     (3, "ImplicitSurface")]
+
+
+def test_import_loads_no_process_pool():
+    # the sweep forks its workers itself; the benchmark's setup_s times
+    # this import, so a pool module must not ride along
+    code = ("import sys, cutlab; print([m for m in ('multiprocessing', "
+            "'concurrent.futures') if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def _bench_tracing():

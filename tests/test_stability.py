@@ -1,7 +1,13 @@
+import os
+import time
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from cutlab import stability
 from cutlab.cutanalysis import PointCloud
+from cutlab.geodesics import IntegrationError
 from cutlab.geometry import GeometryError, chart_metric_field, \
     chart_scalar_field
 from cutlab.stability import (Resolution, SweepTable, _sweep_verdicts,
@@ -166,3 +172,109 @@ def test_homothety_sweep_matches_scaling_law(flat_backend):
         want = (np.exp(tau) - 1.0) * 0.5
         assert rec["rho_dev_max"] == pytest.approx(want, abs=3e-3)
         assert rec["inj_dev"] == pytest.approx(want, abs=3e-3)
+
+
+# -- case-parallel sweeps ---------------------------------------------------
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    yield
+    with pytest.raises(ChildProcessError):      # none running, none unreaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+LADDER = [0.4, 0.3, 0.2, 0.1]
+
+
+def _fake_sweep(monkeypatch, fail=lambda tau: None, workers=2):
+    """_sweep over LADDER with a case that costs nothing: each record names
+    the process that ran it, and ``fail(tau)`` may raise or exit."""
+    def case(tau):
+        fail(tau)
+        return SimpleNamespace(err=0.0, rec={
+            "pid": os.getpid(), "inj_dev": 0.0, "d_H": 0.0,
+            "d_H_tau_to_0": 0.0, "d_H_0_to_tau": 0.0, "rho_dev_max": 0.0,
+            "rho_dev_mean": 0.0})
+
+    monkeypatch.setattr(stability, "_case_record",
+                        lambda r, base, res: dict(r.rec))
+    return stability._sweep("fake", case, LADDER, Resolution(), 1.0, 1.0,
+                            1.0, workers)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 8, None])
+def test_sweep_workers_take_the_ladder_round_robin(monkeypatch, workers):
+    table = _fake_sweep(monkeypatch, workers=workers)
+    cpus = len(os.sched_getaffinity(0))
+    n = min(workers or cpus, len(LADDER))   # 8 asks for 4 processes, not 8
+    pids = [r["pid"] for r in table.records]
+    assert len(set(pids)) == n
+    assert pids == [pids[i % n] for i in range(len(LADDER))]
+    assert pids[0] == os.getpid()
+    assert [r["tau"] for r in table.records] == LADDER
+    assert list(table.seconds) == [0.0] + LADDER
+    assert table.verdicts["pass"]
+
+
+def test_sweep_rejects_zero_workers(monkeypatch):
+    with pytest.raises(ValueError, match="workers"):
+        _fake_sweep(monkeypatch, workers=0)
+
+
+@pytest.mark.parametrize("failing", [(0.3, 0.2), (0.2, 0.1), (0.4, 0.1)],
+                         ids=["child-then-parent", "parent-then-child",
+                              "parent-first"])
+def test_sweep_raises_the_earliest_failing_tau(monkeypatch, failing):
+    # with 2 workers this process runs 0.4 and 0.2, the child 0.3 and 0.1
+    def fail(tau):
+        if tau in failing:
+            raise IntegrationError(f"speed drift at tau={tau}")
+
+    for workers in (1, 2):
+        with pytest.raises(IntegrationError) as ex:
+            _fake_sweep(monkeypatch, fail, workers)
+        assert type(ex.value) is IntegrationError
+        assert str(ex.value) == f"speed drift at tau={failing[0]}"
+
+
+def test_sweep_geometry_error_is_the_record_at_its_tau(monkeypatch):
+    def fail(tau):
+        if tau == 0.3:
+            raise GeometryError("metric not SPD")
+
+    table = _fake_sweep(monkeypatch, fail)
+    assert table.records[1] == {"error": "GeometryError: metric not SPD",
+                                "tau": 0.3}
+    assert all("error" not in r for i, r in enumerate(table.records)
+               if i != 1)
+    assert table.verdicts == {"pass": False, "errors_at": [0.3]}
+
+
+def test_sweep_child_that_exits_without_a_result_raises(monkeypatch):
+    parent = os.getpid()
+
+    def fail(tau):
+        if tau == 0.3 and os.getpid() != parent:
+            os._exit(3)
+
+    with pytest.raises(RuntimeError, match=r"tau \[0\.3, 0\.1\]"):
+        _fake_sweep(monkeypatch, fail)
+
+
+class _Abort(BaseException):
+    pass
+
+
+def test_sweep_kills_children_when_its_own_share_raises(monkeypatch):
+    parent = os.getpid()
+
+    def fail(tau):
+        if os.getpid() != parent:
+            time.sleep(60)              # the child would outlive the test
+        elif tau == 0.4:
+            raise _Abort
+
+    t0 = time.perf_counter()
+    with pytest.raises(_Abort):
+        _fake_sweep(monkeypatch, fail)
+    assert time.perf_counter() - t0 < 30.0

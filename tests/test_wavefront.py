@@ -11,7 +11,8 @@ from cutlab.wavefront import (CoverageError, _distance_rows, _near, _nearest,
 
 from oracles import (brute_distance, flat_torus_line_distance,
                      flat_torus_point_distance, reference_gradient_probes,
-                     reference_grad_norm, reference_near, reference_nearest)
+                     reference_grad_norm, reference_near, reference_nearest,
+                     reference_validation_grid)
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +102,19 @@ def test_validation_grid_chart(flat_backend):
 def test_validation_grid_surface_on_surface(sphere_backend):
     grid = validation_grid(sphere_backend, 0.3)
     assert np.max(np.abs(sphere_backend.surface.h(grid))) <= 1e-10
+
+
+@pytest.mark.parametrize("spacing", [0.1, 0.05, 0.02])
+@pytest.mark.parametrize("surface", ["sphere", "ellipsoid"])
+def test_validation_grid_surface_matches_pointwise_net(surface, spacing):
+    from cutlab.geometry import ImplicitSurface, level_surface
+    params = {"radius": 1.0} if surface == "sphere" else \
+        {"semi_axes": (1.4, 1.0, 0.7)}
+    b = ImplicitSurface(level_surface(surface, **params))
+    got = validation_grid(b, spacing)
+    want = reference_validation_grid(b, spacing)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_eikonal_residual_flat_line(flat_line_atlas):
