@@ -194,8 +194,10 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
     else:
         raise ConfigError(f"family.kind: unknown kind {kind!r}")
     em.timings["sweep"] = time.perf_counter() - t0
-    for tau, secs in table.seconds.items():     # measured where it ran
+    for tau, secs in table.seconds.items():     # without the stacked RK4
         em.timings[f"case tau={tau:.12g}"] = secs
+    for taus, secs in table.rk4_seconds.items():
+        em.timings["rk4 tau=" + ",".join(f"{t:.12g}" for t in taus)] = secs
     probe_rho = cut_time_continuity_probe(table)
     probe_focal = focal_free_persistence_probe(table)
     probe_dh = hausdorff_convergence_check(table)

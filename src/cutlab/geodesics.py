@@ -38,6 +38,13 @@ class BatchPaths:
     def n_paths(self) -> int:
         return self.pos.shape[0]
 
+    def split(self, sizes) -> list["BatchPaths"]:
+        """The paths in consecutive blocks of the given numbers of rows."""
+        ends = np.cumsum(sizes)
+        return [BatchPaths(self.t, self.pos[e - n:e], self.vel[e - n:e],
+                           self.dt, self.drift[e - n:e])
+                for n, e in zip(sizes, ends)]
+
     def sample_at(self, i: int, t: float):
         """Cubic-Hermite position/velocity of path i at arbitrary time t."""
         return hermite_sample(self.t, self.pos[i], self.vel[i], t)
@@ -91,12 +98,19 @@ def _rhs(b: Backend, x: np.ndarray, v: np.ndarray):
 
 def integrate_batch(b: Backend, p0: np.ndarray, v0: np.ndarray,
                     t_max: float, dt: float,
-                    drift_budget: float = DRIFT_BUDGET) -> BatchPaths:
+                    drift_budget: float = DRIFT_BUDGET,
+                    blocks=None) -> BatchPaths:
     """Classical fixed-step RK4 on (x' = v, v' = -Gamma(x)(v, v)).
 
     Every step ends in ``b.retract``: an implicit surface re-projects the
     point onto {h = 0} and re-tangentializes the velocity with its
     pre-projection norm restored.
+
+    ``blocks`` stacks independent problems in one run: (backend, rows)
+    pairs in row order that cover every row, each backend the one its rows
+    have alone, while b carries every row's own metric (a backend with
+    ``independent_rows``).  Each block's speed drift is audited on its own
+    backend, in order, as integrating it alone would audit it.
     """
     if t_max <= 0.0 or dt <= 0.0:
         raise ValueError("t_max and dt must be positive")
@@ -122,6 +136,18 @@ def integrate_batch(b: Backend, p0: np.ndarray, v0: np.ndarray,
                          v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v))
         pos[:, i + 1] = x
         vel[:, i + 1] = v
+    drift, lo = [], 0
+    for bb, rows in blocks or [(b, k)]:
+        drift.append(_drift(bb, tg, pos[lo:lo + rows], vel[lo:lo + rows],
+                            t_max, drift_budget))
+        lo += rows
+    return BatchPaths(tg, pos, vel, dt, np.concatenate(drift))
+
+
+def _drift(b: Backend, tg, pos, vel, t_max: float, drift_budget: float):
+    """Per-path max speed drift; raises an IntegrationError when the worst
+    exceeds the budget, scaled by t_max and the fastest start speed."""
+    k = len(pos)
     speeds = b.norm(pos, vel)
     drift = np.max(np.abs(speeds - speeds[:, :1]), axis=1)
     budget = drift_budget * max(1.0, t_max) * max(1.0, float(np.max(speeds[:, 0])) if k else 1.0)
@@ -131,7 +157,7 @@ def integrate_batch(b: Backend, p0: np.ndarray, v0: np.ndarray,
         raise IntegrationError(
             f"speed drift {np.max(drift):.3e} exceeds budget {budget:.3e}",
             t=t_bad)
-    return BatchPaths(tg, pos, vel, dt, drift)
+    return drift
 
 
 # ---------------------------------------------------------------------------

@@ -213,22 +213,37 @@ def chart_metric_field(name: str, periods, **params) -> ScalarField:
     return ScalarField(name, dict(params), jet)
 
 
+def _per_row(tau, p):
+    """A family parameter at the points p: a number as it is, or one value
+    per row of p's first axis, shaped to broadcast along a jet's point axes
+    (which come last), so that (k, 2) and (k, n, 2) points both work."""
+    if np.ndim(tau) == 0:
+        return tau
+    return np.reshape(tau, (-1,) + (1,) * (p.ndim - 2))
+
+
+def _is(tau, value: float) -> bool:
+    return np.ndim(tau) == 0 and tau == value
+
+
 def conformal_chart_field(base: ScalarField, phi: ScalarField,
-                          tau: float) -> ScalarField:
-    """e^{2 tau phi} base: d(e^{2 tau phi} g) = e^{2 tau phi}(dg + 2 tau g dphi)."""
+                          tau) -> ScalarField:
+    """e^{2 tau phi} base: d(e^{2 tau phi} g) = e^{2 tau phi}(dg + 2 tau g dphi).
+    tau is a number or one value per point row (see _per_row)."""
     return ScalarField(
         f"conformal({base.name})",
         {"base": base.params, "phi": phi.name, "tau": tau},
-        lambda p, order: _times(_exp(2.0 * tau, phi.jet(p, order)),
-                                base.jet(p, order)))
+        lambda p, order: _times(_exp(2.0 * _per_row(tau, p),
+                                     phi.jet(p, order)), base.jet(p, order)))
 
 
 def blended_chart_field(g0: ScalarField, g1: ScalarField,
-                        tau: float) -> ScalarField:
-    return ScalarField(
-        f"blend({g0.name},{g1.name})", {"tau": tau},
-        lambda p, order: _sum(1.0 - tau, g0.jet(p, order),
-                              tau, g1.jet(p, order)))
+                        tau) -> ScalarField:
+    """(1 - tau) g0 + tau g1, tau a number or one value per point row."""
+    def jet(p, order):
+        t = _per_row(tau, p)
+        return _sum(1.0 - t, g0.jet(p, order), t, g1.jet(p, order))
+    return ScalarField(f"blend({g0.name},{g1.name})", {"tau": tau}, jet)
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +303,10 @@ class PeriodicChart(_Shared):
 
     periods: tuple[float, float]
     metric_field: ScalarField
+
+    # RK4 moves each row of a batch by that row alone, so a batch may stack
+    # the rows of several problems (one sweep case per block of rows)
+    independent_rows = True
 
     @property
     def dim(self) -> int:
@@ -459,6 +478,10 @@ class ImplicitSurface(_Shared):
     surface: LevelSurface
     psi: ScalarField = ZERO_FIELD
     proj_tol: float = 1e-11
+
+    # retract's projection steps every row until all rows have converged,
+    # so a row's path depends on the other rows of its batch
+    independent_rows = False
 
     @property
     def dim(self) -> int:
@@ -686,10 +709,12 @@ def validation_grid(b: Backend, spacing: float) -> np.ndarray:
     return b.project(r * np.concatenate(rings))
 
 
-def conformal_family(b: Backend, phi: ScalarField, tau: float) -> Backend:
-    """Backend with metric e^{2 tau phi} g; tau = 0 is metrically identical."""
+def conformal_family(b: Backend, phi: ScalarField, tau) -> Backend:
+    """Backend with metric e^{2 tau phi} g; tau = 0 is metrically identical.
+    On a chart an array tau gives one metric per row of the points' first
+    axis: row i of a batch steps as on conformal_family(b, phi, tau[i])."""
     if isinstance(b, PeriodicChart):
-        if tau == 0.0:
+        if _is(tau, 0.0):
             return b
         return PeriodicChart(b.periods,
                              conformal_chart_field(b.metric_field, phi, tau))
@@ -702,15 +727,16 @@ def conformal_family(b: Backend, phi: ScalarField, tau: float) -> Backend:
     return ImplicitSurface(b.surface, psi=combined, proj_tol=b.proj_tol)
 
 
-def linear_blend(b0: PeriodicChart, b1: PeriodicChart, tau: float) -> PeriodicChart:
-    """Chart backend with metric (1 - tau) g0 + tau g1."""
+def linear_blend(b0: PeriodicChart, b1: PeriodicChart, tau) -> PeriodicChart:
+    """Chart backend with metric (1 - tau) g0 + tau g1; an array tau gives
+    one metric per point row, as in conformal_family."""
     if not (isinstance(b0, PeriodicChart) and isinstance(b1, PeriodicChart)):
         raise GeometryError("linear_blend requires two PeriodicChart backends")
     if b0.periods != b1.periods:
         raise GeometryError("linear_blend requires identical chart periods")
-    if tau == 0.0:
+    if _is(tau, 0.0):
         return b0
-    if tau == 1.0:
+    if _is(tau, 1.0):
         return b1
     return PeriodicChart(b0.periods,
                          blended_chart_field(b0.metric_field, b1.metric_field, tau))

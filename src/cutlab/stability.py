@@ -6,7 +6,7 @@ import math
 import os
 import pickle
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from .geometry import Backend, GeometryError, conformal_family, linear_blend, \
     same_backend_family, validation_grid
 from .submanifold import SubmanifoldSpec, embedding_family, \
     principal_curvature_bound
-from .wavefront import build_atlas
+from .wavefront import build_atlas, normal_starts, stacked_paths
 
 
 # ---------------------------------------------------------------------------
@@ -40,16 +40,22 @@ def hausdorff_report(A: PointCloud, B: PointCloud) -> HausdorffReport:
     if len(A.points) == 0 or len(B.points) == 0:
         raise GeometryError("no cut locus detected")
     b = A.backend
-    # displacement measured from the probe point to the cloud: the wraparound
-    # reduction is only ulp-symmetric under a fixed argument order
-    na = np.empty(len(A.points))
-    for i, p in enumerate(A.points):
-        na[i] = float(np.min(b.aux_distance(p, B.points)))
-    nb = np.empty(len(B.points))
-    for i, q in enumerate(B.points):
-        nb[i] = float(np.min(b.aux_distance(q, A.points)))
+    na = _nearest_gaps(b, A.points, B.points)
+    nb = _nearest_gaps(b, B.points, A.points)
     ab, ba = float(np.max(na)), float(np.max(nb))
     return HausdorffReport(max(ab, ba), ab, ba, na, nb)
+
+
+def _nearest_gaps(b: Backend, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Auxiliary distance from each point of P to its nearest point of Q,
+    256 rows at a time.  The displacement runs from the probe point p to
+    the cloud: the wraparound reduction is only ulp-symmetric under a fixed
+    argument order."""
+    out = np.empty(len(P))
+    for i in range(0, len(P), 256):
+        gaps = b.aux_distance(P[i:i + 256, None, :], Q[None, :, :])
+        out[i:i + 256] = np.min(gaps, axis=1)
+    return out
 
 
 def hausdorff(A: PointCloud, B: PointCloud) -> float:
@@ -96,8 +102,10 @@ class ScenarioResult:
 
 
 def run_case(b: Backend, N: SubmanifoldSpec, res: Resolution,
-             keep_atlas: bool = False) -> ScenarioResult:
-    atlas = build_atlas(b, N, res.m, res.t_max, res.dt)
+             keep_atlas: bool = False, paths=None) -> ScenarioResult:
+    """One scenario run; ``paths`` are the (frames, BatchPaths) of N's
+    normal directions when they were integrated elsewhere."""
+    atlas = build_atlas(b, N, res.m, res.t_max, res.dt, paths)
     l_half, loops = loop_scan(b, N, atlas, res.capture_radius, res.angle_tol)
     profiles = compute_profiles(b, N, atlas, res.tol, res.capture_radius,
                                 res.angle_tol, loops=loops)
@@ -139,43 +147,64 @@ class SweepTable:
     records: list[dict]         # per-tau, in ladder order
     verdicts: dict = field(default_factory=dict)
     seconds: dict = field(default_factory=dict)     # tau -> case wall time
+    rk4_seconds: dict = field(default_factory=dict)  # taus -> stacked RK4
 
     def column(self, key):
         return [r.get(key) for r in self.records]
 
 
-def _case_record(result: ScenarioResult, base: ScenarioResult | None,
-                 res: Resolution) -> dict:
-    rec = {"inj_direct": result.inj_direct, "inj_char": result.inj_char,
-           "branch": result.branch, "f_min": result.fmin,
-           "l_half": result.l_half, "err": result.err,
-           "n_cloud": len(result.cloud.points)}
+@dataclass
+class _Case:
+    """What a sweep keeps of a run_case, in plain arrays that a worker can
+    pickle: the cloud without its backend, and (s, side, rho, focal_t) per
+    profile."""
+
+    cloud: PointCloud
+    profiles: np.ndarray
+    inj_direct: float
+    inj_char: float
+    branch: str
+    fmin: float
+    l_half: float
+    err: float
+
+
+def _case_summary(r: ScenarioResult) -> _Case:
+    prof = np.array([(p.s, p.side, p.rho, p.focal_t) for p in r.profiles],
+                    dtype=float).reshape(-1, 4)
+    return _Case(replace(r.cloud, backend=None), prof, r.inj_direct,
+                 r.inj_char, r.branch, r.fmin, r.l_half, r.err)
+
+
+def _case_record(case: _Case, base: _Case | None, res: Resolution) -> dict:
+    rec = {"inj_direct": case.inj_direct, "inj_char": case.inj_char,
+           "branch": case.branch, "f_min": case.fmin,
+           "l_half": case.l_half, "err": case.err,
+           "n_cloud": len(case.cloud.points)}
     rec.update(res.as_dict())
-    rec["focal_margin"] = float(min(p.focal_t - p.rho
-                                    for p in result.profiles))
+    rec["focal_margin"] = float(min(case.profiles[:, 3] - case.profiles[:, 2]))
     if base is not None:
-        rep = hausdorff_report(result.cloud, base.cloud)
+        rep = hausdorff_report(case.cloud, base.cloud)
         rec["d_H"] = rep.value
         rec["d_H_tau_to_0"] = rep.a_to_b
         rec["d_H_0_to_tau"] = rep.b_to_a
-        rec["inj_dev"] = abs(result.inj_direct - base.inj_direct)
-        rhos = _matched_rho_dev(result.profiles, base.profiles)
+        rec["inj_dev"] = abs(case.inj_direct - base.inj_direct)
+        rhos = _matched_rho_dev(case.profiles, base.profiles)
         rec["rho_dev_max"] = float(np.max(rhos))
         rec["rho_dev_mean"] = float(np.mean(rhos))
     return rec
 
 
-def _matched_rho_dev(profiles, base_profiles) -> np.ndarray:
+def _matched_rho_dev(prof, base_prof) -> np.ndarray:
     """|rho_tau - rho_0| with directions matched by (s, side) labels; the
     families preserve parametrization so labels agree index-by-index."""
-    if len(profiles) != len(base_profiles):
+    if len(prof) != len(base_prof):
         raise GeometryError("direction sets differ; cannot match frames")
-    out = np.empty(len(profiles))
-    for i, (p, q) in enumerate(zip(profiles, base_profiles)):
-        if p.side != q.side or abs(p.s - q.s) > 1e-12:
-            raise GeometryError(f"frame labels diverge at index {i}")
-        out[i] = abs(p.rho - q.rho)
-    return out
+    bad = np.flatnonzero((prof[:, 1] != base_prof[:, 1])
+                         | (np.abs(prof[:, 0] - base_prof[:, 0]) > 1e-12))
+    if bad.size:
+        raise GeometryError(f"frame labels diverge at index {bad[0]}")
+    return np.abs(prof[:, 2] - base_prof[:, 2])
 
 
 def _check_ladder(taus):
@@ -185,25 +214,65 @@ def _check_ladder(taus):
     return taus
 
 
-def _run_cases(case_at_tau, base: ScenarioResult, res: Resolution,
-               taus) -> dict:
-    """{tau: (record, seconds)} for one worker's share of the ladder.  A
-    GeometryError or ValueError becomes the case's error record; any other
-    exception becomes (type, message) in place of the record, and the share
-    stops there, as the serial loop would."""
-    out = {}
+def _failure(tau: float, ex: Exception):
+    """What a case that raised ex leaves, and whether its share stops there:
+    a GeometryError or ValueError at tau > 0 is the case's error record;
+    any other error, and any error of the tau = 0 base, is its (type,
+    message), which the sweep raises."""
+    if tau != 0.0 and isinstance(ex, (GeometryError, ValueError)):
+        return {"error": f"{type(ex).__name__}: {ex}"}, False
+    return (type(ex), str(ex)), True
+
+
+def _run_share(backend_at, N_at, res: Resolution, taus):
+    """One worker's cases: ({tau: (case, seconds)}, {stacked taus: RK4
+    seconds}), where a case is a _Case, an error record or (type, message).
+    backend_at(tau) and N_at(tau) give a case's backend and submanifold;
+    backend_at also takes one tau per point row (a stacked backend).
+
+    The start states of every case are integrated by one RK4 (one per case
+    when the backend's rows are not independent: an implicit surface); each
+    case then runs on its own paths.  Should the stacked RK4 raise, its
+    cases run again one at a time, so each ends as it would alone.  A case
+    that stops the share ends it, as the serial loop would; the seconds of
+    a case leave out the shared RK4."""
+    out, cases = {}, []
     for tau in taus:
         t0 = time.perf_counter()
         try:
-            rec = _case_record(case_at_tau(tau), base, res)
-        except (GeometryError, ValueError) as ex:     # record and continue
-            rec = {"error": f"{type(ex).__name__}: {ex}"}
+            b, N = backend_at(tau), N_at(tau)
+            cases.append((tau, b, N, normal_starts(b, N, res.m),
+                          time.perf_counter() - t0))
         except Exception as ex:
-            out[tau] = ((type(ex), str(ex)), time.perf_counter() - t0)
-            break
-        rec["tau"] = tau
-        out[tau] = (rec, time.perf_counter() - t0)
-    return out
+            outcome, stop = _failure(tau, ex)
+            out[tau] = (outcome, time.perf_counter() - t0)
+            if stop:
+                break
+    stackable = cases and cases[0][1].independent_rows
+    rk4 = {}
+    for stack in [cases] if stackable else [[c] for c in cases]:
+        key = tuple(tau for tau, *_ in stack)
+        starts = [(b, st) for _, b, _, st, _ in stack]
+        t0 = time.perf_counter()
+        try:
+            b_rows = starts[0][0] if len(stack) == 1 else backend_at(
+                np.repeat(key, [len(p0) for _, (_, p0, _) in starts]))
+            paths = stacked_paths(b_rows, starts, res.t_max, res.dt)
+        except Exception:   # run alone, each case fails or not as it would
+            paths = [None] * len(stack)
+        rk4[key] = time.perf_counter() - t0
+        for (tau, b, N, (frames, _, _), secs), batch in zip(stack, paths):
+            t0 = time.perf_counter()
+            stop = False
+            try:
+                given = None if batch is None else (frames, batch)
+                case = _case_summary(run_case(b, N, res, paths=given))
+            except Exception as ex:
+                case, stop = _failure(tau, ex)
+            out[tau] = (case, secs + time.perf_counter() - t0)
+            if stop:
+                return out, rk4
+    return out, rk4
 
 
 def _read_all(fd: int) -> bytes:
@@ -259,42 +328,62 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _sweep(description, case_at_tau, taus, res: Resolution,
+def _sweep(description, backend_at, N_at, taus, res: Resolution,
            final_inj_tol: float, final_dH_tol: float,
            final_rho_tol: float, workers: int | None = None) -> SweepTable:
-    """The tau = 0 base, then the ladder's cases on n = min(workers,
-    len(taus)) processes (workers None: one per CPU this process may use):
-    worker w runs taus[w::n], worker 0 here and the others in forked
-    children.  The table does not depend on n; an error that is not a
-    record is raised as the serial loop would raise it, from the earliest
-    failing tau."""
+    """The tau = 0 base and the ladder's cases on n = min(workers,
+    len(taus) + 1) processes (workers None: one per CPU this process may
+    use): worker w runs ([0] + taus)[w::n] (_run_share), worker 0 here and
+    the others in forked children.  The records are made here, against the
+    base, once every worker is done.  The table does not depend on n; an
+    error that is not a record is raised as the serial loop would raise
+    it, from the base or else the earliest failing tau."""
     taus = _check_ladder(taus)
     if workers is None:
         workers = _cpus()
     elif workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    t0 = time.perf_counter()
-    base = case_at_tau(0.0)
-    base_rec = _case_record(base, None, res)
-    seconds = {0.0: time.perf_counter() - t0}
-    n = min(workers, len(taus)) if hasattr(os, "fork") else 1
-    shares = _fork_map(lambda w: _run_cases(case_at_tau, base, res,
-                                            taus[w::n]), n)
-    outcomes = {}
+    ladder = [0.0] + taus
+    n = min(workers, len(ladder)) if hasattr(os, "fork") else 1
+    shares = _fork_map(
+        lambda w: _run_share(backend_at, N_at, res, ladder[w::n]), n)
+    outcomes, rk4 = {}, {}
     for w, share in enumerate(shares):
         if share is None:
-            raise RuntimeError(f"sweep worker for tau {taus[w::n]} ended "
+            raise RuntimeError(f"sweep worker for tau {ladder[w::n]} ended "
                                "without a result")
-        outcomes.update(share)
+        outcomes.update(share[0])
+        rk4.update(share[1])
+
+    def case_at(tau):
+        """The case at tau with its cloud's backend, and its seconds; an
+        error that is not a record is raised."""
+        case, secs = outcomes[tau]
+        if isinstance(case, tuple):     # (type, message) of a raised error
+            etype, message = case
+            raise etype(message)
+        if isinstance(case, _Case):
+            case.cloud = replace(case.cloud, backend=backend_at(tau))
+        return case, secs
+
+    t0 = time.perf_counter()
+    base, secs = case_at(0.0)
+    base_rec = _case_record(base, None, res)
+    seconds = {0.0: secs + time.perf_counter() - t0}
     records = []
     for tau in taus:
-        rec, seconds[tau] = outcomes[tau]
-        if isinstance(rec, tuple):      # (type, message) of a raised error
-            etype, message = rec
-            raise etype(message)
+        t0 = time.perf_counter()
+        rec, secs = case_at(tau)
+        if isinstance(rec, _Case):
+            try:
+                rec = _case_record(rec, base, res)
+            except (GeometryError, ValueError) as ex:
+                rec, _ = _failure(tau, ex)
+        rec["tau"] = tau
         records.append(rec)
+        seconds[tau] = secs + time.perf_counter() - t0
     table = SweepTable(description, taus, res.as_dict(), base_rec, records,
-                       seconds=seconds)
+                       seconds=seconds, rk4_seconds=rk4)
     table.verdicts = _sweep_verdicts(table, base.err, final_inj_tol,
                                      final_dH_tol, final_rho_tol)
     return table
@@ -340,16 +429,12 @@ def sweep_metric_family(b: Backend, N: SubmanifoldSpec, taus,
         raise ValueError("give exactly one of phi (conformal) or b1 (blend)")
     if phi is not None:
         desc = f"conformal metric family: {getattr(phi, 'name', 'phi')}"
-
-        def case(tau):
-            return run_case(conformal_family(b, phi, tau), N, res)
+        backend_at = lambda tau: conformal_family(b, phi, tau)
     else:
         desc = "linear metric blend"
-
-        def case(tau):
-            return run_case(linear_blend(b, b1, tau), N, res)
-    return _sweep(desc, case, taus, res, final_inj_tol, final_dH_tol,
-                  final_rho_tol, workers)
+        backend_at = lambda tau: linear_blend(b, b1, tau)
+    return _sweep(desc, backend_at, lambda tau: N, taus, res, final_inj_tol,
+                  final_dH_tol, final_rho_tol, workers)
 
 
 def sweep_embedding_family(b: Backend, N0: SubmanifoldSpec,
@@ -360,12 +445,9 @@ def sweep_embedding_family(b: Backend, N0: SubmanifoldSpec,
                            workers: int | None = None) -> SweepTable:
     """Sweep N_tau interpolating N0 -> N1 at fixed metric, on up to
     ``workers`` processes (default: one per available CPU)."""
-
-    def case(tau):
-        return run_case(b, embedding_family(b, N0, N1, tau), res)
-
-    return _sweep("embedding family", case, taus, res, final_inj_tol,
-                  final_dH_tol, final_rho_tol, workers)
+    return _sweep("embedding family", lambda tau: b,
+                  lambda tau: embedding_family(b, N0, N1, tau), taus, res,
+                  final_inj_tol, final_dH_tol, final_rho_tol, workers)
 
 
 # ---------------------------------------------------------------------------

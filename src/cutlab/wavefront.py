@@ -194,11 +194,9 @@ class WavefrontAtlas:
         return self.batch.sample_at(dir_idx, t)
 
 
-def build_atlas(b: Backend, N: SubmanifoldSpec, m: int, t_max: float,
-                dt: float) -> WavefrontAtlas:
-    """Integrate all normal directions (m per side for a curve, m circle
-    directions for a point) as one batch and index the samples for distance
-    queries."""
+def normal_starts(b: Backend, N: SubmanifoldSpec, m: int):
+    """The frames of N's normal directions (m per side for a curve, m circle
+    directions for a point) and their start states p0, v0, checked g-unit."""
     if m < 16:
         raise ValueError("need m >= 16 directions")
     frames = frames_for(b, N, m)
@@ -208,7 +206,34 @@ def build_atlas(b: Backend, N: SubmanifoldSpec, m: int, t_max: float,
     speeds = b.norm(p0, v0)
     if np.max(np.abs(speeds - 1.0)) > 1e-10:
         raise ValueError("normal frames are not g-unit")
-    batch = integrate_batch(b, p0, v0, t_max, dt)
+    return frames, p0, v0
+
+
+def stacked_paths(b_rows: Backend, cases, t_max: float,
+                  dt: float) -> list[BatchPaths]:
+    """The paths of several problems from one RK4 batch: ``cases`` holds
+    each problem's backend and normal_starts, and row i of the stack steps
+    on b_rows with the metric of the problem it belongs to.  Every problem
+    gets the paths, drift audit included, that integrating it alone gives
+    (the backend must have ``independent_rows``)."""
+    sizes = [len(p0) for _, (_, p0, _) in cases]
+    batch = integrate_batch(
+        b_rows, np.concatenate([p0 for _, (_, p0, _) in cases]),
+        np.concatenate([v0 for _, (_, _, v0) in cases]), t_max, dt,
+        blocks=[(b, k) for (b, _), k in zip(cases, sizes)])
+    return batch.split(sizes)
+
+
+def build_atlas(b: Backend, N: SubmanifoldSpec, m: int, t_max: float,
+                dt: float, paths=None) -> WavefrontAtlas:
+    """Integrate all normal directions as one batch and index the samples
+    for distance queries.  ``paths`` are the (frames, BatchPaths) of the
+    directions when they were integrated elsewhere (stacked_paths)."""
+    if paths is None:
+        frames, p0, v0 = normal_starts(b, N, m)
+        batch = integrate_batch(b, p0, v0, t_max, dt)
+    else:
+        frames, batch = paths
     local_gap = _local_gaps(b, N, batch, m).reshape(-1)
     cert = max(float(np.max(local_gap)), dt)
     med_gap = max(float(np.median(local_gap)), dt)

@@ -1,22 +1,26 @@
+import json
 import os
 import time
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from cutlab import stability
+from cutlab.cli import main
+from cutlab.config import scenario
 from cutlab.cutanalysis import PointCloud
-from cutlab.geodesics import IntegrationError
-from cutlab.geometry import GeometryError, chart_metric_field, \
-    chart_scalar_field
+from cutlab.geodesics import IntegrationError, integrate_batch
+from cutlab.geometry import GeometryError, PeriodicChart, \
+    chart_metric_field, chart_scalar_field, conformal_family, linear_blend
 from cutlab.stability import (Resolution, SweepTable, _sweep_verdicts,
                               curvature_stats, cut_time_continuity_probe,
                               hausdorff, hausdorff_convergence_check,
                               hausdorff_report, run_case, sweep_metric_family)
-from cutlab.submanifold import chart_curve, curve_submanifold
+from cutlab.submanifold import chart_curve, curve_submanifold, \
+    point_submanifold
+from cutlab.wavefront import build_atlas, normal_starts, stacked_paths
 
-from oracles import brute_hausdorff, chart_aux_dist
+from oracles import brute_hausdorff, chart_aux_dist, reference_hausdorff
 
 
 def _cloud(b, pts):
@@ -187,32 +191,47 @@ LADDER = [0.4, 0.3, 0.2, 0.1]
 
 
 def _fake_sweep(monkeypatch, fail=lambda tau: None, workers=2):
-    """_sweep over LADDER with a case that costs nothing: each record names
-    the process that ran it, and ``fail(tau)`` may raise or exit."""
-    def case(tau):
-        fail(tau)
-        return SimpleNamespace(err=0.0, rec={
-            "pid": os.getpid(), "inj_dev": 0.0, "d_H": 0.0,
-            "d_H_tau_to_0": 0.0, "d_H_0_to_tau": 0.0, "rho_dev_max": 0.0,
-            "rho_dev_mean": 0.0})
+    """_sweep over LADDER where every case is the flat-torus line at the
+    smallest resolution: each record names the process that ran it, and
+    ``fail(tau)`` may raise or exit where the case is set up."""
+    b = scenario("flat-torus-line").build_backend()
+    N = curve_submanifold(chart_curve("horizontal-circle", (1.0, 1.0),
+                                      y0=0.0))
 
-    monkeypatch.setattr(stability, "_case_record",
-                        lambda r, base, res: dict(r.rec))
-    return stability._sweep("fake", case, LADDER, Resolution(), 1.0, 1.0,
+    def N_at(tau):
+        fail(tau)
+        return N
+
+    summary = stability._case_summary
+
+    def tagged(result):
+        case = summary(result)
+        case.pid = os.getpid()
+        return case
+
+    monkeypatch.setattr(stability, "_case_summary", tagged)
+    monkeypatch.setattr(stability, "_case_record", lambda case, base, res: {
+        "pid": case.pid, "inj_dev": 0.0, "d_H": 0.0, "d_H_tau_to_0": 0.0,
+        "d_H_0_to_tau": 0.0, "rho_dev_max": 0.0, "rho_dev_mean": 0.0})
+    return stability._sweep("fake", lambda tau: b, N_at, LADDER,
+                            Resolution(m=16, dt=2e-2, t_max=0.8), 1.0, 1.0,
                             1.0, workers)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 8, None])
 def test_sweep_workers_take_the_ladder_round_robin(monkeypatch, workers):
+    # the tau = 0 base is the first case of the ladder, run here
     table = _fake_sweep(monkeypatch, workers=workers)
     cpus = len(os.sched_getaffinity(0))
-    n = min(workers or cpus, len(LADDER))   # 8 asks for 4 processes, not 8
-    pids = [r["pid"] for r in table.records]
+    n = min(workers or cpus, len(LADDER) + 1)   # 8 asks for 5, not 8
+    pids = [table.base["pid"]] + [r["pid"] for r in table.records]
     assert len(set(pids)) == n
-    assert pids == [pids[i % n] for i in range(len(LADDER))]
+    assert pids == [pids[i % n] for i in range(len(LADDER) + 1)]
     assert pids[0] == os.getpid()
     assert [r["tau"] for r in table.records] == LADDER
     assert list(table.seconds) == [0.0] + LADDER
+    assert sorted(t for key in table.rk4_seconds for t in key) == \
+        [0.0] + LADDER[::-1]
     assert table.verdicts["pass"]
 
 
@@ -221,11 +240,12 @@ def test_sweep_rejects_zero_workers(monkeypatch):
         _fake_sweep(monkeypatch, workers=0)
 
 
-@pytest.mark.parametrize("failing", [(0.3, 0.2), (0.2, 0.1), (0.4, 0.1)],
+@pytest.mark.parametrize("failing", [(0.4, 0.3), (0.3, 0.2), (0.0, 0.4)],
                          ids=["child-then-parent", "parent-then-child",
                               "parent-first"])
 def test_sweep_raises_the_earliest_failing_tau(monkeypatch, failing):
-    # with 2 workers this process runs 0.4 and 0.2, the child 0.3 and 0.1
+    # with 2 workers this process runs the base, 0.3 and 0.1, the child 0.4
+    # and 0.2; an error of the base is raised before any other
     def fail(tau):
         if tau in failing:
             raise IntegrationError(f"speed drift at tau={tau}")
@@ -254,10 +274,10 @@ def test_sweep_child_that_exits_without_a_result_raises(monkeypatch):
     parent = os.getpid()
 
     def fail(tau):
-        if tau == 0.3 and os.getpid() != parent:
+        if tau == 0.2 and os.getpid() != parent:
             os._exit(3)
 
-    with pytest.raises(RuntimeError, match=r"tau \[0\.3, 0\.1\]"):
+    with pytest.raises(RuntimeError, match=r"tau \[0\.4, 0\.2\]"):
         _fake_sweep(monkeypatch, fail)
 
 
@@ -271,10 +291,164 @@ def test_sweep_kills_children_when_its_own_share_raises(monkeypatch):
     def fail(tau):
         if os.getpid() != parent:
             time.sleep(60)              # the child would outlive the test
-        elif tau == 0.4:
+        elif tau == 0.3:
             raise _Abort
 
     t0 = time.perf_counter()
     with pytest.raises(_Abort):
         _fake_sweep(monkeypatch, fail)
     assert time.perf_counter() - t0 < 30.0
+
+
+# -- stacked sweeps ---------------------------------------------------------
+# A worker integrates the start states of all its cases in one RK4 batch,
+# on a backend that carries each row's own tau.  Forcing the stacked RK4 to
+# raise makes every case run alone, as before stacking: the per-case path.
+
+def _per_case_only(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise RuntimeError("stacking switched off")
+    monkeypatch.setattr(stability, "stacked_paths", refuse)
+
+
+def test_hausdorff_report_matches_the_per_point_loop_bitwise(
+        flat_backend, sphere_backend, rng):
+    sphere = rng.normal(size=(70, 3))
+    sphere /= np.linalg.norm(sphere, axis=1)[:, None]
+    for b, A, B in ((flat_backend, rng.random((300, 2)),
+                     rng.random((41, 2)) + [0.0, 0.97]),
+                    (sphere_backend, sphere[:30], sphere[30:])):
+        ca, cb = _cloud(b, A), _cloud(b, B)
+        rep = hausdorff_report(ca, cb)
+        na, nb = reference_hausdorff(ca, cb)
+        assert np.array_equal(rep.nearest_a, na)
+        assert np.array_equal(rep.nearest_b, nb)
+
+
+@pytest.mark.parametrize("family", ["conformal", "blend"])
+def test_stacked_rows_match_per_case_integration_bitwise(family):
+    cfg = scenario("warped-torus-bump-sweep")
+    b = cfg.build_backend()
+    N = cfg.build_submanifold(b)
+    if family == "conformal":   # the tau = 0 case is the bare base backend
+        phi = chart_scalar_field("sine-y", (1.0, 1.0), amplitude=1.0)
+        at, taus = (lambda tau: conformal_family(b, phi, tau)), (0.0, 0.1,
+                                                                  0.025)
+    else:                       # tau = 0 and tau = 1 are the two ends
+        b1 = PeriodicChart((1.0, 1.0), chart_metric_field(
+            "warped-diag-g22", (1.0, 1.0), amplitude=0.3))
+        at, taus = (lambda tau: linear_blend(b, b1, tau)), (0.0, 1.0, 0.5)
+    cases = [(at(tau), normal_starts(at(tau), N, 16)) for tau in taus]
+    rows = np.repeat(taus, [len(p0) for _, (_, p0, _) in cases])
+    stacked = stacked_paths(at(rows), cases, 0.6, 1e-2)
+    for (bt, (_, p0, v0)), got in zip(cases, stacked):
+        want = integrate_batch(bt, p0, v0, 0.6, 1e-2)
+        for name in ("t", "pos", "vel", "drift"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), \
+                name
+
+
+_SWEEPS = {
+    "bump": {"scenario": "warped-torus-bump-sweep"},
+    "homothety": {"scenario": "torus-homothety-sweep"},
+    "shift": {"scenario": "torus-line-shift-sweep"},
+    "blend": {"scenario": "warped-torus-line",
+              "family": {"kind": "blend", "tau": [1.0, 0.5, 0.25],
+                         "metric": {"name": "warped-diag-g22",
+                                    "amplitude": 0.3}}},
+    # an implicit surface: every case integrates alone, after the fork
+    "sphere": {"scenario": "sphere-equator",
+               "family": {"kind": "conformal", "tau": [0.2, 0.1],
+                          "phi": {"name": "sine-z", "amplitude": 0.3}}},
+}
+
+
+def _cli_sweep(tmp_path, name, threads):
+    cfg = {**_SWEEPS[name], "resolution": {"m": 16, "dt": 2e-2}}
+    out = tmp_path / f"{name}-{threads}"
+    code = main(["sweep", "--config", json.dumps(cfg), "--out", str(out),
+                 "--threads", str(threads)])
+    return code, out
+
+
+@pytest.mark.parametrize("name", list(_SWEEPS))
+def test_stacked_sweep_outputs_match_the_per_case_path(monkeypatch, tmp_path,
+                                                       name):
+    got = [_cli_sweep(tmp_path, name, th) for th in (1, 2, 3)]
+    with monkeypatch.context() as mp:
+        _per_case_only(mp)
+        code, ref = _cli_sweep(tmp_path / "ref", name, 1)
+    for c, out in got:
+        assert c == code
+        for f in ("sweep.json", "sweep.csv"):
+            assert (out / f).read_bytes() == (ref / f).read_bytes(), f
+
+
+def test_a_stacked_sweep_hands_every_case_its_paths(monkeypatch, tmp_path):
+    given = []
+    run = stability.run_case
+
+    def spy(b, N, res, keep_atlas=False, paths=None):
+        given.append(paths is not None)
+        return run(b, N, res, keep_atlas, paths)
+
+    monkeypatch.setattr(stability, "run_case", spy)
+    for name in ("bump", "sphere"):
+        _cli_sweep(tmp_path, name, 1)
+    assert given == [True] * (5 + 3)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_manifest_times_every_case_and_every_stack(tmp_path, threads):
+    _, out = _cli_sweep(tmp_path, "bump", threads)
+    timings = json.loads((out / "manifest.json").read_text())["timings_s"]
+    ladder = ["0", "0.2", "0.1", "0.05", "0.025"]
+    assert {f"case tau={t}" for t in ladder} <= set(timings)
+    stacks = [k[len("rk4 tau="):].split(",") for k in timings
+              if k.startswith("rk4 tau=")]
+    assert len(stacks) == threads
+    assert sorted(t for s in stacks for t in s) == sorted(ladder)
+
+
+def _spd_blend_sweep(workers):
+    # the blend toward g22 = 1 + 0.9 sin 2 pi x leaves the SPD cone at
+    # tau = 1.5 where x nears 3/4: the RK4 meets it, the frames do not
+    b0 = scenario("flat-torus-line").build_backend()
+    b1 = PeriodicChart((1.0, 1.0), chart_metric_field(
+        "warped-diag-g22", (1.0, 1.0), amplitude=0.9))
+    N = point_submanifold([0.25, 0.25])
+    return sweep_metric_family(b0, N, [1.5, 0.5, 0.25],
+                               Resolution(m=16, dt=1e-2, t_max=1.2), b1=b1,
+                               workers=workers)
+
+
+def test_spd_failure_in_a_stack_is_the_record_at_its_tau(monkeypatch):
+    with monkeypatch.context() as mp:
+        _per_case_only(mp)
+        want = _spd_blend_sweep(1)
+    assert want.records[0]["error"].startswith(
+        "GeometryError: metric not positive definite")
+    assert all("error" not in r for r in want.records[1:])
+    for workers in (1, 2, 3):
+        got = _spd_blend_sweep(workers)
+        assert json.dumps(got.records) == json.dumps(want.records)
+        assert json.dumps(got.base) == json.dumps(want.base)
+        assert got.verdicts == {"pass": False, "errors_at": [1.5]}
+
+
+def test_drift_failures_in_stacks_raise_the_earliest_tau():
+    # on e^{2 tau sin 2 pi y} (flat) at dt = 2e-2, taus 1 and 0.5 overrun
+    # the drift budget; with 2 workers 1.0 runs in the child, 0.5 here
+    b = scenario("flat-torus-line").build_backend()
+    N = curve_submanifold(chart_curve("horizontal-circle", (1.0, 1.0),
+                                      y0=0.0))
+    phi = chart_scalar_field("sine-y", (1.0, 1.0), amplitude=1.0)
+    res = Resolution(m=16, dt=2e-2, t_max=1.2)
+    with pytest.raises(IntegrationError) as alone:
+        build_atlas(conformal_family(b, phi, 1.0), N, 16, 1.2, 2e-2)
+    for workers in (1, 2, 3):
+        with pytest.raises(IntegrationError) as ex:
+            sweep_metric_family(b, N, [1.0, 0.5, 0.25], res, phi=phi,
+                                workers=workers)
+        assert type(ex.value) is IntegrationError
+        assert str(ex.value) == str(alone.value)
