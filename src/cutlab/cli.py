@@ -6,6 +6,7 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -75,7 +76,7 @@ class _Emitter:
             "config": {"scenario": self.cfg.scenario,
                        "backend": self.cfg.backend_spec,
                        "submanifold": self.cfg.submanifold_spec,
-                       "resolution": self.cfg.resolution.as_dict(),
+                       "resolution": asdict(self.cfg.resolution),
                        "family": self.cfg.family,
                        "seed": self.cfg.seed},
             "version": __version__,

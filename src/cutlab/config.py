@@ -5,13 +5,13 @@ from __future__ import annotations
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .geometry import (Backend, GeometryError, ImplicitSurface, PeriodicChart,
                        ZERO_FIELD, ambient_scalar_field, chart_metric_field,
                        chart_scalar_field, level_surface)
-from .stability import Resolution
+from .stability import Resolution, _check_ladder
 from .submanifold import (SubmanifoldSpec, chart_curve, curve_submanifold,
                           point_submanifold, surface_curve)
 
@@ -120,6 +120,13 @@ def build_submanifold(b: Backend, spec: dict) -> SubmanifoldSpec:
         if N.point.shape != (b.dim,):
             raise ConfigError(f"submanifold.point: expected {b.dim} "
                               f"coordinates, got {spec['point']!r}")
+        if isinstance(b, ImplicitSurface):
+            with _named("submanifold.point"):
+                on = b.project(N.point)
+            if (on != N.point).any():
+                raise ConfigError(f"submanifold.point: {spec['point']!r} is "
+                                  f"off the surface, which projects it to "
+                                  f"{on.tolist()}")
         return N
     if dim == 1:
         return build_curve(b, spec.get("curve", {}), "submanifold.curve", m_N)
@@ -188,7 +195,7 @@ def parse_config(source) -> RunConfig:
     if "backend" in data and cfg.scenario is not None:
         raise ConfigError("config.backend: conflicts with scenario")
     if "resolution" in data:
-        merged = cfg.resolution.as_dict()
+        merged = asdict(cfg.resolution)
         merged.update(data["resolution"])
         cfg.resolution = _parse_resolution(merged)
         if "m_N" in data["resolution"]:
@@ -204,11 +211,12 @@ def parse_config(source) -> RunConfig:
         cfg.family = fam
     if cfg.family is not None:
         taus = cfg.family.get("tau")
-        if (not isinstance(taus, (list, tuple)) or len(taus) < 2
-                or any(t2 >= t1 for t1, t2 in zip(taus, taus[1:]))
-                or taus[-1] <= 0):
+        if not isinstance(taus, (list, tuple)) or len(taus) < 2:
             raise ConfigError("family.tau: must be a strictly decreasing "
                               "positive ladder")
+        with _named("family.tau"):
+            _check_ladder([_number(t, "family.tau", positive=False)
+                           for t in taus])
     if "out" in data:
         cfg.out = str(data["out"])
     if "seed" in data:

@@ -108,9 +108,9 @@ def integrate_batch(b: Backend, p0: np.ndarray, v0: np.ndarray,
 
     ``blocks`` stacks independent problems in one run: (backend, rows)
     pairs in row order that cover every row, each backend the one its rows
-    have alone, while b carries every row's own metric (a backend with
-    ``independent_rows``).  Each block's speed drift is audited on its own
-    backend, in order, as integrating it alone would audit it.
+    have alone, while b carries every row's own metric.  Each block's
+    speed drift is audited on its own backend, in order, as integrating it
+    alone would audit it.
     """
     if t_max <= 0.0 or dt <= 0.0:
         raise ValueError("t_max and dt must be positive")

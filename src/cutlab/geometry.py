@@ -304,10 +304,6 @@ class PeriodicChart(_Shared):
     periods: tuple[float, float]
     metric_field: ScalarField
 
-    # RK4 moves each row of a batch by that row alone, so a batch may stack
-    # the rows of several problems (one sweep case per block of rows)
-    independent_rows = True
-
     @property
     def dim(self) -> int:
         return 2
@@ -479,10 +475,6 @@ class ImplicitSurface(_Shared):
     psi: ScalarField = ZERO_FIELD
     proj_tol: float = 1e-11
 
-    # retract's projection steps every row until all rows have converged,
-    # so a row's path depends on the other rows of its batch
-    independent_rows = False
-
     @property
     def dim(self) -> int:
         return 3
@@ -493,10 +485,9 @@ class ImplicitSurface(_Shared):
 
     # -- constraint --------------------------------------------------------
 
-    def project(self, pts, rowwise: bool = False) -> np.ndarray:
-        """Newton projection onto {h = 0} along grad h.  Every row steps
-        until all rows have converged; with ``rowwise`` a converged row stops,
-        so that each row ends where projecting it alone would."""
+    def project(self, pts) -> np.ndarray:
+        """Newton projection onto {h = 0} along grad h.  A converged row
+        stops, so that each row ends where projecting it alone would."""
         x = np.array(pts, dtype=float)
         for _ in range(30):
             hv = self.surface.h(x)
@@ -505,7 +496,7 @@ class ImplicitSurface(_Shared):
                 break
             g = self.surface.grad(x)
             step = (hv / row_sum(g * g))[..., None] * g
-            x = x - (np.where(off[..., None], step, 0.0) if rowwise else step)
+            x = x - np.where(off[..., None], step, 0.0)
         else:
             raise GeometryError("implicit projection did not converge")
         return x
@@ -658,7 +649,7 @@ class ImplicitSurface(_Shared):
         the chord of each pair, shape (n, 2)."""
         step = h * np.stack(self.tangent_basis(pts), axis=1)
         raw = np.stack([pts[:, None, :] + step, pts[:, None, :] - step], axis=2)
-        probes = self.project(raw.reshape(-1, 3), rowwise=True).reshape(raw.shape)
+        probes = self.project(raw.reshape(-1, 3)).reshape(raw.shape)
         # _dot rounds as the np.linalg.norm of one chord does
         chord = (probes[:, :, 0] - probes[:, :, 1]).reshape(-1, 3)
         return probes, 0.5 * np.sqrt(_dot(chord, chord)).reshape(len(pts), 2)
@@ -711,19 +702,19 @@ def validation_grid(b: Backend, spacing: float) -> np.ndarray:
 
 def conformal_family(b: Backend, phi: ScalarField, tau) -> Backend:
     """Backend with metric e^{2 tau phi} g; tau = 0 is metrically identical.
-    On a chart an array tau gives one metric per row of the points' first
-    axis: row i of a batch steps as on conformal_family(b, phi, tau[i])."""
+    An array tau gives one metric per row of the points' first axis: row i
+    of a batch steps as on conformal_family(b, phi, tau[i])."""
     if isinstance(b, PeriodicChart):
         if _is(tau, 0.0):
             return b
         return PeriodicChart(b.periods,
                              conformal_chart_field(b.metric_field, phi, tau))
-    if tau == 0.0 and b.psi is ZERO_FIELD:
+    if _is(tau, 0.0) and b.psi is ZERO_FIELD:
         return b
     base_psi = b.psi
     name = f"{base_psi.name}+{tau}*{phi.name}"
     combined = ScalarField(name, {"tau": tau}, lambda p, order: _sum(
-        1.0, base_psi.jet(p, order), tau, phi.jet(p, order)))
+        1.0, base_psi.jet(p, order), _per_row(tau, p), phi.jet(p, order)))
     return ImplicitSurface(b.surface, psi=combined, proj_tol=b.proj_tol)
 
 

@@ -6,7 +6,7 @@ import math
 import os
 import pickle
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -76,12 +76,6 @@ class Resolution:
     angle_tol: float = 1e-3
     pair_tol: float = 3e-3
     dedup_radius: float = 1e-6
-
-    def as_dict(self) -> dict:
-        return {"m": self.m, "dt": self.dt, "t_max": self.t_max,
-                "tol": self.tol, "capture_radius": self.capture_radius,
-                "angle_tol": self.angle_tol, "pair_tol": self.pair_tol,
-                "dedup_radius": self.dedup_radius}
 
 
 @dataclass
@@ -181,7 +175,7 @@ def _case_record(case: _Case, base: _Case | None, res: Resolution) -> dict:
            "branch": case.branch, "f_min": case.fmin,
            "l_half": case.l_half, "err": case.err,
            "n_cloud": len(case.cloud.points)}
-    rec.update(res.as_dict())
+    rec.update(asdict(res))
     rec["focal_margin"] = float(min(case.profiles[:, 3] - case.profiles[:, 2]))
     if base is not None:
         rep = hausdorff_report(case.cloud, base.cloud)
@@ -209,7 +203,9 @@ def _matched_rho_dev(prof, base_prof) -> np.ndarray:
 
 def _check_ladder(taus):
     taus = [float(t) for t in taus]
-    if any(t2 >= t1 for t1, t2 in zip(taus, taus[1:])) or taus[-1] <= 0.0:
+    # written so that an empty ladder and a NaN fail it
+    if not (taus and all(t1 > t2 for t1, t2 in zip(taus, taus[1:]))
+            and taus[-1] > 0.0):
         raise ValueError("tau ladder must be strictly decreasing and positive")
     return taus
 
@@ -230,12 +226,11 @@ def _run_share(backend_at, N_at, res: Resolution, taus):
     backend_at(tau) and N_at(tau) give a case's backend and submanifold;
     backend_at also takes one tau per point row (a stacked backend).
 
-    The start states of every case are integrated by one RK4 (one per case
-    when the backend's rows are not independent: an implicit surface); each
-    case then runs on its own paths.  Should the stacked RK4 raise, its
-    cases run again one at a time, so each ends as it would alone.  A case
-    that stops the share ends it, as the serial loop would; the seconds of
-    a case leave out the shared RK4."""
+    The start states of every case are integrated by one RK4; each case
+    then runs on its own paths.  Should the stacked RK4 raise, its cases
+    run again one at a time, so each ends as it would alone.  A case that
+    stops the share ends it, as the serial loop would; the seconds of a
+    case leave out the shared RK4."""
     out, cases = {}, []
     for tau in taus:
         t0 = time.perf_counter()
@@ -248,30 +243,29 @@ def _run_share(backend_at, N_at, res: Resolution, taus):
             out[tau] = (outcome, time.perf_counter() - t0)
             if stop:
                 break
-    stackable = cases and cases[0][1].independent_rows
-    rk4 = {}
-    for stack in [cases] if stackable else [[c] for c in cases]:
-        key = tuple(tau for tau, *_ in stack)
-        starts = [(b, st) for _, b, _, st, _ in stack]
+    if not cases:
+        return out, {}
+    key = tuple(tau for tau, *_ in cases)
+    starts = [(b, st) for _, b, _, st, _ in cases]
+    t0 = time.perf_counter()
+    try:
+        b_rows = starts[0][0] if len(cases) == 1 else backend_at(
+            np.repeat(key, [len(p0) for _, (_, p0, _) in starts]))
+        paths = stacked_paths(b_rows, starts, res.t_max, res.dt)
+    except Exception:   # run alone, each case fails or not as it would
+        paths = [None] * len(cases)
+    rk4 = {key: time.perf_counter() - t0}
+    for (tau, b, N, (frames, _, _), secs), batch in zip(cases, paths):
         t0 = time.perf_counter()
+        stop = False
         try:
-            b_rows = starts[0][0] if len(stack) == 1 else backend_at(
-                np.repeat(key, [len(p0) for _, (_, p0, _) in starts]))
-            paths = stacked_paths(b_rows, starts, res.t_max, res.dt)
-        except Exception:   # run alone, each case fails or not as it would
-            paths = [None] * len(stack)
-        rk4[key] = time.perf_counter() - t0
-        for (tau, b, N, (frames, _, _), secs), batch in zip(stack, paths):
-            t0 = time.perf_counter()
-            stop = False
-            try:
-                given = None if batch is None else (frames, batch)
-                case = _case_summary(run_case(b, N, res, paths=given))
-            except Exception as ex:
-                case, stop = _failure(tau, ex)
-            out[tau] = (case, secs + time.perf_counter() - t0)
-            if stop:
-                return out, rk4
+            given = None if batch is None else (frames, batch)
+            case = _case_summary(run_case(b, N, res, paths=given))
+        except Exception as ex:
+            case, stop = _failure(tau, ex)
+        out[tau] = (case, secs + time.perf_counter() - t0)
+        if stop:
+            break
     return out, rk4
 
 
@@ -382,7 +376,7 @@ def _sweep(description, backend_at, N_at, taus, res: Resolution,
         rec["tau"] = tau
         records.append(rec)
         seconds[tau] = secs + time.perf_counter() - t0
-    table = SweepTable(description, taus, res.as_dict(), base_rec, records,
+    table = SweepTable(description, taus, asdict(res), base_rec, records,
                        seconds=seconds, rk4_seconds=rk4)
     table.verdicts = _sweep_verdicts(table, base.err, final_inj_tol,
                                      final_dH_tol, final_rho_tol)

@@ -214,8 +214,7 @@ def stacked_paths(b_rows: Backend, cases, t_max: float,
     """The paths of several problems from one RK4 batch: ``cases`` holds
     each problem's backend and normal_starts, and row i of the stack steps
     on b_rows with the metric of the problem it belongs to.  Every problem
-    gets the paths, drift audit included, that integrating it alone gives
-    (the backend must have ``independent_rows``)."""
+    gets the paths, drift audit included, that integrating it alone gives."""
     sizes = [len(p0) for _, (_, p0, _) in cases]
     batch = integrate_batch(
         b_rows, np.concatenate([p0 for _, (_, p0, _) in cases]),

@@ -221,9 +221,20 @@ _INLINE = {"backend": {"kind": "periodic-chart", "periods": [1.0, 1.0],
     ({**_INLINE, "backend": {**_INLINE["backend"],
                              "metric": {"name": "no-such-metric"}}},
      "backend"),
+    ({**FAST, "family": {"kind": "conformal", "tau": ["b", "a"]}},
+     "family.tau"),
+    ({**FAST, "family": {"kind": "conformal", "tau": [0.2, None]}},
+     "family.tau"),
+    ({**FAST, "family": {"kind": "conformal", "tau": [[0.2], [0.1]]}},
+     "family.tau"),
+    ({**FAST, "family": {"kind": "conformal", "tau": [True, 0.5]}},
+     "family.tau"),
+    ({**FAST, "family": {"kind": "conformal", "tau": [float("nan"), 0.5]}},
+     "family.tau"),
 ], ids=["threads", "threads-zero", "threads-negative", "threads-fraction",
         "seed", "m-text", "m_N-text", "dt-null", "submanifold-m_N",
-        "m-below-16", "m-fraction", "unknown-metric"])
+        "m-below-16", "m-fraction", "unknown-metric", "tau-text", "tau-null",
+        "tau-nested", "tau-bool", "tau-nan"])
 def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, cfg, key):
     argv = ["inj", "--config", json.dumps(cfg), "--out", str(tmp_path / "o")]
     assert main(argv) == 2
@@ -275,6 +286,8 @@ def _with(cfg, block, **change):
      "submanifold.point", "abc"),
     ("inj", {**_POINT, "submanifold": {"dim": 0, "point": [0.5]}},
      "submanifold.point", "2 coordinates"),
+    ("inj", {**_SPHERE, "submanifold": {"dim": 0, "point": [0, 0, 2]}},
+     "submanifold.point", "projects it to [0.0, 0.0, 1.0"),
     ("inj", _with(_INLINE, "submanifold", curve={"y0": "x"}),
      "submanifold.curve", "'x'"),
     ("inj", _with(_INLINE, "submanifold", curve={"y00": 0.1}),
@@ -295,8 +308,9 @@ def _with(cfg, block, **change):
      "'y00'"),
     ("sweep", _with(_SHIFT, "family", target={"y0": "x"}), "family.target",
      "'x'"),
-], ids=["point-text", "point-length", "curve-value", "curve-unknown-name",
-        "surface-curve-unknown-name", "metric-unknown-name",
+], ids=["point-text", "point-length", "point-off-surface", "curve-value",
+        "curve-unknown-name", "surface-curve-unknown-name",
+        "metric-unknown-name",
         "surface-unknown-name", "psi-unknown-name", "phi-value",
         "phi-unknown-name", "target-unknown-name", "target-value"])
 def test_bad_named_block_exits_2_naming_the_block(tmp_path, capsys, command,

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -76,6 +77,11 @@ def test_family_requires_tau_ladder():
         parse_config({**base, "family": {"kind": "conformal"}})
     for bad in ([0.1, 0.2], [0.2, 0.1, 0.1], [0.2, 0.0], [0.1]):
         with pytest.raises(ConfigError, match="decreasing"):
+            parse_config({**base, "family": {"kind": "conformal",
+                                             "tau": bad}})
+    for bad in (["b", "a"], [0.2, None], [[0.2], [0.1]], [True, 0.5],
+                [math.nan, 0.5], [0.5, math.inf]):
+        with pytest.raises(ConfigError, match="^family.tau: expected a number"):
             parse_config({**base, "family": {"kind": "conformal",
                                              "tau": bad}})
 

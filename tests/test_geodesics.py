@@ -4,6 +4,7 @@ import pytest
 from cutlab.geodesics import (IntegrationError, hermite_batch,
                               hermite_sample, integrate_batch,
                               normal_exp_jacobian)
+from cutlab.geometry import ImplicitSurface, level_surface
 from cutlab.submanifold import curve_submanifold, chart_curve, unit_normals
 
 from oracles import great_circle, reference_integrate, reference_pair_det
@@ -113,6 +114,20 @@ def test_batch_matches_single(warped_backend):
     for i in range(2):
         single = integrate_batch(b, p0[i:i + 1], v0[i:i + 1], 0.8, 1e-3)
         np.testing.assert_array_equal(batch.pos[i], single.pos[0])
+
+
+def test_ellipsoid_batch_rows_match_each_row_alone_bitwise(rng):
+    # off a sphere every step's projection takes Newton steps, as many as
+    # the row needs: a row ends where integrating it alone ends
+    b = ImplicitSurface(level_surface("ellipsoid", semi_axes=(1.4, 1.0, 0.7)))
+    p0 = b.project(rng.standard_normal((12, 3)))
+    v0 = b.tangent_project(p0, rng.standard_normal((12, 3)))
+    v0 /= b.norm(p0, v0)[:, None]
+    batch = integrate_batch(b, p0, v0, 0.6, 1e-2)
+    for i in range(len(p0)):
+        alone = integrate_batch(b, p0[i:i + 1], v0[i:i + 1], 0.6, 1e-2)
+        np.testing.assert_array_equal(batch.pos[i], alone.pos[0])
+        np.testing.assert_array_equal(batch.vel[i], alone.vel[0])
 
 
 def test_final_grid_point_is_exactly_t_max(flat_backend):

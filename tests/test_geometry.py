@@ -440,6 +440,4 @@ def test_rowwise_projection_matches_one_point_projections_bitwise(
     # from on the surface to 0.3 off it: from 0 to several Newton steps
     P = b.project(u) * (1.0 + 10.0 ** rng.uniform(-13.0, -0.5, (400, 1)))
     want = np.array([b.project(p) for p in P])
-    np.testing.assert_array_equal(b.project(P, rowwise=True), want)
-    # the rows need different step counts, so stepping together differs
-    assert not np.array_equal(b.project(P), want)
+    np.testing.assert_array_equal(b.project(P), want)

@@ -10,8 +10,9 @@ from cutlab.cli import main
 from cutlab.config import scenario
 from cutlab.cutanalysis import PointCloud
 from cutlab.geodesics import IntegrationError, integrate_batch
-from cutlab.geometry import GeometryError, PeriodicChart, \
-    chart_metric_field, chart_scalar_field, conformal_family, linear_blend
+from cutlab.geometry import GeometryError, ImplicitSurface, PeriodicChart, \
+    ambient_scalar_field, chart_metric_field, chart_scalar_field, \
+    conformal_family, level_surface, linear_blend
 from cutlab.stability import (Resolution, SweepTable, _sweep_verdicts,
                               curvature_stats, cut_time_continuity_probe,
                               hausdorff, hausdorff_convergence_check,
@@ -158,6 +159,9 @@ def test_sweep_rejects_bad_ladder(flat_backend):
         sweep_metric_family(flat_backend, N, [0.1, 0.2], res, phi=phi)
     with pytest.raises(ValueError):
         sweep_metric_family(flat_backend, N, [0.2, -0.1], res, phi=phi)
+    for bad in ([], [float("nan"), 0.1], [0.2, float("nan")]):
+        with pytest.raises(ValueError, match="decreasing"):
+            sweep_metric_family(flat_backend, N, bad, res, phi=phi)
 
 
 def test_sweep_requires_exactly_one_family(flat_backend):
@@ -325,7 +329,8 @@ def test_hausdorff_report_matches_the_per_point_loop_bitwise(
         assert np.array_equal(rep.nearest_b, nb)
 
 
-@pytest.mark.parametrize("family", ["conformal", "blend"])
+@pytest.mark.parametrize("family", ["conformal", "blend", "sphere",
+                                    "ellipsoid"])
 def test_stacked_rows_match_per_case_integration_bitwise(family):
     cfg = scenario("warped-torus-bump-sweep")
     b = cfg.build_backend()
@@ -334,10 +339,24 @@ def test_stacked_rows_match_per_case_integration_bitwise(family):
         phi = chart_scalar_field("sine-y", (1.0, 1.0), amplitude=1.0)
         at, taus = (lambda tau: conformal_family(b, phi, tau)), (0.0, 0.1,
                                                                   0.025)
-    else:                       # tau = 0 and tau = 1 are the two ends
+    elif family == "blend":     # tau = 0 and tau = 1 are the two ends
         b1 = PeriodicChart((1.0, 1.0), chart_metric_field(
             "warped-diag-g22", (1.0, 1.0), amplitude=0.3))
         at, taus = (lambda tau: linear_blend(b, b1, tau)), (0.0, 1.0, 0.5)
+    elif family == "sphere":    # the tau = 0 case is the bare sphere
+        cfg = scenario("sphere-equator")
+        b = cfg.build_backend()
+        N = cfg.build_submanifold(b)
+        phi = ambient_scalar_field("sine-z", amplitude=0.3)
+        at, taus = (lambda tau: conformal_family(b, phi, tau)), (0.0, 0.2,
+                                                                  0.1)
+    else:                       # off a sphere the rows take Newton steps
+        b = ImplicitSurface(level_surface("ellipsoid",
+                                          semi_axes=(1.4, 1.0, 0.7)))
+        N = point_submanifold(b.project(np.array([0.5, 0.6, 0.62])))
+        phi = ambient_scalar_field("linear-z", amplitude=0.3)
+        at, taus = (lambda tau: conformal_family(b, phi, tau)), (0.3, 0.1,
+                                                                  0.05)
     cases = [(at(tau), normal_starts(at(tau), N, 16)) for tau in taus]
     rows = np.repeat(taus, [len(p0) for _, (_, p0, _) in cases])
     stacked = stacked_paths(at(rows), cases, 0.6, 1e-2)
@@ -356,7 +375,7 @@ _SWEEPS = {
               "family": {"kind": "blend", "tau": [1.0, 0.5, 0.25],
                          "metric": {"name": "warped-diag-g22",
                                     "amplitude": 0.3}}},
-    # an implicit surface: every case integrates alone, after the fork
+    # an implicit surface: its cases stack as a chart's do
     "sphere": {"scenario": "sphere-equator",
                "family": {"kind": "conformal", "tau": [0.2, 0.1],
                           "phi": {"name": "sine-z", "amplitude": 0.3}}},
@@ -400,14 +419,15 @@ def test_a_stacked_sweep_hands_every_case_its_paths(monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_manifest_times_every_case_and_every_stack(tmp_path, threads):
-    _, out = _cli_sweep(tmp_path, "bump", threads)
-    timings = json.loads((out / "manifest.json").read_text())["timings_s"]
-    ladder = ["0", "0.2", "0.1", "0.05", "0.025"]
-    assert {f"case tau={t}" for t in ladder} <= set(timings)
-    stacks = [k[len("rk4 tau="):].split(",") for k in timings
-              if k.startswith("rk4 tau=")]
-    assert len(stacks) == threads
-    assert sorted(t for s in stacks for t in s) == sorted(ladder)
+    for name, ladder in (("bump", ["0", "0.2", "0.1", "0.05", "0.025"]),
+                         ("sphere", ["0", "0.2", "0.1"])):
+        _, out = _cli_sweep(tmp_path, name, threads)
+        timings = json.loads((out / "manifest.json").read_text())["timings_s"]
+        assert {f"case tau={t}" for t in ladder} <= set(timings)
+        stacks = [k[len("rk4 tau="):].split(",") for k in timings
+                  if k.startswith("rk4 tau=")]
+        assert len(stacks) == threads, name
+        assert sorted(t for s in stacks for t in s) == sorted(ladder)
 
 
 def _spd_blend_sweep(workers):
