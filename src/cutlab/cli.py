@@ -15,6 +15,7 @@ from . import __version__
 from .config import ConfigError, RunConfig, build_curve, \
     build_family_field, parse_config, scenario as load_scenario
 from .cutanalysis import warner_bound
+from .forking import _fork_map, _worker_count
 from .geodesics import IntegrationError, integrate_batch
 from .geometry import GeometryError
 from .stability import (Resolution, curvature_stats,
@@ -23,7 +24,7 @@ from .stability import (Resolution, curvature_stats,
                         hausdorff_convergence_check, run_case,
                         sweep_embedding_family, sweep_metric_family)
 from .submanifold import SubmanifoldSpec
-from .wavefront import CoverageError, eikonal_residual
+from .wavefront import CoverageError, eikonal_residual, normal_starts
 
 
 def _fmt(x) -> str:
@@ -125,7 +126,7 @@ def cmd_inj(cfg: RunConfig, out: Path) -> int:
     b = cfg.build_backend()
     N = cfg.build_submanifold(b)
     t0 = time.perf_counter()
-    result = run_case(b, N, cfg.resolution)
+    result = run_case(b, N, cfg.resolution, workers=cfg.threads)
     em.timings["run_case"] = time.perf_counter() - t0
     em.json("inj.json", {"inj_direct": result.inj_direct,
                          "inj_char": result.inj_char,
@@ -147,7 +148,7 @@ def cmd_cutlocus(cfg: RunConfig, out: Path) -> int:
     b = cfg.build_backend()
     N = cfg.build_submanifold(b)
     t0 = time.perf_counter()
-    result = run_case(b, N, cfg.resolution)
+    result = run_case(b, N, cfg.resolution, workers=cfg.threads)
     em.timings["run_case"] = time.perf_counter() - t0
     ch = _coord_header(b)
     em.csv("cut_cloud.csv", ch + ["dir_idx"],
@@ -232,39 +233,54 @@ def _blend_target(cfg, mspec):
                          "submanifold": cfg.submanifold_spec}).build_backend()
 
 
+def _checks(b, N, res: Resolution):
+    """The checks of validate that do not read the run, and their seconds:
+    the RK4 refinement along the first normal direction (the endpoint error
+    should shrink ~16x per halving of dt) and curvature_stats."""
+    t0 = time.perf_counter()
+    frame = normal_starts(b, N, res.m)[0][0]
+    t_ref = min(0.5, res.t_max)
+    ends = {dt: integrate_batch(b, frame.base, frame.n, t_ref, dt).pos[0, -1]
+            for dt in (res.dt * 4, res.dt * 2, res.dt)}
+    e_coarse = float(np.linalg.norm(ends[res.dt * 4] - ends[res.dt]))
+    e_fine = float(np.linalg.norm(ends[res.dt * 2] - ends[res.dt]))
+    ratio = e_coarse / e_fine if e_fine > 1e-15 else float("inf")
+    refinement = {"endpoint_err_coarse": e_coarse,
+                  "endpoint_err_fine": e_fine, "ratio": ratio}
+    return refinement, curvature_stats(b, N), time.perf_counter() - t0
+
+
 def cmd_validate(cfg: RunConfig, out: Path) -> int:
     em = _Emitter(cfg, out, "validate")
     b = cfg.build_backend()
     N = cfg.build_submanifold(b)
-    t0 = time.perf_counter()
-    result = run_case(b, N, cfg.resolution, keep_atlas=True)
-    em.timings["run_case"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    spacing = 0.05 if b.dim == 2 else 0.1
-    eik = eikonal_residual(result.atlas, spacing,
-                           cut_points=result.cloud.points)
-    em.timings["eikonal"] = time.perf_counter() - t0
+    def run():
+        t0 = time.perf_counter()
+        result = run_case(b, N, cfg.resolution, keep_atlas=True,
+                          workers=cfg.threads)
+        em.timings["run_case"] = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        spacing = 0.05 if b.dim == 2 else 0.1
+        eik = eikonal_residual(result.atlas, spacing,
+                               cut_points=result.cloud.points,
+                               workers=cfg.threads)
+        em.timings["eikonal"] = time.perf_counter() - t0
+        return result, eik
+
+    # the checks run in a child beside run_case when there are two workers,
+    # else after it; errors are raised in this order either way
+    jobs = (run, lambda: _checks(b, N, cfg.resolution))
+    n = _worker_count(cfg.threads, len(jobs))
+    (result, eik), (refinement, stats, secs) = _fork_map(
+        lambda w: jobs[w](), n, lambda w: "validate checks worker") + \
+        [job() for job in jobs[n:]]
+    em.timings["checks"] = secs
     residuals = eik.pop("residuals", None)
     if residuals is not None:
         em.csv("eikonal_residuals.csv", ["residual"],
                ([float(r)] for r in residuals))
 
-    # integrator refinement: RK4 endpoint error should shrink ~16x per halving
-    frame = result.atlas.frames[0]
-    t_ref = min(0.5, cfg.resolution.t_max)
-    ends = {dt: integrate_batch(b, frame.base, frame.n, t_ref, dt).pos[0, -1]
-            for dt in (cfg.resolution.dt * 4, cfg.resolution.dt * 2,
-                       cfg.resolution.dt)}
-    e_coarse = float(np.linalg.norm(ends[cfg.resolution.dt * 4]
-                                    - ends[cfg.resolution.dt]))
-    e_fine = float(np.linalg.norm(ends[cfg.resolution.dt * 2]
-                                  - ends[cfg.resolution.dt]))
-    ratio = e_coarse / e_fine if e_fine > 1e-15 else float("inf")
-    refinement = {"endpoint_err_coarse": e_coarse,
-                  "endpoint_err_fine": e_fine, "ratio": ratio}
-
-    stats = curvature_stats(b, N)
     warner = {"K_max": stats["K_max"], "K_min": stats["K_min"],
               "Delta": stats["Delta"], "f_min": result.fmin}
     if stats["K_max"] > 0.0:
@@ -311,8 +327,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="output directory (default: config out, "
                             "else out/)")
         p.add_argument("--threads", type=_thread_count, default=None,
-                       help="most processes a sweep runs its cases on "
-                            "(default: config threads, else one per CPU)")
+                       help="most processes a command runs on: a sweep's "
+                            "cases, or the cut-time search, eikonal probes "
+                            "and validate checks of a single run (default: "
+                            "config threads, else one per CPU)")
     return ap
 
 

@@ -8,6 +8,8 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .geometry import (Backend, GeometryError, ImplicitSurface, PeriodicChart,
                        ZERO_FIELD, ambient_scalar_field, chart_metric_field,
                        chart_scalar_field, level_surface)
@@ -71,7 +73,9 @@ class RunConfig:
     family: dict | None
     out: str | None = None
     seed: int = 0
-    threads: int | None = None      # sweep worker processes; None: one per CPU
+    # most worker processes of a command (a sweep's cases, or the cut-time
+    # search, eikonal probes and validate checks of one run); None: one per CPU
+    threads: int | None = None
 
     def build_backend(self) -> Backend:
         return build_backend(self.backend_spec)
@@ -133,15 +137,30 @@ def build_submanifold(b: Backend, spec: dict) -> SubmanifoldSpec:
     raise ConfigError(f"submanifold.dim: must be 0 or 1, got {dim!r}")
 
 
+# how far projecting a surface curve's sample may move it (ambient length)
+CURVE_ON_SURFACE_TOL = 1e-9
+
+
 def build_curve(b: Backend, spec, key: str, m_N: int) -> SubmanifoldSpec:
-    """The named curve of the config block ``spec``; errors name ``key``."""
+    """The named curve of the config block ``spec``; errors name ``key``.
+    On an implicit surface, a curve that projecting any of its m_N samples
+    moves by more than CURVE_ON_SURFACE_TOL is rejected."""
     with _named(key):
         name, cspec = _name_of(spec, key)
         if isinstance(b, PeriodicChart):
-            curve = chart_curve(name, b.periods, **cspec)
-        else:
-            curve = surface_curve(name, **cspec)
-    return curve_submanifold(curve, m_N=m_N)
+            return curve_submanifold(chart_curve(name, b.periods, **cspec),
+                                     m_N=m_N)
+        N = curve_submanifold(surface_curve(name, **cspec), m_N=m_N)
+        pts = N.sample_points()
+        moved = np.linalg.norm(b.project(pts) - pts, axis=-1)
+    off = np.flatnonzero(~(moved <= CURVE_ON_SURFACE_TOL))
+    if off.size:
+        i = off[0]
+        raise ConfigError(f"{key}: curve {name!r} is off the surface: "
+                          f"projection moves its sample at s={i / m_N:.6g} "
+                          f"by {moved[i]:.3g} (tolerance "
+                          f"{CURVE_ON_SURFACE_TOL:g})")
+    return N
 
 
 def build_family_field(cfg: RunConfig, b: Backend):

@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .forking import _fork_map, _worker_count
 from .geodesics import _hermite, hermite_batch, normal_exp_jacobian
 from .geometry import Backend
 from .submanifold import (SubmanifoldSpec, foot_points, golden_section,
@@ -55,8 +56,8 @@ def cut_time(atlas: WavefrontAtlas, dir_idx: int, tol: float = 1e-3) -> tuple[fl
     return float(rho[0]), flags[0]
 
 
-def cut_times(atlas: WavefrontAtlas, tol: float = 1e-3,
-              dirs=None) -> tuple[np.ndarray, list[dict]]:
+def cut_times(atlas: WavefrontAtlas, tol: float = 1e-3, dirs=None,
+              workers: int | None = 1) -> tuple[np.ndarray, list[dict]]:
     """sup{t | d(N, gamma_n(t)) = t} via bisection on the excess function,
     for the directions ``dirs`` (default: all) in lockstep.
 
@@ -66,10 +67,36 @@ def cut_times(atlas: WavefrontAtlas, tol: float = 1e-3,
     probes all searching directions with one distance batch.  A direction
     whose probe cannot be certified stops; the CoverageError of the first
     such direction is raised once the others are done.
+
+    The directions split into n = min(workers, len(dirs)) shares (workers
+    None: one per CPU), share w taking every n-th from the w-th, each
+    searched in its own process (_cut_time_share).  No direction's search
+    reads another's, so the result and the error raised do not depend on n.
     """
     batch = atlas.batch
-    tg = batch.t
     J = np.arange(batch.n_paths) if dirs is None else np.asarray(dirs, int)
+    n = _worker_count(workers, len(J))
+    shares = _fork_map(lambda w: _cut_time_share(atlas, tol, J[w::n]), n,
+                       lambda w: f"cut-time worker for directions {w}::{n}")
+    rho = np.empty(len(J))
+    flags: list[dict] = [{} for _ in J]
+    failed: dict[int, str] = {}
+    for w, (r, f, bad) in enumerate(shares):
+        rho[w::n] = r
+        flags[w::n] = f
+        failed.update({w + n * i: reason for i, reason in bad.items()})
+    if failed:
+        raise CoverageError(failed[min(failed)])
+    return rho, flags
+
+
+def _cut_time_share(atlas: WavefrontAtlas, tol: float, J: np.ndarray):
+    """cut_times' lockstep search of the directions J, without raising:
+    (rho, flags, failed), where failed maps the position in J of each
+    direction whose probe could not be certified to its first reason; rho
+    and flags are final only when failed is empty."""
+    batch = atlas.batch
+    tg = batch.t
     k = len(J)
     failed: dict[int, str] = {}
     dead = np.zeros(k, dtype=bool)
@@ -143,7 +170,7 @@ def cut_times(atlas: WavefrontAtlas, tol: float = 1e-3,
     e1, e2 = np.full(k, np.nan), np.full(k, np.nan)
     e1[kink], e2[kink] = np.split(e[len(has_base):], 2)
     if failed:
-        raise CoverageError(failed[min(failed)])
+        return rho, flags, failed
     is_kink = np.zeros(k, dtype=bool)
     is_kink[kink] = True
     for i in rows:
@@ -155,7 +182,7 @@ def cut_times(atlas: WavefrontAtlas, tol: float = 1e-3,
             r = tc - theta  # assume unit slope near the coverage edge
             flags[i]["method"] = "edge"
         rho[i] = float(np.clip(r, tc - 6.0 * theta, tc))
-    return rho, flags
+    return rho, flags, failed
 
 
 def _kink_root(t0: float, D: float, e0: float, e1: float, e2: float,
@@ -349,12 +376,12 @@ def _polish_returns(b, N, batch, J, t0, capture):
 
 def compute_profiles(b: Backend, N: SubmanifoldSpec, atlas: WavefrontAtlas,
                      tol: float = 1e-3, capture_radius: float = 1e-2,
-                     angle_tol: float = 1e-3,
-                     loops: list | None = None) -> list[CutProfile]:
+                     angle_tol: float = 1e-3, loops: list | None = None,
+                     workers: int | None = 1) -> list[CutProfile]:
     focal = focal_times_batch(b, N, atlas)
     if loops is None:
         _, loops = loop_scan(b, N, atlas, capture_radius, angle_tol)
-    rho, flags = cut_times(atlas, tol)
+    rho, flags = cut_times(atlas, tol, workers=workers)
     # a geodesic never minimizes past its first focal point; the excess
     # crossing lands late at focal-type cuts (cubic growth), so the focal
     # time is both a hard bound and the sharper estimate there

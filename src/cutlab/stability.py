@@ -3,8 +3,6 @@ metric and embedding families, with the cut-time and focal-free probes."""
 from __future__ import annotations
 
 import math
-import os
-import pickle
 import time
 from dataclasses import asdict, dataclass, field, replace
 
@@ -14,6 +12,7 @@ from .cutanalysis import (CutProfile, PointCloud, compute_profiles,
                           cut_locus_cloud, f_min, injectivity_radius_char,
                           injectivity_radius_direct, loop_scan,
                           separating_points, warner_bound)
+from .forking import _fork_map, _worker_count
 from .geometry import Backend, GeometryError, conformal_family, linear_blend, \
     same_backend_family, validation_grid
 from .submanifold import SubmanifoldSpec, embedding_family, \
@@ -96,13 +95,16 @@ class ScenarioResult:
 
 
 def run_case(b: Backend, N: SubmanifoldSpec, res: Resolution,
-             keep_atlas: bool = False, paths=None) -> ScenarioResult:
+             keep_atlas: bool = False, paths=None,
+             workers: int | None = 1) -> ScenarioResult:
     """One scenario run; ``paths`` are the (frames, BatchPaths) of N's
-    normal directions when they were integrated elsewhere."""
+    normal directions when they were integrated elsewhere.  The cut-time
+    search runs on up to ``workers`` processes (None: one per CPU); the
+    result does not depend on their number."""
     atlas = build_atlas(b, N, res.m, res.t_max, res.dt, paths)
     l_half, loops = loop_scan(b, N, atlas, res.capture_radius, res.angle_tol)
     profiles = compute_profiles(b, N, atlas, res.tol, res.capture_radius,
-                                res.angle_tol, loops=loops)
+                                res.angle_tol, loops=loops, workers=workers)
     focal = np.array([p.focal_t for p in profiles])
     fmin = f_min(focal)
     inj_d = injectivity_radius_direct(profiles)
@@ -269,59 +271,6 @@ def _run_share(backend_at, N_at, res: Resolution, taus):
     return out, rk4
 
 
-def _read_all(fd: int) -> bytes:
-    chunks = []
-    while chunk := os.read(fd, 1 << 16):
-        chunks.append(chunk)
-    return b"".join(chunks)
-
-
-def _fork_map(job, n: int) -> list:
-    """[job(0), ..., job(n - 1)]: job(0) runs in this process and every
-    other in a forked child, which pickles its result to a pipe and ends
-    with os._exit.  A child that ends without a result gives None.  Every
-    child is reaped before this returns or raises; when this process's own
-    share raises, the children are killed first."""
-    kids, data = [], []
-    done = False
-    try:
-        for w in range(1, n):
-            rfd, wfd = os.pipe()
-            pid = os.fork()
-            if pid == 0:                    # child: never returns
-                code = 1
-                try:
-                    os.close(rfd)
-                    with os.fdopen(wfd, "wb") as fh:
-                        pickle.dump(job(w), fh, pickle.HIGHEST_PROTOCOL)
-                    code = 0
-                finally:
-                    os._exit(code)
-            os.close(wfd)
-            kids.append((pid, rfd))
-        results = [job(0)]
-        data = [_read_all(rfd) for _, rfd in kids]
-        done = True
-    finally:
-        codes = []
-        for pid, rfd in kids:
-            os.close(rfd)
-            if not done:
-                import signal       # only on this path: import cutlab stays lean
-                os.kill(pid, signal.SIGKILL)
-            codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-    return results + [pickle.loads(raw) if code == 0 and raw else None
-                      for raw, code in zip(data, codes)]
-
-
-def _cpus() -> int:
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:              # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _sweep(description, backend_at, N_at, taus, res: Resolution,
            final_inj_tol: float, final_dH_tol: float,
            final_rho_tol: float, workers: int | None = None) -> SweepTable:
@@ -333,19 +282,13 @@ def _sweep(description, backend_at, N_at, taus, res: Resolution,
     error that is not a record is raised as the serial loop would raise
     it, from the base or else the earliest failing tau."""
     taus = _check_ladder(taus)
-    if workers is None:
-        workers = _cpus()
-    elif workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
     ladder = [0.0] + taus
-    n = min(workers, len(ladder)) if hasattr(os, "fork") else 1
+    n = _worker_count(workers, len(ladder))
     shares = _fork_map(
-        lambda w: _run_share(backend_at, N_at, res, ladder[w::n]), n)
+        lambda w: _run_share(backend_at, N_at, res, ladder[w::n]), n,
+        lambda w: f"sweep worker for tau {ladder[w::n]}")
     outcomes, rk4 = {}, {}
-    for w, share in enumerate(shares):
-        if share is None:
-            raise RuntimeError(f"sweep worker for tau {ladder[w::n]} ended "
-                               "without a result")
+    for share in shares:
         outcomes.update(share[0])
         rk4.update(share[1])
 

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .forking import _fork_map, _worker_count
 from .geodesics import BatchPaths, integrate_batch
 from .geometry import Backend, row_sum, validation_grid
 from .submanifold import NormalFrame, SubmanifoldSpec, frames_for
@@ -459,11 +460,14 @@ def distance(atlas: WavefrontAtlas, q) -> DistanceResult:
 
 def eikonal_residual(atlas: WavefrontAtlas, grid_spacing: float,
                      exclusion_radius: float | None = None,
-                     cut_points: np.ndarray | None = None) -> dict:
+                     cut_points: np.ndarray | None = None,
+                     workers: int | None = 1) -> dict:
     """Distribution of | ||grad u||_g - 1 | on a grid, excluding tubes around
     N and around the supplied cut-locus cloud where u is not differentiable.
     A point whose central-difference probes cannot all be certified is
-    dropped."""
+    dropped.  The probe distances are queried in up to ``workers`` blocks
+    of rows, one process each (None: one per CPU); a row's answer does not
+    depend on the other rows, so neither does the result."""
     b = atlas.backend
     if exclusion_radius is None:
         exclusion_radius = max(2.0 * grid_spacing, 2.0 * atlas.err)
@@ -477,8 +481,15 @@ def eikonal_residual(atlas: WavefrontAtlas, grid_spacing: float,
     # u at q +- h e along two tangent axes e per point; steps is the half-width
     # of each difference
     probes, steps = b.probe_pairs(pts, 0.5 * grid_spacing)
-    d, _err, _j, _t, status = _distance_rows(
-        atlas, probes.reshape(-1, probes.shape[-1]))
+    blocks = np.array_split(probes.reshape(-1, probes.shape[-1]),
+                            _worker_count(workers, 4 * len(pts)))
+
+    def share(w):
+        d, _err, _j, _t, status = _distance_rows(atlas, blocks[w])
+        return d, status
+
+    d, status = (np.concatenate(a) for a in zip(*_fork_map(
+        share, len(blocks), lambda w: f"eikonal worker for probe block {w}")))
     d = d.reshape(len(pts), 2, 2)
     ok = ~np.any(status.reshape(len(pts), 4) != 0, axis=1)
     # central differences (u(q + h e) - u(q - h e)) / (2 h) along each axis

@@ -4,7 +4,9 @@ import os
 
 import pytest
 
+from cutlab import cli
 from cutlab.cli import main
+from cutlab.geometry import GeometryError
 
 FAST = {"scenario": "flat-torus-line",
         "resolution": {"m": 64, "dt": 2e-3}}
@@ -56,6 +58,79 @@ def test_coverage_error_is_one_line_fail(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("FAIL: ") and "coverage" in err
     assert err.count("\n") == 1
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):      # none running, none unreaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_coverage_error_is_the_same_line_for_any_thread_count(tmp_path,
+                                                              capsys):
+    # the directions are searched in shares; the error is the lowest failing
+    # direction's, whichever share found it
+    cfg = _write_cfg(tmp_path, {"scenario": "sphere-equator",
+                                "resolution": {"m": 16, "dt": 0.01,
+                                               "t_max": 0.5}})
+    lines = set()
+    for th in ("1", "2", "3"):
+        assert main(["inj", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--threads", th]) == 1
+        _no_child_left()
+        err = capsys.readouterr().err
+        assert err.startswith("FAIL: ") and err.count("\n") == 1
+        lines.add(err)
+    assert len(lines) == 1
+
+
+def test_validate_check_error_is_one_line_fail_for_any_thread_count(
+        tmp_path, capsys, monkeypatch):
+    # with two workers the checks run in a child; its error is raised here,
+    # after run_case and the eikonal check, as a one-process run raises it
+    def broken(b, N, grid_spacing=0.02):
+        raise GeometryError("curvature grid is degenerate")
+
+    monkeypatch.setattr(cli, "curvature_stats", broken)
+    cfg = _write_cfg(tmp_path, {"scenario": "flat-torus-line",
+                                "resolution": {"m": 32, "dt": 1e-2}})
+    for th in ("1", "2"):
+        assert main(["validate", "--config", cfg, "--out",
+                     str(tmp_path / th), "--threads", th]) == 1
+        _no_child_left()
+        assert capsys.readouterr().err == \
+            "FAIL: curvature grid is degenerate\n"
+
+
+def _scientific_bytes(path):
+    """A file's bytes, without the manifest's timing fields."""
+    if path.name != "manifest.json":
+        return path.read_bytes()
+    man = json.loads(path.read_text())
+    for key in ("wall_clock_s", "timings_s"):
+        man.pop(key)
+    return json.dumps(man, sort_keys=True).encode()
+
+
+@pytest.mark.parametrize("command", ["inj", "cutlocus", "validate"])
+@pytest.mark.parametrize("scenario", ["sphere-equator", "warped-torus-line"])
+def test_single_run_outputs_do_not_depend_on_threads(tmp_path, scenario,
+                                                     command):
+    cfg = _write_cfg(tmp_path, {"scenario": scenario,
+                                "resolution": {"m": 32, "dt": 1e-2}})
+    outs, codes = [], set()
+    for th in (1, 2, 3):
+        out = tmp_path / f"t{th}"
+        codes.add(main([command, "--config", cfg, "--out", str(out),
+                        "--threads", str(th)]))
+        _no_child_left()
+        outs.append(out)
+    assert len(codes) == 1
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert "manifest.json" in names and len(names) >= 2
+    for out in outs:
+        assert sorted(p.name for p in out.iterdir()) == names
+    for name in names:
+        assert len({_scientific_bytes(o / name) for o in outs}) == 1, name
 
 
 def test_coverage_edge_names_the_binding_knob(tmp_path, capsys):
@@ -187,6 +262,8 @@ def test_validate_reports(tmp_path):
     assert rep["refinement"]["ratio"] >= 12.0 or \
         rep["refinement"]["endpoint_err_fine"] <= 1e-12
     assert (out / "eikonal_residuals.csv").exists()
+    timings = json.loads((out / "manifest.json").read_text())["timings_s"]
+    assert {"run_case", "eikonal", "checks"} <= set(timings)
 
 
 def test_validate_refinement_ratio_warped(tmp_path):
@@ -308,11 +385,22 @@ def _with(cfg, block, **change):
      "'y00'"),
     ("sweep", _with(_SHIFT, "family", target={"y0": "x"}), "family.target",
      "'x'"),
+    ("inj", _with(_SPHERE, "submanifold", curve={"radius": 2.0}),
+     "submanifold.curve", "'equator' is off the surface"),
+    ("inj", _with(_SPHERE, "submanifold", curve={"name": "latitude",
+                                                 "radius": 0.5, "z0": 0.3}),
+     "submanifold.curve", "'latitude' is off the surface"),
+    ("sweep", {**_SPHERE, "family": {
+        "kind": "embedding", "tau": [0.2, 0.1],
+        "target": {"name": "latitude", "radius": 2.0, "z0": 0.3}}},
+     "family.target", "'latitude' is off the surface"),
 ], ids=["point-text", "point-length", "point-off-surface", "curve-value",
         "curve-unknown-name", "surface-curve-unknown-name",
         "metric-unknown-name",
         "surface-unknown-name", "psi-unknown-name", "phi-value",
-        "phi-unknown-name", "target-unknown-name", "target-value"])
+        "phi-unknown-name", "target-unknown-name", "target-value",
+        "surface-curve-off-surface", "latitude-off-surface",
+        "target-off-surface"])
 def test_bad_named_block_exits_2_naming_the_block(tmp_path, capsys, command,
                                                   cfg, key, word):
     argv = [command, "--config", json.dumps(cfg), "--out", str(tmp_path / "o")]

@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from cutlab.config import (ConfigError, SCENARIOS, build_family_field,
+from cutlab.config import (ConfigError, SCENARIOS, build_backend,
+                           build_curve, build_family_field,
                            build_submanifold, parse_config, scenario)
 from cutlab.geometry import ImplicitSurface, PeriodicChart
 
@@ -14,6 +15,28 @@ def test_all_bundled_scenarios_construct():
         b = cfg.build_backend()
         N = cfg.build_submanifold(b)
         assert N.dim in (0, 1)
+
+
+@pytest.mark.parametrize("radius", [1.0, 2.5])
+def test_bundled_surface_curves_lie_on_their_sphere(radius):
+    # the on-surface check passes the equator and latitudes of any sphere
+    b = build_backend({"kind": "implicit-surface",
+                       "surface": {"name": "sphere", "radius": radius}})
+    for spec in ({"name": "equator", "radius": radius},
+                 {"name": "latitude", "radius": radius, "z0": 0.3 * radius},
+                 {"name": "latitude", "radius": radius, "z0": -0.9 * radius}):
+        for m_N in (64, 256, 1000):
+            assert build_curve(b, spec, "submanifold.curve", m_N).m_N == m_N
+
+
+def test_surface_curve_off_its_surface_names_the_key():
+    b = build_backend({"kind": "implicit-surface",
+                       "surface": {"name": "sphere", "radius": 1.0}})
+    for key in ("submanifold.curve", "family.target"):
+        with pytest.raises(ConfigError, match=rf"^{key}: curve 'equator' is "
+                           r"off the surface: projection moves its sample "
+                           r"at s=0 by 1 \(tolerance 1e-09\)$"):
+            build_curve(b, {"name": "equator", "radius": 2.0}, key, 64)
 
 
 def test_scenario_backend_kinds():

@@ -1,8 +1,10 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
+from cutlab import cutanalysis
 from cutlab.config import scenario
 from cutlab.cutanalysis import (CutProfile, _clusters, _kink_root,
                                 compute_profiles, cut_time, cut_times,
@@ -102,6 +104,61 @@ def test_cut_times_raise_the_first_failing_direction():
     assert len(set(failures)) > 1
     assert str(ex.value) == failures[0]
     assert "increase m" in failures[0]
+
+
+# -- direction shares -------------------------------------------------------
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):      # none running, none unreaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("name", ["flat-torus-line", "warped-torus-line",
+                                  "sphere-equator"])
+def test_cut_time_shares_match_the_serial_search_bitwise(name):
+    cfg = scenario(name)
+    b = cfg.build_backend()
+    atlas = build_atlas(b, cfg.build_submanifold(b), 64,
+                        cfg.resolution.t_max, 4e-3)
+    rho, flags = cut_times(atlas, 1e-3)
+    assert {f["method"] for f in flags} >= {"kink"}
+    for n in (1, 2, 3, 8):
+        rho_n, flags_n = cut_times(atlas, 1e-3, workers=n)
+        _no_child_left()
+        assert rho_n.tobytes() == rho.tobytes(), n
+        assert flags_n == flags, n
+
+
+def test_cut_time_shares_raise_the_lowest_failing_direction(flat_backend,
+                                                            monkeypatch):
+    # the vertical geodesics x = s of the flat line, 16 per side: every probe
+    # with x in [0.3, 0.7] fails at a distance that names its x, so
+    # directions 5-11 and 21-27 fail, each with its own message; the lowest,
+    # 5, lies in share 5 % n, not in this process's share
+    atlas = build_atlas(flat_backend, curve_submanifold(chart_curve(
+        "horizontal-circle", (1.0, 1.0), y0=0.0)), 16, 1.2, 1e-2)
+    rows = cutanalysis._distance_rows
+
+    def failing(atlas, Q):
+        d, err, j, t, status = rows(atlas, Q)
+        x = np.mod(Q[:, 0], 1.0)
+        bad = (x >= 0.3) & (x <= 0.7)
+        return np.where(bad, x, d), err, j, t, np.where(bad, 2, status)
+
+    monkeypatch.setattr(cutanalysis, "_distance_rows", failing)
+    messages = set()
+    for n in (1, 2, 3, 8):
+        with pytest.raises(CoverageError) as ex:
+            cut_times(atlas, workers=n)
+        _no_child_left()
+        messages.add(str(ex.value))
+    assert len(messages) == 1
+    assert messages.pop().startswith("distance 0.3125 at coverage edge")
+    # "lowest" is the position in dirs: reversed, direction 27 (x = 11/16)
+    # comes first, at position 4, in share 1 of 3
+    with pytest.raises(CoverageError, match="^distance 0.6875 "):
+        cut_times(atlas, dirs=np.arange(32)[::-1], workers=3)
+    _no_child_left()
 
 
 # -- focal times ------------------------------------------------------------

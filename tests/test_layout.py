@@ -1,4 +1,5 @@
-"""Package layout: one place knows whether a backend is a chart or a surface.
+"""Package layout: one place knows whether a backend is a chart or a surface,
+and one module forks processes.
 
 ``geometry.py`` defines both backends, ``config.py`` builds them from a
 spec's ``kind`` and ``__init__.py`` re-exports them.  Every other module
@@ -54,14 +55,39 @@ def test_checker_sees_imports_and_isinstance():
 
 
 def test_import_loads_no_process_pool():
-    # the sweep forks its workers itself; the benchmark's setup_s times
-    # this import, so a pool module must not ride along
+    # forking._fork_map forks the workers itself; the benchmark's setup_s
+    # times this import, so a pool module must not ride along
     code = ("import sys, cutlab; print([m for m in ('multiprocessing', "
             "'concurrent.futures') if m in sys.modules])")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def fork_calls(source: str) -> list[int]:
+    """Lines that reach os.fork: the attribute os.fork, or fork imported
+    from os."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr == "fork"
+                and isinstance(node.value, ast.Name) and node.value.id == "os"):
+            out.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            out += [node.lineno for a in node.names if a.name == "fork"]
+    return sorted(out)
+
+
+def test_only_the_fork_helper_forks():
+    # every fork site goes through forking._fork_map, which reaps its
+    # children; the helper imports nothing of cutlab, so any module may use it
+    assert fork_calls("import os\npid = os.fork()\nfrom os import fork\n") \
+        == [2, 3]
+    forks = {p.name: fork_calls(p.read_text()) for p in SRC.glob("*.py")}
+    assert [name for name, lines in forks.items() if lines] == ["forking.py"]
+    tree = ast.parse((SRC / "forking.py").read_text())
+    assert not [n for n in ast.walk(tree)
+                if isinstance(n, ast.ImportFrom) and n.level > 0]
 
 
 def _bench_tracing():

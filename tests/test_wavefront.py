@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,24 @@ def test_eikonal_residual_flat_line(flat_line_atlas):
     rep = eikonal_residual(flat_line_atlas, 0.05, cut_points=cut)
     assert rep["count"] > 100
     assert rep["frac_below_1e2"] >= 0.95
+
+
+@pytest.mark.parametrize("name", ["flat_line_atlas", "bump_atlas",
+                                  "sphere_atlas"])
+def test_eikonal_probe_blocks_do_not_change_the_report(name, request):
+    atlas = request.getfixturevalue(name)
+    spacing = 0.05 if atlas.backend.dim == 2 else 0.1
+    reports = []
+    for n in (1, 2, 3):
+        reports.append(eikonal_residual(atlas, spacing, workers=n))
+        with pytest.raises(ChildProcessError):      # no worker left behind
+            os.waitpid(-1, os.WNOHANG)
+    assert reports[0]["count"] > 100
+    for rep in reports[1:]:
+        assert rep.pop("residuals").tobytes() == \
+            reports[0]["residuals"].tobytes()
+        assert rep == {k: v for k, v in reports[0].items()
+                       if k != "residuals"}
 
 
 # -- batched queries against the brute-force scan ----------------------------
