@@ -128,6 +128,7 @@ def cmd_inj(cfg: RunConfig, out: Path) -> int:
     t0 = time.perf_counter()
     result = run_case(b, N, cfg.resolution, workers=cfg.threads)
     em.timings["run_case"] = time.perf_counter() - t0
+    em.timings.update(result.timings)
     em.json("inj.json", {"inj_direct": result.inj_direct,
                          "inj_char": result.inj_char,
                          "branch": result.branch,
@@ -150,6 +151,7 @@ def cmd_cutlocus(cfg: RunConfig, out: Path) -> int:
     t0 = time.perf_counter()
     result = run_case(b, N, cfg.resolution, workers=cfg.threads)
     em.timings["run_case"] = time.perf_counter() - t0
+    em.timings.update(result.timings)
     ch = _coord_header(b)
     em.csv("cut_cloud.csv", ch + ["dir_idx"],
            ([*p, d] for p, d in zip(result.cloud.points, result.cloud.dir_idx)))
@@ -260,6 +262,7 @@ def cmd_validate(cfg: RunConfig, out: Path) -> int:
         result = run_case(b, N, cfg.resolution, keep_atlas=True,
                           workers=cfg.threads)
         em.timings["run_case"] = time.perf_counter() - t0
+        em.timings.update(result.timings)
         t0 = time.perf_counter()
         spacing = 0.05 if b.dim == 2 else 0.1
         eik = eikonal_residual(result.atlas, spacing,

@@ -46,12 +46,12 @@ def _number(value, key: str, integer: bool = False, positive: bool = True):
 
 
 @contextmanager
-def _named(key: str):
-    """Re-raise a constructor's rejection of a config value as a ConfigError
-    that names the key."""
+def _named(key: str, errors=(GeometryError, TypeError, ValueError)):
+    """Re-raise a constructor's rejection of a config value (one of errors)
+    as a ConfigError that names the key."""
     try:
         yield
-    except (GeometryError, TypeError, ValueError) as ex:
+    except errors as ex:
         raise ConfigError(f"{key}: {ex}") from ex
 
 
@@ -103,7 +103,10 @@ def build_backend(spec: dict) -> Backend:
     if kind == "implicit-surface":
         name, sspec = _name_of(spec.get("surface", {"name": "sphere"}),
                                "backend.surface")
-        surf = level_surface(name, **sspec)
+        # a bad value names the block; an unknown parameter, a
+        # GeometryError, names the backend as for every other backend block
+        with _named("backend.surface", ValueError):
+            surf = level_surface(name, **sspec)
         psi = ZERO_FIELD
         if "psi" in spec:
             pname, pspec = _name_of(spec["psi"], "backend.psi")

@@ -4,6 +4,7 @@ focal-free comparison bound."""
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -220,30 +221,33 @@ def focal_times_batch(b: Backend, N: SubmanifoldSpec, atlas: WavefrontAtlas,
     batch = atlas.batch
     k, n, d = batch.pos.shape
     K = b.gauss_curvature(batch.pos.reshape(-1, d)).reshape(k, n)
-    y = np.empty((k, n))
-    yp = np.empty((k, n))
+    # the coefficients -K at the nodes and at mid-step, and y, y' stored
+    # time-major, so that every step reads and writes contiguous rows
+    Kt = np.ascontiguousarray(K.T)
+    neg_K, neg_Km = -Kt, -(0.5 * (Kt[:-1] + Kt[1:]))
+    y = np.empty((n, k))
+    yp = np.empty((n, k))
     if N.dim == 0:
-        y[:, 0], yp[:, 0] = 0.0, 1.0
+        y[0], yp[0] = 0.0, 1.0
     else:
-        y[:, 0] = 1.0
-        yp[:, 0] = shape_operators(b, N, [f.s for f in atlas.frames],
-                                   [f.side for f in atlas.frames])
+        y[0] = 1.0
+        yp[0] = shape_operators(b, N, [f.s for f in atlas.frames],
+                                [f.side for f in atlas.frames])
     tg = batch.t
     for i in range(n - 1):
         h = tg[i + 1] - tg[i]
-        K0, K1 = K[:, i], K[:, i + 1]
-        Km = 0.5 * (K0 + K1)
-        y0, v0 = y[:, i], yp[:, i]
-        k1y, k1v = v0, -K0 * y0
-        k2y, k2v = v0 + 0.5 * h * k1v, -Km * (y0 + 0.5 * h * k1y)
-        k3y, k3v = v0 + 0.5 * h * k2v, -Km * (y0 + 0.5 * h * k2y)
-        k4y, k4v = v0 + h * k3v, -K1 * (y0 + h * k3y)
-        y[:, i + 1] = y0 + (h / 6.0) * (k1y + 2 * k2y + 2 * k3y + k4y)
-        yp[:, i + 1] = v0 + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
+        a0, am, a1 = neg_K[i], neg_Km[i], neg_K[i + 1]
+        y0, v0 = y[i], yp[i]
+        k1y, k1v = v0, a0 * y0
+        k2y, k2v = v0 + 0.5 * h * k1v, am * (y0 + 0.5 * h * k1y)
+        k3y, k3v = v0 + 0.5 * h * k2v, am * (y0 + 0.5 * h * k2y)
+        k4y, k4v = v0 + h * k3v, a1 * (y0 + h * k3y)
+        y[i + 1] = y0 + (h / 6.0) * (k1y + 2 * k2y + 2 * k3y + k4y)
+        yp[i + 1] = v0 + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
     out = np.full(k, np.inf)
     start = 1 if N.dim == 0 else 0
     for j in range(k):
-        tf = _first_zero(tg, y[j], yp[j], start, zero_tol)
+        tf = _first_zero(tg, y[:, j], yp[:, j], start, zero_tol)
         if tf is not None:
             out[j] = tf
     return out
@@ -377,8 +381,14 @@ def _polish_returns(b, N, batch, J, t0, capture):
 def compute_profiles(b: Backend, N: SubmanifoldSpec, atlas: WavefrontAtlas,
                      tol: float = 1e-3, capture_radius: float = 1e-2,
                      angle_tol: float = 1e-3, loops: list | None = None,
-                     workers: int | None = 1) -> list[CutProfile]:
+                     workers: int | None = 1,
+                     timings: dict | None = None) -> list[CutProfile]:
+    """One CutProfile per atlas direction; the focal solve's seconds go to
+    ``timings["focal"]`` when timings is given."""
+    t0 = time.perf_counter()
     focal = focal_times_batch(b, N, atlas)
+    if timings is not None:
+        timings["focal"] = time.perf_counter() - t0
     if loops is None:
         _, loops = loop_scan(b, N, atlas, capture_radius, angle_tol)
     rho, flags = cut_times(atlas, tol, workers=workers)

@@ -441,30 +441,56 @@ class PeriodicChart(_Shared):
 
 @dataclass(frozen=True)
 class LevelSurface:
-    """Level function h with analytic gradient and Hessian."""
+    """Level function h with analytic gradient and Hessian.
+
+    ``hess_form(p, v)`` is v . Hess h(p) . v for every row, the second-order
+    term of the geodesic equation.  The sphere and the ellipsoid have a
+    constant diagonal Hessian d and give row_sum((d * v) * v), which rounds
+    as an einsum over the full matrix does (d * (v * v) does not).  A level
+    surface whose Hessian varies, such as a torus, supplies its own form.
+    """
 
     name: str
     params: dict
     h: Callable
     grad: Callable
     hess: Callable
+    hess_form: Callable
+
+
+def _lengths(value, key: str, n: int | None = None) -> np.ndarray:
+    """value as one float (n None) or as n floats, each finite and > 0;
+    anything else is a ValueError that names key."""
+    try:
+        x = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        x = np.array(np.nan)
+    if x.shape != (() if n is None else (n,)) \
+            or not (np.isfinite(x) & (x > 0.0)).all():
+        want = "a finite number" if n is None else f"{n} finite numbers"
+        raise ValueError(f"{key} must be {want} > 0, got {value!r}")
+    return x
 
 
 def level_surface(name: str, **params) -> LevelSurface:
+    """The named level surface; a radius or semi_axes that is not finite
+    and > 0 raises a ValueError."""
     check_params("implicit surface", name, params,
                  {"sphere": ("radius",), "ellipsoid": ("semi_axes",)})
     if name == "sphere":
-        r = float(params.get("radius", 1.0))
-        h = lambda p: np.sum(p * p, axis=-1) - r * r
+        r = float(_lengths(params.get("radius", 1.0), "radius"))
+        h = lambda p: row_sum(p * p) - r * r
         grad = lambda p: 2.0 * p
-        H = 2.0 * np.eye(3)
+        d = np.full(3, 2.0)
     elif name == "ellipsoid":
-        ax = np.array([float(a) for a in params.get("semi_axes", (1, 1, 1))])
-        h = lambda p: np.sum((p / ax) ** 2, axis=-1) - 1.0
+        ax = _lengths(params.get("semi_axes", (1, 1, 1)), "semi_axes", 3)
+        h = lambda p: row_sum((p / ax) ** 2) - 1.0
         grad = lambda p: 2.0 * p / ax ** 2
-        H = np.diag(2.0 / ax ** 2)
+        d = 2.0 / ax ** 2
+    H = np.diag(d)
     hess = lambda p: np.broadcast_to(H, p.shape[:-1] + (3, 3))
-    return LevelSurface(name, dict(params), h, grad, hess)
+    hess_form = lambda p, v: row_sum((d * v) * v)
+    return LevelSurface(name, dict(params), h, grad, hess, hess_form)
 
 
 @dataclass(frozen=True)
@@ -512,8 +538,16 @@ class ImplicitSurface(_Shared):
     # -- metric ------------------------------------------------------------
 
     def inner(self, pts, v, w) -> np.ndarray:
-        return np.exp(2.0 * self.psi(pts)) * row_sum(
-            np.asarray(v, float) * np.asarray(w, float))
+        vw = row_sum(np.asarray(v, float) * np.asarray(w, float))
+        if self.psi is ZERO_FIELD:      # the factor e^0 is 1.0
+            return vw
+        return np.exp(2.0 * self.psi(pts)) * vw
+
+    def norm(self, pts, v) -> np.ndarray:
+        if self.psi is ZERO_FIELD:      # a sum of squares needs no clamp
+            v = np.asarray(v, float)
+            return np.sqrt(row_sum(v * v))
+        return _Shared.norm(self, pts, v)
 
     def lam_sqrt_max(self, pts) -> np.ndarray:
         return np.exp(self.psi(pts))
@@ -531,16 +565,14 @@ class ImplicitSurface(_Shared):
         pts = np.asarray(pts, dtype=float)
         v = np.asarray(v, dtype=float)
         g = self.surface.grad(pts)
-        H = self.surface.hess(pts)
-        vHv = np.einsum("...ij,...i,...j->...", H, v, v)
-        gg = np.sum(g * g, axis=-1)
-        acc = (vHv / gg)[..., None] * g
+        gg = row_sum(g * g)
+        acc = (self.surface.hess_form(pts, v) / gg)[..., None] * g
         if self.psi is not ZERO_FIELD:
             dpsi = self.psi_gradient(pts)
-            dpsi_t = self.tangent_project(pts, dpsi)
-            vv = np.sum(v * v, axis=-1)
-            acc = (acc + 2.0 * np.sum(dpsi * v, axis=-1)[..., None] * v
-                   - vv[..., None] * dpsi_t)
+            n = g / np.sqrt(gg)[..., None]          # unit_surface_normal
+            dpsi_t = dpsi - row_sum(dpsi * n)[..., None] * n
+            acc = (acc + 2.0 * row_sum(dpsi * v)[..., None] * v
+                   - row_sum(v * v)[..., None] * dpsi_t)
         return acc
 
     # -- curvature ---------------------------------------------------------

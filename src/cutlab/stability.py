@@ -92,6 +92,7 @@ class ScenarioResult:
     l_half: float
     err: float                  # atlas distance-error bound
     atlas: object = None
+    timings: dict = field(default_factory=dict)   # stage -> seconds
 
 
 def run_case(b: Backend, N: SubmanifoldSpec, res: Resolution,
@@ -100,11 +101,15 @@ def run_case(b: Backend, N: SubmanifoldSpec, res: Resolution,
     """One scenario run; ``paths`` are the (frames, BatchPaths) of N's
     normal directions when they were integrated elsewhere.  The cut-time
     search runs on up to ``workers`` processes (None: one per CPU); the
-    result does not depend on their number."""
-    atlas = build_atlas(b, N, res.m, res.t_max, res.dt, paths)
+    result does not depend on their number.  Its ``timings`` hold the
+    seconds of the atlas RK4 ("rk4", unless paths are given) and of the
+    Jacobi focal solve ("focal")."""
+    timings = {}
+    atlas = build_atlas(b, N, res.m, res.t_max, res.dt, paths, timings)
     l_half, loops = loop_scan(b, N, atlas, res.capture_radius, res.angle_tol)
     profiles = compute_profiles(b, N, atlas, res.tol, res.capture_radius,
-                                res.angle_tol, loops=loops, workers=workers)
+                                res.angle_tol, loops=loops, workers=workers,
+                                timings=timings)
     focal = np.array([p.focal_t for p in profiles])
     fmin = f_min(focal)
     inj_d = injectivity_radius_direct(profiles)
@@ -113,7 +118,7 @@ def run_case(b: Backend, N: SubmanifoldSpec, res: Resolution,
     sep = separating_points(b, N, profiles, res.pair_tol)
     return ScenarioResult(b, N, res, profiles, cloud, sep, inj_d, inj_c,
                           branch, fmin, l_half, atlas.err,
-                          atlas if keep_atlas else None)
+                          atlas if keep_atlas else None, timings)
 
 
 def curvature_stats(b: Backend, N: SubmanifoldSpec,

@@ -3,6 +3,7 @@ spatial index, conservative error bounds, and eikonal-residual validation."""
 from __future__ import annotations
 
 import functools
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -225,13 +226,18 @@ def stacked_paths(b_rows: Backend, cases, t_max: float,
 
 
 def build_atlas(b: Backend, N: SubmanifoldSpec, m: int, t_max: float,
-                dt: float, paths=None) -> WavefrontAtlas:
+                dt: float, paths=None, timings: dict | None = None
+                ) -> WavefrontAtlas:
     """Integrate all normal directions as one batch and index the samples
     for distance queries.  ``paths`` are the (frames, BatchPaths) of the
-    directions when they were integrated elsewhere (stacked_paths)."""
+    directions when they were integrated elsewhere (stacked_paths); else
+    the RK4's seconds go to ``timings["rk4"]`` when timings is given."""
     if paths is None:
         frames, p0, v0 = normal_starts(b, N, m)
+        t0 = time.perf_counter()
         batch = integrate_batch(b, p0, v0, t_max, dt)
+        if timings is not None:
+            timings["rk4"] = time.perf_counter() - t0
     else:
         frames, batch = paths
     local_gap = _local_gaps(b, N, batch, m).reshape(-1)

@@ -396,9 +396,11 @@ def reference_shape_operator(b, N, s, side):
 # before the branches became backend methods; the package must agree with
 # it bit for bit.
 
-def reference_integrate(b, p0, v0, t_max, dt):
+def reference_integrate(b, p0, v0, t_max, dt, gamma2=None):
     """(pos, vel) of the fixed-step RK4 batch, re-projecting onto an
-    implicit surface after every step with the pre-projection speed."""
+    implicit surface after every step with the pre-projection speed
+    (reference_retract); gamma2(b, x, v) is the acceleration, b.gamma2
+    unless given."""
     p0 = np.atleast_2d(np.asarray(p0, dtype=float))
     v0 = np.atleast_2d(np.asarray(v0, dtype=float))
     n_steps = int(np.ceil(t_max / dt - 1e-12))
@@ -407,7 +409,7 @@ def reference_integrate(b, p0, v0, t_max, dt):
     x, v = p0.copy(), v0.copy()
 
     def rhs(x, v):
-        return v, -b.gamma2(x, v)
+        return v, -(gamma2(b, x, v) if gamma2 else b.gamma2(x, v))
 
     for i in range(n_steps):
         h = tg[i + 1] - tg[i]
@@ -418,13 +420,7 @@ def reference_integrate(b, p0, v0, t_max, dt):
         x = x + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
         v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
         if b.periods is None:
-            speed = b.norm(x, v)
-            x = b.project(x)
-            v = b.tangent_project(x, v)
-            new_speed = b.norm(x, v)
-            scale = np.where(new_speed > 0.0,
-                             speed / np.maximum(new_speed, 1e-300), 1.0)
-            v = v * scale[..., None]
+            x, v = reference_retract(b, x, v)
         pos.append(x)
         vel.append(v)
     return np.stack(pos, axis=1), np.stack(vel, axis=1)
@@ -531,3 +527,84 @@ def reference_validation_grid(b, spacing):
             pts.append([np.cos(phi) * np.cos(th), np.cos(phi) * np.sin(th),
                         np.sin(phi)])
     return b.project(r * np.array(pts))
+
+
+# -- the implicit-surface RK4 step and the Jacobi focal loop, as they were
+# written before the step was made call-lean: a full-Hessian einsum, np.sum
+# reductions and e^{2 psi} evaluated even when psi is zero.  The package
+# must agree with them bit for bit.
+
+def einsum_surface_gamma2(b, pts, v):
+    """x'' = -gamma2(x, v) on an ImplicitSurface, with v . H . v as an
+    einsum over the Hessian matrix."""
+    from cutlab.geometry import ZERO_FIELD
+    pts = np.asarray(pts, dtype=float)
+    v = np.asarray(v, dtype=float)
+    g = b.surface.grad(pts)
+    H = b.surface.hess(pts)
+    vHv = np.einsum("...ij,...i,...j->...", H, v, v)
+    gg = np.sum(g * g, axis=-1)
+    acc = (vHv / gg)[..., None] * g
+    if b.psi is not ZERO_FIELD:
+        dpsi = b.psi_gradient(pts)
+        n = g / np.sqrt(np.sum(g * g, axis=-1))[..., None]
+        dpsi_t = dpsi - np.sum(dpsi * n, axis=-1)[..., None] * n
+        vv = np.sum(v * v, axis=-1)
+        acc = (acc + 2.0 * np.sum(dpsi * v, axis=-1)[..., None] * v
+               - vv[..., None] * dpsi_t)
+    return acc
+
+
+def _conformal_norm(b, pts, v):
+    return np.sqrt(np.maximum(
+        np.exp(2.0 * b.psi(pts)) * np.sum(v * v, axis=-1), 0.0))
+
+
+def reference_retract(b, x, v):
+    """Project a state onto {h = 0}, tangent at its old conformal speed."""
+    speed = _conformal_norm(b, x, v)
+    x = b.project(x)
+    g = b.surface.grad(x)
+    n = g / np.sqrt(np.sum(g * g, axis=-1))[..., None]
+    v = v - np.sum(v * n, axis=-1)[..., None] * n
+    new_speed = _conformal_norm(b, x, v)
+    scale = np.where(new_speed > 0.0,
+                     speed / np.maximum(new_speed, 1e-300), 1.0)
+    return x, v * scale[..., None]
+
+
+def reference_focal_times(b, N, atlas, zero_tol=1e-8):
+    """First zero of y'' + K y = 0 along every atlas direction, the RK4
+    stepping direction-major arrays with -K and the mid-step K formed at
+    every step."""
+    from cutlab.cutanalysis import _first_zero, shape_operators
+    batch = atlas.batch
+    k, n, d = batch.pos.shape
+    K = b.gauss_curvature(batch.pos.reshape(-1, d)).reshape(k, n)
+    y = np.empty((k, n))
+    yp = np.empty((k, n))
+    if N.dim == 0:
+        y[:, 0], yp[:, 0] = 0.0, 1.0
+    else:
+        y[:, 0] = 1.0
+        yp[:, 0] = shape_operators(b, N, [f.s for f in atlas.frames],
+                                   [f.side for f in atlas.frames])
+    tg = batch.t
+    for i in range(n - 1):
+        h = tg[i + 1] - tg[i]
+        K0, K1 = K[:, i], K[:, i + 1]
+        Km = 0.5 * (K0 + K1)
+        y0, v0 = y[:, i], yp[:, i]
+        k1y, k1v = v0, -K0 * y0
+        k2y, k2v = v0 + 0.5 * h * k1v, -Km * (y0 + 0.5 * h * k1y)
+        k3y, k3v = v0 + 0.5 * h * k2v, -Km * (y0 + 0.5 * h * k2y)
+        k4y, k4v = v0 + h * k3v, -K1 * (y0 + h * k3y)
+        y[:, i + 1] = y0 + (h / 6.0) * (k1y + 2 * k2y + 2 * k3y + k4y)
+        yp[:, i + 1] = v0 + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
+    out = np.full(k, np.inf)
+    start = 1 if N.dim == 0 else 0
+    for j in range(k):
+        tf = _first_zero(tg, y[j], yp[j], start, zero_tol)
+        if tf is not None:
+            out[j] = tf
+    return out

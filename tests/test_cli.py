@@ -263,7 +263,7 @@ def test_validate_reports(tmp_path):
         rep["refinement"]["endpoint_err_fine"] <= 1e-12
     assert (out / "eikonal_residuals.csv").exists()
     timings = json.loads((out / "manifest.json").read_text())["timings_s"]
-    assert {"run_case", "eikonal", "checks"} <= set(timings)
+    assert {"run_case", "rk4", "focal", "eikonal", "checks"} <= set(timings)
 
 
 def test_validate_refinement_ratio_warped(tmp_path):
@@ -394,13 +394,25 @@ def _with(cfg, block, **change):
         "kind": "embedding", "tau": [0.2, 0.1],
         "target": {"name": "latitude", "radius": 2.0, "z0": 0.3}}},
      "family.target", "'latitude' is off the surface"),
+    ("inj", _with(_SPHERE, "backend", surface={"radius": 0}),
+     "backend.surface", "radius must be a finite number > 0"),
+    ("inj", _with(_SPHERE, "backend", surface={"name": "ellipsoid",
+                                               "semi_axes": [1, 1]}),
+     "backend.surface", "semi_axes must be 3 finite numbers > 0"),
+    ("inj", _with(_SPHERE, "backend", surface={"name": "ellipsoid",
+                                               "semi_axes": [1, -1, 1]}),
+     "backend.surface", "semi_axes must be 3 finite numbers > 0"),
+    ("inj", _with(_SPHERE, "backend", surface={"name": "ellipsoid",
+                                               "semi_axes": [1, 0, 1]}),
+     "backend.surface", "semi_axes must be 3 finite numbers > 0"),
 ], ids=["point-text", "point-length", "point-off-surface", "curve-value",
         "curve-unknown-name", "surface-curve-unknown-name",
         "metric-unknown-name",
         "surface-unknown-name", "psi-unknown-name", "phi-value",
         "phi-unknown-name", "target-unknown-name", "target-value",
         "surface-curve-off-surface", "latitude-off-surface",
-        "target-off-surface"])
+        "target-off-surface", "sphere-radius-zero", "ellipsoid-two-axes",
+        "ellipsoid-negative-axis", "ellipsoid-zero-axis"])
 def test_bad_named_block_exits_2_naming_the_block(tmp_path, capsys, command,
                                                   cfg, key, word):
     argv = [command, "--config", json.dumps(cfg), "--out", str(tmp_path / "o")]

@@ -19,7 +19,8 @@ from cutlab.submanifold import chart_curve, curve_submanifold, \
 from cutlab.wavefront import CoverageError, build_atlas, distance
 
 from oracles import (fine_scan_cut_time, flat_torus_point_distance,
-                     jacobi_first_zero_const_K, reference_cut_time)
+                     jacobi_first_zero_const_K, reference_cut_time,
+                     reference_focal_times)
 
 
 @pytest.fixture(scope="module")
@@ -176,6 +177,23 @@ def test_focal_time_sphere_point_matches_closed_form(sphere_backend):
     focal = focal_times_batch(sphere_backend, N, atlas)
     want = jacobi_first_zero_const_K(1.0, 0.0, 0)
     np.testing.assert_allclose(focal, want, atol=1e-5)
+
+
+@pytest.mark.parametrize("name", ["sphere-equator", "warped-torus-line",
+                                  "ellipsoid-point"])
+def test_focal_times_match_direction_major_loop_bitwise(name):
+    if name == "ellipsoid-point":
+        b = ImplicitSurface(level_surface("ellipsoid",
+                                          semi_axes=(1.4, 1.0, 0.7)))
+        N = point_submanifold(b.project(np.array([0.3, 0.2, 0.6])))
+        atlas = build_atlas(b, N, 16, 3.6, 1e-2)
+    else:
+        atlas = _atlas(name, 16, {"sphere-equator": 1.8}.get(name, 1.4),
+                       4e-3)
+        b, N = atlas.backend, atlas.N
+    focal = focal_times_batch(b, N, atlas)
+    assert np.isfinite(focal).any()
+    np.testing.assert_array_equal(focal, reference_focal_times(b, N, atlas))
 
 
 def test_focal_time_flat_circle_matches_closed_form(flat_backend):

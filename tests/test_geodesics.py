@@ -5,9 +5,13 @@ from cutlab.geodesics import (IntegrationError, hermite_batch,
                               hermite_sample, integrate_batch,
                               normal_exp_jacobian)
 from cutlab.geometry import ImplicitSurface, level_surface
-from cutlab.submanifold import curve_submanifold, chart_curve, unit_normals
+from cutlab.submanifold import (curve_submanifold, chart_curve,
+                                point_submanifold, surface_curve,
+                                unit_normals)
+from cutlab.wavefront import normal_starts
 
-from oracles import great_circle, reference_integrate, reference_pair_det
+from oracles import (einsum_surface_gamma2, great_circle,
+                     reference_integrate, reference_pair_det)
 
 
 def test_flat_torus_geodesics_are_straight(flat_backend):
@@ -249,3 +253,19 @@ def test_pair_det_matches_reference_bitwise(name, request, rng):
             for _ in range(2))
     np.testing.assert_array_equal(b.pair_det(base, a, c),
                                   reference_pair_det(b, base, a, c))
+
+
+@pytest.mark.parametrize("name", ["sphere-equator", "ellipsoid-point"])
+def test_surface_paths_match_einsum_step_bitwise(name, sphere_backend):
+    if name == "sphere-equator":
+        b, N = sphere_backend, curve_submanifold(surface_curve("equator"))
+    else:
+        b = ImplicitSurface(level_surface("ellipsoid",
+                                          semi_axes=(1.4, 1.0, 0.7)))
+        N = point_submanifold(b.project(np.array([0.3, 0.2, 0.6])))
+    _, p0, v0 = normal_starts(b, N, 16)
+    batch = integrate_batch(b, p0, v0, 0.8, 4e-3)
+    pos, vel = reference_integrate(b, p0, v0, 0.8, 4e-3,
+                                   einsum_surface_gamma2)
+    np.testing.assert_array_equal(batch.pos, pos)
+    np.testing.assert_array_equal(batch.vel, vel)

@@ -12,7 +12,8 @@ from cutlab.geometry import (GeometryError, ImplicitSurface, Jet,
 from cutlab.submanifold import chart_curve, surface_curve
 
 from oracles import (diag_metric_christoffel_action, einsum_gamma2,
-                     fd_gamma2, fd_gauss_curvature, warped_curvature)
+                     einsum_surface_gamma2, fd_gamma2, fd_gauss_curvature,
+                     reference_retract, warped_curvature)
 
 pts2 = st.tuples(st.floats(0, 1), st.floats(0, 1)).map(np.array)
 vecs2 = st.tuples(st.floats(-2, 2), st.floats(-2, 2)).map(np.array)
@@ -441,3 +442,61 @@ def test_rowwise_projection_matches_one_point_projections_bitwise(
     P = b.project(u) * (1.0 + 10.0 ** rng.uniform(-13.0, -0.5, (400, 1)))
     want = np.array([b.project(p) for p in P])
     np.testing.assert_array_equal(b.project(P), want)
+
+
+# -- the implicit-surface RK4 step against its einsum form --------------------
+
+def _ellipsoid():
+    return ImplicitSurface(level_surface("ellipsoid",
+                                         semi_axes=(1.4, 1.0, 0.7)))
+
+
+_SURFACES = {
+    "sphere": sphere, "sphere-r2.5": lambda: sphere(2.5),
+    "ellipsoid": _ellipsoid,
+    "sphere-sine-z": lambda: sphere(psi=ambient_scalar_field(
+        "sine-z", amplitude=0.3))}
+
+
+def _bits(a):
+    return np.asarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("name", ["sphere", "ellipsoid"])
+def test_hess_form_rounds_as_the_hessian_einsum(name, rng):
+    # (d * v) * v, not d * (v * v): the latter differs on about a fifth of
+    # the ellipsoid's rows
+    surf = _SURFACES[name]().surface
+    p = rng.standard_normal((100_000, 3))
+    v = rng.standard_normal((100_000, 3)) * 10.0 ** rng.integers(
+        -6, 7, (100_000, 1))
+    v[:8] = [0.0, -0.0, 1.0]
+    want = np.einsum("...ij,...i,...j->...", surf.hess(p), v, v)
+    np.testing.assert_array_equal(_bits(surf.hess_form(p, v)), _bits(want))
+
+
+@pytest.mark.parametrize("name", sorted(_SURFACES))
+def test_surface_step_matches_einsum_oracle_bitwise(name, rng):
+    b = _SURFACES[name]()
+    x = b.project(rng.standard_normal((2000, 3)))
+    v = b.constrain_velocity(x, rng.standard_normal((2000, 3)))
+    np.testing.assert_array_equal(_bits(b.gamma2(x, v)),
+                                  _bits(einsum_surface_gamma2(b, x, v)))
+    # a state after an RK4 step: slightly off the surface and its tangents
+    xs = x + 1e-3 * rng.standard_normal(x.shape)
+    vs = v + 1e-3 * rng.standard_normal(v.shape)
+    for got, want in zip(b.retract(xs, vs), reference_retract(b, xs, vs)):
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+
+
+@pytest.mark.parametrize("params, word", [
+    ({"radius": 0}, "radius"), ({"radius": -1.0}, "radius"),
+    ({"radius": float("inf")}, "radius"), ({"radius": "x"}, "radius"),
+    ({"semi_axes": [1, 1]}, "semi_axes"),
+    ({"semi_axes": [1, -1, 1]}, "semi_axes"),
+    ({"semi_axes": [1, 0, 1]}, "semi_axes"),
+    ({"semi_axes": [1, float("nan"), 1]}, "semi_axes")])
+def test_level_surface_rejects_bad_lengths_by_name(params, word):
+    name = "sphere" if "radius" in params else "ellipsoid"
+    with pytest.raises(ValueError, match=f"{word} must be .* > 0"):
+        level_surface(name, **params)
