@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, RunConfig, build_curve, \
-    build_family_field, parse_config, scenario as load_scenario
+from .config import ConfigError, RunConfig, build_blend_target, \
+    build_curve, build_family_field, parse_config, scenario as load_scenario
 from .cutanalysis import warner_bound
 from .forking import _fork_map, _worker_count
 from .geodesics import IntegrationError, integrate_batch
@@ -179,24 +179,21 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
     b = cfg.build_backend()
     N = cfg.build_submanifold(b)
     taus = cfg.family["tau"]
-    kind = cfg.family.get("kind")
+    kind = cfg.family["kind"]
     t0 = time.perf_counter()
     if kind == "conformal":
         phi = build_family_field(cfg, b)
         table = sweep_metric_family(b, N, taus, cfg.resolution, phi=phi,
                                     workers=cfg.threads)
     elif kind == "blend":
-        mspec = dict(cfg.family.get("metric", {}))
-        b1 = cfg.build_backend() if not mspec else _blend_target(cfg, mspec)
-        table = sweep_metric_family(b, N, taus, cfg.resolution, b1=b1,
+        table = sweep_metric_family(b, N, taus, cfg.resolution,
+                                    b1=build_blend_target(cfg),
                                     workers=cfg.threads)
-    elif kind == "embedding":
+    else:               # embedding: config admits no other family kind
         N1 = build_curve(b, cfg.family.get("target", {}), "family.target",
                          N.m_N)
         table = sweep_embedding_family(b, N, N1, taus, cfg.resolution,
                                        workers=cfg.threads)
-    else:
-        raise ConfigError(f"family.kind: unknown kind {kind!r}")
     em.timings["sweep"] = time.perf_counter() - t0
     for tau, secs in table.seconds.items():     # without the stacked RK4
         em.timings[f"case tau={tau:.12g}"] = secs
@@ -226,13 +223,6 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
     em.verdicts["focal_free_probe"] = True if isinstance(fv, str) else bool(fv)
     em.verdicts["hausdorff_check"] = bool(probe_dh.get("verdict"))
     return em.finish()
-
-
-def _blend_target(cfg, mspec):
-    spec = dict(cfg.backend_spec)
-    spec["metric"] = mspec
-    return parse_config({"backend": spec,
-                         "submanifold": cfg.submanifold_spec}).build_backend()
 
 
 def _checks(b, N, res: Resolution):

@@ -30,6 +30,32 @@ def _check_keys(block: dict, allowed: set[str], where: str):
             raise ConfigError(f"{where}.{k}: unknown key")
 
 
+# per block, the key that names its kind and the other keys each kind reads
+_KIND_KEYS = {
+    ("backend", "kind"): {"periodic-chart": {"periods", "metric"},
+                          "implicit-surface": {"surface", "psi"}},
+    ("submanifold", "dim"): {0: {"point", "m_N"}, 1: {"curve", "m_N"}},
+    ("family", "kind"): {"conformal": {"tau", "phi"},
+                         "blend": {"tau", "metric"},
+                         "embedding": {"tau", "target"}},
+}
+
+
+def _kind_of(block, where: str, key: str):
+    """block[key], once it names a kind of the block and every other key
+    of the block is one that this kind reads."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where}: expected an object")
+    kinds = _KIND_KEYS[where, key]
+    kind = block.get(key)
+    allowed = next((v for k, v in kinds.items() if k == kind), None)
+    if allowed is None:
+        raise ConfigError(f"{where}.{key}: unknown kind {kind!r}; choose "
+                          f"one of {list(kinds)}")
+    _check_keys(block, allowed | {key}, where)
+    return kind
+
+
 def _number(value, key: str, integer: bool = False, positive: bool = True):
     """value as a finite float, or as an int when ``integer``, above 0 when
     ``positive``; anything else is a ConfigError that names key."""
@@ -91,33 +117,27 @@ _RES_KEYS = {"m", "m_N", "dt", "t_max", "tol", "capture_radius", "angle_tol",
 
 
 def build_backend(spec: dict) -> Backend:
-    _check_keys(spec, {"kind", "periods", "metric", "surface", "psi"},
-                "backend")
-    kind = spec.get("kind")
-    if kind == "periodic-chart":
+    if _kind_of(spec, "backend", "kind") == "periodic-chart":
         periods = tuple(_number(v, "backend.periods")
                         for v in spec.get("periods", (1.0, 1.0)))
         name, mspec = _name_of(spec.get("metric", {"name": "flat"}),
                                "backend.metric")
         return PeriodicChart(periods, chart_metric_field(name, periods, **mspec))
-    if kind == "implicit-surface":
-        name, sspec = _name_of(spec.get("surface", {"name": "sphere"}),
-                               "backend.surface")
-        # a bad value names the block; an unknown parameter, a
-        # GeometryError, names the backend as for every other backend block
-        with _named("backend.surface", ValueError):
-            surf = level_surface(name, **sspec)
-        psi = ZERO_FIELD
-        if "psi" in spec:
-            pname, pspec = _name_of(spec["psi"], "backend.psi")
-            psi = ambient_scalar_field(pname, **pspec)
-        return ImplicitSurface(surf, psi=psi)
-    raise ConfigError(f"backend.kind: unknown kind {kind!r}")
+    name, sspec = _name_of(spec.get("surface", {"name": "sphere"}),
+                           "backend.surface")
+    # a bad value names the block; an unknown parameter, a
+    # GeometryError, names the backend as for every other backend block
+    with _named("backend.surface", ValueError):
+        surf = level_surface(name, **sspec)
+    psi = ZERO_FIELD
+    if "psi" in spec:
+        pname, pspec = _name_of(spec["psi"], "backend.psi")
+        psi = ambient_scalar_field(pname, **pspec)
+    return ImplicitSurface(surf, psi=psi)
 
 
 def build_submanifold(b: Backend, spec: dict) -> SubmanifoldSpec:
-    _check_keys(spec, {"dim", "point", "curve", "m_N"}, "submanifold")
-    dim = spec.get("dim")
+    dim = _kind_of(spec, "submanifold", "dim")
     m_N = _number(spec.get("m_N", 256), "submanifold.m_N", integer=True)
     if dim == 0:
         if "point" not in spec:
@@ -135,9 +155,7 @@ def build_submanifold(b: Backend, spec: dict) -> SubmanifoldSpec:
                                   f"off the surface, which projects it to "
                                   f"{on.tolist()}")
         return N
-    if dim == 1:
-        return build_curve(b, spec.get("curve", {}), "submanifold.curve", m_N)
-    raise ConfigError(f"submanifold.dim: must be 0 or 1, got {dim!r}")
+    return build_curve(b, spec.get("curve", {}), "submanifold.curve", m_N)
 
 
 # how far projecting a surface curve's sample may move it (ambient length)
@@ -173,6 +191,17 @@ def build_family_field(cfg: RunConfig, b: Backend):
         if isinstance(b, PeriodicChart):
             return chart_scalar_field(name, b.periods, **fspec)
         return ambient_scalar_field(name, **fspec)
+
+
+def build_blend_target(cfg: RunConfig) -> Backend:
+    """The end g1 of a blend family: the backend block with family.metric,
+    when given, in place of its metric."""
+    spec = dict(cfg.backend_spec)
+    if "metric" in cfg.family:
+        spec["metric"] = cfg.family["metric"]
+    with _named("family.metric",
+                (ConfigError, GeometryError, TypeError, ValueError)):
+        return build_backend(spec)
 
 
 def _parse_resolution(block: dict) -> Resolution:
@@ -214,8 +243,9 @@ def parse_config(source) -> RunConfig:
                         Resolution(), None)
         with _named("backend"):           # validate eagerly
             build_backend(cfg.backend_spec)
-    if "backend" in data and cfg.scenario is not None:
-        raise ConfigError("config.backend: conflicts with scenario")
+    for key in ("backend", "submanifold"):
+        if key in data and cfg.scenario is not None:
+            raise ConfigError(f"config.{key}: conflicts with scenario")
     if "resolution" in data:
         merged = asdict(cfg.resolution)
         merged.update(data["resolution"])
@@ -226,10 +256,7 @@ def parse_config(source) -> RunConfig:
             cfg.submanifold_spec = dict(cfg.submanifold_spec, m_N=m_N)
     if "family" in data:
         fam = data["family"]
-        _check_keys(fam, {"kind", "phi", "target", "metric", "tau"}, "family")
-        if "tau" not in fam:
-            raise ConfigError("family.tau: required (strictly decreasing "
-                              "positive ladder)")
+        _kind_of(fam, "family", "kind")
         cfg.family = fam
     if cfg.family is not None:
         taus = cfg.family.get("tau")

@@ -17,6 +17,12 @@ from .submanifold import (SubmanifoldSpec, foot_points, golden_section,
 from .wavefront import (CoverageError, WavefrontAtlas, _coverage_reason,
                         _distance_rows, _edge_margin, distance, ring_pairs)
 
+FOCAL_ZERO_TOL = 1e-8   # Newton step that ends the polish of a Jacobi zero
+LOOP_SCAN_SAMPLES = 128  # most samples of a curve N the loop scan reads
+FRAME_TOL = 1e-3        # parameter gap within which two frames are one
+FOCAL_TOL = 5e-3        # |t_f - rho| within which a cut point is focal
+TIE_TOL = 5e-3          # |f_min - l_half| within which the branch is "both"
+
 
 @dataclass
 class LoopReturn:
@@ -51,9 +57,9 @@ def excess(atlas: WavefrontAtlas, dir_idx: int, t: float) -> float:
     return t - distance(atlas, p).d
 
 
-def cut_time(atlas: WavefrontAtlas, dir_idx: int, tol: float = 1e-3) -> tuple[float, dict]:
+def cut_time(atlas: WavefrontAtlas, dir_idx: int) -> tuple[float, dict]:
     """sup{t | d(N, gamma_n(t)) = t} along one direction; see cut_times."""
-    rho, flags = cut_times(atlas, tol, [dir_idx])
+    rho, flags = cut_times(atlas, dirs=[dir_idx])
     return float(rho[0]), flags[0]
 
 
@@ -211,8 +217,8 @@ def _kink_root(t0: float, D: float, e0: float, e1: float, e2: float,
 # focal times: scalar Jacobi route
 # ---------------------------------------------------------------------------
 
-def focal_times_batch(b: Backend, N: SubmanifoldSpec, atlas: WavefrontAtlas,
-                      zero_tol: float = 1e-8) -> np.ndarray:
+def focal_times_batch(b: Backend, N: SubmanifoldSpec,
+                      atlas: WavefrontAtlas) -> np.ndarray:
     """First zero of y'' + K(gamma(t)) y = 0 along every atlas direction.
 
     Initial data: curve case y(0) = 1, y'(0) = kappa(s, side); point case
@@ -244,20 +250,17 @@ def focal_times_batch(b: Backend, N: SubmanifoldSpec, atlas: WavefrontAtlas,
         k4y, k4v = v0 + h * k3v, a1 * (y0 + h * k3y)
         y[i + 1] = y0 + (h / 6.0) * (k1y + 2 * k2y + 2 * k3y + k4y)
         yp[i + 1] = v0 + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-    out = np.full(k, np.inf)
     start = 1 if N.dim == 0 else 0
-    for j in range(k):
-        tf = _first_zero(tg, y[:, j], yp[:, j], start, zero_tol)
-        if tf is not None:
-            out[j] = tf
-    return out
+    return np.array([_first_zero(tg, y[:, j], yp[:, j], start, FOCAL_ZERO_TOL)
+                     for j in range(k)])
 
 
 def _first_zero(tg, y, yp, start, tol):
+    """First zero of y after index start, Newton-polished; +inf if none."""
     sgn = np.sign(y[start:])
     flips = np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
     if not flips.size:
-        return None
+        return np.inf
     i = int(flips[0]) + start
     t = float(tg[i] - y[i] * (tg[i + 1] - tg[i]) / (y[i + 1] - y[i]))
     # Newton polish on the cubic Hermite interpolant of y
@@ -274,10 +277,10 @@ def _first_zero(tg, y, yp, start, tol):
 
 
 def focal_bracket_jacobian(b: Backend, N: SubmanifoldSpec, frame,
-                           t_max: float, dt: float, fd: float = 1e-4):
+                           t_max: float, dt: float):
     """Secondary focal oracle: first sign change of det d(exp^nu) along the
     direction of ``frame``; None if the determinant never changes sign."""
-    jac = normal_exp_jacobian(b, N, frame.s, frame.side, t_max, dt, fd)
+    jac = normal_exp_jacobian(b, N, frame.s, frame.side, t_max, dt)
     return jac.first_zero(), jac
 
 
@@ -286,16 +289,16 @@ def focal_bracket_jacobian(b: Backend, N: SubmanifoldSpec, frame,
 # ---------------------------------------------------------------------------
 
 def loop_scan(b: Backend, N: SubmanifoldSpec, atlas: WavefrontAtlas,
-              capture_radius: float = 1e-2, angle_tol: float = 1e-3,
-              n_scan: int = 128) -> tuple[float, list[LoopReturn | None]]:
+              capture_radius: float = 1e-2, angle_tol: float = 1e-3
+              ) -> tuple[float, list[LoopReturn | None]]:
     """Detect N-geodesic loops: returns to N with g-orthogonal velocity.
 
     A candidate return must first leave a 3x capture tube around N.  The
-    coarse return detector uses at most n_scan samples of N (the polish
-    stage is exact).  Returns (half the minimal loop length, per-direction
-    first loop or None).
+    coarse return detector uses at most LOOP_SCAN_SAMPLES samples of N (the
+    polish stage is exact).  Returns (half the minimal loop length,
+    per-direction first loop or None).
     """
-    N_pts = N.sample_points(min(N.m_N, n_scan) if N.dim == 1 else None)
+    N_pts = N.sample_points(min(N.m_N, LOOP_SCAN_SAMPLES))
     if N.dim == 1:
         spacing = float(np.max(b.aux_distance(
             N_pts, N_pts[np.roll(np.arange(len(N_pts)), -1)])))
@@ -444,9 +447,8 @@ class SepPoint:
 
 
 def separating_points(b: Backend, N: SubmanifoldSpec,
-                      profiles: list[CutProfile], pair_tol: float,
-                      frame_tol: float = 1e-3, focal_tol: float = 5e-3
-                      ) -> list[SepPoint]:
+                      profiles: list[CutProfile],
+                      pair_tol: float) -> list[SepPoint]:
     """Cluster cut points; clusters reached by >= 2 distinct initial frames
     are separating candidates, with the non-exclusive focal dichotomy flag."""
     prof = [p for p in profiles if not p.no_cut]
@@ -454,9 +456,9 @@ def separating_points(b: Backend, N: SubmanifoldSpec,
     out = []
     for members in clusters:
         frames = [(prof[i].s, prof[i].side) for i in members]
-        distinct = _distinct_frames(N, frames, frame_tol)
+        distinct = _distinct_frames(N, frames)
         focal = any(np.isfinite(prof[i].focal_t)
-                    and abs(prof[i].focal_t - prof[i].rho) <= focal_tol
+                    and abs(prof[i].focal_t - prof[i].rho) <= FOCAL_TOL
                     for i in members)
         if distinct >= 2:
             flag = "both" if focal else "sep"
@@ -500,20 +502,17 @@ def _clusters(b: Backend, pts: np.ndarray,
     return [list(np.flatnonzero(which == c)) for c in range(len(first))]
 
 
-def _distinct_frames(N, frames, frame_tol):
+def _distinct_frames(N, frames):
     distinct = []
     for s, side in frames:
-        new = True
         for s2, side2 in distinct:
             if N.dim == 1 and side != side2:
                 continue
             ds = abs(s - s2)
             period = 1.0 if N.dim == 1 else 2.0 * np.pi
-            ds = min(ds % period, period - ds % period)
-            if ds <= frame_tol and (N.dim == 0 or side == side2):
-                new = False
+            if min(ds % period, period - ds % period) <= FRAME_TOL:
                 break
-        if new:
+        else:
             distinct.append((s, side))
     return len(distinct)
 
@@ -527,13 +526,12 @@ def injectivity_radius_direct(profiles: list[CutProfile]) -> float:
     return float(min(p.rho for p in profiles))
 
 
-def injectivity_radius_char(fmin: float, l_half: float,
-                            tie_tol: float = 5e-3) -> tuple[float, str]:
+def injectivity_radius_char(fmin: float, l_half: float) -> tuple[float, str]:
     """min(first focal distance, half shortest loop), with branch label."""
     if not np.isfinite(fmin) and not np.isfinite(l_half):
         return np.inf, "inconclusive: increase t_max"
     value = min(fmin, l_half)
-    if abs(fmin - l_half) <= tie_tol:
+    if abs(fmin - l_half) <= TIE_TOL:
         branch = "both"
     elif fmin < l_half:
         branch = "focal"

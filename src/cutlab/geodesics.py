@@ -97,9 +97,7 @@ def _rhs(b: Backend, x: np.ndarray, v: np.ndarray):
 
 
 def integrate_batch(b: Backend, p0: np.ndarray, v0: np.ndarray,
-                    t_max: float, dt: float,
-                    drift_budget: float = DRIFT_BUDGET,
-                    blocks=None) -> BatchPaths:
+                    t_max: float, dt: float, blocks=None) -> BatchPaths:
     """Classical fixed-step RK4 on (x' = v, v' = -Gamma(x)(v, v)).
 
     Every step ends in ``b.retract``: an implicit surface re-projects the
@@ -139,18 +137,18 @@ def integrate_batch(b: Backend, p0: np.ndarray, v0: np.ndarray,
     drift, lo = [], 0
     for bb, rows in blocks or [(b, k)]:
         drift.append(_drift(bb, tg, pos[lo:lo + rows], vel[lo:lo + rows],
-                            t_max, drift_budget))
+                            t_max))
         lo += rows
     return BatchPaths(tg, pos, vel, dt, np.concatenate(drift))
 
 
-def _drift(b: Backend, tg, pos, vel, t_max: float, drift_budget: float):
+def _drift(b: Backend, tg, pos, vel, t_max: float):
     """Per-path max speed drift; raises an IntegrationError when the worst
-    exceeds the budget, scaled by t_max and the fastest start speed."""
+    exceeds DRIFT_BUDGET, scaled by t_max and the fastest start speed."""
     k = len(pos)
     speeds = b.norm(pos, vel)
     drift = np.max(np.abs(speeds - speeds[:, :1]), axis=1)
-    budget = drift_budget * max(1.0, t_max) * max(1.0, float(np.max(speeds[:, 0])) if k else 1.0)
+    budget = DRIFT_BUDGET * max(1.0, t_max) * max(1.0, float(np.max(speeds[:, 0])) if k else 1.0)
     if k and np.max(drift) > budget:
         j = int(np.argmax(drift))
         t_bad = float(tg[int(np.argmax(np.abs(speeds[j] - speeds[j, 0])))])
@@ -170,7 +168,6 @@ class NormalExpJacobian:
 
     t: np.ndarray
     det: np.ndarray
-    fd: float
     fd_warning: bool
 
     def sign_change_brackets(self):
@@ -178,18 +175,14 @@ class NormalExpJacobian:
         idx = np.nonzero(s[:-1] * s[1:] < 0)[0]
         return [(float(self.t[i]), float(self.t[i + 1])) for i in idx]
 
-    def first_zero(self, refine: bool = True):
+    def first_zero(self):
+        """Secant zero in the first sign-change bracket of det, or None."""
         br = self.sign_change_brackets()
         if not br:
             return None
         lo, hi = br[0]
-        if not refine:
-            return 0.5 * (lo + hi)
-        # linear (secant) zero inside the bracket
         dlo = float(np.interp(lo, self.t, self.det))
         dhi = float(np.interp(hi, self.t, self.det))
-        if dhi == dlo:
-            return 0.5 * (lo + hi)
         return lo - dlo * (hi - lo) / (dhi - dlo)
 
 
@@ -214,4 +207,4 @@ def normal_exp_jacobian(b: Backend, N: SubmanifoldSpec, s0: float, side,
     det2 = b.pair_det(batch.pos[2], ds2, dr)
     scale = np.maximum(np.max(np.abs(det1)), 1e-30)
     warn = bool(np.max(np.abs(det1 - det2)) > 0.10 * scale)
-    return NormalExpJacobian(batch.t.copy(), det1, fd, warn)
+    return NormalExpJacobian(batch.t.copy(), det1, warn)

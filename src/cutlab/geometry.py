@@ -499,7 +499,7 @@ class ImplicitSurface(_Shared):
 
     surface: LevelSurface
     psi: ScalarField = ZERO_FIELD
-    proj_tol: float = 1e-11
+    proj_tol = 1e-11        # |h| at which a Newton projection row stops
 
     @property
     def dim(self) -> int:
@@ -747,7 +747,7 @@ def conformal_family(b: Backend, phi: ScalarField, tau) -> Backend:
     name = f"{base_psi.name}+{tau}*{phi.name}"
     combined = ScalarField(name, {"tau": tau}, lambda p, order: _sum(
         1.0, base_psi.jet(p, order), _per_row(tau, p), phi.jet(p, order)))
-    return ImplicitSurface(b.surface, psi=combined, proj_tol=b.proj_tol)
+    return ImplicitSurface(b.surface, psi=combined)
 
 
 def linear_blend(b0: PeriodicChart, b1: PeriodicChart, tau) -> PeriodicChart:

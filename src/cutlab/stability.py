@@ -19,6 +19,10 @@ from .submanifold import SubmanifoldSpec, embedding_family, \
     principal_curvature_bound
 from .wavefront import build_atlas, normal_starts, stacked_paths
 
+# the largest deviations from tau = 0 that pass at a sweep's smallest tau
+FINAL_INJ_TOL, FINAL_DH_TOL, FINAL_RHO_TOL = 1e-2, 2e-2, 1e-2  # Inj, d_H, rho
+FOCAL_MARGIN = 1e-2     # min_n (t_f - rho) above which a case is focal-free
+
 
 # ---------------------------------------------------------------------------
 # Hausdorff distance
@@ -220,16 +224,16 @@ def _check_ladder(taus):
 def _failure(tau: float, ex: Exception):
     """What a case that raised ex leaves, and whether its share stops there:
     a GeometryError or ValueError at tau > 0 is the case's error record;
-    any other error, and any error of the tau = 0 base, is its (type,
-    message), which the sweep raises."""
+    any other error, and any error of the tau = 0 base, is ex itself, which
+    the sweep raises."""
     if tau != 0.0 and isinstance(ex, (GeometryError, ValueError)):
         return {"error": f"{type(ex).__name__}: {ex}"}, False
-    return (type(ex), str(ex)), True
+    return ex, True
 
 
 def _run_share(backend_at, N_at, res: Resolution, taus):
     """One worker's cases: ({tau: (case, seconds)}, {stacked taus: RK4
-    seconds}), where a case is a _Case, an error record or (type, message).
+    seconds}), where a case is a _Case, an error record or the error raised.
     backend_at(tau) and N_at(tau) give a case's backend and submanifold;
     backend_at also takes one tau per point row (a stacked backend).
 
@@ -277,8 +281,7 @@ def _run_share(backend_at, N_at, res: Resolution, taus):
 
 
 def _sweep(description, backend_at, N_at, taus, res: Resolution,
-           final_inj_tol: float, final_dH_tol: float,
-           final_rho_tol: float, workers: int | None = None) -> SweepTable:
+           workers: int | None = None) -> SweepTable:
     """The tau = 0 base and the ladder's cases on n = min(workers,
     len(taus) + 1) processes (workers None: one per CPU this process may
     use): worker w runs ([0] + taus)[w::n] (_run_share), worker 0 here and
@@ -301,9 +304,8 @@ def _sweep(description, backend_at, N_at, taus, res: Resolution,
         """The case at tau with its cloud's backend, and its seconds; an
         error that is not a record is raised."""
         case, secs = outcomes[tau]
-        if isinstance(case, tuple):     # (type, message) of a raised error
-            etype, message = case
-            raise etype(message)
+        if isinstance(case, Exception):
+            raise case
         if isinstance(case, _Case):
             case.cloud = replace(case.cloud, backend=backend_at(tau))
         return case, secs
@@ -326,8 +328,8 @@ def _sweep(description, backend_at, N_at, taus, res: Resolution,
         seconds[tau] = secs + time.perf_counter() - t0
     table = SweepTable(description, taus, asdict(res), base_rec, records,
                        seconds=seconds, rk4_seconds=rk4)
-    table.verdicts = _sweep_verdicts(table, base.err, final_inj_tol,
-                                     final_dH_tol, final_rho_tol)
+    table.verdicts = _sweep_verdicts(table, base.err, FINAL_INJ_TOL,
+                                     FINAL_DH_TOL, FINAL_RHO_TOL)
     return table
 
 
@@ -360,9 +362,6 @@ def _sweep_verdicts(table: SweepTable, err, inj_tol, dH_tol, rho_tol) -> dict:
 
 def sweep_metric_family(b: Backend, N: SubmanifoldSpec, taus,
                         res: Resolution, phi=None, b1: Backend | None = None,
-                        final_inj_tol: float = 1e-2,
-                        final_dH_tol: float = 2e-2,
-                        final_rho_tol: float = 1e-2,
                         workers: int | None = None) -> SweepTable:
     """Sweep g_tau = e^{2 tau phi} g (conformal) or (1-tau) g0 + tau g1
     (blend) at fixed N, against the tau = 0 baseline, on up to ``workers``
@@ -375,21 +374,17 @@ def sweep_metric_family(b: Backend, N: SubmanifoldSpec, taus,
     else:
         desc = "linear metric blend"
         backend_at = lambda tau: linear_blend(b, b1, tau)
-    return _sweep(desc, backend_at, lambda tau: N, taus, res, final_inj_tol,
-                  final_dH_tol, final_rho_tol, workers)
+    return _sweep(desc, backend_at, lambda tau: N, taus, res, workers)
 
 
 def sweep_embedding_family(b: Backend, N0: SubmanifoldSpec,
                            N1: SubmanifoldSpec, taus, res: Resolution,
-                           final_inj_tol: float = 1e-2,
-                           final_dH_tol: float = 2e-2,
-                           final_rho_tol: float = 1e-2,
                            workers: int | None = None) -> SweepTable:
     """Sweep N_tau interpolating N0 -> N1 at fixed metric, on up to
     ``workers`` processes (default: one per available CPU)."""
     return _sweep("embedding family", lambda tau: b,
                   lambda tau: embedding_family(b, N0, N1, tau), taus, res,
-                  final_inj_tol, final_dH_tol, final_rho_tol, workers)
+                  workers)
 
 
 # ---------------------------------------------------------------------------
@@ -408,21 +403,18 @@ def cut_time_continuity_probe(table: SweepTable) -> dict:
             "verdict": v["rho_decreasing"] and v["rho_final"]}
 
 
-def focal_free_persistence_probe(table: SweepTable,
-                                 margin: float = 1e-2) -> dict:
-    """Flags (min_n t_f - rho) > margin per tau.  When the tau = 0 case is
-    focal-coincident the hypothesis fails and no verdict is issued."""
+def focal_free_persistence_probe(table: SweepTable) -> dict:
+    """Flags (min_n t_f - rho) > FOCAL_MARGIN per tau.  When the tau = 0
+    case is focal-coincident the hypothesis fails and no verdict is issued."""
     base_margin = table.base["focal_margin"]
-    out = {"taus": table.taus, "margin": margin}
-    if base_margin <= margin:
+    out = {"taus": table.taus, "margin": FOCAL_MARGIN,
+           "base_margin": base_margin}
+    if base_margin <= FOCAL_MARGIN:
         out["verdict"] = "hypothesis not satisfied"
-        out["base_margin"] = base_margin
         return out
-    flags = []
-    for r in table.records:
-        flags.append(bool(r.get("focal_margin", -math.inf) > margin))
+    flags = [bool(r.get("focal_margin", -math.inf) > FOCAL_MARGIN)
+             for r in table.records]
     out["flags"] = flags
-    out["base_margin"] = base_margin
     # threshold below which the flag persists, reported from the ladder
     ok_from = None
     for tau, fl in zip(table.taus, flags):

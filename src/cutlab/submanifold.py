@@ -10,6 +10,8 @@ import numpy as np
 from .geometry import Backend, GeometryError, check_params
 
 _DS = 1e-5          # parameter step for curve/normal-field derivatives
+CURVATURE_SAFETY = 1.1  # factor on the sampled max |kappa| (Delta)
+FOOT_TOL = 1e-8         # bracket width that ends a foot-point search
 
 
 @dataclass(frozen=True)
@@ -193,15 +195,14 @@ def shape_operators(b: Backend, N: SubmanifoldSpec, s, sides) -> np.ndarray:
     return b.inner(base, Dn, tan) / b.inner(base, tan, tan)
 
 
-def principal_curvature_bound(b: Backend, N: SubmanifoldSpec,
-                              safety: float = 1.1) -> float:
-    """Delta: max |kappa| over m_N samples and both sides, times a safety
-    factor.  A point has no shape operator; the bound is 0."""
+def principal_curvature_bound(b: Backend, N: SubmanifoldSpec) -> float:
+    """Delta: max |kappa| over m_N samples and both sides, times
+    CURVATURE_SAFETY.  A point has no shape operator; the bound is 0."""
     if N.dim == 0:
         return 0.0
     s = N.sample_params()
     kappa = shape_operators(b, N, np.repeat(s, 2), np.tile([1, -1], len(s)))
-    return safety * float(np.max(np.abs(kappa)))
+    return CURVATURE_SAFETY * float(np.max(np.abs(kappa)))
 
 
 # ---------------------------------------------------------------------------
@@ -252,17 +253,17 @@ class FootPoint:
 
 
 def foot_point(b: Backend, N: SubmanifoldSpec, q,
-               tube_radius: float = 0.1, tol: float = 1e-8) -> FootPoint:
+               tube_radius: float = 0.1) -> FootPoint:
     """Nearest-parameter projection of q onto N in the auxiliary distance,
     golden-section polished; d_est is a first-order g-length inside the
     tubular radius, otherwise the raw auxiliary value flagged coarse."""
     s, d_est, coarse = foot_points(b, N, np.asarray(q, dtype=float)[None, :],
-                                   tube_radius, tol)
+                                   tube_radius)
     return FootPoint(float(s[0]), float(d_est[0]), bool(coarse[0]))
 
 
 def foot_points(b: Backend, N: SubmanifoldSpec, Q: np.ndarray,
-                tube_radius: float = 0.1, tol: float = 1e-8):
+                tube_radius: float = 0.1):
     """``foot_point`` for every row of Q at once: arrays (s, d_est, coarse)."""
     if N.dim == 0:
         s = np.zeros(len(Q))
@@ -273,7 +274,7 @@ def foot_points(b: Backend, N: SubmanifoldSpec, Q: np.ndarray,
         m = pts.shape[0]
         j = b.aux_distance(pts[None, :, :], Q[:, None, :]).argmin(axis=1)
         x = golden_section(lambda s, idx: b.aux_distance(N.curve(s), Q[idx]),
-                           (j - 1) / m, (j + 1) / m, tol)
+                           (j - 1) / m, (j + 1) / m, FOOT_TOL)
         s = np.mod(x, 1.0)
         foot = N.curve(s)
         d_aux = b.aux_distance(N.curve(x), Q)

@@ -465,7 +465,6 @@ def distance(atlas: WavefrontAtlas, q) -> DistanceResult:
 # ---------------------------------------------------------------------------
 
 def eikonal_residual(atlas: WavefrontAtlas, grid_spacing: float,
-                     exclusion_radius: float | None = None,
                      cut_points: np.ndarray | None = None,
                      workers: int | None = 1) -> dict:
     """Distribution of | ||grad u||_g - 1 | on a grid, excluding tubes around
@@ -475,8 +474,7 @@ def eikonal_residual(atlas: WavefrontAtlas, grid_spacing: float,
     of rows, one process each (None: one per CPU); a row's answer does not
     depend on the other rows, so neither does the result."""
     b = atlas.backend
-    if exclusion_radius is None:
-        exclusion_radius = max(2.0 * grid_spacing, 2.0 * atlas.err)
+    exclusion_radius = max(2.0 * grid_spacing, 2.0 * atlas.err)
     grid = validation_grid(b, grid_spacing)
     N_pts = atlas.N.sample_points()
     keep = np.ones(len(grid), dtype=bool)

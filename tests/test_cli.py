@@ -352,10 +352,20 @@ _SHIFT = {"scenario": "torus-line-shift-sweep",
                      "target": {"name": "horizontal-circle", "y0": 0.1}}}
 
 
+_BLEND = {"scenario": "warped-torus-line",
+          "family": {"kind": "blend", "tau": [1.0, 0.5],
+                     "metric": {"name": "warped-diag-g22", "amplitude": 0.3}}}
+
+
 def _with(cfg, block, **change):
     """cfg with the named sub-block of ``block`` updated by change."""
     (key, sub), = change.items()
     return {**cfg, block: {**cfg[block], key: {**cfg[block][key], **sub}}}
+
+
+def _add(cfg, block, **keys):
+    """cfg with keys added to its block ``block``."""
+    return {**cfg, block: {**cfg[block], **keys}}
 
 
 @pytest.mark.parametrize("command, cfg, key, word", [
@@ -405,6 +415,40 @@ def _with(cfg, block, **change):
     ("inj", _with(_SPHERE, "backend", surface={"name": "ellipsoid",
                                                "semi_axes": [1, 0, 1]}),
      "backend.surface", "semi_axes must be 3 finite numbers > 0"),
+    # a key that the block's kind does not read is rejected before the run,
+    # even where the command would ignore it (inj reads no family)
+    ("inj", _add(_INLINE, "backend", psi={"name": "linear-z"}),
+     "backend.psi", "unknown key"),
+    ("inj", _add(_INLINE, "backend", surface={"name": "sphere"}),
+     "backend.surface", "unknown key"),
+    ("inj", _add(_SPHERE, "backend", periods=[1.0, 1.0]), "backend.periods",
+     "unknown key"),
+    ("inj", _add(_SPHERE, "backend", metric={"name": "nope"}),
+     "backend.metric", "unknown key"),
+    ("inj", _add(_POINT, "submanifold", curve={"name": "horizontal-circle"}),
+     "submanifold.curve", "unknown key"),
+    ("inj", _add(_INLINE, "submanifold", point=[0.25, 0.25]),
+     "submanifold.point", "unknown key"),
+    ("inj", {**FAST, "submanifold": {"dim": 0, "point": [0.25, 0.25]}},
+     "config.submanifold", "conflicts with scenario"),
+    ("inj", {**FAST, "family": {"tau": [0.2, 0.1]}}, "family.kind",
+     "unknown kind None"),
+    ("inj", {**FAST, "family": {"kind": "twist", "tau": [0.2, 0.1]}},
+     "family.kind", "unknown kind 'twist'"),
+    ("inj", _add(_BLEND, "family", phi={"name": "sine-y"}), "family.phi",
+     "unknown key"),
+    ("inj", _add(_BLEND, "family", target={"name": "horizontal-circle"}),
+     "family.target", "unknown key"),
+    ("inj", _add(_SHIFT, "family", phi={"name": "sine-y"}), "family.phi",
+     "unknown key"),
+    ("inj", _add(_SHIFT, "family", metric={"name": "flat"}), "family.metric",
+     "unknown key"),
+    ("inj", _add(_SWEEP, "family", metric={"name": "flat"}), "family.metric",
+     "unknown key"),
+    ("inj", _add(_SWEEP, "family", target={"name": "nope"}), "family.target",
+     "unknown key"),
+    ("sweep", _with(_BLEND, "family", metric={"name": "nope"}),
+     "family.metric", "unknown chart metric field 'nope'"),
 ], ids=["point-text", "point-length", "point-off-surface", "curve-value",
         "curve-unknown-name", "surface-curve-unknown-name",
         "metric-unknown-name",
@@ -412,7 +456,12 @@ def _with(cfg, block, **change):
         "phi-unknown-name", "target-unknown-name", "target-value",
         "surface-curve-off-surface", "latitude-off-surface",
         "target-off-surface", "sphere-radius-zero", "ellipsoid-two-axes",
-        "ellipsoid-negative-axis", "ellipsoid-zero-axis"])
+        "ellipsoid-negative-axis", "ellipsoid-zero-axis", "chart-psi",
+        "chart-surface", "surface-periods", "surface-metric",
+        "point-with-curve", "curve-with-point", "submanifold-with-scenario",
+        "family-without-kind", "family-unknown-kind", "blend-phi",
+        "blend-target", "embedding-phi", "embedding-metric",
+        "conformal-metric", "conformal-target", "blend-metric-unknown-name"])
 def test_bad_named_block_exits_2_naming_the_block(tmp_path, capsys, command,
                                                   cfg, key, word):
     argv = [command, "--config", json.dumps(cfg), "--out", str(tmp_path / "o")]

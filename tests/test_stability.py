@@ -218,8 +218,7 @@ def _fake_sweep(monkeypatch, fail=lambda tau: None, workers=2):
         "pid": case.pid, "inj_dev": 0.0, "d_H": 0.0, "d_H_tau_to_0": 0.0,
         "d_H_0_to_tau": 0.0, "rho_dev_max": 0.0, "rho_dev_mean": 0.0})
     return stability._sweep("fake", lambda tau: b, N_at, LADDER,
-                            Resolution(m=16, dt=2e-2, t_max=0.8), 1.0, 1.0,
-                            1.0, workers)
+                            Resolution(m=16, dt=2e-2, t_max=0.8), workers)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 8, None])
@@ -259,6 +258,23 @@ def test_sweep_raises_the_earliest_failing_tau(monkeypatch, failing):
             _fake_sweep(monkeypatch, fail, workers)
         assert type(ex.value) is IntegrationError
         assert str(ex.value) == f"speed drift at tau={failing[0]}"
+
+
+@pytest.mark.parametrize("error", [KeyError("x"), OSError(2, "no such file")],
+                         ids=["KeyError", "OSError"])
+def test_sweep_raises_the_stop_error_itself(monkeypatch, error):
+    # with 2 workers tau = 0.4 runs in the child, which pickles the error
+    def fail(tau):
+        if tau == 0.4:
+            raise error
+
+    for workers in (1, 2):
+        with pytest.raises(type(error)) as ex:
+            _fake_sweep(monkeypatch, fail, workers)
+        assert type(ex.value) is type(error)
+        assert ex.value.args == error.args
+        assert getattr(ex.value, "errno", None) == getattr(error, "errno",
+                                                           None)
 
 
 def test_sweep_geometry_error_is_the_record_at_its_tau(monkeypatch):
