@@ -8,7 +8,7 @@ from .geometry import (GeometryError, ImplicitSurface, PeriodicChart,
                        chart_metric_field, chart_scalar_field,
                        conformal_family, level_surface, linear_blend,
                        validation_grid)
-from .geodesics import IntegrationError, integrate_batch, normal_exp_jacobian
+from .geodesics import IntegrationError, integrate_batch
 from .submanifold import (CurveSpec, NormalFrame, SubmanifoldSpec, chart_curve,
                           curve_submanifold, embedding_family, foot_point,
                           point_submanifold, principal_curvature_bound,
@@ -22,7 +22,7 @@ from .cutanalysis import (CutProfile, PointCloud, compute_profiles, cut_time,
 from .stability import (HausdorffReport, Resolution, ScenarioResult,
                         SweepTable, curvature_stats,
                         cut_time_continuity_probe,
-                        focal_free_persistence_probe, hausdorff,
+                        focal_free_persistence_probe,
                         hausdorff_convergence_check, hausdorff_report,
                         run_case, sweep_embedding_family, sweep_metric_family)
 from .config import ConfigError, RunConfig, parse_config, scenario

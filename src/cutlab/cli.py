@@ -23,7 +23,6 @@ from .stability import (Resolution, curvature_stats,
                         focal_free_persistence_probe,
                         hausdorff_convergence_check, run_case,
                         sweep_embedding_family, sweep_metric_family)
-from .submanifold import SubmanifoldSpec
 from .wavefront import CoverageError, eikonal_residual, normal_starts
 
 

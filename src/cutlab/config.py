@@ -204,6 +204,21 @@ def build_blend_target(cfg: RunConfig) -> Backend:
         return build_backend(spec)
 
 
+def _check_family_fits(cfg: RunConfig):
+    """Reject, by the key that chose it, a family that the run's backend or
+    submanifold cannot carry: a blend interpolates two chart metrics, and
+    the target block of an embedding family builds a curve."""
+    kind = cfg.family["kind"]
+    backend = cfg.backend_spec["kind"]
+    if kind == "blend" and backend != "periodic-chart":
+        raise ConfigError(f"family.kind: a blend family needs a "
+                          f"periodic-chart backend, not {backend!r}")
+    sub = cfg.submanifold_spec
+    if kind == "embedding" and isinstance(sub, dict) and sub.get("dim") == 0:
+        raise ConfigError("family.target: names a curve, but the "
+                          "submanifold is a point (dim 0)")
+
+
 def _parse_resolution(block: dict) -> Resolution:
     _check_keys(block, _RES_KEYS, "resolution")
     # m_N samples the submanifold; parse_config moves it into that spec
@@ -266,6 +281,7 @@ def parse_config(source) -> RunConfig:
         with _named("family.tau"):
             _check_ladder([_number(t, "family.tau", positive=False)
                            for t in taus])
+        _check_family_fits(cfg)
     if "out" in data:
         cfg.out = str(data["out"])
     if "seed" in data:

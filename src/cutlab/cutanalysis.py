@@ -1,6 +1,6 @@
-"""Cut times, cut locus, separating points, focal times (scalar Jacobi and
-exponential-Jacobian routes), N-geodesic loops, injectivity radii, and the
-focal-free comparison bound."""
+"""Cut times, cut locus, separating points, focal times (scalar Jacobi
+route), N-geodesic loops, injectivity radii, and the focal-free comparison
+bound."""
 from __future__ import annotations
 
 import math
@@ -10,10 +10,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .forking import _fork_map, _worker_count
-from .geodesics import _hermite, hermite_batch, normal_exp_jacobian
+from .geodesics import _hermite, hermite_batch
 from .geometry import Backend
 from .submanifold import (SubmanifoldSpec, foot_points, golden_section,
                           shape_operators)
+# distance has no caller here; the benchmark's tracer patches this binding
 from .wavefront import (CoverageError, WavefrontAtlas, _coverage_reason,
                         _distance_rows, _edge_margin, distance, ring_pairs)
 
@@ -50,12 +51,6 @@ class CutProfile:
 # ---------------------------------------------------------------------------
 # cut time
 # ---------------------------------------------------------------------------
-
-def excess(atlas: WavefrontAtlas, dir_idx: int, t: float) -> float:
-    """e(t) = t - d(N, gamma_n(t)); nondecreasing, zero before the cut."""
-    p, _ = atlas.path_point(dir_idx, t)
-    return t - distance(atlas, p).d
-
 
 def cut_time(atlas: WavefrontAtlas, dir_idx: int) -> tuple[float, dict]:
     """sup{t | d(N, gamma_n(t)) = t} along one direction; see cut_times."""
@@ -276,14 +271,6 @@ def _first_zero(tg, y, yp, start, tol):
     return float(np.clip(t, tg[i], tg[i + 1]))
 
 
-def focal_bracket_jacobian(b: Backend, N: SubmanifoldSpec, frame,
-                           t_max: float, dt: float):
-    """Secondary focal oracle: first sign change of det d(exp^nu) along the
-    direction of ``frame``; None if the determinant never changes sign."""
-    jac = normal_exp_jacobian(b, N, frame.s, frame.side, t_max, dt)
-    return jac.first_zero(), jac
-
-
 # ---------------------------------------------------------------------------
 # loops
 # ---------------------------------------------------------------------------
@@ -382,18 +369,16 @@ def _polish_returns(b, N, batch, J, t0, capture):
 # ---------------------------------------------------------------------------
 
 def compute_profiles(b: Backend, N: SubmanifoldSpec, atlas: WavefrontAtlas,
-                     tol: float = 1e-3, capture_radius: float = 1e-2,
-                     angle_tol: float = 1e-3, loops: list | None = None,
+                     loops: list, tol: float = 1e-3,
                      workers: int | None = 1,
                      timings: dict | None = None) -> list[CutProfile]:
-    """One CutProfile per atlas direction; the focal solve's seconds go to
+    """One CutProfile per atlas direction, with its entry of ``loops`` (the
+    per-direction result of loop_scan); the focal solve's seconds go to
     ``timings["focal"]`` when timings is given."""
     t0 = time.perf_counter()
     focal = focal_times_batch(b, N, atlas)
     if timings is not None:
         timings["focal"] = time.perf_counter() - t0
-    if loops is None:
-        _, loops = loop_scan(b, N, atlas, capture_radius, angle_tol)
     rho, flags = cut_times(atlas, tol, workers=workers)
     # a geodesic never minimizes past its first focal point; the excess
     # crossing lands late at focal-type cuts (cubic growth), so the focal

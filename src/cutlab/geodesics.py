@@ -1,5 +1,5 @@
-"""Geodesic integration: RK4 on the geodesic ODE, cubic-Hermite sampling,
-and the finite-difference Jacobian of the normal exponential map."""
+"""Geodesic integration: RK4 on the geodesic ODE and cubic-Hermite
+sampling of the paths."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Backend
-from .submanifold import SubmanifoldSpec, unit_normals
 
 
 class IntegrationError(Exception):
@@ -44,10 +43,6 @@ class BatchPaths:
         return [BatchPaths(self.t, self.pos[e - n:e], self.vel[e - n:e],
                            self.dt, self.drift[e - n:e])
                 for n, e in zip(sizes, ends)]
-
-    def sample_at(self, i: int, t: float):
-        """Cubic-Hermite position/velocity of path i at arbitrary time t."""
-        return hermite_sample(self.t, self.pos[i], self.vel[i], t)
 
 
 def hermite_sample(tg: np.ndarray, pos: np.ndarray, vel: np.ndarray, t: float):
@@ -157,54 +152,3 @@ def _drift(b: Backend, tg, pos, vel, t_max: float):
             t=t_bad)
     return drift
 
-
-# ---------------------------------------------------------------------------
-# Jacobian of the normal exponential map
-# ---------------------------------------------------------------------------
-
-@dataclass
-class NormalExpJacobian:
-    """det d(s, r) -> exp^nu(r n(s)) along one normal direction, on a t-grid."""
-
-    t: np.ndarray
-    det: np.ndarray
-    fd_warning: bool
-
-    def sign_change_brackets(self):
-        s = np.sign(self.det)
-        idx = np.nonzero(s[:-1] * s[1:] < 0)[0]
-        return [(float(self.t[i]), float(self.t[i + 1])) for i in idx]
-
-    def first_zero(self):
-        """Secant zero in the first sign-change bracket of det, or None."""
-        br = self.sign_change_brackets()
-        if not br:
-            return None
-        lo, hi = br[0]
-        dlo = float(np.interp(lo, self.t, self.det))
-        dhi = float(np.interp(hi, self.t, self.det))
-        return lo - dlo * (hi - lo) / (dhi - dlo)
-
-
-def normal_exp_jacobian(b: Backend, N: SubmanifoldSpec, s0: float, side,
-                        t_max: float, dt: float, fd: float = 1e-4
-                        ) -> NormalExpJacobian:
-    """Finite-difference Jacobian determinant of (s, r) -> exp^nu(r n(s)).
-
-    The start states come from ``unit_normals``; for a point submanifold s
-    is the direction angle.  The r-derivative is the exact geodesic
-    velocity; the s-derivative is a central difference of whole geodesics,
-    so one call integrates five paths and evaluates det on the full t-grid.
-    A Richardson disagreement above 10% between fd and 2*fd sets
-    ``fd_warning``.
-    """
-    p0, v0 = unit_normals(b, N, s0 + fd * np.arange(-2.0, 3.0), [side] * 5)
-    batch = integrate_batch(b, p0, v0, t_max, dt)
-    ds1 = (batch.pos[3] - batch.pos[1]) / (2.0 * fd)
-    ds2 = (batch.pos[4] - batch.pos[0]) / (4.0 * fd)
-    dr = batch.vel[2]
-    det1 = b.pair_det(batch.pos[2], ds1, dr)
-    det2 = b.pair_det(batch.pos[2], ds2, dr)
-    scale = np.maximum(np.max(np.abs(det1)), 1e-30)
-    warn = bool(np.max(np.abs(det1 - det2)) > 0.10 * scale)
-    return NormalExpJacobian(batch.t.copy(), det1, warn)

@@ -310,11 +310,10 @@ class PeriodicChart(_Shared):
 
     # -- metric ------------------------------------------------------------
 
-    def metric(self, pts, check: bool = True) -> np.ndarray:
+    def metric(self, pts) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
         g = self.metric_field(pts)
-        if check:
-            _spd_det(pts, g)
+        _spd_det(pts, g)
         return _points_first(g)
 
     def inner(self, pts, v, w) -> np.ndarray:
@@ -404,10 +403,6 @@ class PeriodicChart(_Shared):
     def left_normal(self, base, tan):
         """Normals to the tangents (k, 2), to their left: the rotated g tan."""
         return (_ROT @ (self.metric(base) @ tan[:, :, None]))[:, :, 0]
-
-    def pair_det(self, base, a, c):
-        """Determinant of each pair of rows (a, c) in chart coordinates."""
-        return a[:, 0] * c[:, 1] - a[:, 1] * c[:, 0]
 
     def covariant_derivative(self, base, tan, n0, dn):
         """D_tan n of a field n = n0 with coordinate derivative dn."""
@@ -654,10 +649,6 @@ class ImplicitSurface(_Shared):
     def left_normal(self, base, tan):
         """Normals to the tangents (k, 3), to their left: n x tan."""
         return np.cross(self.unit_surface_normal(base), tan)
-
-    def pair_det(self, base, a, c):
-        """det of the row pairs (a, c) in the oriented tangent plane at base."""
-        return np.sum(np.cross(a, c) * self.unit_surface_normal(base), axis=-1)
 
     def covariant_derivative(self, base, tan, n0, dn):
         """D_tan n: the tangent part of dn plus the conformal terms."""

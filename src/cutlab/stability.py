@@ -22,6 +22,7 @@ from .wavefront import build_atlas, normal_starts, stacked_paths
 # the largest deviations from tau = 0 that pass at a sweep's smallest tau
 FINAL_INJ_TOL, FINAL_DH_TOL, FINAL_RHO_TOL = 1e-2, 2e-2, 1e-2  # Inj, d_H, rho
 FOCAL_MARGIN = 1e-2     # min_n (t_f - rho) above which a case is focal-free
+CURVATURE_GRID = 0.02   # spacing of the grid that curvature_stats samples
 
 
 # ---------------------------------------------------------------------------
@@ -59,10 +60,6 @@ def _nearest_gaps(b: Backend, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
         gaps = b.aux_distance(P[i:i + 256, None, :], Q[None, :, :])
         out[i:i + 256] = np.min(gaps, axis=1)
     return out
-
-
-def hausdorff(A: PointCloud, B: PointCloud) -> float:
-    return hausdorff_report(A, B).value
 
 
 # ---------------------------------------------------------------------------
@@ -111,8 +108,7 @@ def run_case(b: Backend, N: SubmanifoldSpec, res: Resolution,
     timings = {}
     atlas = build_atlas(b, N, res.m, res.t_max, res.dt, paths, timings)
     l_half, loops = loop_scan(b, N, atlas, res.capture_radius, res.angle_tol)
-    profiles = compute_profiles(b, N, atlas, res.tol, res.capture_radius,
-                                res.angle_tol, loops=loops, workers=workers,
+    profiles = compute_profiles(b, N, atlas, loops, res.tol, workers=workers,
                                 timings=timings)
     focal = np.array([p.focal_t for p in profiles])
     fmin = f_min(focal)
@@ -125,11 +121,10 @@ def run_case(b: Backend, N: SubmanifoldSpec, res: Resolution,
                           atlas if keep_atlas else None, timings)
 
 
-def curvature_stats(b: Backend, N: SubmanifoldSpec,
-                    grid_spacing: float = 0.02) -> dict:
-    """Curvature sup, inf, and principal-curvature bound feeding the
-    focal-free comparison bound."""
-    grid = validation_grid(b, grid_spacing)
+def curvature_stats(b: Backend, N: SubmanifoldSpec) -> dict:
+    """Curvature sup and inf on the CURVATURE_GRID validation grid, and the
+    principal-curvature bound, feeding the focal-free comparison bound."""
+    grid = validation_grid(b, CURVATURE_GRID)
     K = b.gauss_curvature(grid)
     Delta = principal_curvature_bound(b, N)
     out = {"K_max": float(np.max(K)), "K_min": float(np.min(K)),

@@ -252,13 +252,11 @@ class FootPoint:
     coarse: bool    # aux estimate beyond the tubular radius, not metric-polished
 
 
-def foot_point(b: Backend, N: SubmanifoldSpec, q,
-               tube_radius: float = 0.1) -> FootPoint:
+def foot_point(b: Backend, N: SubmanifoldSpec, q) -> FootPoint:
     """Nearest-parameter projection of q onto N in the auxiliary distance,
     golden-section polished; d_est is a first-order g-length inside the
     tubular radius, otherwise the raw auxiliary value flagged coarse."""
-    s, d_est, coarse = foot_points(b, N, np.asarray(q, dtype=float)[None, :],
-                                   tube_radius)
+    s, d_est, coarse = foot_points(b, N, np.asarray(q, dtype=float)[None, :])
     return FootPoint(float(s[0]), float(d_est[0]), bool(coarse[0]))
 
 

@@ -168,7 +168,6 @@ class WavefrontAtlas:
     batch: BatchPaths
     dt: float
     t_max: float
-    certificate: float          # max gap between adjacent wavefront samples
     err: float                  # typical-scale bound: median gap * sqrt(lam_max) + dt
     # flattened sample arrays, ordered by (direction, t)
     sample_pos: np.ndarray      # wrapped positions
@@ -181,19 +180,9 @@ class WavefrontAtlas:
     median_gap: float
     # CSR spatial hash over every sample
     cell: float
-    grid_shape: tuple
-    origin: np.ndarray
     order: np.ndarray
     starts: np.ndarray
     index: SampleIndex          # ring-1 near-sample index
-
-    @property
-    def m(self) -> int:
-        return len(self.frames)
-
-    def path_point(self, dir_idx: int, t: float):
-        """Hermite-interpolated point and velocity of geodesic dir_idx at t."""
-        return self.batch.sample_at(dir_idx, t)
 
 
 def normal_starts(b: Backend, N: SubmanifoldSpec, m: int):
@@ -241,7 +230,6 @@ def build_atlas(b: Backend, N: SubmanifoldSpec, m: int, t_max: float,
     else:
         frames, batch = paths
     local_gap = _local_gaps(b, N, batch, m).reshape(-1)
-    cert = max(float(np.max(local_gap)), dt)
     med_gap = max(float(np.median(local_gap)), dt)
     wrapped = b.wrap(batch.pos.reshape(-1, batch.pos.shape[-1]))
     k, n_t = batch.pos.shape[0], batch.pos.shape[1]
@@ -261,11 +249,11 @@ def build_atlas(b: Backend, N: SubmanifoldSpec, m: int, t_max: float,
     index = _sample_index(b, grid, wrapped, _caps(local_gap, dt), cell, dt,
                           lo, hi)
     sample_vel = batch.vel.reshape(-1, batch.pos.shape[-1])
-    return WavefrontAtlas(b, N, frames, batch, dt, t_max, cert, err,
+    return WavefrontAtlas(b, N, frames, batch, dt, t_max, err,
                           wrapped, sample_t, sample_dir, sample_lam,
                           sample_vel, b.lower(wrapped, sample_vel),
                           local_gap, med_gap,
-                          cell, grid.shape, grid.origin, order, starts, index)
+                          cell, order, starts, index)
 
 
 def _local_gaps(b, N, batch: BatchPaths, m: int) -> np.ndarray:

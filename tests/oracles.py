@@ -4,6 +4,7 @@ Everything here is implemented separately from the package (plain Python /
 closed forms) so that agreement is evidence, not tautology.
 """
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -139,7 +140,8 @@ def brute_distance(atlas, q):
     b = atlas.backend
     q = np.asarray(q, dtype=float)
     pos = atlas.sample_pos
-    shape = np.array(atlas.grid_shape)
+    grid = atlas.index.coarse
+    shape = np.array(grid.shape)
     if b.periods is not None:
         L = np.array(b.periods)
         width = L / shape
@@ -151,7 +153,7 @@ def brute_distance(atlas, q):
         ring_of = np.max(np.minimum(diff, shape - diff), axis=1)
     else:
         def cell(x):
-            return np.floor((x - atlas.origin) / atlas.cell).astype(np.int64)
+            return np.floor((x - grid.origin) / atlas.cell).astype(np.int64)
 
         ring_of = np.max(np.abs(cell(pos) - cell(q)), axis=1)
     gaps = b.aux_distance(pos, q)
@@ -219,8 +221,12 @@ def reference_cut_time(atlas, dir_idx, distance_fn, kink_root, tol=1e-3):
     the excess e(t) = t - d(N, gamma(t)), continuous bisection of the theta
     crossing, then the kink extrapolation ``kink_root``.  ``distance_fn(q)``
     returns d(N, q) and raises where the atlas cannot certify it."""
+    from cutlab.geodesics import hermite_sample
+    batch = atlas.batch
+
     def excess(t):
-        p, _ = atlas.path_point(dir_idx, t)
+        p, _ = hermite_sample(batch.t, batch.pos[dir_idx], batch.vel[dir_idx],
+                              t)
         return t - distance_fn(p)
 
     tg = atlas.batch.t
@@ -297,15 +303,21 @@ FD_GAMMA2_STEP = 1e-4
 FD_CURVATURE_STEP = 1e-3
 
 
+def _field_metric(b, pts):
+    """A PeriodicChart's metric at pts, point axes first, straight from its
+    metric field: a difference step may leave the region where the metric
+    is positive definite, which b.metric refuses."""
+    return np.moveaxis(b.metric_field(pts), (0, 1), (-2, -1))
+
+
 def fd_gamma2(b, pts, v, h=FD_GAMMA2_STEP):
     """Gamma^k_ij v^i v^j of a PeriodicChart with the metric's first
     derivatives taken by central differences of its values."""
     pts = np.asarray(pts, dtype=float)
     e1, e2 = np.array([h, 0.0]), np.array([0.0, h])
-    dg = np.stack([b.metric(pts + e1, check=False)
-                   - b.metric(pts - e1, check=False),
-                   b.metric(pts + e2, check=False)
-                   - b.metric(pts - e2, check=False)], axis=-3) / (2.0 * h)
+    dg = np.stack([_field_metric(b, pts + e1) - _field_metric(b, pts - e1),
+                   _field_metric(b, pts + e2) - _field_metric(b, pts - e2)],
+                  axis=-3) / (2.0 * h)
     return _contract_gamma2(b.metric(pts), dg, np.asarray(v, dtype=float))
 
 
@@ -316,7 +328,7 @@ def fd_gauss_curvature(b, pts, h=FD_CURVATURE_STEP):
     e1, e2 = np.array([h, 0.0]), np.array([0.0, h])
 
     def comp(p):
-        g = b.metric(p, check=False)
+        g = _field_metric(b, p)
         return g[..., 0, 0], g[..., 0, 1], g[..., 1, 1]
 
     E, F, G = comp(pts)
@@ -424,16 +436,6 @@ def reference_integrate(b, p0, v0, t_max, dt, gamma2=None):
         pos.append(x)
         vel.append(v)
     return np.stack(pos, axis=1), np.stack(vel, axis=1)
-
-
-def reference_pair_det(b, base, a, c):
-    """2D determinant of the pairs (a, c) in chart or ambient-tangent
-    coordinates."""
-    if b.periods is not None:
-        return a[:, 0] * c[:, 1] - a[:, 1] * c[:, 0]
-    n = b.unit_surface_normal(base)
-    cross = np.cross(a, c)
-    return np.sum(cross * n, axis=-1)
 
 
 def reference_direction_frame(b, p, angle):
@@ -608,3 +610,67 @@ def reference_focal_times(b, N, atlas, zero_tol=1e-8):
         if tf is not None:
             out[j] = tf
     return out
+
+
+# -- Jacobian of the normal exponential map ---------------------------------
+# The second focal route: a focal point is where the map (s, r) ->
+# exp^nu(r n(s)) stops being a local diffeomorphism, a sign change of its
+# Jacobian determinant.  It takes the package's unit normals and RK4 paths but
+# none of its scalar Jacobi solve, so the two routes cross-check each other.
+
+def reference_pair_det(b, base, a, c):
+    """2D determinant of the pairs (a, c) in chart or ambient-tangent
+    coordinates."""
+    if b.periods is not None:
+        return a[:, 0] * c[:, 1] - a[:, 1] * c[:, 0]
+    n = b.unit_surface_normal(base)
+    cross = np.cross(a, c)
+    return np.sum(cross * n, axis=-1)
+
+
+@dataclass
+class NormalExpJacobian:
+    """det d(s, r) -> exp^nu(r n(s)) along one normal direction, on a t-grid."""
+
+    t: np.ndarray
+    det: np.ndarray
+    fd_warning: bool
+
+    def sign_change_brackets(self):
+        s = np.sign(self.det)
+        idx = np.nonzero(s[:-1] * s[1:] < 0)[0]
+        return [(float(self.t[i]), float(self.t[i + 1])) for i in idx]
+
+    def first_zero(self):
+        """Secant zero in the first sign-change bracket of det, or None."""
+        br = self.sign_change_brackets()
+        if not br:
+            return None
+        lo, hi = br[0]
+        dlo = float(np.interp(lo, self.t, self.det))
+        dhi = float(np.interp(hi, self.t, self.det))
+        return lo - dlo * (hi - lo) / (dhi - dlo)
+
+
+def normal_exp_jacobian(b, N, s0, side, t_max, dt, fd=1e-4):
+    """Finite-difference Jacobian determinant of (s, r) -> exp^nu(r n(s)).
+
+    The start states come from ``unit_normals``; for a point submanifold s
+    is the direction angle.  The r-derivative is the exact geodesic
+    velocity; the s-derivative is a central difference of whole geodesics,
+    so one call integrates five paths and evaluates det on the full t-grid.
+    A Richardson disagreement above 10% between fd and 2*fd sets
+    ``fd_warning``.
+    """
+    from cutlab.geodesics import integrate_batch
+    from cutlab.submanifold import unit_normals
+    p0, v0 = unit_normals(b, N, s0 + fd * np.arange(-2.0, 3.0), [side] * 5)
+    batch = integrate_batch(b, p0, v0, t_max, dt)
+    ds1 = (batch.pos[3] - batch.pos[1]) / (2.0 * fd)
+    ds2 = (batch.pos[4] - batch.pos[0]) / (4.0 * fd)
+    dr = batch.vel[2]
+    det1 = reference_pair_det(b, batch.pos[2], ds1, dr)
+    det2 = reference_pair_det(b, batch.pos[2], ds2, dr)
+    scale = np.maximum(np.max(np.abs(det1)), 1e-30)
+    warn = bool(np.max(np.abs(det1 - det2)) > 0.10 * scale)
+    return NormalExpJacobian(batch.t.copy(), det1, warn)

@@ -12,14 +12,13 @@ import pytest
 
 from cutlab.cli import main as cli_main
 from cutlab.config import scenario
-from cutlab.cutanalysis import focal_bracket_jacobian
 from cutlab.stability import (Resolution, curvature_stats,
-                              cut_time_continuity_probe, hausdorff,
-                              hausdorff_convergence_check,
+                              cut_time_continuity_probe,
+                              hausdorff_convergence_check, hausdorff_report,
                               sweep_embedding_family, sweep_metric_family)
 from cutlab.wavefront import eikonal_residual
 
-from oracles import brute_hausdorff, chart_aux_dist
+from oracles import brute_hausdorff, chart_aux_dist, normal_exp_jacobian
 
 
 def _report(num, desc, ok):
@@ -112,8 +111,8 @@ def test_criterion_03_sphere_equator(sphere_eq):
     dH = max(float(np.max(np.min(gaps, axis=1))),
              float(np.max(np.min(gaps, axis=0))))
     frame = r.atlas.frames[5]
-    t_jac, _ = focal_bracket_jacobian(r.backend, r.N, frame,
-                                      2.0, r.res.dt)
+    t_jac = normal_exp_jacobian(r.backend, r.N, frame.s, frame.side,
+                                2.0, r.res.dt).first_zero()
     focal_diff = abs(t_jac - r.profiles[5].focal_t)
     ok = (abs(r.fmin - np.pi / 2) <= 1e-3
           and abs(r.inj_char - np.pi / 2) <= 1e-3
@@ -238,7 +237,7 @@ def test_criterion_12_hausdorff_brute_oracle(flat_backend, rng):
                        np.arange(na), 1e-6)
         B = PointCloud(flat_backend, rng.random((nb, 2)),
                        np.arange(nb), 1e-6)
-        ok = ok and hausdorff(A, B) == brute_hausdorff(A.points, B.points,
-                                                       chart_aux_dist)
+        ok = ok and hausdorff_report(A, B).value == brute_hausdorff(
+            A.points, B.points, chart_aux_dist)
     _report(12, "exact agreement with brute-force Hausdorff oracle on 100 "
                 "random cloud pairs", ok)

@@ -87,7 +87,7 @@ def test_validate_check_error_is_one_line_fail_for_any_thread_count(
         tmp_path, capsys, monkeypatch):
     # with two workers the checks run in a child; its error is raised here,
     # after run_case and the eikonal check, as a one-process run raises it
-    def broken(b, N, grid_spacing=0.02):
+    def broken(b, N):
         raise GeometryError("curvature grid is degenerate")
 
     monkeypatch.setattr(cli, "curvature_stats", broken)
@@ -449,6 +449,17 @@ def _add(cfg, block, **keys):
      "unknown key"),
     ("sweep", _with(_BLEND, "family", metric={"name": "nope"}),
      "family.metric", "unknown chart metric field 'nope'"),
+    # a family that the backend or submanifold cannot carry is rejected by
+    # the key that chose it, before the run
+    ("sweep", {"scenario": "sphere-equator",
+               "family": {"kind": "blend", "tau": [0.2, 0.1]}},
+     "family.kind", "needs a periodic-chart backend"),
+    ("sweep", {"scenario": "sphere-equator",
+               "family": {"kind": "blend", "tau": [0.2, 0.1],
+                          "metric": {"name": "flat"}}},
+     "family.kind", "needs a periodic-chart backend"),
+    ("sweep", {**_SHIFT, "scenario": "flat-torus-point"}, "family.target",
+     "the submanifold is a point"),
 ], ids=["point-text", "point-length", "point-off-surface", "curve-value",
         "curve-unknown-name", "surface-curve-unknown-name",
         "metric-unknown-name",
@@ -461,7 +472,9 @@ def _add(cfg, block, **keys):
         "point-with-curve", "curve-with-point", "submanifold-with-scenario",
         "family-without-kind", "family-unknown-kind", "blend-phi",
         "blend-target", "embedding-phi", "embedding-metric",
-        "conformal-metric", "conformal-target", "blend-metric-unknown-name"])
+        "conformal-metric", "conformal-target", "blend-metric-unknown-name",
+        "blend-on-surface", "blend-on-surface-with-metric",
+        "embedding-on-point"])
 def test_bad_named_block_exits_2_naming_the_block(tmp_path, capsys, command,
                                                   cfg, key, word):
     argv = [command, "--config", json.dumps(cfg), "--out", str(tmp_path / "o")]

@@ -6,21 +6,20 @@ import pytest
 
 from cutlab import cutanalysis
 from cutlab.config import scenario
-from cutlab.cutanalysis import (CutProfile, _clusters, _kink_root,
-                                compute_profiles, cut_time, cut_times,
-                                cut_locus_cloud, excess, f_min,
-                                focal_bracket_jacobian, focal_times_batch,
-                                injectivity_radius_char,
+from cutlab.cutanalysis import (_clusters, _kink_root, compute_profiles,
+                                cut_time, cut_times, cut_locus_cloud, f_min,
+                                focal_times_batch, injectivity_radius_char,
                                 injectivity_radius_direct, loop_scan,
                                 separating_points, warner_bound)
+from cutlab.geodesics import hermite_sample
 from cutlab.geometry import ImplicitSurface, level_surface
 from cutlab.submanifold import chart_curve, curve_submanifold, \
     frames_for, point_submanifold, surface_curve
 from cutlab.wavefront import CoverageError, build_atlas, distance
 
 from oracles import (fine_scan_cut_time, flat_torus_point_distance,
-                     jacobi_first_zero_const_K, reference_cut_time,
-                     reference_focal_times)
+                     jacobi_first_zero_const_K, normal_exp_jacobian,
+                     reference_cut_time, reference_focal_times)
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +29,9 @@ def point_atlas(flat_backend):
 
 
 def test_excess_zero_before_cut(point_atlas):
-    assert abs(excess(point_atlas, 0, 0.3)) <= 2e-3
+    batch = point_atlas.batch
+    p, _ = hermite_sample(batch.t, batch.pos[0], batch.vel[0], 0.3)
+    assert abs(0.3 - distance(point_atlas, p).d) <= 2e-3
 
 
 def test_cut_time_flat_point_axis_direction(point_atlas):
@@ -213,7 +214,8 @@ def test_focal_jacobian_oracle_agrees(sphere_backend):
     from cutlab.submanifold import surface_curve
     N = curve_submanifold(surface_curve("equator", radius=1.0))
     frame = frames_for(sphere_backend, N, 5)[1]      # s = 0.2, side +
-    t0, jac = focal_bracket_jacobian(sphere_backend, N, frame, 2.0, 1e-3)
+    t0 = normal_exp_jacobian(sphere_backend, N, frame.s, frame.side, 2.0,
+                             1e-3).first_zero()
     assert t0 == pytest.approx(np.pi / 2, abs=1e-5)
 
 
@@ -255,7 +257,8 @@ def test_loop_scan_line_across_chart_seam(flat_backend):
 
 def test_compute_profiles_flat_point(flat_backend, point_atlas):
     N = point_submanifold([0.25, 0.25])
-    profiles = compute_profiles(flat_backend, N, point_atlas)
+    _, loops = loop_scan(flat_backend, N, point_atlas)
+    profiles = compute_profiles(flat_backend, N, point_atlas, loops)
     assert len(profiles) == 128
     assert injectivity_radius_direct(profiles) == pytest.approx(0.5, abs=3e-3)
     cloud = cut_locus_cloud(flat_backend, profiles)
@@ -267,7 +270,8 @@ def test_compute_profiles_flat_point(flat_backend, point_atlas):
 
 def test_separating_points_flat_point(flat_backend, point_atlas):
     N = point_submanifold([0.25, 0.25])
-    profiles = compute_profiles(flat_backend, N, point_atlas)
+    _, loops = loop_scan(flat_backend, N, point_atlas)
+    profiles = compute_profiles(flat_backend, N, point_atlas, loops)
     seps = separating_points(flat_backend, N, profiles, pair_tol=3e-3)
     assert seps
     assert all(sp.flag == "sep" for sp in seps)

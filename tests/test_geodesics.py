@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from cutlab.geodesics import (IntegrationError, hermite_batch,
-                              hermite_sample, integrate_batch,
-                              normal_exp_jacobian)
+                              hermite_sample, integrate_batch)
 from cutlab.geometry import ImplicitSurface, level_surface
 from cutlab.submanifold import (curve_submanifold, chart_curve,
                                 point_submanifold, surface_curve,
@@ -11,14 +10,15 @@ from cutlab.submanifold import (curve_submanifold, chart_curve,
 from cutlab.wavefront import normal_starts
 
 from oracles import (einsum_surface_gamma2, great_circle,
-                     reference_integrate, reference_pair_det)
+                     normal_exp_jacobian, reference_integrate)
 
 
 def test_flat_torus_geodesics_are_straight(flat_backend):
     path = integrate_batch(flat_backend, [[0.1, 0.2]], [[0.6, 0.8]], 1.0,
                            1e-3)
     want = np.array([0.1, 0.2]) + 0.7 * np.array([0.6, 0.8])
-    np.testing.assert_allclose(path.sample_at(0, 0.7)[0], want, atol=1e-12)
+    got = hermite_sample(path.t, path.pos[0], path.vel[0], 0.7)[0]
+    np.testing.assert_allclose(got, want, atol=1e-12)
     assert path.drift[0] <= 1e-12
 
 
@@ -28,7 +28,7 @@ def test_great_circle_closed_form(sphere_backend):
     v0 = np.array([0.0, 0.6, 0.8])
     path = integrate_batch(b, p0, v0, 6.0, 1e-3)
     for t in (0.5, 2.0, np.pi, 5.5):
-        got, vel = path.sample_at(0, t)
+        got, vel = hermite_sample(path.t, path.pos[0], path.vel[0], t)
         np.testing.assert_allclose(got, great_circle(p0, v0, t), atol=1e-7)
         assert abs(np.linalg.norm(vel) - 1.0) <= 1e-7
     assert abs(b.surface.h(path.pos[0]).max()) <= 1e-10
@@ -241,18 +241,6 @@ def test_integrate_batch_matches_reference_bitwise(name, request):
     pos, vel = reference_integrate(b, p0, v0, 0.6, 2e-3)
     np.testing.assert_array_equal(batch.pos, pos)
     np.testing.assert_array_equal(batch.vel, vel)
-
-
-@pytest.mark.parametrize("name", ["warped", "sphere_psi"])
-def test_pair_det_matches_reference_bitwise(name, request, rng):
-    b = request.getfixturevalue(name + "_backend")
-    p0, v0 = _STARTS[name]
-    batch = integrate_batch(b, p0, v0, 0.6, 2e-3)
-    base = batch.pos.reshape(-1, batch.pos.shape[-1])
-    a, c = (b.constrain_velocity(base, rng.normal(size=base.shape))
-            for _ in range(2))
-    np.testing.assert_array_equal(b.pair_det(base, a, c),
-                                  reference_pair_det(b, base, a, c))
 
 
 @pytest.mark.parametrize("name", ["sphere-equator", "ellipsoid-point"])

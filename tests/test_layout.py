@@ -1,5 +1,6 @@
 """Package layout: one place knows whether a backend is a chart or a surface,
-one module forks processes, and every defaulted parameter is set by a call.
+one module forks processes, every defaulted parameter is set by a call, and
+every function, method and class is reached from the command line.
 
 ``geometry.py`` defines both backends, ``config.py`` builds them from a
 spec's ``kind`` and ``__init__.py`` re-exports them.  Every other module
@@ -7,7 +8,8 @@ reaches the chart / surface difference only through backend methods, so a
 new backend needs edits in ``geometry.py`` alone.
 
 The benchmark's tracer (``bench/tracing.py``) patches package names and reads
-atlas fields from outside; the last test keeps a refactor from dropping one.
+atlas fields from outside; one test keeps a refactor from dropping one, and
+the reach guard allows exactly the definitions that only the tracer holds.
 """
 import ast
 import dataclasses
@@ -131,18 +133,6 @@ def test_benchmark_tracer_patches_and_restores_every_traced_name():
 # forwards a value that is itself unset sets nothing: the caller's own
 # defaulted parameter passed on under any name, or a constructor argument
 # x.f handed to field f, which copies the field of another instance.
-
-# defaulted parameters that only the tests set, with the reason
-TEST_ONLY = {
-    "geodesics.normal_exp_jacobian(fd)":
-        "the Jacobian tests step the s-difference at two widths",
-    "geometry.PeriodicChart.metric(check)":
-        "the SPD-check tests read the metric of points outside the cone",
-    "stability.curvature_stats(grid_spacing)":
-        "the curvature tests sample a coarser grid than validate's",
-    "submanifold.foot_point(tube_radius)":
-        "the foot-point tests move the tube edge past their query points",
-}
 
 
 @dataclasses.dataclass
@@ -297,9 +287,181 @@ def test_unset_default_checker_follows_calls_and_forwards():
                                           "m.g(y)", "m.h(y)", "m.h(z)"]
 
 
+def _package_sources() -> dict[str, str]:
+    return {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+
+
 def test_every_defaulted_parameter_is_set_by_a_call():
-    found = unset_defaults({p.stem: p.read_text()
-                            for p in sorted(SRC.glob("*.py"))})
-    assert sorted(TEST_ONLY) == [f for f in found if f in TEST_ONLY], \
-        "a TEST_ONLY entry is set in the package or gone"
-    assert [f for f in found if f not in TEST_ONLY] == []
+    assert unset_defaults(_package_sources()) == []
+
+
+# -- every definition is reached from the command line -----------------------
+# A function, method or class that no command reaches runs for the tests
+# only.  Reach is by name, as for the defaults: the code of cli.main and of
+# every module's top level loads names (x, or x.name), and a loaded name
+# reaches every definition of that name, whose code loads more names.  A
+# reached class also reaches its decorators, bases and class-level
+# statements (a dataclass's field defaults among them) and its dunder
+# methods; its other methods and properties are reached by attribute name.
+# Annotations and imports reach nothing.
+
+# definitions that no command reaches but the benchmark's tracer patches
+# (bench/tracing.py); what they call counts as reached
+TRACED = {"cutanalysis.cut_time", "geodesics.hermite_sample",
+          "submanifold.foot_point", "wavefront.distance"}
+
+
+@dataclasses.dataclass
+class _Body:
+    name: str                   # the name that reaches it
+    nodes: list                 # the code that reaching it runs
+    dunders: list = dataclasses.field(default_factory=list)
+
+
+def _loads(node, out: set):
+    """Add to out every name that the code under node loads, leaving out
+    annotations."""
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        out.add(node.id)
+    elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        out.add(node.attr)
+    for key, value in ast.iter_fields(node):
+        if key in ("annotation", "returns"):
+            continue
+        for child in value if isinstance(value, list) else [value]:
+            if isinstance(child, ast.AST):
+                _loads(child, out)
+
+
+def _definitions(sources: dict[str, str]):
+    """({qualname: _Body} of every top-level function and class and every
+    method, [the module-level statements that are not imports])."""
+    defs, top = {}, []
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for module, text in sources.items():
+        for stmt in ast.parse(text).body:
+            q = f"{module}.{getattr(stmt, 'name', '')}"
+            if isinstance(stmt, funcs):
+                defs[q] = _Body(stmt.name, [stmt])
+            elif isinstance(stmt, ast.ClassDef):
+                cls = defs[q] = _Body(stmt.name, stmt.decorator_list
+                                      + stmt.bases + stmt.keywords)
+                for item in stmt.body:
+                    if not isinstance(item, funcs):
+                        cls.nodes.append(item)
+                        continue
+                    defs[f"{q}.{item.name}"] = _Body(item.name, [item])
+                    if item.name.startswith("__") and item.name.endswith("__"):
+                        cls.dunders.append(f"{q}.{item.name}")
+            elif not isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                top.append(stmt)
+    return defs, top
+
+
+def _reach(defs: dict, starts, nodes) -> set[str]:
+    """Qualnames reached from the definitions starts and the code nodes."""
+    by_name: dict[str, list[str]] = {}
+    for q, body in defs.items():
+        by_name.setdefault(body.name, []).append(q)
+    seen, names, todo = set(), set(), list(nodes)
+
+    def visit(q):
+        if q not in seen:
+            seen.add(q)
+            todo.extend(defs[q].nodes)
+            for d in defs[q].dunders:
+                visit(d)
+
+    for q in starts:
+        visit(q)
+    while todo:
+        found = set()
+        _loads(todo.pop(), found)
+        for name in found - names:
+            names.add(name)
+            for q in by_name.get(name, ()):
+                visit(q)
+    return seen
+
+
+def unreached(sources: dict[str, str], roots=("cli.main",), allowed=(),
+              patched=()) -> list[str]:
+    """'module.qualname' of every function, method and class in the modules
+    ``sources`` (module name -> text) that neither the roots nor top-level
+    code reach.  An allowed definition is not reported but counts as a
+    root, unless it is undefined, reached anyway or not in ``patched``:
+    then it is reported with that reason."""
+    defs, top = _definitions(sources)
+    allowed = set(allowed)
+    reached = _reach(defs, roots, top)
+    report = [f"{q} (allowed, but not defined)" for q in allowed - set(defs)]
+    report += [f"{q} (allowed, but reached)" for q in allowed & reached]
+    report += [f"{q} (allowed, but not patched)"
+               for q in allowed - set(patched)]
+    reached |= _reach(defs, allowed & set(defs), [])
+    return sorted(report + [q for q in defs
+                            if q not in reached and q not in allowed])
+
+
+def test_reach_checker_follows_calls_methods_fields_and_tables():
+    cli = ("from m import tested\n"
+           "def main():\n"
+           "    return run().go(), Box.size\n")
+    m = ("from dataclasses import dataclass, field\n"
+         "TABLE = {'a': lambda: build()}\n"
+         "def build(): return 1\n"
+         "def run() -> Shape: return Box()\n"
+         "def make(): return []\n"
+         "def tested(x: Shape) -> Shape: return Shape()\n"
+         "@dataclass\n"
+         "class Box:\n"
+         "    items: list = field(default_factory=make)\n"
+         "    def __post_init__(self): self.n = helper()\n"
+         "    def go(self): return self.items\n"
+         "    @property\n"
+         "    def size(self): return 0\n"
+         "    def unused(self): return 1\n"
+         "def helper(): return 2\n"
+         "class Shape:\n"
+         "    def __init__(self): pass\n")
+    assert unreached({"cli": cli, "m": m}) == [
+        "m.Box.unused", "m.Shape", "m.Shape.__init__", "m.tested"]
+    assert unreached({"cli": cli + "main()\ntested(0)\n", "m": m}) == [
+        "m.Box.unused"]
+
+
+def test_reach_checker_vets_its_allowlist():
+    srcs = {"cli": "def main(): return used()\n",
+            "m": ("def used(): return 1\n"
+                  "def traced(): return helper()\n"
+                  "def helper(): return 2\n")}
+    assert unreached(srcs) == ["m.helper", "m.traced"]
+    assert unreached(srcs, allowed={"m.traced"}, patched={"m.traced"}) == []
+    assert unreached(srcs, allowed={"m.traced"}) == [
+        "m.traced (allowed, but not patched)"]
+    both = {"m.traced", "m.used"}
+    assert unreached(srcs, allowed=both, patched=both) == [
+        "m.used (allowed, but reached)"]
+    assert unreached(srcs, allowed={"m.gone"}, patched={"m.gone"}) == [
+        "m.gone (allowed, but not defined)", "m.helper", "m.traced"]
+
+
+def _traced_names() -> set[str]:
+    """'module.name' or 'module.Class.name' of every binding that the
+    benchmark's tracer patches."""
+    tracer = _bench_tracing().Tracer().install()
+    patched = list(tracer._undo)
+    tracer.uninstall()
+    names = set()
+    for owner, attr, _ in patched:
+        if isinstance(owner, type):
+            module = owner.__module__.rsplit(".", 1)[-1]
+            names.add(f"{module}.{owner.__qualname__}.{attr}")
+        else:
+            names.add(f"{owner.__name__.rsplit('.', 1)[-1]}.{attr}")
+    return names
+
+
+def test_every_definition_is_reached_from_the_command_line():
+    assert unreached(_package_sources(), allowed=TRACED,
+                     patched=_traced_names()) == []

@@ -15,8 +15,8 @@ from cutlab.geometry import GeometryError, ImplicitSurface, PeriodicChart, \
     conformal_family, level_surface, linear_blend
 from cutlab.stability import (Resolution, SweepTable, _sweep_verdicts,
                               curvature_stats, cut_time_continuity_probe,
-                              hausdorff, hausdorff_convergence_check,
-                              hausdorff_report, run_case, sweep_metric_family)
+                              hausdorff_convergence_check, hausdorff_report,
+                              sweep_metric_family)
 from cutlab.submanifold import chart_curve, curve_submanifold, \
     point_submanifold
 from cutlab.wavefront import build_atlas, normal_starts, stacked_paths
@@ -31,7 +31,7 @@ def _cloud(b, pts):
 
 def test_hausdorff_identical_clouds(flat_backend, rng):
     A = _cloud(flat_backend, rng.random((20, 2)))
-    assert hausdorff(A, A) == 0.0
+    assert hausdorff_report(A, A).value == 0.0
 
 
 def test_hausdorff_symmetry_and_sides(flat_backend, rng):
@@ -48,21 +48,23 @@ def test_hausdorff_triangle_inequality(flat_backend, rng):
     A = _cloud(flat_backend, rng.random((10, 2)))
     B = _cloud(flat_backend, rng.random((10, 2)))
     C = _cloud(flat_backend, rng.random((10, 2)))
-    assert hausdorff(A, C) <= hausdorff(A, B) + hausdorff(B, C) + 1e-12
+    assert hausdorff_report(A, C).value <= (hausdorff_report(A, B).value
+                                            + hausdorff_report(B, C).value
+                                            + 1e-12)
 
 
 def test_hausdorff_matches_brute_oracle(flat_backend, rng):
     A = _cloud(flat_backend, rng.random((40, 2)))
     B = _cloud(flat_backend, rng.random((60, 2)))
     want = brute_hausdorff(A.points, B.points, chart_aux_dist)
-    assert hausdorff(A, B) == pytest.approx(want, abs=1e-12)
+    assert hausdorff_report(A, B).value == pytest.approx(want, abs=1e-12)
 
 
 def test_hausdorff_known_translation(flat_backend):
     xs = np.linspace(0.0, 1.0, 50, endpoint=False)
     A = _cloud(flat_backend, np.stack([xs, np.full_like(xs, 0.5)], axis=-1))
     B = _cloud(flat_backend, np.stack([xs, np.full_like(xs, 0.57)], axis=-1))
-    assert hausdorff(A, B) == pytest.approx(0.07, abs=1e-12)
+    assert hausdorff_report(A, B).value == pytest.approx(0.07, abs=1e-12)
 
 
 def test_hausdorff_empty_cloud_raises(flat_backend):
@@ -70,7 +72,7 @@ def test_hausdorff_empty_cloud_raises(flat_backend):
     E = PointCloud(flat_backend, np.empty((0, 2)), np.empty(0, dtype=int),
                    1e-6)
     with pytest.raises(GeometryError, match="no cut locus"):
-        hausdorff(A, E)
+        hausdorff_report(A, E)
 
 
 def test_hausdorff_incompatible_backends(flat_backend, sphere_backend):
@@ -78,7 +80,7 @@ def test_hausdorff_incompatible_backends(flat_backend, sphere_backend):
     B = PointCloud(sphere_backend, np.random.default_rng(1).random((5, 3)),
                    np.arange(5), 1e-6)
     with pytest.raises(GeometryError, match="backend"):
-        hausdorff(A, B)
+        hausdorff_report(A, B)
 
 
 # -- scenario runs ----------------------------------------------------------
@@ -103,7 +105,7 @@ def test_curvature_stats_flat_line(flat_backend):
 def test_curvature_stats_sphere(sphere_backend):
     from cutlab.submanifold import surface_curve
     N = curve_submanifold(surface_curve("equator", radius=1.0))
-    st = curvature_stats(sphere_backend, N, grid_spacing=0.1)
+    st = curvature_stats(sphere_backend, N)
     assert st["K_max"] == pytest.approx(1.0, abs=1e-3)
     assert st["eps_std"] == pytest.approx(np.pi / 2, abs=5e-3)
 

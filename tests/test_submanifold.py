@@ -215,7 +215,7 @@ def test_foot_point_wraparound(flat_backend):
 
 def test_foot_point_beyond_tube_is_coarse(flat_backend):
     N = curve_submanifold(chart_curve("horizontal-circle", (1.0, 1.0), y0=0.0))
-    fp = foot_point(flat_backend, N, [0.5, 0.4], tube_radius=0.1)
+    fp = foot_point(flat_backend, N, [0.5, 0.4])
     assert fp.coarse
 
 
@@ -229,7 +229,7 @@ def test_foot_points_match_foot_point_row_by_row(warped_backend):
     Q = np.array([[0.37, 0.04], [0.999, 0.98], [0.5, 0.4], [0.0, 0.0]])
     s, d_est, coarse = foot_points(warped_backend, N, Q, tube_radius=0.1)
     for i, q in enumerate(Q):
-        fp = foot_point(warped_backend, N, q, tube_radius=0.1)
+        fp = foot_point(warped_backend, N, q)
         assert (fp.s, fp.d_est, fp.coarse) == (s[i], d_est[i], coarse[i])
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cutlab.config import scenario
+from cutlab.geodesics import hermite_sample
 from cutlab.submanifold import chart_curve, curve_submanifold, \
     point_submanifold, surface_curve
 from cutlab import wavefront
@@ -57,13 +58,6 @@ def test_distance_err_and_metadata(flat_line_atlas):
     assert 0.0 <= r.t <= flat_line_atlas.t_max
 
 
-def test_certificate_shrinks_with_more_directions(flat_backend):
-    N = curve_submanifold(chart_curve("horizontal-circle", (1.0, 1.0), y0=0.0))
-    c64 = build_atlas(flat_backend, N, 64, 0.8, 1e-3).certificate
-    c256 = build_atlas(flat_backend, N, 256, 0.8, 1e-3).certificate
-    assert c256 < c64
-
-
 def test_coverage_error_past_front(flat_backend):
     N = curve_submanifold(chart_curve("horizontal-circle", (1.0, 1.0), y0=0.0))
     short = build_atlas(flat_backend, N, 64, 0.3, 1e-3)
@@ -92,7 +86,6 @@ def test_thread_count_does_not_change_atlas(flat_backend):
     a8 = build_atlas(flat_backend, N, 64, 0.8, 1e-3)
     np.testing.assert_array_equal(a1.sample_pos, a8.sample_pos)
     np.testing.assert_array_equal(a1.sample_t, a8.sample_t)
-    assert a1.certificate == a8.certificate
 
 
 def test_validation_grid_chart(flat_backend):
@@ -170,7 +163,9 @@ def _queries(atlas, rng, n=80):
         scattered = b.project(rng.standard_normal((n, 3)))
     J = rng.integers(0, atlas.batch.n_paths, n)
     T = rng.random(n) * atlas.t_max
-    on_paths = np.array([atlas.path_point(j, t)[0] for j, t in zip(J, T)])
+    batch = atlas.batch
+    on_paths = np.array([hermite_sample(batch.t, batch.pos[j], batch.vel[j],
+                                        t)[0] for j, t in zip(J, T)])
     beside = on_paths + 1e-3 * rng.standard_normal(on_paths.shape)
     if b.dim == 3:
         beside = b.project(beside)
