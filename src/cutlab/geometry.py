@@ -42,19 +42,65 @@ def row_sum(a) -> np.ndarray:
     return out
 
 
+def wrap_periodic(x, periods, origin=None) -> np.ndarray:
+    """x modulo its periods into [0, L], or x - origin into [-L/2, L/2] (moved
+    by L/2, reduced and moved back), as x - L floor(x / L) with each column's
+    own period L; a float reduces every entry.  At a power-of-two L only the
+    subtraction rounds, as in np.mod, and the two agree bit for bit (bar a
+    negative subnormal x at L > 1).  Elsewhere L floor(x / L) is formed as
+    hi + lo parts, within one ulp of L of np.mod on the circle of length L
+    (a hair below 0 where np.mod gives a hair below L)."""
+    x = np.asarray(x, dtype=float)
+    if not isinstance(periods, float) and len(set(periods)) > 1:
+        at = lambda o, i: None if o is None else np.asarray(o)[..., i]
+        return np.stack([wrap_periodic(x[..., i], float(L), at(origin, i))
+                         for i, L in enumerate(periods)], axis=-1)
+    L = periods if isinstance(periods, float) else float(periods[0])
+    if origin is None:
+        c = x
+    else:
+        c = np.subtract(x, origin)
+        c += 0.5 * L
+    k = np.empty(np.shape(c))       # floor(c / L), then the result
+    np.floor(c if L == 1.0 else np.divide(c, L, out=k), out=k)   # c / 1 is c
+    hi = float(np.float32(L))       # on 24 bits, so that hi k is exact
+    lo_k = None if hi == L else k * (L - hi)
+    if hi != 1.0:
+        k *= hi
+    np.subtract(c, k, out=k)
+    if lo_k is not None:
+        k -= lo_k
+    if origin is not None:
+        k -= 0.5 * L
+    return k
+
+
 # ---------------------------------------------------------------------------
 # jets: a field's value with its first and second derivatives
 # ---------------------------------------------------------------------------
 
 class Jet(NamedTuple):
-    """A field at a batch of points and its coordinate derivatives, None
-    above the order asked for.  Derivative axes (d1[l], d2[l, m]) lead, the
-    value's own axes ((2, 2) for a chart metric) follow and the point axes
-    come last, so every operation runs along the points."""
+    """A scalar field at a batch of points and its coordinate derivatives,
+    None above the order asked for.  Derivative axes (d1[l], d2[l, m]) lead
+    and the point axes come last, so every operation runs along the
+    points."""
 
     val: np.ndarray
     d1: np.ndarray | None = None
     d2: np.ndarray | None = None
+
+
+class MetricJet(NamedTuple):
+    """The jet of a chart metric [[E, F], [F, G]] as the scalar jets of its
+    entries, F None where it is zero (every bundled metric is diagonal)."""
+
+    E: Jet
+    F: Jet | None
+    G: Jet
+
+    @property
+    def val(self):
+        return tuple(None if e is None else e.val for e in self)
 
 
 def _const(p, c: float, order: int) -> Jet:
@@ -77,24 +123,33 @@ def _sinusoid(p, order: int, axis: int, amp: float, w: float,
     return Jet(val if offset is None else offset + val, d1, d2)
 
 
-def _sum(a: float, A: Jet, b: float, B: Jet) -> Jet:
-    """The jet of a A + b B."""
+def _sum(a, A, b, B):
+    """The jet of a A + b B, of scalar or metric jets (entry by entry, an
+    absent F being zero)."""
+    if isinstance(A, MetricJet):
+        return MetricJet(*(_sum(a, X, b, Y) for X, Y in zip(A, B)))
+    if A is None or B is None:
+        if A is B:
+            return None
+        c, C = (b, B) if A is None else (a, A)
+        return Jet(*(None if x is None else c * x for x in C))
     return Jet(*(None if x is None else a * x + b * y for x, y in zip(A, B)))
 
 
-def _times(f: Jet, G: Jet) -> Jet:
-    """The jet of f G for a scalar f and a G of any rank (product rule)."""
+def _times(f: Jet, G):
+    """The jet of f G for a scalar f and a scalar or metric G (product
+    rule, entry by entry)."""
+    if isinstance(G, MetricJet):
+        return MetricJet(*(None if g is None else _times(f, g) for g in G))
     val = f.val * G.val
     if G.d1 is None:
         return Jet(val)
-    lift = (slice(None),) + (None,) * (G.val.ndim - f.val.ndim)   # d -> d, 1..
-    d1 = f.d1[lift] * G.val + f.val * G.d1
+    d1 = f.d1 * G.val + f.val * G.d1
     if G.d2 is None:
         return Jet(val, d1)
-    cross = f.d1[lift][:, None] * G.d1                # [l, m] = f_l G_m
-    d2 = (f.d2[(slice(None),) + lift] * G.val + cross + cross.swapaxes(0, 1)
-          + f.val * G.d2)
-    return Jet(val, d1, d2)
+    cross = f.d1[:, None] * G.d1                      # [l, m] = f_l G_m
+    return Jet(val, d1,
+               f.d2 * G.val + cross + cross.swapaxes(0, 1) + f.val * G.d2)
 
 
 def _exp(c: float, f: Jet) -> Jet:
@@ -107,18 +162,10 @@ def _exp(c: float, f: Jet) -> Jet:
     return Jet(e, e * cf1, d2)
 
 
-def _diag(p, order: int, j11, j22) -> Jet:
-    """The chart metric jet diag(j11, j22); a float entry is a constant."""
-    parts = [np.zeros((2,) * (k + 2) + p.shape[:-1]) for k in range(order + 1)]
-    for i, j in enumerate((j11, j22)):
-        for k, x in enumerate(j[:order + 1] if isinstance(j, Jet) else (j,)):
-            parts[k][(slice(None),) * k + (i, i)] = x
-    return Jet(*parts)
-
-
-def _points_first(t, k: int = 2) -> np.ndarray:
-    """A view of a jet array, k value axes first, with the point axes first."""
-    return t.transpose(tuple(range(k, t.ndim)) + tuple(range(k)))
+def _diag(p, order: int, E, G) -> MetricJet:
+    """The chart metric jet diag(E, G); a float entry is a constant."""
+    const = lambda e: _const(p, e, order) if isinstance(e, float) else e
+    return MetricJet(const(E), None, const(G))
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +175,8 @@ def _points_first(t, k: int = 2) -> np.ndarray:
 @dataclass(frozen=True)
 class ScalarField:
     """Named smooth field with the parameters that built it; ``jet(p,
-    order)`` is its one definition and a call returns the jet's value."""
+    order)`` is its one definition and a call returns the jet's value (a
+    chart metric's jet is a MetricJet, whose value is (E, F, G))."""
 
     name: str
     params: dict
@@ -250,21 +298,21 @@ def blended_chart_field(g0: ScalarField, g1: ScalarField,
 # periodic chart backend
 # ---------------------------------------------------------------------------
 
-def _spd_det(pts, g) -> np.ndarray:
-    """det g of chart metrics g (2, 2, ...) at pts; raises unless every g
-    is finite and positive definite."""
-    if not np.isfinite(g).all():
-        bad = pts[~np.all(np.isfinite(g), axis=(0, 1))]
-        raise GeometryError(f"non-finite metric entries at {bad[:1]}")
-    det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-    if (det <= 1e-12).any() or (g[0, 0] <= 0.0).any():
-        bad = pts[(det <= 1e-12) | (g[0, 0] <= 0.0)]
+def _spd_det(pts, E, F, G) -> np.ndarray:
+    """det g of chart metrics [[E, F], [F, G]] at pts, F None where it is
+    zero; raises unless every g is finite and positive definite."""
+    finite = np.isfinite(E) & np.isfinite(G)
+    if F is not None:
+        finite &= np.isfinite(F)
+    if not finite.all():
+        raise GeometryError(f"non-finite metric entries at {pts[~finite][:1]}")
+    det = E * G if F is None else E * G - F * F
+    if (det <= 1e-12).any() or (E <= 0.0).any():
+        bad = pts[(det <= 1e-12) | (E <= 0.0)]
         raise GeometryError(f"metric not positive definite at {bad[:1]}")
     return det
 
 
-_ROT = np.array([[0.0, -1.0], [1.0, 0.0]])
-_ADJ_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])   # adj g = det g * g^{-1}
 _JET_CHUNK = 4096        # points per curvature call: jets, Hessians, adjugates
 
 
@@ -298,7 +346,9 @@ class PeriodicChart(_Shared):
     """Torus-like chart [0, L1) x [0, L2) with a smooth periodic metric field.
 
     Chart coordinates stay unwrapped during integration (the metric field is
-    periodic); only ``wrap``/``aux_gap`` reduce modulo the periods.
+    periodic); only ``wrap``/``aux_gap`` reduce modulo the periods.  The
+    metric travels as its entries (see MetricJet); with F zero each product
+    rounds as over the (2, 2) matrix.
     """
 
     periods: tuple[float, float]
@@ -310,19 +360,22 @@ class PeriodicChart(_Shared):
 
     # -- metric ------------------------------------------------------------
 
-    def metric(self, pts) -> np.ndarray:
+    def metric(self, pts):
+        """The entries (E, F, G) of the metric at pts, F None where it is
+        zero; raises unless every metric is finite and positive definite."""
         pts = np.asarray(pts, dtype=float)
         g = self.metric_field(pts)
-        _spd_det(pts, g)
-        return _points_first(g)
+        _spd_det(pts, *g)
+        return g
 
     def inner(self, pts, v, w) -> np.ndarray:
-        return np.einsum("...ij,...i,...j->...", self.metric(pts), v, w)
+        return row_sum(self.lower(pts, v) * w)
 
     def lam_sqrt_max(self, pts) -> np.ndarray:
         """sqrt of the largest metric eigenvalue (chart-gap -> g-length bound)."""
-        (a, b2), (_, c) = self.metric_field(pts)
-        return np.sqrt(0.5 * (a + c + np.sqrt((a - c) ** 2 + 4.0 * b2 ** 2)))
+        a, b, c = self.metric_field(pts)
+        s = (a - c) ** 2 if b is None else (a - c) ** 2 + 4.0 * b ** 2
+        return np.sqrt(0.5 * (a + c + np.sqrt(s)))
 
     # -- Christoffel action ------------------------------------------------
 
@@ -330,29 +383,42 @@ class PeriodicChart(_Shared):
         """Gamma^k_ij v^i v^j, the quadratic Christoffel action on v."""
         pts = np.asarray(pts, dtype=float)
         v = np.asarray(v, dtype=float)
-        g, dg, _ = self.metric_field.jet(pts, 1)      # dg[l, i, j] = d_l g_ij
-        det = _spd_det(pts, g)
-        # cov_l = (v . d)(g v)_l - 1/2 d_l g(v, v) = T[l, i, j] v^i v^j with
-        # T[l, i, j] = d_i g_jl - 1/2 d_l g_ij; then g^{-1} cov by the adjugate
+        E, F, G = self.metric_field.jet(pts, 1)
+        det = _spd_det(pts, E.val, None if F is None else F.val, G.val)
+        # cov_l = (v . d)(g v)_l - 1/2 d_l g(v, v): with P = (E_x x, E_y x)
+        # and Q = (G_x y, G_y y), cov_x = P_x x / 2 + (P_y - Q_x / 2) y and
+        # cov_y = (Q_x - P_y / 2) x + Q_y y / 2, plus F_y y^2 and F_x x^2
         x, y = v[..., 0], v[..., 1]
-        T = dg.transpose((2, 0, 1) + tuple(range(3, dg.ndim))) - 0.5 * dg
-        U = T[:, :, 0] * x
-        U += T[:, :, 1] * y
-        cov = U[:, 0] * x
-        cov += U[:, 1] * y
-        cov /= det
-        adj = g[::-1, ::-1] * _ADJ_SIGNS.reshape((2, 2) + (1,) * det.ndim)
-        return _points_first(adj[:, 0] * cov[0] + adj[:, 1] * cov[1], 1)
+        P, Q = E.d1 * x, G.d1 * y
+        hP, hQ = 0.5 * P, 0.5 * Q
+        ax, ay = P[1] - hQ[0], Q[0] - hP[1]
+        if F is not None:
+            ax += F.d1[1] * y
+            ay += F.d1[0] * x
+        cov_x = hP[0] * x + ax * y
+        cov_y = ay * x + hQ[1] * y
+        # then g^{-1} cov by the adjugate [[G, -F], [-F, E]] / det
+        cov_x /= det
+        cov_y /= det
+        acc = np.empty(cov_x.shape + (2,))
+        np.multiply(G.val, cov_x, out=acc[..., 0])
+        np.multiply(E.val, cov_y, out=acc[..., 1])
+        if F is not None:
+            acc[..., 0] -= F.val * cov_y
+            acc[..., 1] -= F.val * cov_x
+        return acc
 
     # -- curvature ---------------------------------------------------------
 
     def _curvature(self, pts) -> np.ndarray:
-        """Gauss curvature by Brioschi's formula on the metric's 2-jet."""
-        g, dg, ddg = self.metric_field.jet(pts, 2)
-        (E, F), (_, G) = g
-        (E_u, F_u), (_, G_u) = dg[0]
-        (E_v, F_v), (_, G_v) = dg[1]
-        E_vv, F_uv, G_uu = ddg[1, 1, 0, 0], ddg[0, 1, 0, 1], ddg[0, 0, 1, 1]
+        """Gauss curvature by Brioschi's formula on the metric's 2-jet; an
+        absent F enters as the number 0."""
+        Ej, Fj, Gj = self.metric_field.jet(pts, 2)
+        E, (E_u, E_v), E_vv = Ej.val, Ej.d1, Ej.d2[1, 1]
+        G, (G_u, G_v), G_uu = Gj.val, Gj.d1, Gj.d2[0, 0]
+        F = F_u = F_v = F_uv = 0.0
+        if Fj is not None:
+            F, (F_u, F_v), F_uv = Fj.val, Fj.d1, Fj.d2[0, 1]
 
         def det3(a11, a12, a13, a21, a22, a23, a31, a32, a33):
             return (a11 * (a22 * a33 - a23 * a32)
@@ -370,13 +436,11 @@ class PeriodicChart(_Shared):
     # -- auxiliary (Hausdorff) distance -------------------------------------
 
     def wrap(self, pts) -> np.ndarray:
-        return np.mod(np.asarray(pts, dtype=float), np.array(self.periods))
+        return wrap_periodic(pts, self.periods)
 
     def aux_gap(self, p, q) -> np.ndarray:
         """Wraparound chart displacement q - p, each component in [-L/2, L/2)."""
-        L = np.array(self.periods)
-        d = np.asarray(q, dtype=float) - np.asarray(p, dtype=float)
-        return np.mod(d + 0.5 * L, L) - 0.5 * L
+        return wrap_periodic(q, self.periods, origin=p)
 
     def aux_distance(self, p, q) -> np.ndarray:
         d = self.aux_gap(p, q)
@@ -390,7 +454,10 @@ class PeriodicChart(_Shared):
     def lower(self, pts, v):
         """The covector g v of each velocity: row_sum(lower(x, v) * w) is
         g_x(v, w)."""
-        return (self.metric(pts) @ v[..., None])[..., 0]
+        E, F, G = self.metric(pts)
+        v = np.asarray(v, dtype=float)
+        F, x, y = 0.0 if F is None else F, v[..., 0], v[..., 1]
+        return np.stack([E * x + F * y, F * x + G * y], axis=-1)
 
     def retract(self, x, v):
         """A state after an RK4 step; a chart has no constraint to restore."""
@@ -401,8 +468,10 @@ class PeriodicChart(_Shared):
         return tuple(np.broadcast_to(e, np.shape(pts)) for e in np.eye(2))
 
     def left_normal(self, base, tan):
-        """Normals to the tangents (k, 2), to their left: the rotated g tan."""
-        return (_ROT @ (self.metric(base) @ tan[:, :, None]))[:, :, 0]
+        """Normals to the tangents (k, 2), to their left: g tan turned a
+        quarter; a zero is +0.0, as in the product with a rotation matrix."""
+        g_tan = self.lower(base, tan)
+        return np.stack([0.0 - g_tan[:, 1], g_tan[:, 0] + 0.0], axis=-1)
 
     def covariant_derivative(self, base, tan, n0, dn):
         """D_tan n of a field n = n0 with coordinate derivative dn."""
@@ -426,7 +495,10 @@ class PeriodicChart(_Shared):
 
     def dual_norm(self, q, du) -> np.ndarray:
         """g-norm at each point q of the differential with components du."""
-        ginv = np.linalg.inv(self.metric(q))
+        E, F, G = self.metric(q)
+        F = np.zeros_like(E) if F is None else F
+        g = np.stack([E, F, F, G], axis=-1).reshape(E.shape + (2, 2))
+        ginv = np.linalg.inv(g)
         return np.sqrt((du[:, None, :] @ ginv @ du[:, :, None])[:, 0, 0])
 
 
@@ -549,8 +621,8 @@ class ImplicitSurface(_Shared):
 
     def psi_gradient(self, pts) -> np.ndarray:
         """The ambient gradient of psi."""
-        return _points_first(self.psi.jet(np.asarray(pts, dtype=float), 1).d1,
-                             1)
+        return np.moveaxis(self.psi.jet(np.asarray(pts, dtype=float), 1).d1,
+                           0, -1)
 
     # -- geodesic acceleration ----------------------------------------------
 
@@ -603,9 +675,9 @@ class ImplicitSurface(_Shared):
 
         tangent_trace = lambda A: (np.trace(A, axis1=-2, axis2=-1)
                                    - np.einsum("...i,...ij,...j->...", n, A, n))
-        lap = (tangent_trace(_points_first(psi.d2))
+        lap = (tangent_trace(np.moveaxis(psi.d2, (0, 1), (-2, -1)))
                - tangent_trace(self.surface.hess(pts)) / norm
-               * row_sum(_points_first(psi.d1, 1) * n))
+               * row_sum(np.moveaxis(psi.d1, 0, -1) * n))
         return (K - lap) / np.exp(2.0 * psi.val)
 
     # -- auxiliary distance -------------------------------------------------

@@ -103,11 +103,14 @@ def run_case(b: Backend, N: SubmanifoldSpec, res: Resolution,
     normal directions when they were integrated elsewhere.  The cut-time
     search runs on up to ``workers`` processes (None: one per CPU); the
     result does not depend on their number.  Its ``timings`` hold the
-    seconds of the atlas RK4 ("rk4", unless paths are given) and of the
-    Jacobi focal solve ("focal")."""
+    seconds of the atlas RK4 ("rk4", unless paths are given), of the index
+    build after it ("atlas"), of the loop scan ("loop_scan"), of the Jacobi
+    focal solve ("focal") and of the cut-time search ("cut_times")."""
     timings = {}
     atlas = build_atlas(b, N, res.m, res.t_max, res.dt, paths, timings)
+    t0 = time.perf_counter()
     l_half, loops = loop_scan(b, N, atlas, res.capture_radius, res.angle_tol)
+    timings["loop_scan"] = time.perf_counter() - t0
     profiles = compute_profiles(b, N, atlas, loops, res.tol, workers=workers,
                                 timings=timings)
     focal = np.array([p.focal_t for p in profiles])
@@ -148,6 +151,7 @@ class SweepTable:
     verdicts: dict = field(default_factory=dict)
     seconds: dict = field(default_factory=dict)     # tau -> case wall time
     rk4_seconds: dict = field(default_factory=dict)  # taus -> stacked RK4
+    stage_seconds: dict = field(default_factory=dict)  # tau -> stage timings
 
     def column(self, key):
         return [r.get(key) for r in self.records]
@@ -156,8 +160,8 @@ class SweepTable:
 @dataclass
 class _Case:
     """What a sweep keeps of a run_case, in plain arrays that a worker can
-    pickle: the cloud without its backend, and (s, side, rho, focal_t) per
-    profile."""
+    pickle: the cloud without its backend, (s, side, rho, focal_t) per
+    profile, and the run's stage timings."""
 
     cloud: PointCloud
     profiles: np.ndarray
@@ -167,13 +171,14 @@ class _Case:
     fmin: float
     l_half: float
     err: float
+    timings: dict
 
 
 def _case_summary(r: ScenarioResult) -> _Case:
     prof = np.array([(p.s, p.side, p.rho, p.focal_t) for p in r.profiles],
                     dtype=float).reshape(-1, 4)
     return _Case(replace(r.cloud, backend=None), prof, r.inj_direct,
-                 r.inj_char, r.branch, r.fmin, r.l_half, r.err)
+                 r.inj_char, r.branch, r.fmin, r.l_half, r.err, r.timings)
 
 
 def _case_record(case: _Case, base: _Case | None, res: Resolution) -> dict:
@@ -321,8 +326,10 @@ def _sweep(description, backend_at, N_at, taus, res: Resolution,
         rec["tau"] = tau
         records.append(rec)
         seconds[tau] = secs + time.perf_counter() - t0
+    stages = {tau: outcomes[tau][0].timings for tau in ladder
+              if isinstance(outcomes.get(tau, (None,))[0], _Case)}
     table = SweepTable(description, taus, asdict(res), base_rec, records,
-                       seconds=seconds, rk4_seconds=rk4)
+                       seconds=seconds, rk4_seconds=rk4, stage_seconds=stages)
     table.verdicts = _sweep_verdicts(table, base.err, FINAL_INJ_TOL,
                                      FINAL_DH_TOL, FINAL_RHO_TOL)
     return table

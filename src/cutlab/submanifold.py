@@ -7,7 +7,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import Backend, GeometryError, check_params
+from .geometry import Backend, GeometryError, check_params, wrap_periodic
 
 _DS = 1e-5          # parameter step for curve/normal-field derivatives
 CURVATURE_SAFETY = 1.1  # factor on the sampled max |kappa| (Delta)
@@ -23,7 +23,7 @@ class CurveSpec:
     fn: Callable[[np.ndarray], np.ndarray]
 
     def __call__(self, s):
-        return self.fn(np.mod(np.asarray(s, dtype=float), 1.0))
+        return self.fn(wrap_periodic(s, 1.0))
 
     def velocity(self, s):
         # differentiate the raw representative: chart curves like (L1 s, y0)
@@ -273,7 +273,7 @@ def foot_points(b: Backend, N: SubmanifoldSpec, Q: np.ndarray,
         j = b.aux_distance(pts[None, :, :], Q[:, None, :]).argmin(axis=1)
         x = golden_section(lambda s, idx: b.aux_distance(N.curve(s), Q[idx]),
                            (j - 1) / m, (j + 1) / m, FOOT_TOL)
-        s = np.mod(x, 1.0)
+        s = wrap_periodic(x, 1.0)
         foot = N.curve(s)
         d_aux = b.aux_distance(N.curve(x), Q)
     # inside the tube: the first-order g-length of the gap

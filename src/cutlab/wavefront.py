@@ -10,7 +10,7 @@ import numpy as np
 
 from .forking import _fork_map, _worker_count
 from .geodesics import BatchPaths, integrate_batch
-from .geometry import Backend, row_sum, validation_grid
+from .geometry import Backend, row_sum, validation_grid, wrap_periodic
 from .submanifold import NormalFrame, SubmanifoldSpec, frames_for
 
 class CoverageError(Exception):
@@ -51,7 +51,7 @@ class _Grid:
         modulo the periods first (atlas samples are already wrapped)."""
         if self.period is None:
             return np.floor((pts - self.origin) / self.width).astype(np.int64)
-        x = np.mod(pts, self.period) if wrap else pts
+        x = wrap_periodic(pts, self.period) if wrap else pts
         ij = np.floor(x / self.width).astype(np.int64)
         return np.minimum(ij, np.array(self.shape) - 1)
 
@@ -220,7 +220,8 @@ def build_atlas(b: Backend, N: SubmanifoldSpec, m: int, t_max: float,
     """Integrate all normal directions as one batch and index the samples
     for distance queries.  ``paths`` are the (frames, BatchPaths) of the
     directions when they were integrated elsewhere (stacked_paths); else
-    the RK4's seconds go to ``timings["rk4"]`` when timings is given."""
+    the RK4's seconds go to ``timings["rk4"]`` when timings is given.  The
+    seconds of the index build after the RK4 go to ``timings["atlas"]``."""
     if paths is None:
         frames, p0, v0 = normal_starts(b, N, m)
         t0 = time.perf_counter()
@@ -229,6 +230,7 @@ def build_atlas(b: Backend, N: SubmanifoldSpec, m: int, t_max: float,
             timings["rk4"] = time.perf_counter() - t0
     else:
         frames, batch = paths
+    t0 = time.perf_counter()
     local_gap = _local_gaps(b, N, batch, m).reshape(-1)
     med_gap = max(float(np.median(local_gap)), dt)
     wrapped = b.wrap(batch.pos.reshape(-1, batch.pos.shape[-1]))
@@ -249,10 +251,12 @@ def build_atlas(b: Backend, N: SubmanifoldSpec, m: int, t_max: float,
     index = _sample_index(b, grid, wrapped, _caps(local_gap, dt), cell, dt,
                           lo, hi)
     sample_vel = batch.vel.reshape(-1, batch.pos.shape[-1])
+    sample_covel = b.lower(wrapped, sample_vel)
+    if timings is not None:
+        timings["atlas"] = time.perf_counter() - t0
     return WavefrontAtlas(b, N, frames, batch, dt, t_max, err,
                           wrapped, sample_t, sample_dir, sample_lam,
-                          sample_vel, b.lower(wrapped, sample_vel),
-                          local_gap, med_gap,
+                          sample_vel, sample_covel, local_gap, med_gap,
                           cell, order, starts, index)
 
 
@@ -324,20 +328,19 @@ def _distance_rows(atlas: WavefrontAtlas, Q: np.ndarray):
     pick = np.full(n, -1, dtype=np.int64)
     d = np.full(n, np.nan)
     gap = np.full(n, np.nan)
-    near = functools.partial(_near, atlas, Q, atlas.backend.wrap(Q))
     for c0 in range(0, n, _CHUNK_Q):
         Qc = Q[c0:c0 + _CHUNK_Q]
         parts = [t.ranges(t.grid.cells(Qc), 1) for t in ix.tiers]
         rows, lo, hi = (np.concatenate(a) for a in zip(*parts))
         for qi, s in _pairs(rows + c0, lo, hi, ix.order):
-            _nearest(atlas, *near(qi, s), pick, d, gap)
+            _nearest(atlas, *_near(atlas, Q, qi, s), pick, d, gap)
     # no near sample in ring 1: widen the ring over every sample
     pending = np.flatnonzero(pick < 0)
     for rings in _RING_LADDER:
         if not pending.size:
             break
         for qi, s in ring_pairs(atlas, Q[pending], rings):
-            _nearest(atlas, *near(pending[qi], s), pick, d, gap)
+            _nearest(atlas, *_near(atlas, Q, pending[qi], s), pick, d, gap)
         pending = pending[pick[pending] < 0]
     found = pick >= 0
     s = pick[found]
@@ -353,25 +356,15 @@ def _distance_rows(atlas: WavefrontAtlas, Q: np.ndarray):
     return d, err, dir_idx, t, status
 
 
-def _near(atlas, Q, Qw, qi, s):
+def _near(atlas, Q, qi, s):
     """The (query row, sample) pairs whose auxiliary gap is at most the
-    sample's cap, with that gap's length and vector; Qw is Q wrapped.
+    sample's cap, with that gap's length and vector.
 
     Row gathers use take and masks flatnonzero: NumPy's fancy and boolean
     indexing copy the same values several times slower."""
-    b = atlas.backend
-    x = atlas.sample_pos.take(s, axis=0)
     cap = _caps(atlas.sample_gap.take(s), atlas.dt)
-    if b.periods is not None:
-        # np.mod in aux_gap is costly: first drop the pairs whose folded
-        # gap min(|dx|, L - |dx|), which is within rounding of the exact
-        # one, exceeds the cap by more than a 1e-6 relative margin
-        L = np.array(b.periods)
-        f = np.abs(Qw.take(qi, axis=0) - x)
-        f = np.minimum(f, L - f)
-        i = np.flatnonzero(row_sum(f * f) <= np.square(cap * (1.0 + 1e-6)))
-        qi, s, x, cap = qi.take(i), s.take(i), x.take(i, axis=0), cap.take(i)
-    vec = b.aux_gap(x, Q.take(qi, axis=0))
+    vec = atlas.backend.aux_gap(atlas.sample_pos.take(s, axis=0),
+                                Q.take(qi, axis=0))
     # the length b.aux_distance takes, on both backends, bit for bit
     gaps = np.sqrt(row_sum(vec * vec))
     i = np.flatnonzero(gaps <= cap)

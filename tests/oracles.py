@@ -270,6 +270,53 @@ def reference_cut_time(atlas, dir_idx, distance_fn, kink_root, tol=1e-3):
     return rho, flags
 
 
+# -- the chart wraparound by np.mod ------------------------------------------
+def reference_wrap(b, pts):
+    """A PeriodicChart's wrap as np.mod over the periods broadcast per row."""
+    return np.mod(np.asarray(pts, dtype=float), np.array(b.periods))
+
+
+def reference_aux_gap(b, p, q):
+    """A PeriodicChart's aux_gap as np.mod: the displacement q - p moved by
+    L/2, reduced modulo L and moved back, L broadcast per row."""
+    L = np.array(b.periods)
+    d = np.asarray(q, dtype=float) - np.asarray(p, dtype=float)
+    return np.mod(d + 0.5 * L, L) - 0.5 * L
+
+
+# -- chart metrics in the dense (2, 2) layout ---------------------------------
+def dense_jet(jet):
+    """A chart MetricJet (E, F, G) in the dense layout, with val[i, j],
+    d1[l, i, j] and d2[l, m, i, j] = d_l d_m g_ij and the point axes last;
+    an absent F reads 0.  A scalar jet is returned as it is."""
+    from cutlab.geometry import Jet, MetricJet
+    if not isinstance(jet, MetricJet):
+        return jet
+    E, F, G = jet
+    parts = []
+    for k in range(3):
+        if E[k] is None:
+            parts.append(None)
+            continue
+        g = np.zeros(E[k].shape[:k] + (2, 2) + E[k].shape[k:])
+        at = (slice(None),) * k
+        g[at + (0, 0)], g[at + (1, 1)] = E[k], G[k]
+        if F is not None:
+            g[at + (0, 1)] = g[at + (1, 0)] = F[k]
+        parts.append(g)
+    return Jet(*parts)
+
+
+def dense_metric(b, pts):
+    """A PeriodicChart's checked metric at pts as (..., 2, 2) matrices."""
+    E, F, G = b.metric(pts)
+    g = np.zeros(np.shape(E) + (2, 2))
+    g[..., 0, 0], g[..., 1, 1] = E, G
+    if F is not None:
+        g[..., 0, 1] = g[..., 1, 0] = F
+    return g
+
+
 # -- Christoffel action and curvature of a chart metric ---------------------
 def _ginv(g):
     det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
@@ -292,7 +339,7 @@ def _contract_gamma2(g, dg, v):
 def einsum_gamma2(b, pts, v):
     """Gamma^k_ij v^i v^j of a PeriodicChart as three einsums over the
     value and first derivatives of its metric field's jet."""
-    g, dg, _ = b.metric_field.jet(np.asarray(pts, dtype=float), 1)
+    g, dg, _ = dense_jet(b.metric_field.jet(np.asarray(pts, dtype=float), 1))
     # the jet puts the point axes last
     return _contract_gamma2(np.moveaxis(g, (0, 1), (-2, -1)),
                             np.moveaxis(dg, (0, 1, 2), (-3, -2, -1)),
@@ -307,7 +354,8 @@ def _field_metric(b, pts):
     """A PeriodicChart's metric at pts, point axes first, straight from its
     metric field: a difference step may leave the region where the metric
     is positive definite, which b.metric refuses."""
-    return np.moveaxis(b.metric_field(pts), (0, 1), (-2, -1))
+    return np.moveaxis(dense_jet(b.metric_field.jet(pts, 0)).val, (0, 1),
+                       (-2, -1))
 
 
 def fd_gamma2(b, pts, v, h=FD_GAMMA2_STEP):
@@ -318,7 +366,8 @@ def fd_gamma2(b, pts, v, h=FD_GAMMA2_STEP):
     dg = np.stack([_field_metric(b, pts + e1) - _field_metric(b, pts - e1),
                    _field_metric(b, pts + e2) - _field_metric(b, pts - e2)],
                   axis=-3) / (2.0 * h)
-    return _contract_gamma2(b.metric(pts), dg, np.asarray(v, dtype=float))
+    return _contract_gamma2(dense_metric(b, pts), dg,
+                            np.asarray(v, dtype=float))
 
 
 def fd_gauss_curvature(b, pts, h=FD_CURVATURE_STEP):
@@ -370,7 +419,7 @@ def reference_unit_normal(b, N, s, side):
     if float(b.norm(base, tan)) < 1e-10:
         raise GeometryError(f"degenerate curve velocity at s={s}")
     if b.periods is not None:
-        g = b.metric(base[None, :])[0]
+        g = dense_metric(b, base[None, :])[0]
         raw = _ROT @ (g @ tan)
     else:
         raw = np.cross(b.unit_surface_normal(base), tan)
@@ -507,7 +556,7 @@ def reference_gradient_probes(b, pts, h):
 def reference_grad_norm(b, q, du):
     """g-norm at q of the differential du given along the probe axes."""
     if b.periods is not None:
-        g = b.metric(q[None, :])[0]
+        g = dense_metric(b, q[None, :])[0]
         ginv = np.linalg.inv(g)
         return float(np.sqrt(du @ ginv @ du))
     return float(np.sqrt(np.sum(du ** 2)) / np.exp(b.psi(q[None, :])[0]))

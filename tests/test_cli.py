@@ -263,7 +263,8 @@ def test_validate_reports(tmp_path):
         rep["refinement"]["endpoint_err_fine"] <= 1e-12
     assert (out / "eikonal_residuals.csv").exists()
     timings = json.loads((out / "manifest.json").read_text())["timings_s"]
-    assert {"run_case", "rk4", "focal", "eikonal", "checks"} <= set(timings)
+    assert {"run_case", "rk4", "atlas", "loop_scan", "focal", "cut_times",
+            "eikonal", "checks"} <= set(timings)
 
 
 def test_validate_refinement_ratio_warped(tmp_path):

@@ -9,7 +9,7 @@ from cutlab.submanifold import (curve_submanifold, chart_curve,
                                 unit_normals)
 from cutlab.wavefront import normal_starts
 
-from oracles import (einsum_surface_gamma2, great_circle,
+from oracles import (dense_metric, einsum_surface_gamma2, great_circle,
                      normal_exp_jacobian, reference_integrate)
 
 
@@ -55,7 +55,7 @@ def _chart_starts(b):
 def _clairaut_drift(b, dt):
     # g = diag(1, b(x)^2) does not depend on y: p_y = b(x)^2 y' is constant
     B = integrate_batch(b, *_chart_starts(b), 1.5, dt)
-    p_y = b.metric(B.pos)[..., 1, 1] * B.vel[..., 1]
+    p_y = dense_metric(b, B.pos)[..., 1, 1] * B.vel[..., 1]
     return np.max(np.abs(p_y - p_y[:, :1]))
 
 

@@ -3,17 +3,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cutlab.geometry import (GeometryError, ImplicitSurface, Jet,
-                             PeriodicChart, ScalarField, ZERO_FIELD,
+                             MetricJet, PeriodicChart, ScalarField, ZERO_FIELD,
                              ambient_scalar_field, blended_chart_field,
                              chart_metric_field, chart_scalar_field,
                              conformal_chart_field, conformal_family,
                              level_surface, linear_blend, row_sum,
-                             same_backend_family)
+                             same_backend_family, wrap_periodic)
 from cutlab.submanifold import chart_curve, surface_curve
 
-from oracles import (diag_metric_christoffel_action, einsum_gamma2,
+from oracles import (dense_jet, dense_metric,
+                     diag_metric_christoffel_action, einsum_gamma2,
                      einsum_surface_gamma2, fd_gamma2, fd_gauss_curvature,
-                     reference_retract, warped_curvature)
+                     reference_aux_gap, reference_retract, reference_wrap,
+                     warped_curvature)
 
 pts2 = st.tuples(st.floats(0, 1), st.floats(0, 1)).map(np.array)
 vecs2 = st.tuples(st.floats(-2, 2), st.floats(-2, 2)).map(np.array)
@@ -61,8 +63,8 @@ def test_metric_symmetric_bilinear(p, v, w):
 
 def test_metric_periodicity_at_identified_boundary():
     b = warped()
-    g0 = b.metric(np.array([[0.0, 0.3]]))
-    g1 = b.metric(np.array([[1.0, 0.3]]))
+    g0 = dense_metric(b, np.array([[0.0, 0.3]]))
+    g1 = dense_metric(b, np.array([[1.0, 0.3]]))
     assert np.max(np.abs(g0 - g1)) <= 1e-12
 
 
@@ -154,25 +156,20 @@ def test_gamma2_matches_einsum_oracle_bitwise(name, n):
 
 
 def _off_diagonal_jet(p, order):
-    """A metric with g12 != 0 and its first derivatives, by hand, in the
-    jet layout: dg[l, i, j, ...] = d_l g_ij."""
+    """A metric with g12 = F != 0 and its first derivatives, by hand, as
+    the jets of its entries E, F and G: d1[l, ...] = d_l of the entry."""
     if order > 1:
         raise NotImplementedError
     w = 2.0 * np.pi
     sx, cx = np.sin(w * p[..., 0]), np.cos(w * p[..., 0])
     sy, cy = np.sin(w * p[..., 1]), np.cos(w * p[..., 1])
-    g = np.zeros((2, 2) + p.shape[:-1])
-    g[0, 0] = 1.5 + 0.3 * sx
-    g[1, 1] = 1.2 + 0.2 * cy
-    g[0, 1] = g[1, 0] = 0.3 * sx * cy
+    zero = np.zeros(p.shape[:-1])
+    E = Jet(1.5 + 0.3 * sx, np.stack([0.3 * w * cx, zero]))
+    F = Jet(0.3 * sx * cy, np.stack([0.3 * w * cx * cy, -0.3 * w * sx * sy]))
+    G = Jet(1.2 + 0.2 * cy, np.stack([zero, -0.2 * w * sy]))
     if not order:
-        return Jet(g)
-    dg = np.zeros((2, 2, 2) + p.shape[:-1])
-    dg[0, 0, 0] = 0.3 * w * cx
-    dg[1, 1, 1] = -0.2 * w * sy
-    dg[0, 0, 1] = dg[0, 1, 0] = 0.3 * w * cx * cy
-    dg[1, 0, 1] = dg[1, 1, 0] = -0.3 * w * sx * sy
-    return Jet(g, dg)
+        return MetricJet(*(Jet(e.val) for e in (E, F, G)))
+    return MetricJet(E, F, G)
 
 
 def test_gamma2_off_diagonal_field_matches_oracle():
@@ -197,8 +194,8 @@ def test_chart_metric_of_one_point_equals_its_batch_row():
     # a point evaluated alone reads the same metric as inside a batch
     b = warped()
     pts = np.random.default_rng(5).uniform(0.0, 1.0, (20000, 2))
-    one = np.stack([b.metric(p) for p in pts])
-    assert one.tobytes() == b.metric(pts).tobytes()
+    one = np.stack([dense_metric(b, p) for p in pts])
+    assert one.tobytes() == dense_metric(b, pts).tobytes()
 
 
 # -- Gauss curvature --------------------------------------------------------
@@ -287,30 +284,85 @@ def test_jet_matches_differences_of_its_values(name, rng):
     dim = 3 if name in ("ambient-constant", "linear-z", "sine-z",
                         "surface-psi") else 2
     p = rng.uniform(-1.0, 2.0, (64, dim))
-    jet = fld.jet(p, 2)
-    np.testing.assert_array_equal(jet.val, fld(p))
+    np.testing.assert_equal(fld(p), fld.jet(p, 2).val)
+    # a chart metric's entries are read in the dense (2, 2) layout
+    val = lambda q: dense_jet(fld.jet(q, 0)).val
+    jet = dense_jet(fld.jet(p, 2))
+    np.testing.assert_array_equal(jet.val, val(p))
     for order in (0, 1):
-        low = fld.jet(p, order)
+        low = dense_jet(fld.jet(p, order))
         np.testing.assert_array_equal(low.val, jet.val)
         assert (low.d1 is None) == (order == 0) and low.d2 is None
-    np.testing.assert_array_equal(fld.jet(p, 1).d1, jet.d1)
+    np.testing.assert_array_equal(dense_jet(fld.jet(p, 1)).d1, jet.d1)
     # central differences with O(h^2) truncation, about (w h)^2 / 6 of the
     # derivative for a wavenumber w <= 6 pi here; the bounds are a few times
     # that, relative to the size of the derivative
     E = np.eye(dim)
     h = 1e-4
     for l in range(dim):
-        fd = (fld(p + h * E[l]) - fld(p - h * E[l])) / (2 * h)
+        fd = (val(p + h * E[l]) - val(p - h * E[l])) / (2 * h)
         assert np.max(np.abs(jet.d1[l] - fd)) <= 5e-6 * (
             1.0 + np.max(np.abs(fd)))
     h = 1e-3
     for l in range(dim):
         for m in range(dim):
             e, f = h * E[l], h * E[m]
-            fd = (fld(p + e + f) - fld(p + e - f) - fld(p - e + f)
-                  + fld(p - e - f)) / (4 * h * h)
+            fd = (val(p + e + f) - val(p + e - f) - val(p - e + f)
+                  + val(p - e - f)) / (4 * h * h)
             assert np.max(np.abs(jet.d2[l, m] - fd)) <= 5e-4 * (
                 1.0 + np.max(np.abs(fd)))
+
+
+# -- the wraparound -----------------------------------------------------------
+
+def _wrap_inputs(L, seed):
+    """Per column of period L: signed zeros, +-1e-17, exact multiples of L
+    and their neighbours, points up to 5 periods away, and the periods
+    themselves in both directions; with origins on the chart for the gaps."""
+    rng = np.random.default_rng(seed)
+    cols = []
+    for Lc in L:
+        k = np.arange(-5.0, 6.0) * Lc
+        cols.append(np.concatenate([
+            [-0.0, 0.0, 1e-17, -1e-17], k, np.nextafter(k, np.inf),
+            np.nextafter(k, -np.inf), 0.5 * Lc + k,
+            rng.uniform(-5.0, 6.0, 4000) * Lc]))
+    x = np.stack(cols, axis=-1)
+    origins = np.concatenate([np.zeros((len(x) // 2, 2)),
+                              rng.random((len(x) - len(x) // 2, 2)) * L])
+    return x, origins
+
+
+@pytest.mark.parametrize("L", [(1.0, 1.0), (2.0, 0.5)])
+def test_wraparound_equals_np_mod_at_power_of_two_periods(L):
+    b = PeriodicChart(L, chart_metric_field("flat", L))
+    x, p = _wrap_inputs(L, 3)
+    got, want = b.wrap(x), reference_wrap(b, x)
+    # the documented exception: at L > 1 the quotient of a negative
+    # subnormal underflows to -0, and it stays itself where np.mod gives L
+    odd = (x < 0.0) & (x > -np.finfo(float).tiny) & (np.array(L) > 1.0)
+    assert got[~odd].tobytes() == want[~odd].tobytes()
+    assert got[odd].tobytes() == x[odd].tobytes()
+    assert np.count_nonzero(odd) == (L[0] > 1.0)
+    assert b.aux_gap(p, x).tobytes() == reference_aux_gap(b, p, x).tobytes()
+    # a scalar and a column of the same period reduce as a chart column
+    s = x[:, 1]
+    assert wrap_periodic(s, L[1]).tobytes() == np.mod(s, L[1]).tobytes()
+
+
+def test_wraparound_within_one_ulp_of_np_mod_elsewhere():
+    # off a power of two the floor and the product round: the result may
+    # sit a hair below 0 where np.mod's sits a hair below L, so the two are
+    # compared as points of the circle of length L
+    L = (0.7, 1.3)
+    b = PeriodicChart(L, chart_metric_field("flat", L))
+    x, p = _wrap_inputs(L, 4)
+    for got, want in ((b.wrap(x), reference_wrap(b, x)),
+                      (b.aux_gap(p, x), reference_aux_gap(b, p, x))):
+        dev = np.abs(got - want)
+        dev = np.minimum(dev, np.array(L) - dev)
+        assert np.all(dev <= np.spacing(np.array(L)))
+        assert np.count_nonzero(dev) > 0     # the case is not vacuous
 
 
 # -- families ---------------------------------------------------------------
@@ -335,8 +387,8 @@ def test_linear_blend_endpoints_and_midpoint():
     assert linear_blend(b0, b1, 1.0) is b1
     bm = linear_blend(b0, b1, 0.5)
     p = np.array([[0.25, 0.0]])
-    want = 0.5 * (b0.metric(p) + b1.metric(p))
-    assert np.max(np.abs(bm.metric(p) - want)) <= 1e-14
+    want = 0.5 * (dense_metric(b0, p) + dense_metric(b1, p))
+    assert np.max(np.abs(dense_metric(bm, p) - want)) <= 1e-14
 
 
 def test_conformal_family_on_surface():

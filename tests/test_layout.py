@@ -92,6 +92,52 @@ def test_only_the_fork_helper_forks():
                 if isinstance(n, ast.ImportFrom) and n.level > 0]
 
 
+# -- one wraparound -----------------------------------------------------------
+# np.mod costs tens of ns per element where the floor form of
+# geometry.wrap_periodic costs about one, and a (2,) period broadcast over
+# (n, 2) rows several more: every reduction modulo a period goes through
+# that helper.
+
+MOD_FUNCS = {"mod", "remainder", "fmod"}
+
+
+def mod_calls(source: str) -> list[tuple[int, str | None]]:
+    """(line, enclosing function or None) of every reference to np.mod,
+    np.remainder or np.fmod: as an attribute of any module, or imported by
+    name (then at the import)."""
+    out = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Attribute) and child.attr in MOD_FUNCS:
+                out.append((child.lineno, func))
+            elif isinstance(child, ast.ImportFrom) and child.module and \
+                    child.module.split(".")[0] == "numpy":
+                out.extend((child.lineno, func) for a in child.names
+                           if a.name in MOD_FUNCS)
+            visit(child, func)
+
+    visit(ast.parse(source), None)
+    return sorted(out, key=lambda c: c[0])
+
+
+def test_only_the_wraparound_helper_reduces_modulo_a_period():
+    src = ("import numpy as np\n"
+           "def f(x):\n    return np.mod(x, 1.0)\n"
+           "y = np.fmod(2.0, 1.0) + numpy.remainder(3.0, 2.0)\n"
+           "from numpy import remainder\n"
+           "def wrap_periodic(x, L):\n    return np.mod(x, L)\n")
+    assert mod_calls(src) == [(3, "f"), (4, None), (4, None), (5, None),
+                              (7, "wrap_periodic")]
+    found = [(p.name, line, func) for p in sorted(SRC.glob("*.py"))
+             for line, func in mod_calls(p.read_text())]
+    assert [c for c in found if c[0] != "geometry.py"
+            or c[2] != "wrap_periodic"] == []
+
+
 def _bench_tracing():
     spec = importlib.util.spec_from_file_location(
         "bench_tracing", ROOT / "bench" / "tracing.py")

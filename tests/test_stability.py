@@ -442,6 +442,9 @@ def test_manifest_times_every_case_and_every_stack(tmp_path, threads):
         _, out = _cli_sweep(tmp_path, name, threads)
         timings = json.loads((out / "manifest.json").read_text())["timings_s"]
         assert {f"case tau={t}" for t in ladder} <= set(timings)
+        # the stage seconds each case's worker measured
+        assert {f"{stage} tau={t}" for t in ladder for stage in
+                ("atlas", "loop_scan", "focal", "cut_times")} <= set(timings)
         stacks = [k[len("rk4 tau="):].split(",") for k in timings
                   if k.startswith("rk4 tau=")]
         assert len(stacks) == threads, name

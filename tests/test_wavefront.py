@@ -5,6 +5,7 @@ import pytest
 
 from cutlab.config import scenario
 from cutlab.geodesics import hermite_sample
+from cutlab.geometry import PeriodicChart, chart_metric_field
 from cutlab.submanifold import chart_curve, curve_submanifold, \
     point_submanifold, surface_curve
 from cutlab import wavefront
@@ -283,26 +284,36 @@ def test_probes_and_dual_norm_match_reference_bitwise(name, request, rng):
         assert g == reference_grad_norm(b, q, d)
 
 
-# -- the near filter's prefilter and the sort-free pick ----------------------
+# -- the near filter at the seam and the sort-free pick ----------------------
 
-def _seam_queries(rng, n=40):
-    """Points within 1e-4 of the chart's seams x = 0 = 1 and y = 0 = 1."""
+@pytest.fixture(scope="module")
+def odd_period_atlas():
+    # periods that are no powers of two, where the wraparound rounds
+    L = (0.7, 1.3)
+    b = PeriodicChart(L, chart_metric_field("warped-diag", L, amplitude=0.2))
+    return build_atlas(b, point_submanifold([0.3, 0.6]), 128, 1.0, 2e-3)
+
+
+def _seam_queries(rng, L, n=40):
+    """Points within 1e-4 of the chart's seams x = 0 = L1 and y = 0 = L2."""
     side = rng.integers(0, 2, (n, 2))
     off = 1e-4 * rng.random((n, 2))
-    seam = np.where(side == 0, off, 1.0 - off)
-    free = rng.random((n, 2))
+    seam = np.where(side == 0, off, L - off)
+    free = rng.random((n, 2)) * L
     pick_axis = rng.integers(0, 3, n)     # seam in x, in y, or in both
     return np.where(pick_axis[:, None] == np.array([0, 1]), free, seam)
 
 
-@pytest.mark.parametrize("name", ["flat_point_atlas", "bump_atlas"])
+@pytest.mark.parametrize("name", ["flat_point_atlas", "bump_atlas",
+                                  "odd_period_atlas"])
 def test_distance_many_matches_brute_scan_at_the_seam(name, request, rng):
-    # the prefilter folds each gap component back to min(|dx|, L - |dx|);
-    # queries beside the seam and whole periods away test the fold
+    # queries beside the seam and whole periods away test the wraparound
+    # of the gaps and of the query cells
     atlas = request.getfixturevalue(name)
-    base = _seam_queries(rng)
+    L = np.array(atlas.backend.periods)
+    base = _seam_queries(rng, L)
     shifts = np.array([[0, 0], [1, 0], [-1, 0], [0, 2], [-2, -2], [2, -1]])
-    Q = np.concatenate([base + k for k in shifts])
+    Q = np.concatenate([base + k * L for k in shifts])
     want = _assert_rows_match_brute(atlas, Q)
     assert sum(w[5] == 0 for w in want) > len(Q) // 2
 
@@ -332,12 +343,13 @@ def _at_cap_pairs(atlas, rng, n=1500, steps=48):
     return Q, np.arange(len(Q)), s, at_cap
 
 
-@pytest.mark.parametrize("name", ["flat_point_atlas", "bump_atlas"])
+@pytest.mark.parametrize("name", ["flat_point_atlas", "bump_atlas",
+                                  "odd_period_atlas"])
 def test_near_filter_keeps_pairs_at_the_cap(name, request, rng):
     atlas = request.getfixturevalue(name)
     Q, qi, s, at_cap = _at_cap_pairs(atlas, rng)
     assert at_cap >= 20
-    got = _near(atlas, Q, atlas.backend.wrap(Q), qi, s)
+    got = _near(atlas, Q, qi, s)
     want = reference_near(atlas, Q, qi, s)
     for g, w in zip(got, want):
         np.testing.assert_array_equal(g, w)
@@ -389,7 +401,8 @@ def test_distance_rows_match_the_lexsort_pick(case, flat_line_atlas,
     # short front from a point sends queries up the ring ladder
     if case == "groups":
         atlas = flat_line_atlas
-        Q = np.concatenate([_queries(atlas, rng), _seam_queries(rng)])
+        L = np.array(atlas.backend.periods)
+        Q = np.concatenate([_queries(atlas, rng), _seam_queries(rng, L)])
     else:
         atlas = build_atlas(flat_backend, point_submanifold([0.25, 0.25]),
                             64, 0.3, 4e-3)
