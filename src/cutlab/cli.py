@@ -14,7 +14,7 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, RunConfig, build_blend_target, \
     build_curve, build_family_field, parse_config, scenario as load_scenario
-from .cutanalysis import warner_bound
+from .cutanalysis import CUT_METHODS, warner_bound
 from .forking import _fork_map, _worker_count
 from .geodesics import IntegrationError, integrate_batch
 from .geometry import GeometryError
@@ -23,7 +23,7 @@ from .stability import (Resolution, curvature_stats,
                         focal_free_persistence_probe,
                         hausdorff_convergence_check, run_case,
                         sweep_embedding_family, sweep_metric_family)
-from .wavefront import CoverageError, eikonal_residual, normal_starts
+from .wavefront import eikonal_residual, normal_starts
 
 
 def _fmt(x) -> str:
@@ -108,8 +108,14 @@ def _json_default(x):
 def _profile_rows(result):
     for p in result.profiles:
         loop_t = p.loop.t if p.loop is not None else float("inf")
-        yield ([p.dir_idx, p.s, p.side, p.rho, p.focal_t, p.no_cut, loop_t]
-               + list(p.cut_point))
+        yield ([p.dir_idx, p.s, p.side, p.rho, p.focal_t, p.no_cut, loop_t,
+                p.flags["method"]] + list(p.cut_point))
+
+
+def _cut_methods(result) -> dict:
+    """How many directions each cut-time method decided."""
+    methods = [p.flags["method"] for p in result.profiles]
+    return {m: methods.count(m) for m in CUT_METHODS}
 
 
 def _coord_header(b):
@@ -133,10 +139,11 @@ def cmd_inj(cfg: RunConfig, out: Path) -> int:
                          "branch": result.branch,
                          "f_min": result.fmin,
                          "l_half": result.l_half,
-                         "err": result.err})
+                         "err": result.err,
+                         "cut_methods": _cut_methods(result)})
     em.csv("profiles.csv",
-           ["dir_idx", "s", "side", "rho", "focal_t", "no_cut", "loop_t"]
-           + [f"cut_{c}" for c in _coord_header(b)],
+           ["dir_idx", "s", "side", "rho", "focal_t", "no_cut", "loop_t",
+            "method"] + [f"cut_{c}" for c in _coord_header(b)],
            _profile_rows(result))
     em.verdicts["inj_estimators_agree"] = \
         abs(result.inj_direct - result.inj_char) <= 5e-3
@@ -166,6 +173,7 @@ def cmd_cutlocus(cfg: RunConfig, out: Path) -> int:
         "n_sep_clusters": len(result.sep),
         "all_cut_dirs_in_clusters":
             covered >= set(int(d) for d in result.cloud.dir_idx),
+        "cut_methods": _cut_methods(result),
     })
     em.verdicts["nonempty_cloud"] = len(result.cloud.points) > 0
     return em.finish()
@@ -207,7 +215,7 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
 
     cols = ["tau", "inj_direct", "inj_char", "branch", "f_min", "l_half",
             "inj_dev", "d_H", "d_H_tau_to_0", "d_H_0_to_tau", "rho_dev_max",
-            "rho_dev_mean", "focal_margin", "err", "m", "dt", "tol"]
+            "rho_dev_mean", "focal_margin", "err", "m", "dt"]
     em.csv("sweep.csv", cols,
            ([r.get(c, "") for c in cols] for r in table.records))
     em.json("sweep.json", {"description": table.description,
@@ -353,7 +361,7 @@ def main(argv=None) -> int:
     except ConfigError as ex:
         print(f"config error: {ex}", file=sys.stderr)
         return 2
-    except (GeometryError, IntegrationError, CoverageError) as ex:
+    except (GeometryError, IntegrationError) as ex:
         print(f"FAIL: {ex}", file=sys.stderr)
         return 1
 

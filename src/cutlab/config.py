@@ -112,7 +112,7 @@ class RunConfig:
 
 _TOP_KEYS = {"scenario", "backend", "submanifold", "resolution", "family",
              "out", "seed", "threads"}
-_RES_KEYS = {"m", "m_N", "dt", "t_max", "tol", "capture_radius", "angle_tol",
+_RES_KEYS = {"m", "m_N", "dt", "t_max", "capture_radius", "angle_tol",
              "pair_tol", "dedup_radius"}
 
 

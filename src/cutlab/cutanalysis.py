@@ -11,18 +11,23 @@ import numpy as np
 
 from .forking import _fork_map, _worker_count
 from .geodesics import _hermite, hermite_batch
-from .geometry import Backend
+from .geometry import Backend, row_sum
 from .submanifold import (SubmanifoldSpec, foot_points, golden_section,
                           shape_operators)
 # distance has no caller here; the benchmark's tracer patches this binding
-from .wavefront import (CoverageError, WavefrontAtlas, _coverage_reason,
-                        _distance_rows, _edge_margin, distance, ring_pairs)
+from .wavefront import WavefrontAtlas, _front_next, distance, ring_pairs
 
 FOCAL_ZERO_TOL = 1e-8   # Newton step that ends the polish of a Jacobi zero
 LOOP_SCAN_SAMPLES = 128  # most samples of a curve N the loop scan reads
 FRAME_TOL = 1e-3        # parameter gap within which two frames are one
 FOCAL_TOL = 5e-3        # |t_f - rho| within which a cut point is focal
 TIE_TOL = 5e-3          # |f_min - l_half| within which the branch is "both"
+CROSS_BLOCK = 8         # grid steps that one bounding box per path spans
+CROSS_CHUNK = 1024      # most (direction, edge) pairs one step test takes
+EDGE_GROUP = 8          # consecutive front edges under one bounding ball
+POLISH_STEPS = 3        # Newton steps of a crossing time on the Hermite paths
+ROUND_SLACK = 1e-9      # rounding slack of a box, a step root and an edge
+CUT_METHODS = ("crossing", "focal", "none")     # what decided a cut time
 
 
 @dataclass
@@ -53,159 +58,145 @@ class CutProfile:
 # ---------------------------------------------------------------------------
 
 def cut_time(atlas: WavefrontAtlas, dir_idx: int) -> tuple[float, dict]:
-    """sup{t | d(N, gamma_n(t)) = t} along one direction; see cut_times."""
+    """One direction's cut time and flags, with no focal bound."""
     rho, flags = cut_times(atlas, dirs=[dir_idx])
     return float(rho[0]), flags[0]
 
 
-def cut_times(atlas: WavefrontAtlas, tol: float = 1e-3, dirs=None,
+def cut_times(atlas: WavefrontAtlas, focal=None, dirs=None,
               workers: int | None = 1) -> tuple[np.ndarray, list[dict]]:
-    """sup{t | d(N, gamma_n(t)) = t} via bisection on the excess function,
-    for the directions ``dirs`` (default: all) in lockstep.
-
-    The threshold theta = max(3*err_step, tol) marks the {e <= theta} /
-    {e > theta} boundary; a short extrapolation of e back to its pre-kink
-    baseline removes the O(theta) bias of the raw crossing.  Every step
-    probes all searching directions with one distance batch.  A direction
-    whose probe cannot be certified stops; the CoverageError of the first
-    such direction is raised once the others are done.
-
-    The directions split into n = min(workers, len(dirs)) shares (workers
-    None: one per CPU), share w taking every n-th from the w-th, each
-    searched in its own process (_cut_time_share).  No direction's search
-    reads another's, so the result and the error raised do not depend on n.
-    """
+    """Cut times rho_j = min(t_c, t_f, t_max) of the directions ``dirs``
+    (default: all), t_f their focal times ``focal`` (default: none) and t_c
+    the first time gamma_j crosses an edge (gamma_k, gamma_{k+1}) of either
+    side's front polygon (_front_next) with k, k + 1 != j: two minimizing
+    geodesics that meet cross each other's fronts (Sinclair & Tanaka's
+    Loki).  The flags give each direction's "method" (CUT_METHODS) and
+    "no_cut".  Share w of n = min(workers, len(dirs)) (None: one per CPU)
+    takes every n-th direction from the w-th, each in its own process."""
     batch = atlas.batch
     J = np.arange(batch.n_paths) if dirs is None else np.asarray(dirs, int)
+    t_f = np.full(batch.n_paths, np.inf) if focal is None else focal
     n = _worker_count(workers, len(J))
-    shares = _fork_map(lambda w: _cut_time_share(atlas, tol, J[w::n]), n,
+    shares = _fork_map(lambda w: _first_crossings(atlas, J[w::n], t_f), n,
                        lambda w: f"cut-time worker for directions {w}::{n}")
-    rho = np.empty(len(J))
-    flags: list[dict] = [{} for _ in J]
-    failed: dict[int, str] = {}
-    for w, (r, f, bad) in enumerate(shares):
-        rho[w::n] = r
-        flags[w::n] = f
-        failed.update({w + n * i: reason for i, reason in bad.items()})
-    if failed:
-        raise CoverageError(failed[min(failed)])
-    return rho, flags
+    t_c = np.empty(len(J))
+    for w, share in enumerate(shares):
+        t_c[w::n] = share
+    rho = np.minimum(np.minimum(t_c, t_f[J]), atlas.t_max)
+    crossing, focal, none = CUT_METHODS
+    method = np.where((t_c == rho) & (t_c < t_f[J]), crossing,
+                      np.where(t_f[J] == rho, focal, none))
+    return rho, [{"method": str(m), "no_cut": m == none} for m in method]
 
 
-def _cut_time_share(atlas: WavefrontAtlas, tol: float, J: np.ndarray):
-    """cut_times' lockstep search of the directions J, without raising:
-    (rho, flags, failed), where failed maps the position in J of each
-    direction whose probe could not be certified to its first reason; rho
-    and flags are final only when failed is empty."""
-    batch = atlas.batch
-    tg = batch.t
-    k = len(J)
-    failed: dict[int, str] = {}
-    dead = np.zeros(k, dtype=bool)
-
-    def excess_at(rows, t):
-        """e at times t on the paths J[rows]; a direction whose probe is
-        not certified keeps its first reason and stops."""
-        if not rows.size:
-            return np.empty(0)
-        p, _ = hermite_batch(tg, batch.pos, batch.vel, J[rows], t)
-        d, _err, _j, _t, status = _distance_rows(atlas, p)
-        for i in np.flatnonzero(status):
-            failed.setdefault(int(rows[i]),
-                              _coverage_reason(atlas, status[i], d[i]))
-        dead[rows[status != 0]] = True
-        return t - d
-
-    def live(rows):
-        return rows[~dead[rows]]
-
-    theta = max(2.0 * atlas.dt, tol)
-    flags = [{"theta": theta, "no_cut": False, "method": "kink"}
-             for _ in range(k)]
-    # probe below the coverage edge: a still-minimizing direction has d = t,
-    # which the distance query refuses within its margin of t_max
-    edge = atlas.t_max - _edge_margin(atlas) - 5.0 * atlas.dt
-    edge_i = max(int(np.searchsorted(tg, edge, side="right")) - 1, 1)
-    rho = np.full(k, float(tg[edge_i]))
-    rows = np.arange(k)
-    e_end = excess_at(rows, np.full(k, tg[edge_i]))
-    for i in np.flatnonzero(e_end <= theta):
-        flags[i]["no_cut"] = True
-        flags[i]["method"] = "none"
-    rows = live(rows[~(e_end <= theta)])
-    # monotone binary search for the first grid point with e > theta
-    lo_i = np.zeros(k, dtype=np.int64)
-    hi_i = np.full(k, edge_i, dtype=np.int64)
-    while True:
-        rows = live(rows)
-        act = rows[hi_i[rows] - lo_i[rows] > 1]
-        if not act.size:
+def _first_crossings(atlas: WavefrontAtlas, J, t_f) -> np.ndarray:
+    """The first crossing time of each direction of J, +inf where none comes
+    before its focal time, from blocks of CROSS_BLOCK grid steps in time
+    order; a direction stops at the block of its crossing or focal time."""
+    b, batch, tg = atlas.backend, atlas.batch, atlas.batch.t
+    nxt = _front_next(atlas.N, batch.n_paths)
+    t_c = np.full(len(J), np.inf)
+    for i0 in range(0, len(tg) - 1, CROSS_BLOCK):
+        live = np.flatnonzero((t_c == np.inf) & (t_f[J] > tg[i0]))
+        if not live.size:
             break
-        mid = (lo_i[act] + hi_i[act]) // 2
-        up = excess_at(act, tg[mid]) > theta
-        hi_i[act[up]] = mid[up]
-        lo_i[act[~up]] = mid[~up]
-    lo, hi = tg[lo_i], tg[hi_i]
-    # continuous bisection of the theta-crossing to width tol
-    while True:
-        rows = live(rows)
-        act = rows[hi[rows] - lo[rows] > 0.25 * tol]
-        if not act.size:
-            break
-        mid = 0.5 * (lo[act] + hi[act])
-        up = excess_at(act, mid) > theta
-        hi[act[up]] = mid[up]
-        lo[act[~up]] = mid[~up]
-    # extrapolate the kink: quadratic through e at t_cross, +D, +2D down to
-    # the pre-kink baseline
-    D = max(4.0 * tol, 2.0 * atlas.dt)
-    t_end = float(tg[edge_i])
-    t_cross = hi
-    base_t = np.maximum(t_cross - 3.0 * D, 0.0)
-    has_base = rows[base_t[rows] > 0]
-    kink = rows[t_cross[rows] + 2.0 * D <= t_end]
-    e = excess_at(np.concatenate([has_base, kink, kink]),
-                  np.concatenate([base_t[has_base], t_cross[kink] + D,
-                                  t_cross[kink] + 2.0 * D]))
-    baseline = np.zeros(k)
-    baseline[has_base] = e[:len(has_base)]
-    e1, e2 = np.full(k, np.nan), np.full(k, np.nan)
-    e1[kink], e2[kink] = np.split(e[len(has_base):], 2)
-    if failed:
-        return rho, flags, failed
-    is_kink = np.zeros(k, dtype=bool)
-    is_kink[kink] = True
-    for i in rows:
-        tc = float(t_cross[i])
-        if is_kink[i]:
-            r = _kink_root(tc, D, theta, float(e1[i]), float(e2[i]),
-                           max(0.0, float(baseline[i])))
-        else:
-            r = tc - theta  # assume unit slope near the coverage edge
-            flags[i]["method"] = "edge"
-        rho[i] = float(np.clip(r, tc - 6.0 * theta, tc))
-    return rho, flags, failed
+        q = J[live]
+        r, a = _near_pairs(b, batch.pos[:, i0:i0 + CROSS_BLOCK + 1], nxt, q)
+        steps = np.arange(i0, min(i0 + CROSS_BLOCK, len(tg) - 1))
+        for c in range(0, len(r), CROSS_CHUNK):    # bounds the memory
+            rc = np.repeat(r[c:c + CROSS_CHUNK], len(steps))
+            ac = np.repeat(a[c:c + CROSS_CHUNK], len(steps))
+            i = np.tile(steps, len(rc) // len(steps))
+            keep = np.flatnonzero(tg[i] < t_f[q[rc]])   # else rho <= t_f
+            rc, ac, i = rc[keep], ac[keep], i[keep]
+            rows, t = _step_crossings(b, batch, q[rc], ac, nxt[ac], i)
+            np.minimum.at(t_c, live[rc[rows]], t)
+    return t_c
 
 
-def _kink_root(t0: float, D: float, e0: float, e1: float, e2: float,
-               base: float) -> float:
-    """Root of the quadratic through (t0, e0), (t0+D, e1), (t0+2D, e2) at
-    level ``base``, taking the branch just below t0; falls back to the secant
-    slope when the fit is degenerate."""
-    a = (e2 - 2.0 * e1 + e0) / (2.0 * D * D)
-    bq = (e1 - e0) / D - a * D          # derivative at t0 of the fit
-    c = e0 - base
-    slope_fallback = max((e1 - e0) / D, 0.25)
-    if abs(a) < 1e-12:
-        return t0 - c / max(bq, 0.25)
-    disc = bq * bq - 4.0 * a * c
-    if disc < 0.0:
-        return t0 - c / slope_fallback
-    r = (-bq + math.sqrt(disc)) / (2.0 * a)   # delta with t = t0 + delta
-    if not (-6.0 * c / slope_fallback <= r <= 0.0):
-        r2 = (-bq - math.sqrt(disc)) / (2.0 * a)
-        r = r2 if (-6.0 * c / slope_fallback <= r2 <= 0.0) else -c / slope_fallback
-    return t0 + r
+def _near_pairs(b: Backend, seg: np.ndarray, nxt: np.ndarray, q):
+    """The pairs (row of q, edge a) whose path q[row] and front edge
+    (a, nxt[a]), a, nxt[a] != q[row], have bounding boxes over the nodes
+    seg (paths by nodes) that meet.  An edge's box also holds, by half its
+    longest length, the points that count as on it (_step_crossings)."""
+    c = seg[:, 0]
+    off = b.aux_gap(seg[:, :1], seg)
+    lo = off.min(axis=1) - ROUND_SLACK
+    hi = off.max(axis=1) + ROUND_SLACK
+    edge = b.aux_gap(seg, seg[nxt])
+    half = 0.5 * np.sqrt(np.max(row_sum(edge * edge), axis=1))[:, None]
+    e_lo = np.minimum(lo, edge[:, 0] + lo[nxt]) - half
+    e_hi = np.maximum(hi, edge[:, 0] + hi[nxt]) + half
+    # first EDGE_GROUP edges at a time, in balls about the group's first
+    # node: the triangle inequality of aux_distance holds across a seam too
+    radius = lambda low, high: np.sqrt(row_sum(np.maximum(-low, high) ** 2))
+    first = np.arange(0, len(c), EDGE_GROUP)
+    reach = np.maximum.reduceat(radius(e_lo, e_hi) + b.aux_distance(
+        c[np.repeat(first, EDGE_GROUP)[:len(c)]], c), first)
+    r, g = np.nonzero(b.aux_distance(c[q, None], c[None, first])
+                      <= radius(lo[q], hi[q])[:, None] + reach + ROUND_SLACK)
+    a = (first[g, None] + np.arange(EDGE_GROUP)).ravel()
+    keep = np.flatnonzero(a < len(c))
+    r, a = np.repeat(r, EDGE_GROUP)[keep], a[keep]
+    p = q[r]
+    gap = b.aux_gap(c[p], c[a])
+    keep = np.flatnonzero((a != p) & (nxt[a] != p) & np.all(
+        (gap + e_lo[a] <= hi[p]) & (gap + e_hi[a] >= lo[p]), axis=-1))
+    return r[keep], a[keep]
+
+
+def _step_crossings(b: Backend, batch, q, a, e, i):
+    """The rows of (q, a, e, i) whose path q crosses the front edge (a, e)
+    within grid step i, and the crossing times.
+
+    With the three points moving linearly in the step, the orientation of
+    q against the edge is a quadratic (the swept triangle).  A sign change
+    between the step's nodes, its end counted and its start not, holds one
+    root; a step without one counts when it holds two.  A root counts when
+    q is on the edge there: edge parameter in [0, 1] and, on a surface,
+    within half the edge's length of its chord, whose plane meets far
+    points too.  Its time is then polished by POLISH_STEPS Newton steps on
+    the Hermite paths, kept in the grid step."""
+    tg, pos = batch.t, batch.pos
+    idx = np.stack([q, a, e])
+    p0, p1 = pos[idx, i], pos[idx, i + 1]
+    move = b.aux_gap(p0, p1)
+    dA, dB = move[2] - move[1], move[0] - move[1]
+    A0, B0 = b.aux_gap(p0[1], p0[2]), b.aux_gap(p0[1], p0[0])
+    o = b.orientation(p0[1], np.stack([A0, A0, dA, dA]),
+                      np.stack([B0, dB, B0, dB]))
+    c0, c1, c2 = o[0], o[1] + o[2], o[3]
+    o1 = b.orientation(p1[1], b.aux_gap(p1[1], p1[2]),
+                       b.aux_gap(p1[1], p1[0]))
+    odd = ((c0 > 0) & (o1 <= 0)) | ((c0 < 0) & (o1 >= 0))
+    disc = c1 * c1 - 4.0 * c0 * c2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = -0.5 * (c1 + np.copysign(np.sqrt(np.maximum(disc, 0.0)), c1))
+        s = np.stack([h / c2, c0 / h])
+        ok = np.where(odd, (s >= -ROUND_SLACK) & (s <= 1.0 + ROUND_SLACK),
+                      (disc > 0.0) & (s > 0.0) & (s < 1.0))
+        root, rows = np.nonzero(ok)
+        s = np.clip(s[root, rows], 0.0, 1.0)
+        A = A0[rows] + s[:, None] * dA[rows]
+        B = B0[rows] + s[:, None] * dB[rows]
+        AA, AB, BB = row_sum(A * A), row_sum(A * B), row_sum(B * B)
+        u = AB / AA
+    hit = np.flatnonzero((u >= -ROUND_SLACK) & (u <= 1.0 + ROUND_SLACK)
+                         & (4.0 * (BB - u * AB) <= AA))
+    rows, s = rows[hit], s[hit]
+    lo, hi = tg[i[rows]], tg[i[rows] + 1]
+    t = lo + s * (hi - lo)
+    J = idx[:, rows].reshape(-1)
+    for _ in range(POLISH_STEPS if rows.size else 0):
+        p, v = hermite_batch(tg, pos, batch.vel, J, np.tile(t, 3))
+        (pq, pa, pe), (vq, va, ve) = np.split(p, 3), np.split(v, 3)
+        A, B = b.aux_gap(pa, pe), b.aux_gap(pa, pq)
+        f = b.orientation(pa, np.stack([A, ve - va, A]),
+                          np.stack([B, B, vq - va]))
+        slope = f[1] + f[2]
+        t = np.clip(t - np.divide(f[0], slope, out=np.zeros_like(slope),
+                                  where=slope != 0.0), lo, hi)
+    return rows, t
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +360,7 @@ def _polish_returns(b, N, batch, J, t0, capture):
 # ---------------------------------------------------------------------------
 
 def compute_profiles(b: Backend, N: SubmanifoldSpec, atlas: WavefrontAtlas,
-                     loops: list, tol: float = 1e-3,
-                     workers: int | None = 1,
+                     loops: list, workers: int | None = 1,
                      timings: dict | None = None) -> list[CutProfile]:
     """One CutProfile per atlas direction, with its entry of ``loops`` (the
     per-direction result of loop_scan); the seconds of the focal solve and
@@ -379,22 +369,13 @@ def compute_profiles(b: Backend, N: SubmanifoldSpec, atlas: WavefrontAtlas,
     t0 = time.perf_counter()
     focal = focal_times_batch(b, N, atlas)
     t1 = time.perf_counter()
-    rho, flags = cut_times(atlas, tol, workers=workers)
+    rho, flags = cut_times(atlas, focal, workers=workers)
     if timings is not None:
         timings["focal"] = t1 - t0
         timings["cut_times"] = time.perf_counter() - t1
-    # a geodesic never minimizes past its first focal point; the excess
-    # crossing lands late at focal-type cuts (cubic growth), so the focal
-    # time is both a hard bound and the sharper estimate there
-    clipped = focal < rho
-    rho[clipped] = focal[clipped]
-    for j in np.flatnonzero(clipped):
-        flags[j]["focal_clipped"] = True
-        flags[j]["no_cut"] = False
     batch = atlas.batch
-    k = len(rho)
-    cut = b.wrap(hermite_batch(batch.t, batch.pos, batch.vel, np.arange(k),
-                               rho)[0])
+    cut = b.wrap(hermite_batch(batch.t, batch.pos, batch.vel,
+                               np.arange(len(rho)), rho)[0])
     return [CutProfile(j, f.s, f.side, float(rho[j]), cut[j],
                        flags[j]["no_cut"], float(focal[j]), loops[j],
                        flags[j])

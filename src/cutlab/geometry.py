@@ -446,6 +446,11 @@ class PeriodicChart(_Shared):
         d = self.aux_gap(p, q)
         return np.sqrt(row_sum(d * d))
 
+    def orientation(self, pts, u, w) -> np.ndarray:
+        """The 2-D cross product u x w of chart vectors (aux_gaps) at pts:
+        positive when w points to the left of u."""
+        return u[..., 0] * w[..., 1] - u[..., 1] * w[..., 0]
+
     # -- the chart's side of the shared algorithms -----------------------------
 
     def constrain_velocity(self, pts, v):
@@ -691,6 +696,11 @@ class ImplicitSurface(_Shared):
     def aux_distance(self, p, q) -> np.ndarray:
         d = self.aux_gap(p, q)
         return np.sqrt(row_sum(d * d))
+
+    def orientation(self, pts, u, w) -> np.ndarray:
+        """n . (u x w) of ambient vectors (aux_gaps), n the unit surface
+        normal at pts: positive when w points to the left of u."""
+        return row_sum(self.unit_surface_normal(pts) * np.cross(u, w))
 
     # -- the surface's side of the shared algorithms -------------------------
 

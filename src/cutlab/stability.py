@@ -71,7 +71,6 @@ class Resolution:
     m: int = 256
     dt: float = 1e-3
     t_max: float = 1.2
-    tol: float = 1e-3
     capture_radius: float = 1e-2
     angle_tol: float = 1e-3
     pair_tol: float = 3e-3
@@ -111,7 +110,7 @@ def run_case(b: Backend, N: SubmanifoldSpec, res: Resolution,
     t0 = time.perf_counter()
     l_half, loops = loop_scan(b, N, atlas, res.capture_radius, res.angle_tol)
     timings["loop_scan"] = time.perf_counter() - t0
-    profiles = compute_profiles(b, N, atlas, loops, res.tol, workers=workers,
+    profiles = compute_profiles(b, N, atlas, loops, workers=workers,
                                 timings=timings)
     focal = np.array([p.focal_t for p in profiles])
     fmin = f_min(focal)

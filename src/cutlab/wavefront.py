@@ -231,7 +231,7 @@ def build_atlas(b: Backend, N: SubmanifoldSpec, m: int, t_max: float,
     else:
         frames, batch = paths
     t0 = time.perf_counter()
-    local_gap = _local_gaps(b, N, batch, m).reshape(-1)
+    local_gap = _local_gaps(b, N, batch).reshape(-1)
     med_gap = max(float(np.median(local_gap)), dt)
     wrapped = b.wrap(batch.pos.reshape(-1, batch.pos.shape[-1]))
     k, n_t = batch.pos.shape[0], batch.pos.shape[1]
@@ -260,20 +260,21 @@ def build_atlas(b: Backend, N: SubmanifoldSpec, m: int, t_max: float,
                           cell, order, starts, index)
 
 
-def _local_gaps(b, N, batch: BatchPaths, m: int) -> np.ndarray:
+def _front_next(N: SubmanifoldSpec, k: int) -> np.ndarray:
+    """The next vertex of each of the k directions on its side's closed
+    front polygon, in s order: k / 2 per side of a curve, one for a point."""
+    m = k if N.dim == 0 else k // 2
+    j = np.arange(k)
+    return j - j % m + (j + 1) % m
+
+
+def _local_gaps(b, N, batch: BatchPaths) -> np.ndarray:
     """Per-sample auxiliary gap to the adjacent-direction samples at the same
-    time (max of the two cyclic neighbours within a side block), floored by
+    time (max of the two neighbours on the side's front polygon), floored by
     the step size.  Shape (k, n_t)."""
-    pos = batch.pos
-    k = pos.shape[0]
-    blocks = [np.arange(k)] if N.dim == 0 else [np.arange(m), m + np.arange(m)]
-    out = np.empty(pos.shape[:2])
-    for blk in blocks:
-        p = pos[blk]
-        nxt = b.aux_distance(p, p[np.roll(np.arange(len(blk)), -1)])
-        prv = np.roll(nxt, 1, axis=0)
-        out[blk] = np.maximum(nxt, prv)
-    return np.maximum(out, batch.dt)
+    nxt = _front_next(N, batch.n_paths)
+    gap = b.aux_distance(batch.pos, batch.pos[nxt])     # to the next vertex
+    return np.maximum(np.maximum(gap, gap[np.argsort(nxt)]), batch.dt)
 
 
 def _caps(gap, dt):

@@ -215,59 +215,73 @@ def reference_nearest(atlas, qi, s, gaps, vec, pick, d, gap):
     gap[rows] = gaps[first]
 
 
-# -- scalar cut-time search -------------------------------------------------
-def reference_cut_time(atlas, dir_idx, distance_fn, kink_root, tol=1e-3):
-    """One direction's cut time by the scalar search: grid binary search on
-    the excess e(t) = t - d(N, gamma(t)), continuous bisection of the theta
-    crossing, then the kink extrapolation ``kink_root``.  ``distance_fn(q)``
-    returns d(N, q) and raises where the atlas cannot certify it."""
-    from cutlab.geodesics import hermite_sample
+# -- brute-force crossing search ---------------------------------------------
+def reference_crossing_times(atlas, focal):
+    """cut_times(atlas, focal) by scanning every (direction, front edge)
+    pair at every grid step before the direction's focal time with the
+    package's step test (cutanalysis._step_crossings), eight steps per
+    call: no boxes, no early stop."""
+    from cutlab.cutanalysis import _step_crossings
+    from cutlab.wavefront import _front_next
     batch = atlas.batch
-
-    def excess(t):
-        p, _ = hermite_sample(batch.t, batch.pos[dir_idx], batch.vel[dir_idx],
-                              t)
-        return t - distance_fn(p)
-
-    tg = atlas.batch.t
-    theta = max(2.0 * atlas.dt, tol)
-    flags = {"theta": theta, "no_cut": False, "method": "kink"}
-    margin = max(5.0 * atlas.dt, 2.0 * atlas.median_gap)
-    edge = atlas.t_max - margin - 5.0 * atlas.dt
-    lo_i = 0
-    edge_i = max(int(np.searchsorted(tg, edge, side="right")) - 1, 1)
-    hi_i = edge_i
-    if excess(float(tg[hi_i])) <= theta:
-        flags["no_cut"] = True
-        flags["method"] = "none"
-        return float(tg[hi_i]), flags
-    while hi_i - lo_i > 1:
-        mid = (lo_i + hi_i) // 2
-        if excess(float(tg[mid])) > theta:
-            hi_i = mid
+    k = batch.n_paths
+    nxt = _front_next(atlas.N, k)
+    j = np.arange(k)
+    q, a = np.nonzero((j[:, None] != j[None, :]) & (j[:, None] != nxt[None]))
+    t_c = np.full(k, np.inf)
+    for i0 in range(0, len(batch.t) - 1, 8):
+        i = np.arange(i0, min(i0 + 8, len(batch.t) - 1))
+        Q, A = np.repeat(q, len(i)), np.repeat(a, len(i))
+        I = np.tile(i, len(q))
+        keep = batch.t[I] < focal[Q]
+        Q, A, I = Q[keep], A[keep], I[keep]
+        rows, t = _step_crossings(atlas.backend, batch, Q, A, nxt[A], I)
+        np.minimum.at(t_c, Q[rows], t)
+    rho = np.minimum(np.minimum(t_c, focal), atlas.t_max)
+    flags = []
+    for j in range(k):
+        if t_c[j] == rho[j] and t_c[j] < focal[j]:
+            method = "crossing"
         else:
-            lo_i = mid
-    lo, hi = float(tg[lo_i]), float(tg[hi_i])
-    while hi - lo > 0.25 * tol:
-        mid = 0.5 * (lo + hi)
-        if excess(mid) > theta:
-            hi = mid
-        else:
-            lo = mid
-    t_cross = hi
-    D = max(4.0 * tol, 2.0 * atlas.dt)
-    t_end = float(tg[edge_i])
-    base_t = max(t_cross - 3.0 * D, 0.0)
-    baseline = max(0.0, excess(base_t)) if base_t > 0 else 0.0
-    if t_cross + 2.0 * D <= t_end:
-        e1 = excess(t_cross + D)
-        e2 = excess(t_cross + 2.0 * D)
-        rho = kink_root(t_cross, D, theta, e1, e2, baseline)
-    else:
-        rho = t_cross - theta
-        flags["method"] = "edge"
-    rho = float(np.clip(rho, t_cross - 6.0 * theta, t_cross))
+            method = "focal" if focal[j] == rho[j] else "none"
+        flags.append({"method": method, "no_cut": method == "none"})
     return rho, flags
+
+
+# -- mirror axes of the warped torus ------------------------------------------
+# Every metric of the warped-diag bump family, e^{2 tau sin 2 pi y}
+# diag(1, (1 + 0.2 sin 2 pi x)^2), is symmetric under x -> 0.5 - x and
+# x -> 1.5 - x, so the lines x = 0.25 and x = 0.75 are closed geodesics.  A
+# normal geodesic of the line y = 0 that reaches an axis meets its mirror
+# image there, so no cut time exceeds that time.
+
+def mirror_axis_times(atlas):
+    """Per direction, the first time its atlas path reaches x = 0.25 or
+    0.75 (mod 1), by linear interpolation between grid nodes; +inf for a
+    path that never does and for the axis paths themselves."""
+    x = atlas.batch.pos[:, :, 0]
+    tg = atlas.batch.t
+    band = np.floor((x - 0.25) / 0.5)
+    out = np.full(len(x), np.inf)
+    for j in range(len(x)):
+        if (x[j, 0] - 0.25) / 0.5 == band[j, 0]:
+            continue                    # starts on an axis
+        jump = np.flatnonzero(band[j, 1:] != band[j, :-1])
+        if jump.size:
+            i = jump[0]
+            level = 0.25 + 0.5 * max(band[j, i], band[j, i + 1])
+            frac = (level - x[j, i]) / (x[j, i + 1] - x[j, i])
+            out[j] = tg[i] + frac * (tg[i + 1] - tg[i])
+    return out
+
+
+def axis_loop_length(b, x0, n=4096):
+    """g-length of the closed geodesic x = x0 of a chart with periods
+    (1, 1), by the trapezoid rule over one period (spectral for a smooth
+    periodic integrand)."""
+    y = np.arange(n) / n
+    pts = np.stack([np.full(n, x0), y], axis=-1)
+    return float(np.mean(b.norm(pts, np.tile([0.0, 1.0], (n, 1)))))
 
 
 # -- the chart wraparound by np.mod ------------------------------------------

@@ -4,22 +4,23 @@ import os
 import numpy as np
 import pytest
 
-from cutlab import cutanalysis
-from cutlab.config import scenario
-from cutlab.cutanalysis import (_clusters, _kink_root, compute_profiles,
+from cutlab.config import build_family_field, scenario
+from cutlab.cutanalysis import (_clusters, compute_profiles,
                                 cut_time, cut_times, cut_locus_cloud, f_min,
                                 focal_times_batch, injectivity_radius_char,
                                 injectivity_radius_direct, loop_scan,
                                 separating_points, warner_bound)
 from cutlab.geodesics import hermite_sample
-from cutlab.geometry import ImplicitSurface, level_surface
+from cutlab.geometry import ImplicitSurface, conformal_family, level_surface
 from cutlab.submanifold import chart_curve, curve_submanifold, \
     frames_for, point_submanifold, surface_curve
-from cutlab.wavefront import CoverageError, build_atlas, distance
+from cutlab.stability import Resolution, run_case
+from cutlab.wavefront import build_atlas, distance
 
-from oracles import (fine_scan_cut_time, flat_torus_point_distance,
-                     jacobi_first_zero_const_K, normal_exp_jacobian,
-                     reference_cut_time, reference_focal_times)
+from oracles import (axis_loop_length, fine_scan_cut_time,
+                     flat_torus_point_distance, jacobi_first_zero_const_K,
+                     mirror_axis_times, normal_exp_jacobian,
+                     reference_crossing_times, reference_focal_times)
 
 
 @pytest.fixture(scope="module")
@@ -75,37 +76,120 @@ def _atlas(name, m, t_max, dt):
     ("flat-torus-point", 64, 0.78, 2e-3),
     ("warped-torus-bump-sweep", 64, 1.6, 4e-3),
     ("sphere-equator", 64, 3.4, 4e-3),
+    ("ellipsoid-equator", 32, 3.6, 1e-2),
 ])
 def test_cut_times_match_scalar_search_bitwise(name, m, t_max, dt):
-    atlas = _atlas(name, m, t_max, dt)
-    rho, flags = cut_times(atlas)
-    for j in range(atlas.batch.n_paths):
-        want = reference_cut_time(atlas, j, lambda q: distance(atlas, q).d,
-                                  _kink_root)
-        assert (rho[j], flags[j]) == want, j
-    methods = {f["method"] for f in flags}
-    assert "kink" in methods
-    assert cut_time(atlas, 5) == (rho[5], flags[5])
+    # the boxes and blocks only prune: the scan of every pair at every step
+    # finds the same crossings (the ellipsoid's on a surface; every sphere
+    # direction is cut at its focal time)
+    if name == "ellipsoid-equator":
+        b = ImplicitSurface(level_surface("ellipsoid",
+                                          semi_axes=(1.4, 1.0, 0.7)))
+        atlas = build_atlas(b, curve_submanifold(surface_curve("equator")),
+                            m, t_max, dt)
+    else:
+        atlas = _atlas(name, m, t_max, dt)
+    focal = focal_times_batch(atlas.backend, atlas.N, atlas)
+    rho, flags = cut_times(atlas, focal)
+    want_rho, want_flags = reference_crossing_times(atlas, focal)
+    assert rho.tobytes() == want_rho.tobytes()
+    assert flags == want_flags
+    if name != "sphere-equator":    # there every direction is cut at t_f
+        assert "crossing" in {f["method"] for f in flags}
+    if flags[5]["method"] == "crossing":         # cut_time has no t_f
+        assert cut_time(atlas, 5) == (rho[5], flags[5])
 
 
-def test_cut_times_raise_the_first_failing_direction():
-    # 16 directions on an ellipsoid: the coverage margin swallows the front,
-    # and the directions fail with different distances
-    b = ImplicitSurface(level_surface("ellipsoid", semi_axes=(1.0, 0.8, 0.6)))
-    atlas = build_atlas(b, curve_submanifold(surface_curve("equator")), 16,
-                        0.5, 1e-2)
-    with pytest.raises(CoverageError) as ex:
-        cut_times(atlas)
-    failures = []
-    for j in range(atlas.batch.n_paths):
-        try:
-            reference_cut_time(atlas, j, lambda q: distance(atlas, q).d,
-                               _kink_root)
-        except CoverageError as first:
-            failures.append(str(first))
-    assert len(set(failures)) > 1
-    assert str(ex.value) == failures[0]
-    assert "increase m" in failures[0]
+# -- the crossing search against closed forms and mirror symmetry -----------
+
+BUMP_RES = Resolution(m=64, dt=4e-3, t_max=1.6)
+
+
+def _bump_run(tau):
+    cfg = scenario("warped-torus-bump-sweep")
+    b = cfg.build_backend()
+    b_tau = conformal_family(b, build_family_field(cfg, b), tau)
+    return run_case(b_tau, cfg.build_submanifold(b), BUMP_RES,
+                    keep_atlas=True)
+
+
+@pytest.mark.parametrize("case", [0.2, 0.1, 0.05, "warped-torus-line"])
+def test_no_cut_time_passes_the_mirror_axis(case):
+    # a geodesic that reaches x = 0.25 or 0.75 meets its mirror image there
+    if case == "warped-torus-line":
+        cfg = scenario(case)
+        b = cfg.build_backend()
+        r = run_case(b, cfg.build_submanifold(b),
+                     Resolution(m=64, dt=4e-3, t_max=1.4), keep_atlas=True)
+    else:
+        r = _bump_run(case)
+    rho = np.array([p.rho for p in r.profiles])
+    t_axis = mirror_axis_times(r.atlas)
+    reach = np.isfinite(t_axis)
+    assert reach.sum() >= 120
+    excess = rho[reach] - t_axis[reach]
+    assert np.max(excess) <= 2.0 * r.atlas.dt, np.max(excess)
+
+
+@pytest.mark.parametrize("tau", [0.2, 0.1, 0.05, 0.025])
+def test_axis_cut_time_is_at_most_its_half_loop_and_focal_time(tau):
+    # the up and down geodesics on an axis meet half a loop along it
+    r = _bump_run(tau)
+    m = BUMP_RES.m
+    for j in (m // 4, 3 * m // 4, m + m // 4, m + 3 * m // 4):
+        p = r.profiles[j]
+        half_loop = 0.5 * axis_loop_length(r.backend, p.s)
+        t_jac = normal_exp_jacobian(r.backend, r.N, p.s, p.side, 1.2,
+                                    BUMP_RES.dt).first_zero()
+        for t_f in (p.focal_t, np.inf if t_jac is None else t_jac):
+            assert p.rho <= min(t_f, half_loop) + 2.0 * BUMP_RES.dt, j
+
+
+def test_flat_torus_point_cut_times_match_the_closed_form():
+    # from (0.25, 0.25) the ray at angle s meets its mirror image on the
+    # first line x = 0.75 or y = 0.75 it reaches
+    atlas = _atlas("flat-torus-point", 64, 1.2, 2e-3)
+    rho, _ = cut_times(atlas)
+    s = np.array([f.s for f in atlas.frames])
+    want = 0.5 / np.maximum(np.abs(np.cos(s)), np.abs(np.sin(s)))
+    np.testing.assert_allclose(rho, want, rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("case", ["grid-node", "vertex", "two-roots",
+                                  "every-edge"])
+def test_degenerate_meetings_are_found(case):
+    if case == "grid-node":
+        # at tau = 0 the axis pair from x = 0.75 meets at t = 0.4, a grid
+        # node, where the orientation is 0.0: the sign test counts a zero
+        # at a step's end
+        r = _bump_run(0.0)
+        assert [r.profiles[j].rho for j in (48, 112)] == \
+            pytest.approx([0.4, 0.4], abs=1e-9)
+    elif case == "vertex":
+        # mirror pairs and head-on pairs meet at a vertex of each other's
+        # front: the flat line's cut at y = 1/2, and the bump's mirror pairs
+        # s and 1/2 - s alike
+        atlas = _atlas("flat-torus-line", 64, 0.8, 1e-3)
+        rho, _ = cut_times(atlas)
+        np.testing.assert_allclose(rho, 0.5, rtol=0.0, atol=1e-12)
+        r = _bump_run(0.0)
+        rho = np.array([p.rho for p in r.profiles]).reshape(2, 64)
+        mirror = (32 - np.arange(64)) % 64
+        np.testing.assert_allclose(rho, rho[:, mirror], rtol=0, atol=1e-9)
+    elif case == "two-roots":
+        # near the axis at tau = 0.025, L_axis / 2 and t_f lie less than a
+        # step apart: a step holding two roots counts
+        rho_0 = np.array([p.rho for p in _bump_run(0.0).profiles])
+        rho = np.array([p.rho for p in _bump_run(0.025).profiles])
+        assert np.max(np.abs(rho - rho_0)) < 1e-2
+    else:
+        # every edge counts, also one whose directions are already cut
+        r = _bump_run(0.2)
+        assert not any(p.no_cut for p in r.profiles)
+        t_axis = mirror_axis_times(r.atlas)
+        rho = np.array([p.rho for p in r.profiles])
+        reach = np.isfinite(t_axis)
+        assert np.all(rho[reach] <= t_axis[reach] + 2.0 * BUMP_RES.dt)
 
 
 # -- direction shares -------------------------------------------------------
@@ -122,45 +206,14 @@ def test_cut_time_shares_match_the_serial_search_bitwise(name):
     b = cfg.build_backend()
     atlas = build_atlas(b, cfg.build_submanifold(b), 64,
                         cfg.resolution.t_max, 4e-3)
-    rho, flags = cut_times(atlas, 1e-3)
-    assert {f["method"] for f in flags} >= {"kink"}
+    focal = focal_times_batch(b, atlas.N, atlas)
+    rho, flags = cut_times(atlas, focal)
+    assert "none" not in {f["method"] for f in flags}
     for n in (1, 2, 3, 8):
-        rho_n, flags_n = cut_times(atlas, 1e-3, workers=n)
+        rho_n, flags_n = cut_times(atlas, focal, workers=n)
         _no_child_left()
         assert rho_n.tobytes() == rho.tobytes(), n
         assert flags_n == flags, n
-
-
-def test_cut_time_shares_raise_the_lowest_failing_direction(flat_backend,
-                                                            monkeypatch):
-    # the vertical geodesics x = s of the flat line, 16 per side: every probe
-    # with x in [0.3, 0.7] fails at a distance that names its x, so
-    # directions 5-11 and 21-27 fail, each with its own message; the lowest,
-    # 5, lies in share 5 % n, not in this process's share
-    atlas = build_atlas(flat_backend, curve_submanifold(chart_curve(
-        "horizontal-circle", (1.0, 1.0), y0=0.0)), 16, 1.2, 1e-2)
-    rows = cutanalysis._distance_rows
-
-    def failing(atlas, Q):
-        d, err, j, t, status = rows(atlas, Q)
-        x = np.mod(Q[:, 0], 1.0)
-        bad = (x >= 0.3) & (x <= 0.7)
-        return np.where(bad, x, d), err, j, t, np.where(bad, 2, status)
-
-    monkeypatch.setattr(cutanalysis, "_distance_rows", failing)
-    messages = set()
-    for n in (1, 2, 3, 8):
-        with pytest.raises(CoverageError) as ex:
-            cut_times(atlas, workers=n)
-        _no_child_left()
-        messages.add(str(ex.value))
-    assert len(messages) == 1
-    assert messages.pop().startswith("distance 0.3125 at coverage edge")
-    # "lowest" is the position in dirs: reversed, direction 27 (x = 11/16)
-    # comes first, at position 4, in share 1 of 3
-    with pytest.raises(CoverageError, match="^distance 0.6875 "):
-        cut_times(atlas, dirs=np.arange(32)[::-1], workers=3)
-    _no_child_left()
 
 
 # -- focal times ------------------------------------------------------------

@@ -511,3 +511,21 @@ def _traced_names() -> set[str]:
 def test_every_definition_is_reached_from_the_command_line():
     assert unreached(_package_sources(), allowed=TRACED,
                      patched=_traced_names()) == []
+
+
+# -- the cut-time search reads the paths alone --------------------------------
+# Cut times come from the front's self-crossings (cutanalysis.cut_times): no
+# distance query takes part, so the code that cut_times reaches in its module
+# loads none of the atlas's distance entry points.
+
+def test_cut_time_search_makes_no_distance_query():
+    defs, _ = _definitions({"cutanalysis":
+                            (SRC / "cutanalysis.py").read_text()})
+    reached = _reach(defs, ["cutanalysis.cut_times"], [])
+    assert {"cutanalysis._first_crossings", "cutanalysis._near_pairs",
+            "cutanalysis._step_crossings"} <= reached
+    loaded = set()
+    for q in reached:
+        for node in defs[q].nodes:
+            _loads(node, loaded)
+    assert loaded & {"_distance_rows", "distance_many", "distance"} == set()
