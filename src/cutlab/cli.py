@@ -77,8 +77,7 @@ class _Emitter:
                        "backend": self.cfg.backend_spec,
                        "submanifold": self.cfg.submanifold_spec,
                        "resolution": asdict(self.cfg.resolution),
-                       "family": self.cfg.family,
-                       "seed": self.cfg.seed},
+                       "family": self.cfg.family},
             "version": __version__,
             "wall_clock_s": time.perf_counter() - self.t0,
             "timings_s": self.timings,
@@ -107,7 +106,7 @@ def _json_default(x):
 
 def _profile_rows(result):
     for p in result.profiles:
-        loop_t = p.loop.t if p.loop is not None else float("inf")
+        loop_t = p.loop if p.loop is not None else float("inf")
         yield ([p.dir_idx, p.s, p.side, p.rho, p.focal_t, p.no_cut, loop_t,
                 p.flags["method"]] + list(p.cut_point))
 

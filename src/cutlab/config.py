@@ -98,7 +98,6 @@ class RunConfig:
     resolution: Resolution
     family: dict | None
     out: str | None = None
-    seed: int = 0
     # most worker processes of a command (a sweep's cases, or the cut-time
     # search, eikonal probes and validate checks of one run); None: one per CPU
     threads: int | None = None
@@ -111,15 +110,17 @@ class RunConfig:
 
 
 _TOP_KEYS = {"scenario", "backend", "submanifold", "resolution", "family",
-             "out", "seed", "threads"}
-_RES_KEYS = {"m", "m_N", "dt", "t_max", "capture_radius", "angle_tol",
-             "pair_tol", "dedup_radius"}
+             "out", "threads"}
+_RES_KEYS = {"m", "m_N", "dt", "t_max"}
 
 
 def build_backend(spec: dict) -> Backend:
     if _kind_of(spec, "backend", "kind") == "periodic-chart":
-        periods = tuple(_number(v, "backend.periods")
-                        for v in spec.get("periods", (1.0, 1.0)))
+        periods = spec.get("periods", [1.0, 1.0])
+        if not isinstance(periods, (list, tuple)) or len(periods) != 2:
+            raise ConfigError(f"backend.periods: expected two numbers, got "
+                              f"{periods!r}")
+        periods = tuple(_number(v, "backend.periods") for v in periods)
         name, mspec = _name_of(spec.get("metric", {"name": "flat"}),
                                "backend.metric")
         return PeriodicChart(periods, chart_metric_field(name, periods, **mspec))
@@ -144,9 +145,10 @@ def build_submanifold(b: Backend, spec: dict) -> SubmanifoldSpec:
             raise ConfigError("submanifold.point: required for dim 0")
         with _named("submanifold.point"):
             N = point_submanifold(spec["point"], m_N=m_N)
-        if N.point.shape != (b.dim,):
+        if N.point.shape != (b.dim,) or not np.isfinite(N.point).all():
             raise ConfigError(f"submanifold.point: expected {b.dim} "
-                              f"coordinates, got {spec['point']!r}")
+                              f"coordinates, each finite, got "
+                              f"{spec['point']!r}")
         if isinstance(b, ImplicitSurface):
             with _named("submanifold.point"):
                 on = b.project(N.point)
@@ -164,15 +166,20 @@ CURVE_ON_SURFACE_TOL = 1e-9
 
 def build_curve(b: Backend, spec, key: str, m_N: int) -> SubmanifoldSpec:
     """The named curve of the config block ``spec``; errors name ``key``.
-    On an implicit surface, a curve that projecting any of its m_N samples
-    moves by more than CURVE_ON_SURFACE_TOL is rejected."""
+    A curve with a non-finite sample among its m_N is rejected, and so, on
+    an implicit surface, is one whose projection moves a sample by more
+    than CURVE_ON_SURFACE_TOL."""
     with _named(key):
         name, cspec = _name_of(spec, key)
-        if isinstance(b, PeriodicChart):
-            return curve_submanifold(chart_curve(name, b.periods, **cspec),
-                                     m_N=m_N)
-        N = curve_submanifold(surface_curve(name, **cspec), m_N=m_N)
+        chart = isinstance(b, PeriodicChart)
+        N = curve_submanifold(chart_curve(name, b.periods, **cspec) if chart
+                              else surface_curve(name, **cspec), m_N=m_N)
         pts = N.sample_points()
+        if not np.isfinite(pts).all():
+            raise ConfigError(f"{key}: curve {name!r} has non-finite "
+                              f"samples")
+        if chart:
+            return N
         moved = np.linalg.norm(b.project(pts) - pts, axis=-1)
     off = np.flatnonzero(~(moved <= CURVE_ON_SURFACE_TOL))
     if off.size:
@@ -220,7 +227,6 @@ def _check_family_fits(cfg: RunConfig):
 
 
 def _parse_resolution(block: dict) -> Resolution:
-    _check_keys(block, _RES_KEYS, "resolution")
     # m_N samples the submanifold; parse_config moves it into that spec
     kw = {k: _number(v, f"resolution.{k}", integer=k == "m")
           for k, v in block.items() if k != "m_N"}
@@ -262,9 +268,9 @@ def parse_config(source) -> RunConfig:
         if key in data and cfg.scenario is not None:
             raise ConfigError(f"config.{key}: conflicts with scenario")
     if "resolution" in data:
-        merged = asdict(cfg.resolution)
-        merged.update(data["resolution"])
-        cfg.resolution = _parse_resolution(merged)
+        _check_keys(data["resolution"], _RES_KEYS, "resolution")
+        cfg.resolution = _parse_resolution({**asdict(cfg.resolution),
+                                            **data["resolution"]})
         if "m_N" in data["resolution"]:
             m_N = _number(data["resolution"]["m_N"], "resolution.m_N",
                           integer=True)
@@ -284,11 +290,6 @@ def parse_config(source) -> RunConfig:
         _check_family_fits(cfg)
     if "out" in data:
         cfg.out = str(data["out"])
-    if "seed" in data:
-        cfg.seed = _number(data["seed"], "seed", integer=True, positive=False)
-        if cfg.seed != 0:
-            raise ConfigError("seed: must be 0; cutlab runs are deterministic "
-                              "and draw no random numbers")
     if "threads" in data:
         cfg.threads = _number(data["threads"], "threads", integer=True)
     return cfg

@@ -28,14 +28,10 @@ EDGE_GROUP = 8          # consecutive front edges under one bounding ball
 POLISH_STEPS = 3        # Newton steps of a crossing time on the Hermite paths
 ROUND_SLACK = 1e-9      # rounding slack of a box, a step root and an edge
 CUT_METHODS = ("crossing", "focal", "none")     # what decided a cut time
-
-
-@dataclass
-class LoopReturn:
-    t: float            # loop length (unit-speed return time)
-    s_return: float     # curve parameter (or unused for a point) at the return
-    angle_residual: float
-    d_min: float
+CAPTURE_RADIUS = 1e-2   # how near N a return must come to close a loop
+ANGLE_TOL = 1e-3        # |cos| of the angle between a return and N's tangent
+DEDUP_RADIUS = 1e-6     # cut points closer than this are one cloud point
+PAIR_TOL = 3e-3         # cut points this close lie in one separating cluster
 
 
 @dataclass
@@ -49,7 +45,7 @@ class CutProfile:
     cut_point: np.ndarray
     no_cut: bool
     focal_t: float              # +inf when no focal point before t_max
-    loop: LoopReturn | None
+    loop: float | None          # the first loop's return time, if any
     flags: dict = field(default_factory=dict)
 
 
@@ -266,15 +262,15 @@ def _first_zero(tg, y, yp, start, tol):
 # loops
 # ---------------------------------------------------------------------------
 
-def loop_scan(b: Backend, N: SubmanifoldSpec, atlas: WavefrontAtlas,
-              capture_radius: float = 1e-2, angle_tol: float = 1e-3
-              ) -> tuple[float, list[LoopReturn | None]]:
-    """Detect N-geodesic loops: returns to N with g-orthogonal velocity.
+def loop_scan(b: Backend, N: SubmanifoldSpec, atlas: WavefrontAtlas
+              ) -> tuple[float, list[float | None]]:
+    """Detect N-geodesic loops: returns to within CAPTURE_RADIUS of N with
+    g-orthogonal velocity (to ANGLE_TOL).
 
     A candidate return must first leave a 3x capture tube around N.  The
     coarse return detector uses at most LOOP_SCAN_SAMPLES samples of N (the
     polish stage is exact).  Returns (half the minimal loop length,
-    per-direction first loop or None).
+    per-direction return time of the first loop, or None).
     """
     N_pts = N.sample_points(min(N.m_N, LOOP_SCAN_SAMPLES))
     if N.dim == 1:
@@ -284,12 +280,12 @@ def loop_scan(b: Backend, N: SubmanifoldSpec, atlas: WavefrontAtlas,
         spacing = 0.0
     batch = atlas.batch
     k, n_t, d = batch.pos.shape
-    thresh = capture_radius + 0.6 * spacing
+    thresh = CAPTURE_RADIUS + 0.6 * spacing
     # distance to N per atlas sample, from the samples the spatial hash puts
     # within R of some N sample; the rest read +inf.  No comparison below
-    # changes: values above R >= 3 * capture_radius escape either way, are
+    # changes: values above R >= 3 * CAPTURE_RADIUS escape either way, are
     # never below thresh <= R, and never undercut a local minimum below R
-    R = max(3.0 * capture_radius, thresh)
+    R = max(3.0 * CAPTURE_RADIUS, thresh)
     rings = int(math.ceil(R / atlas.cell))
     d_series = np.full(k * n_t, np.inf)
     for qi, cand in ring_pairs(atlas, N_pts, rings):
@@ -297,7 +293,7 @@ def loop_scan(b: Backend, N: SubmanifoldSpec, atlas: WavefrontAtlas,
         keep = gaps <= R
         np.minimum.at(d_series, cand[keep], gaps[keep])
     d_series = d_series.reshape(k, n_t)
-    escaped = d_series > 3.0 * capture_radius
+    escaped = d_series > 3.0 * CAPTURE_RADIUS
     i0 = np.where(escaped.any(axis=1), escaped.argmax(axis=1), n_t)
     interior = d_series[:, 1:-1]
     is_min = ((interior <= d_series[:, :-2]) & (interior <= d_series[:, 2:])
@@ -306,34 +302,31 @@ def loop_scan(b: Backend, N: SubmanifoldSpec, atlas: WavefrontAtlas,
     I = I + 1
     after = I > i0[J]
     J, I = J[after], I[after]            # grid order within each direction
-    t, s_ret, res, d_min = _polish_returns(b, N, batch, J, batch.t[I],
-                                           capture_radius)
-    ok = np.nonzero(~(d_min > capture_radius) & (res <= angle_tol))[0]
+    t, res, d_min = _polish_returns(b, N, batch, J, batch.t[I])
+    ok = np.nonzero(~(d_min > CAPTURE_RADIUS) & (res <= ANGLE_TOL))[0]
     # the earliest accepted return of each direction is its loop
     ok = ok[np.unique(J[ok], return_index=True)[1]]
-    per_dir: list[LoopReturn | None] = [None] * k
+    per_dir: list[float | None] = [None] * k
     for c in ok:
-        per_dir[J[c]] = LoopReturn(float(t[c]), float(s_ret[c]),
-                                   float(res[c]), float(d_min[c]))
+        per_dir[J[c]] = float(t[c])
     return (0.5 * float(np.min(t[ok])) if ok.size else np.inf), per_dir
 
 
-def _polish_returns(b, N, batch, J, t0, capture):
+def _polish_returns(b, N, batch, J, t0):
     """Joint (s, t) polish of every capture event (path J, grid time t0) by
     three alternating rounds of golden sections, all events in lockstep.
-    Returns arrays (t, s, angle residual, d_min)."""
+    Returns arrays (t, angle residual, d_min)."""
     tg, pos, vel = batch.t, batch.pos, batch.vel
     dt = batch.dt
     lo = np.maximum(t0 - 2 * dt, 0.0)
     hi = np.minimum(t0 + 2 * dt, float(tg[-1]))
-    tube = 10 * capture
     t = t0
     target = np.broadcast_to(N.point, (len(J),) + N.point.shape) \
         if N.dim == 0 else None
     for _ in range(3):
         if N.dim == 1:
             p, _v = hermite_batch(tg, pos, vel, J, t)
-            s_ret, _, _ = foot_points(b, N, b.wrap(p), tube)
+            s_ret, _, _ = foot_points(b, N, b.wrap(p))
             target = N.curve(s_ret)
 
         def f(tt, idx):
@@ -344,15 +337,14 @@ def _polish_returns(b, N, batch, J, t0, capture):
     p, v = hermite_batch(tg, pos, vel, J, t)
     pw = b.wrap(p)
     if N.dim == 0:
-        zero = np.zeros(len(J))
-        return t, zero, zero, b.aux_distance(N.point, pw)
-    s, d_min, _ = foot_points(b, N, pw, tube)
+        return t, np.zeros(len(J)), b.aux_distance(N.point, pw)
+    s, d_min, _ = foot_points(b, N, pw)
     tan = N.curve.velocity(s)
     base = N.curve(s)
     vn = v / np.maximum(b.norm(pw, v), 1e-300)[:, None]
     tn = tan / np.maximum(b.norm(base, tan), 1e-300)[:, None]
     res = np.abs(b.inner(base, vn, tn))
-    return t, s, res, d_min
+    return t, res, d_min
 
 
 # ---------------------------------------------------------------------------
@@ -384,27 +376,27 @@ def compute_profiles(b: Backend, N: SubmanifoldSpec, atlas: WavefrontAtlas,
 
 @dataclass
 class PointCloud:
-    """Compact subset sample with provenance and dedup radius."""
+    """Compact subset sample with provenance."""
 
     backend: Backend
     points: np.ndarray
     dir_idx: np.ndarray
-    dedup_radius: float
 
 
-def cut_locus_cloud(b: Backend, profiles: list[CutProfile],
-                    dedup_radius: float = 1e-6) -> PointCloud:
+def cut_locus_cloud(b: Backend, profiles: list[CutProfile]) -> PointCloud:
+    """The cut points of the cut directions, each dropped when an earlier
+    one lies within DEDUP_RADIUS of it."""
     pts = np.array([p.cut_point for p in profiles if not p.no_cut])
     dirs = np.array([p.dir_idx for p in profiles if not p.no_cut], dtype=int)
     if not len(pts):
-        return PointCloud(b, np.empty((0, b.dim)), dirs, dedup_radius)
+        return PointCloud(b, np.empty((0, b.dim)), dirs)
     keep = np.ones(len(pts), dtype=bool)
     for i in range(len(pts)):
         if not keep[i]:
             continue
         d = b.aux_distance(pts[i + 1:], pts[i])
-        keep[i + 1:] &= d > dedup_radius
-    return PointCloud(b, pts[keep], dirs[keep], dedup_radius)
+        keep[i + 1:] &= d > DEDUP_RADIUS
+    return PointCloud(b, pts[keep], dirs[keep])
 
 
 @dataclass
@@ -416,12 +408,12 @@ class SepPoint:
 
 
 def separating_points(b: Backend, N: SubmanifoldSpec,
-                      profiles: list[CutProfile],
-                      pair_tol: float) -> list[SepPoint]:
-    """Cluster cut points; clusters reached by >= 2 distinct initial frames
-    are separating candidates, with the non-exclusive focal dichotomy flag."""
+                      profiles: list[CutProfile]) -> list[SepPoint]:
+    """Cluster cut points (PAIR_TOL); clusters reached by >= 2 distinct
+    initial frames are separating candidates, with the non-exclusive focal
+    dichotomy flag."""
     prof = [p for p in profiles if not p.no_cut]
-    clusters = _clusters(b, np.array([p.cut_point for p in prof]), pair_tol)
+    clusters = _clusters(b, np.array([p.cut_point for p in prof]), PAIR_TOL)
     out = []
     for members in clusters:
         frames = [(prof[i].s, prof[i].side) for i in members]

@@ -91,16 +91,15 @@ class Jet(NamedTuple):
 
 
 class MetricJet(NamedTuple):
-    """The jet of a chart metric [[E, F], [F, G]] as the scalar jets of its
-    entries, F None where it is zero (every bundled metric is diagonal)."""
+    """The jet of a diagonal chart metric diag(E, G) as the scalar jets of
+    its entries."""
 
     E: Jet
-    F: Jet | None
     G: Jet
 
     @property
     def val(self):
-        return tuple(None if e is None else e.val for e in self)
+        return tuple(e.val for e in self)
 
 
 def _const(p, c: float, order: int) -> Jet:
@@ -124,15 +123,9 @@ def _sinusoid(p, order: int, axis: int, amp: float, w: float,
 
 
 def _sum(a, A, b, B):
-    """The jet of a A + b B, of scalar or metric jets (entry by entry, an
-    absent F being zero)."""
+    """The jet of a A + b B, of scalar or metric jets (entry by entry)."""
     if isinstance(A, MetricJet):
         return MetricJet(*(_sum(a, X, b, Y) for X, Y in zip(A, B)))
-    if A is None or B is None:
-        if A is B:
-            return None
-        c, C = (b, B) if A is None else (a, A)
-        return Jet(*(None if x is None else c * x for x in C))
     return Jet(*(None if x is None else a * x + b * y for x, y in zip(A, B)))
 
 
@@ -140,7 +133,7 @@ def _times(f: Jet, G):
     """The jet of f G for a scalar f and a scalar or metric G (product
     rule, entry by entry)."""
     if isinstance(G, MetricJet):
-        return MetricJet(*(None if g is None else _times(f, g) for g in G))
+        return MetricJet(*(_times(f, g) for g in G))
     val = f.val * G.val
     if G.d1 is None:
         return Jet(val)
@@ -165,7 +158,7 @@ def _exp(c: float, f: Jet) -> Jet:
 def _diag(p, order: int, E, G) -> MetricJet:
     """The chart metric jet diag(E, G); a float entry is a constant."""
     const = lambda e: _const(p, e, order) if isinstance(e, float) else e
-    return MetricJet(const(E), None, const(G))
+    return MetricJet(const(E), const(G))
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +169,7 @@ def _diag(p, order: int, E, G) -> MetricJet:
 class ScalarField:
     """Named smooth field with the parameters that built it; ``jet(p,
     order)`` is its one definition and a call returns the jet's value (a
-    chart metric's jet is a MetricJet, whose value is (E, F, G))."""
+    chart metric's jet is a MetricJet, whose value is (E, G))."""
 
     name: str
     params: dict
@@ -298,15 +291,13 @@ def blended_chart_field(g0: ScalarField, g1: ScalarField,
 # periodic chart backend
 # ---------------------------------------------------------------------------
 
-def _spd_det(pts, E, F, G) -> np.ndarray:
-    """det g of chart metrics [[E, F], [F, G]] at pts, F None where it is
-    zero; raises unless every g is finite and positive definite."""
+def _spd_det(pts, E, G) -> np.ndarray:
+    """det g of chart metrics diag(E, G) at pts; raises unless every g is
+    finite and positive definite."""
     finite = np.isfinite(E) & np.isfinite(G)
-    if F is not None:
-        finite &= np.isfinite(F)
     if not finite.all():
         raise GeometryError(f"non-finite metric entries at {pts[~finite][:1]}")
-    det = E * G if F is None else E * G - F * F
+    det = E * G
     if (det <= 1e-12).any() or (E <= 0.0).any():
         bad = pts[(det <= 1e-12) | (E <= 0.0)]
         raise GeometryError(f"metric not positive definite at {bad[:1]}")
@@ -347,8 +338,8 @@ class PeriodicChart(_Shared):
 
     Chart coordinates stay unwrapped during integration (the metric field is
     periodic); only ``wrap``/``aux_gap`` reduce modulo the periods.  The
-    metric travels as its entries (see MetricJet); with F zero each product
-    rounds as over the (2, 2) matrix.
+    metric is diagonal and travels as its entries E and G (see MetricJet);
+    each product rounds as over the (2, 2) matrix.
     """
 
     periods: tuple[float, float]
@@ -361,8 +352,8 @@ class PeriodicChart(_Shared):
     # -- metric ------------------------------------------------------------
 
     def metric(self, pts):
-        """The entries (E, F, G) of the metric at pts, F None where it is
-        zero; raises unless every metric is finite and positive definite."""
+        """The entries (E, G) of the metric at pts; raises unless every
+        metric is finite and positive definite."""
         pts = np.asarray(pts, dtype=float)
         g = self.metric_field(pts)
         _spd_det(pts, *g)
@@ -373,9 +364,8 @@ class PeriodicChart(_Shared):
 
     def lam_sqrt_max(self, pts) -> np.ndarray:
         """sqrt of the largest metric eigenvalue (chart-gap -> g-length bound)."""
-        a, b, c = self.metric_field(pts)
-        s = (a - c) ** 2 if b is None else (a - c) ** 2 + 4.0 * b ** 2
-        return np.sqrt(0.5 * (a + c + np.sqrt(s)))
+        a, c = self.metric_field(pts)
+        return np.sqrt(0.5 * (a + c + np.sqrt((a - c) ** 2)))
 
     # -- Christoffel action ------------------------------------------------
 
@@ -383,42 +373,33 @@ class PeriodicChart(_Shared):
         """Gamma^k_ij v^i v^j, the quadratic Christoffel action on v."""
         pts = np.asarray(pts, dtype=float)
         v = np.asarray(v, dtype=float)
-        E, F, G = self.metric_field.jet(pts, 1)
-        det = _spd_det(pts, E.val, None if F is None else F.val, G.val)
+        E, G = self.metric_field.jet(pts, 1)
+        det = _spd_det(pts, E.val, G.val)
         # cov_l = (v . d)(g v)_l - 1/2 d_l g(v, v): with P = (E_x x, E_y x)
         # and Q = (G_x y, G_y y), cov_x = P_x x / 2 + (P_y - Q_x / 2) y and
-        # cov_y = (Q_x - P_y / 2) x + Q_y y / 2, plus F_y y^2 and F_x x^2
+        # cov_y = (Q_x - P_y / 2) x + Q_y y / 2
         x, y = v[..., 0], v[..., 1]
         P, Q = E.d1 * x, G.d1 * y
         hP, hQ = 0.5 * P, 0.5 * Q
-        ax, ay = P[1] - hQ[0], Q[0] - hP[1]
-        if F is not None:
-            ax += F.d1[1] * y
-            ay += F.d1[0] * x
-        cov_x = hP[0] * x + ax * y
-        cov_y = ay * x + hQ[1] * y
-        # then g^{-1} cov by the adjugate [[G, -F], [-F, E]] / det
+        cov_x = hP[0] * x + (P[1] - hQ[0]) * y
+        cov_y = (Q[0] - hP[1]) * x + hQ[1] * y
+        # then g^{-1} cov by the adjugate diag(G, E) / det
         cov_x /= det
         cov_y /= det
         acc = np.empty(cov_x.shape + (2,))
         np.multiply(G.val, cov_x, out=acc[..., 0])
         np.multiply(E.val, cov_y, out=acc[..., 1])
-        if F is not None:
-            acc[..., 0] -= F.val * cov_y
-            acc[..., 1] -= F.val * cov_x
         return acc
 
     # -- curvature ---------------------------------------------------------
 
     def _curvature(self, pts) -> np.ndarray:
-        """Gauss curvature by Brioschi's formula on the metric's 2-jet; an
-        absent F enters as the number 0."""
-        Ej, Fj, Gj = self.metric_field.jet(pts, 2)
+        """Gauss curvature by Brioschi's formula on the metric's 2-jet; the
+        zero entry F and its derivatives enter as the number 0."""
+        Ej, Gj = self.metric_field.jet(pts, 2)
         E, (E_u, E_v), E_vv = Ej.val, Ej.d1, Ej.d2[1, 1]
         G, (G_u, G_v), G_uu = Gj.val, Gj.d1, Gj.d2[0, 0]
         F = F_u = F_v = F_uv = 0.0
-        if Fj is not None:
-            F, (F_u, F_v), F_uv = Fj.val, Fj.d1, Fj.d2[0, 1]
 
         def det3(a11, a12, a13, a21, a22, a23, a31, a32, a33):
             return (a11 * (a22 * a33 - a23 * a32)
@@ -459,10 +440,12 @@ class PeriodicChart(_Shared):
     def lower(self, pts, v):
         """The covector g v of each velocity: row_sum(lower(x, v) * w) is
         g_x(v, w)."""
-        E, F, G = self.metric(pts)
+        E, G = self.metric(pts)
         v = np.asarray(v, dtype=float)
-        F, x, y = 0.0 if F is None else F, v[..., 0], v[..., 1]
-        return np.stack([E * x + F * y, F * x + G * y], axis=-1)
+        x, y = v[..., 0], v[..., 1]
+        # the zero off-diagonal enters as 0.0 terms, so signed zeros and
+        # NaNs come out as in a product with the (2, 2) matrix
+        return np.stack([E * x + 0.0 * y, 0.0 * x + G * y], axis=-1)
 
     def retract(self, x, v):
         """A state after an RK4 step; a chart has no constraint to restore."""
@@ -500,8 +483,8 @@ class PeriodicChart(_Shared):
 
     def dual_norm(self, q, du) -> np.ndarray:
         """g-norm at each point q of the differential with components du."""
-        E, F, G = self.metric(q)
-        F = np.zeros_like(E) if F is None else F
+        E, G = self.metric(q)
+        F = np.zeros_like(E)
         g = np.stack([E, F, F, G], axis=-1).reshape(E.shape + (2, 2))
         ginv = np.linalg.inv(g)
         return np.sqrt((du[:, None, :] @ ginv @ du[:, :, None])[:, 0, 0])

@@ -34,8 +34,6 @@ class HausdorffReport:
     value: float
     a_to_b: float               # sup over A of dist to B
     b_to_a: float
-    nearest_a: np.ndarray       # per point of A, distance to B
-    nearest_b: np.ndarray
 
 
 def hausdorff_report(A: PointCloud, B: PointCloud) -> HausdorffReport:
@@ -44,10 +42,9 @@ def hausdorff_report(A: PointCloud, B: PointCloud) -> HausdorffReport:
     if len(A.points) == 0 or len(B.points) == 0:
         raise GeometryError("no cut locus detected")
     b = A.backend
-    na = _nearest_gaps(b, A.points, B.points)
-    nb = _nearest_gaps(b, B.points, A.points)
-    ab, ba = float(np.max(na)), float(np.max(nb))
-    return HausdorffReport(max(ab, ba), ab, ba, na, nb)
+    ab = float(np.max(_nearest_gaps(b, A.points, B.points)))
+    ba = float(np.max(_nearest_gaps(b, B.points, A.points)))
+    return HausdorffReport(max(ab, ba), ab, ba)
 
 
 def _nearest_gaps(b: Backend, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -71,17 +68,12 @@ class Resolution:
     m: int = 256
     dt: float = 1e-3
     t_max: float = 1.2
-    capture_radius: float = 1e-2
-    angle_tol: float = 1e-3
-    pair_tol: float = 3e-3
-    dedup_radius: float = 1e-6
 
 
 @dataclass
 class ScenarioResult:
     backend: Backend
     N: SubmanifoldSpec
-    res: Resolution
     profiles: list[CutProfile]
     cloud: PointCloud
     sep: list
@@ -108,7 +100,7 @@ def run_case(b: Backend, N: SubmanifoldSpec, res: Resolution,
     timings = {}
     atlas = build_atlas(b, N, res.m, res.t_max, res.dt, paths, timings)
     t0 = time.perf_counter()
-    l_half, loops = loop_scan(b, N, atlas, res.capture_radius, res.angle_tol)
+    l_half, loops = loop_scan(b, N, atlas)
     timings["loop_scan"] = time.perf_counter() - t0
     profiles = compute_profiles(b, N, atlas, loops, workers=workers,
                                 timings=timings)
@@ -116,9 +108,9 @@ def run_case(b: Backend, N: SubmanifoldSpec, res: Resolution,
     fmin = f_min(focal)
     inj_d = injectivity_radius_direct(profiles)
     inj_c, branch = injectivity_radius_char(fmin, l_half)
-    cloud = cut_locus_cloud(b, profiles, res.dedup_radius)
-    sep = separating_points(b, N, profiles, res.pair_tol)
-    return ScenarioResult(b, N, res, profiles, cloud, sep, inj_d, inj_c,
+    cloud = cut_locus_cloud(b, profiles)
+    sep = separating_points(b, N, profiles)
+    return ScenarioResult(b, N, profiles, cloud, sep, inj_d, inj_c,
                           branch, fmin, l_half, atlas.err,
                           atlas if keep_atlas else None, timings)
 

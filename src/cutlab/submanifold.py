@@ -12,6 +12,7 @@ from .geometry import Backend, GeometryError, check_params, wrap_periodic
 _DS = 1e-5          # parameter step for curve/normal-field derivatives
 CURVATURE_SAFETY = 1.1  # factor on the sampled max |kappa| (Delta)
 FOOT_TOL = 1e-8         # bracket width that ends a foot-point search
+TUBE_RADIUS = 0.1       # aux distance beyond which a foot point is coarse
 
 
 @dataclass(frozen=True)
@@ -254,14 +255,13 @@ class FootPoint:
 
 def foot_point(b: Backend, N: SubmanifoldSpec, q) -> FootPoint:
     """Nearest-parameter projection of q onto N in the auxiliary distance,
-    golden-section polished; d_est is a first-order g-length inside the
-    tubular radius, otherwise the raw auxiliary value flagged coarse."""
+    golden-section polished; d_est is a first-order g-length within
+    TUBE_RADIUS of N, otherwise the raw auxiliary value flagged coarse."""
     s, d_est, coarse = foot_points(b, N, np.asarray(q, dtype=float)[None, :])
     return FootPoint(float(s[0]), float(d_est[0]), bool(coarse[0]))
 
 
-def foot_points(b: Backend, N: SubmanifoldSpec, Q: np.ndarray,
-                tube_radius: float = 0.1):
+def foot_points(b: Backend, N: SubmanifoldSpec, Q: np.ndarray):
     """``foot_point`` for every row of Q at once: arrays (s, d_est, coarse)."""
     if N.dim == 0:
         s = np.zeros(len(Q))
@@ -277,7 +277,7 @@ def foot_points(b: Backend, N: SubmanifoldSpec, Q: np.ndarray,
         foot = N.curve(s)
         d_aux = b.aux_distance(N.curve(x), Q)
     # inside the tube: the first-order g-length of the gap
-    coarse = d_aux > tube_radius
+    coarse = d_aux > TUBE_RADIUS
     return s, np.where(coarse, d_aux, b.gap_length(foot, Q)), coarse
 
 

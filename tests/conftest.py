@@ -14,6 +14,7 @@ from cutlab.stability import Resolution, run_case
 class TimedCase:
     def __init__(self, name, res, keep_atlas=False):
         cfg = scenario(name)
+        self.res = res
         self.backend = cfg.build_backend()
         self.N = cfg.build_submanifold(self.backend)
         t0 = time.perf_counter()

@@ -70,9 +70,9 @@ def brute_hausdorff(A, B, dist):
 
 
 def reference_hausdorff(A, B):
-    """(nearest_a, nearest_b) of stability.hausdorff_report: one
-    aux_distance call per probe point, from the probe point to the other
-    cloud."""
+    """Per point of A the auxiliary distance to B, and per point of B to A,
+    as stability._nearest_gaps gives them: one aux_distance call per probe
+    point, from the probe point to the other cloud."""
     b = A.backend
     na = np.array([float(np.min(b.aux_distance(p, B.points)))
                    for p in A.points])
@@ -300,13 +300,13 @@ def reference_aux_gap(b, p, q):
 
 # -- chart metrics in the dense (2, 2) layout ---------------------------------
 def dense_jet(jet):
-    """A chart MetricJet (E, F, G) in the dense layout, with val[i, j],
+    """A chart MetricJet (E, G) in the dense layout, with val[i, j],
     d1[l, i, j] and d2[l, m, i, j] = d_l d_m g_ij and the point axes last;
-    an absent F reads 0.  A scalar jet is returned as it is."""
+    the off-diagonal entries read 0.  A scalar jet is returned as it is."""
     from cutlab.geometry import Jet, MetricJet
     if not isinstance(jet, MetricJet):
         return jet
-    E, F, G = jet
+    E, G = jet
     parts = []
     for k in range(3):
         if E[k] is None:
@@ -315,19 +315,15 @@ def dense_jet(jet):
         g = np.zeros(E[k].shape[:k] + (2, 2) + E[k].shape[k:])
         at = (slice(None),) * k
         g[at + (0, 0)], g[at + (1, 1)] = E[k], G[k]
-        if F is not None:
-            g[at + (0, 1)] = g[at + (1, 0)] = F[k]
         parts.append(g)
     return Jet(*parts)
 
 
 def dense_metric(b, pts):
     """A PeriodicChart's checked metric at pts as (..., 2, 2) matrices."""
-    E, F, G = b.metric(pts)
+    E, G = b.metric(pts)
     g = np.zeros(np.shape(E) + (2, 2))
     g[..., 0, 0], g[..., 1, 1] = E, G
-    if F is not None:
-        g[..., 0, 1] = g[..., 1, 0] = F
     return g
 
 

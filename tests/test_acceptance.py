@@ -112,7 +112,7 @@ def test_criterion_03_sphere_equator(sphere_eq):
              float(np.max(np.min(gaps, axis=0))))
     frame = r.atlas.frames[5]
     t_jac = normal_exp_jacobian(r.backend, r.N, frame.s, frame.side,
-                                2.0, r.res.dt).first_zero()
+                                2.0, sphere_eq.res.dt).first_zero()
     focal_diff = abs(t_jac - r.profiles[5].focal_t)
     ok = (abs(r.fmin - np.pi / 2) <= 1e-3
           and abs(r.inj_char - np.pi / 2) <= 1e-3
@@ -233,10 +233,8 @@ def test_criterion_12_hausdorff_brute_oracle(flat_backend, rng):
     ok = True
     for _ in range(100):
         na, nb = int(rng.integers(2, 30)), int(rng.integers(2, 30))
-        A = PointCloud(flat_backend, rng.random((na, 2)),
-                       np.arange(na), 1e-6)
-        B = PointCloud(flat_backend, rng.random((nb, 2)),
-                       np.arange(nb), 1e-6)
+        A = PointCloud(flat_backend, rng.random((na, 2)), np.arange(na))
+        B = PointCloud(flat_backend, rng.random((nb, 2)), np.arange(nb))
         ok = ok and hausdorff_report(A, B).value == brute_hausdorff(
             A.points, B.points, chart_aux_dist)
     _report(12, "exact agreement with brute-force Hausdorff oracle on 100 "

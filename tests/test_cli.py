@@ -263,6 +263,8 @@ _INLINE = {"backend": {"kind": "periodic-chart", "periods": [1.0, 1.0],
            "submanifold": {"dim": 1, "m_N": 64,
                            "curve": {"name": "horizontal-circle", "y0": 0.0}},
            "resolution": {"m": 64, "dt": 2e-3, "t_max": 1.2}}
+_SMALL = {"backend": {"kind": "periodic-chart"},
+          "resolution": {"m": 16, "dt": 0.02, "t_max": 0.6}}
 
 
 @pytest.mark.parametrize("cfg, key", [
@@ -270,11 +272,42 @@ _INLINE = {"backend": {"kind": "periodic-chart", "periods": [1.0, 1.0],
     ({**FAST, "threads": 0}, "threads"),
     ({**FAST, "threads": -2}, "threads"),
     ({**FAST, "threads": 1.5}, "threads"),
-    ({**FAST, "seed": "x"}, "seed"),
+    ({**FAST, "seed": "x"}, "config.seed"),
+    ({**FAST, "seed": 0}, "config.seed"),
     ({**FAST, "resolution": {"m": "many"}}, "resolution.m"),
     ({**FAST, "resolution": {"m_N": "x"}}, "resolution.m_N"),
     ({**FAST, "resolution": {"dt": None}}, "resolution.dt"),
     ({**FAST, "resolution": {"tol": 1e-3}}, "resolution.tol"),
+    ({**FAST, "resolution": {"capture_radius": 1e-2}},
+     "resolution.capture_radius"),
+    ({**FAST, "resolution": {"angle_tol": 1e-3}}, "resolution.angle_tol"),
+    ({**FAST, "resolution": {"pair_tol": 3e-3}}, "resolution.pair_tol"),
+    ({**FAST, "resolution": {"dedup_radius": 1e-6}},
+     "resolution.dedup_radius"),
+    ({**FAST, "resolution": [1, 2]}, "resolution"),
+    ({**FAST, "resolution": "fine"}, "resolution"),
+    ({**_INLINE, "backend": {**_INLINE["backend"], "periods": [1]}},
+     "backend.periods"),
+    ({**_INLINE, "backend": {**_INLINE["backend"], "periods": [1, 1, 1]}},
+     "backend.periods"),
+    ({**_INLINE, "backend": {**_INLINE["backend"], "periods": 1}},
+     "backend.periods"),
+    ({**_INLINE, "backend": {**_INLINE["backend"], "periods": [1, 0]}},
+     "backend.periods"),
+    ({**_INLINE, "backend": {**_INLINE["backend"],
+                             "periods": [1, float("inf")]}},
+     "backend.periods"),
+    ({**_SMALL, "submanifold": {"dim": 0, "point": [float("nan"), 0.2]}},
+     "submanifold.point"),
+    ({**_SMALL, "submanifold": {"dim": 0,
+                                    "point": [0.5, float("inf")]}},
+     "submanifold.point"),
+    ({**_SMALL, "submanifold": {"dim": 1, "curve": {
+        "name": "horizontal-circle", "y0": float("nan")}}},
+     "submanifold.curve"),
+    ({**_SMALL, "submanifold": {"dim": 1, "curve": {
+        "name": "horizontal-circle", "y0": float("inf")}}},
+     "submanifold.curve"),
     ({**_INLINE, "submanifold": {**_INLINE["submanifold"], "m_N": "x"}},
      "submanifold.m_N"),
     ({**FAST, "resolution": {"m": 8}}, "resolution.m"),
@@ -293,7 +326,11 @@ _INLINE = {"backend": {"kind": "periodic-chart", "periods": [1.0, 1.0],
     ({**FAST, "family": {"kind": "conformal", "tau": [float("nan"), 0.5]}},
      "family.tau"),
 ], ids=["threads", "threads-zero", "threads-negative", "threads-fraction",
-        "seed", "m-text", "m_N-text", "dt-null", "removed-tol",
+        "seed", "seed-zero", "m-text", "m_N-text", "dt-null", "removed-tol",
+        "removed-capture_radius", "removed-angle_tol", "removed-pair_tol",
+        "removed-dedup_radius", "resolution-list", "resolution-text",
+        "periods-one", "periods-three", "periods-number", "periods-zero",
+        "periods-inf", "point-nan", "point-inf", "curve-nan", "curve-inf",
         "submanifold-m_N",
         "m-below-16", "m-fraction", "unknown-metric", "tau-text", "tau-null",
         "tau-nested", "tau-bool", "tau-nan"])
@@ -314,7 +351,7 @@ def test_removed_step_knobs_are_rejected_by_name(tmp_path, capsys, key):
 
 
 def test_long_inline_json_config_runs(tmp_path):
-    cfg = json.dumps({**_INLINE, "seed": 0, "threads": 1,
+    cfg = json.dumps({**_INLINE, "threads": 1,
                       "out": str(tmp_path / "from_cfg")})
     assert len(cfg) > 300
     assert main(["inj", "--config", cfg]) == 0
@@ -380,6 +417,8 @@ def _add(cfg, block, **keys):
      "'y00'"),
     ("sweep", _with(_SHIFT, "family", target={"y0": "x"}), "family.target",
      "'x'"),
+    ("sweep", _with(_SHIFT, "family", target={"y0": float("nan")}),
+     "family.target", "non-finite samples"),
     ("inj", _with(_SPHERE, "submanifold", curve={"radius": 2.0}),
      "submanifold.curve", "'equator' is off the surface"),
     ("inj", _with(_SPHERE, "submanifold", curve={"name": "latitude",
@@ -450,6 +489,7 @@ def _add(cfg, block, **keys):
         "metric-unknown-name",
         "surface-unknown-name", "psi-unknown-name", "phi-value",
         "phi-unknown-name", "target-unknown-name", "target-value",
+        "target-nan",
         "surface-curve-off-surface", "latitude-off-surface",
         "target-off-surface", "sphere-radius-zero", "ellipsoid-two-axes",
         "ellipsoid-negative-axis", "ellipsoid-zero-axis", "chart-psi",

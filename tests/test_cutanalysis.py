@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from cutlab.config import build_family_field, scenario
-from cutlab.cutanalysis import (_clusters, compute_profiles,
-                                cut_time, cut_times, cut_locus_cloud, f_min,
-                                focal_times_batch, injectivity_radius_char,
+from cutlab.cutanalysis import (ANGLE_TOL, CAPTURE_RADIUS, _clusters,
+                                compute_profiles, cut_time, cut_times,
+                                cut_locus_cloud, f_min, focal_times_batch,
+                                injectivity_radius_char,
                                 injectivity_radius_direct, loop_scan,
                                 separating_points, warner_bound)
-from cutlab.geodesics import hermite_sample
+from cutlab.geodesics import hermite_batch, hermite_sample
 from cutlab.geometry import ImplicitSurface, conformal_family, level_surface
 from cutlab.submanifold import chart_curve, curve_submanifold, \
     frames_for, point_submanifold, surface_curve
@@ -279,15 +280,26 @@ def test_loop_scan_flat_line(flat_backend, flat_line):
     assert l_half == pytest.approx(0.5, abs=2e-3)
 
 
+def _returns(b, atlas, per_dir):
+    """The directions with a loop, and the wrapped position and g-unit
+    velocity of each one's path at its return time."""
+    J = np.array([j for j, t in enumerate(per_dir) if t is not None])
+    t = np.array([per_dir[j] for j in J])
+    p, v = hermite_batch(atlas.batch.t, atlas.batch.pos, atlas.batch.vel,
+                         J, t)
+    return J, b.wrap(p), v / b.norm(p, v)[:, None]
+
+
 def test_loop_scan_point_flat_torus(flat_backend):
     # shortest loops through a point are the length-1 closed chart geodesics
     N = point_submanifold([0.25, 0.25])
     atlas = build_atlas(flat_backend, N, 64, 1.1, 1e-3)
     l_half, per_dir = loop_scan(flat_backend, N, atlas)
     assert l_half == pytest.approx(0.5, abs=2e-3)
-    hits = [r for r in per_dir if r is not None]
-    assert hits
-    assert all(r.angle_residual <= 1e-3 for r in hits)
+    J, p, _ = _returns(flat_backend, atlas, per_dir)
+    assert J.size
+    # each path is back at the point when its loop closes
+    assert np.max(flat_backend.aux_distance(N.point, p)) <= CAPTURE_RADIUS
 
 
 def test_loop_scan_line_across_chart_seam(flat_backend):
@@ -301,6 +313,12 @@ def test_loop_scan_line_across_chart_seam(flat_backend):
         l_half, per_dir = loop_scan(flat_backend, N, atlas)
         found[y0] = (l_half,
                      {j for j, r in enumerate(per_dir) if r is not None})
+        # each loop returns to the line, at a right angle to its tangent
+        # (1, 0) up to ANGLE_TOL
+        J, p, v = _returns(flat_backend, atlas, per_dir)
+        on_line = np.stack([p[:, 0], np.full(len(p), y0)], axis=-1)
+        assert np.max(flat_backend.aux_distance(p, on_line)) <= CAPTURE_RADIUS
+        assert np.max(np.abs(v[:, 0])) <= ANGLE_TOL
     assert found[0.9995][0] == pytest.approx(found[0.5][0], abs=1e-9)
     assert found[0.9995][1] == found[0.5][1]
     assert len(found[0.5][1]) == 128
@@ -325,7 +343,7 @@ def test_separating_points_flat_point(flat_backend, point_atlas):
     N = point_submanifold([0.25, 0.25])
     _, loops = loop_scan(flat_backend, N, point_atlas)
     profiles = compute_profiles(flat_backend, N, point_atlas, loops)
-    seps = separating_points(flat_backend, N, profiles, pair_tol=3e-3)
+    seps = separating_points(flat_backend, N, profiles)
     assert seps
     assert all(sp.flag == "sep" for sp in seps)
     assert all(sp.multiplicity >= 2 for sp in seps)

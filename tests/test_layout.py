@@ -1,6 +1,7 @@
 """Package layout: one place knows whether a backend is a chart or a surface,
-one module forks processes, every defaulted parameter is set by a call, and
-every function, method and class is reached from the command line.
+one module forks processes, every defaulted parameter is set by a call,
+every function, method and class is reached from the command line, and
+every dataclass field is read.
 
 ``geometry.py`` defines both backends, ``config.py`` builds them from a
 spec's ``kind`` and ``__init__.py`` re-exports them.  Every other module
@@ -189,12 +190,13 @@ class _Def:
     fields: bool = False        # a dataclass's or NamedTuple's fields
 
 
-def _is_dataclass(cls: ast.ClassDef) -> bool:
+def _is_dataclass(cls: ast.ClassDef, named_tuple: bool = True) -> bool:
+    """Whether cls is a dataclass or, when named_tuple, a NamedTuple."""
     def name(node):
         node = node.func if isinstance(node, ast.Call) else node
         return getattr(node, "id", getattr(node, "attr", None))
     return (any(name(d) == "dataclass" for d in cls.decorator_list)
-            or any(name(b) == "NamedTuple" for b in cls.bases))
+            or named_tuple and any(name(b) == "NamedTuple" for b in cls.bases))
 
 
 def _function_def(qual: str, fn, method: bool) -> _Def:
@@ -511,6 +513,72 @@ def _traced_names() -> set[str]:
 def test_every_definition_is_reached_from_the_command_line():
     assert unreached(_package_sources(), allowed=TRACED,
                      patched=_traced_names()) == []
+
+
+# -- every dataclass field is read -------------------------------------------
+# A field that no code of the package reads is stored for the tests alone.
+# Reads resolve by name, as reach does: a load x.f anywhere in the package
+# reads every dataclass field called f.  A field can so pass on another
+# object's attribute of its name: PointCloud.dedup_radius passed while
+# res.dedup_radius was loaded, and FootPoint.coarse passes on
+# atlas.index.coarse.  NamedTuple fields are read by unpacking and exempt.
+
+# fields that the package stores for the benchmark's tracer (bench/tracing.py
+# reads sample_vel) or for the callers of a TRACED definition (foot_point's
+# d_est) alone
+UNREAD = {"wavefront.WavefrontAtlas.sample_vel", "submanifold.FootPoint.d_est"}
+
+
+def unread_fields(sources: dict[str, str], allowed=()) -> list[str]:
+    """'module.Class.field' of every dataclass field in the modules
+    ``sources`` (module name -> text) that no attribute load among them
+    reads.  An allowed field is not reported, unless it is undefined or
+    read: then it is reported with that reason."""
+    fields, loads = set(), set()
+    for module, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node, False):
+                fields |= {(f"{module}.{node.name}.{f}", f)
+                           for f in _field_def("", node).params}
+            elif isinstance(node, ast.Attribute) and \
+                    isinstance(node.ctx, ast.Load):
+                loads.add(node.attr)
+    allowed = set(allowed)
+    defined = {q for q, _ in fields}
+    report = [f"{q} (allowed, but not defined)" for q in allowed - defined]
+    report += [f"{q} (allowed, but read)" for q, f in fields
+               if q in allowed and f in loads]
+    return sorted(report + [q for q, f in fields
+                            if f not in loads and q not in allowed])
+
+
+def test_field_read_checker_resolves_by_name_and_vets_its_allowlist():
+    m = ("from dataclasses import dataclass\n"
+         "from typing import NamedTuple\n"
+         "@dataclass\n"
+         "class A:\n"
+         "    x: int\n"
+         "    y: int = 0\n"
+         "    z: int = 0\n"
+         "    def get(self): return self.x\n"
+         "class T(NamedTuple):\n"
+         "    u: int\n"
+         "def f(a, t):\n"
+         "    a.z = 1\n"
+         "    u, = t\n"
+         "    return A(1, 2, u)\n")
+    assert unread_fields({"m": m}) == ["m.A.y", "m.A.z"]
+    # another object's attribute of the same name reads the field
+    assert unread_fields({"m": m, "n": "def g(b): return b.y\n"}) == [
+        "m.A.z"]
+    assert unread_fields({"m": m}, allowed={"m.A.y", "m.A.z"}) == []
+    assert unread_fields({"m": m}, allowed={"m.A.x", "m.A.w"}) == [
+        "m.A.w (allowed, but not defined)", "m.A.x (allowed, but read)",
+        "m.A.y", "m.A.z"]
+
+
+def test_every_dataclass_field_is_read():
+    assert unread_fields(_package_sources(), allowed=UNREAD) == []
 
 
 # -- the cut-time search reads the paths alone --------------------------------

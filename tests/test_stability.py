@@ -13,8 +13,9 @@ from cutlab.geodesics import IntegrationError, integrate_batch
 from cutlab.geometry import GeometryError, ImplicitSurface, PeriodicChart, \
     ambient_scalar_field, chart_metric_field, chart_scalar_field, \
     conformal_family, level_surface, linear_blend
-from cutlab.stability import (Resolution, SweepTable, _sweep_verdicts,
-                              curvature_stats, cut_time_continuity_probe,
+from cutlab.stability import (Resolution, SweepTable, _nearest_gaps,
+                              _sweep_verdicts, curvature_stats,
+                              cut_time_continuity_probe,
                               hausdorff_convergence_check, hausdorff_report,
                               sweep_metric_family)
 from cutlab.submanifold import chart_curve, curve_submanifold, \
@@ -26,7 +27,7 @@ from oracles import brute_hausdorff, chart_aux_dist, reference_hausdorff
 
 def _cloud(b, pts):
     pts = np.asarray(pts, dtype=float)
-    return PointCloud(b, pts, np.arange(len(pts)), 1e-6)
+    return PointCloud(b, pts, np.arange(len(pts)))
 
 
 def test_hausdorff_identical_clouds(flat_backend, rng):
@@ -69,8 +70,7 @@ def test_hausdorff_known_translation(flat_backend):
 
 def test_hausdorff_empty_cloud_raises(flat_backend):
     A = _cloud(flat_backend, np.random.default_rng(0).random((5, 2)))
-    E = PointCloud(flat_backend, np.empty((0, 2)), np.empty(0, dtype=int),
-                   1e-6)
+    E = PointCloud(flat_backend, np.empty((0, 2)), np.empty(0, dtype=int))
     with pytest.raises(GeometryError, match="no cut locus"):
         hausdorff_report(A, E)
 
@@ -78,7 +78,7 @@ def test_hausdorff_empty_cloud_raises(flat_backend):
 def test_hausdorff_incompatible_backends(flat_backend, sphere_backend):
     A = _cloud(flat_backend, np.random.default_rng(0).random((5, 2)))
     B = PointCloud(sphere_backend, np.random.default_rng(1).random((5, 3)),
-                   np.arange(5), 1e-6)
+                   np.arange(5))
     with pytest.raises(GeometryError, match="backend"):
         hausdorff_report(A, B)
 
@@ -341,10 +341,12 @@ def test_hausdorff_report_matches_the_per_point_loop_bitwise(
                      rng.random((41, 2)) + [0.0, 0.97]),
                     (sphere_backend, sphere[:30], sphere[30:])):
         ca, cb = _cloud(b, A), _cloud(b, B)
-        rep = hausdorff_report(ca, cb)
         na, nb = reference_hausdorff(ca, cb)
-        assert np.array_equal(rep.nearest_a, na)
-        assert np.array_equal(rep.nearest_b, nb)
+        assert np.array_equal(_nearest_gaps(b, ca.points, cb.points), na)
+        assert np.array_equal(_nearest_gaps(b, cb.points, ca.points), nb)
+        rep = hausdorff_report(ca, cb)
+        assert (rep.a_to_b, rep.b_to_a) == (np.max(na), np.max(nb))
+        assert rep.value == max(rep.a_to_b, rep.b_to_a)
 
 
 @pytest.mark.parametrize("family", ["conformal", "blend", "sphere",

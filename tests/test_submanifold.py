@@ -227,7 +227,7 @@ def test_foot_point_of_point_submanifold(flat_backend):
 def test_foot_points_match_foot_point_row_by_row(warped_backend):
     N = curve_submanifold(chart_curve("horizontal-circle", (1.0, 1.0), y0=0.0))
     Q = np.array([[0.37, 0.04], [0.999, 0.98], [0.5, 0.4], [0.0, 0.0]])
-    s, d_est, coarse = foot_points(warped_backend, N, Q, tube_radius=0.1)
+    s, d_est, coarse = foot_points(warped_backend, N, Q)
     for i, q in enumerate(Q):
         fp = foot_point(warped_backend, N, q)
         assert (fp.s, fp.d_est, fp.coarse) == (s[i], d_est[i], coarse[i])
@@ -298,8 +298,8 @@ def test_foot_points_match_reference_bitwise(name, request, rng):
         Q = near + rng.normal(scale=0.1, size=near.shape)
         if b.periods is None:
             Q = b.project(Q)
-        got = foot_points(b, N, Q, tube_radius=0.15)
-        want = reference_foot_points(b, N, Q, tube_radius=0.15)
+        got = foot_points(b, N, Q)
+        want = reference_foot_points(b, N, Q)
         assert not got[2].all() and got[2].any()    # both branches taken
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
