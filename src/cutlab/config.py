@@ -274,6 +274,8 @@ def parse_config(source) -> RunConfig:
         if "m_N" in data["resolution"]:
             m_N = _number(data["resolution"]["m_N"], "resolution.m_N",
                           integer=True)
+            if not isinstance(cfg.submanifold_spec, dict):
+                raise ConfigError("submanifold: expected an object")
             cfg.submanifold_spec = dict(cfg.submanifold_spec, m_N=m_N)
     if "family" in data:
         fam = data["family"]

@@ -326,7 +326,7 @@ def _polish_returns(b, N, batch, J, t0):
     for _ in range(3):
         if N.dim == 1:
             p, _v = hermite_batch(tg, pos, vel, J, t)
-            s_ret, _, _ = foot_points(b, N, b.wrap(p))
+            s_ret, _ = foot_points(b, N, b.wrap(p))
             target = N.curve(s_ret)
 
         def f(tt, idx):
@@ -338,7 +338,7 @@ def _polish_returns(b, N, batch, J, t0):
     pw = b.wrap(p)
     if N.dim == 0:
         return t, np.zeros(len(J)), b.aux_distance(N.point, pw)
-    s, d_min, _ = foot_points(b, N, pw)
+    s, d_min = foot_points(b, N, pw)
     tan = N.curve.velocity(s)
     base = N.curve(s)
     vn = v / np.maximum(b.norm(pw, v), 1e-300)[:, None]

@@ -12,7 +12,7 @@ from .geometry import Backend, GeometryError, check_params, wrap_periodic
 _DS = 1e-5          # parameter step for curve/normal-field derivatives
 CURVATURE_SAFETY = 1.1  # factor on the sampled max |kappa| (Delta)
 FOOT_TOL = 1e-8         # bracket width that ends a foot-point search
-TUBE_RADIUS = 0.1       # aux distance beyond which a foot point is coarse
+TUBE_RADIUS = 0.1       # aux distance beyond which d_est is not polished
 
 
 @dataclass(frozen=True)
@@ -250,19 +250,18 @@ def golden_section(f, lo, hi, tol: float) -> np.ndarray:
 class FootPoint:
     s: float
     d_est: float
-    coarse: bool    # aux estimate beyond the tubular radius, not metric-polished
 
 
 def foot_point(b: Backend, N: SubmanifoldSpec, q) -> FootPoint:
     """Nearest-parameter projection of q onto N in the auxiliary distance,
     golden-section polished; d_est is a first-order g-length within
-    TUBE_RADIUS of N, otherwise the raw auxiliary value flagged coarse."""
-    s, d_est, coarse = foot_points(b, N, np.asarray(q, dtype=float)[None, :])
-    return FootPoint(float(s[0]), float(d_est[0]), bool(coarse[0]))
+    TUBE_RADIUS of N, otherwise the raw auxiliary value."""
+    s, d_est = foot_points(b, N, np.asarray(q, dtype=float)[None, :])
+    return FootPoint(float(s[0]), float(d_est[0]))
 
 
 def foot_points(b: Backend, N: SubmanifoldSpec, Q: np.ndarray):
-    """``foot_point`` for every row of Q at once: arrays (s, d_est, coarse)."""
+    """``foot_point`` for every row of Q at once: arrays (s, d_est)."""
     if N.dim == 0:
         s = np.zeros(len(Q))
         foot = N.point
@@ -277,8 +276,7 @@ def foot_points(b: Backend, N: SubmanifoldSpec, Q: np.ndarray):
         foot = N.curve(s)
         d_aux = b.aux_distance(N.curve(x), Q)
     # inside the tube: the first-order g-length of the gap
-    coarse = d_aux > TUBE_RADIUS
-    return s, np.where(coarse, d_aux, b.gap_length(foot, Q)), coarse
+    return s, np.where(d_aux > TUBE_RADIUS, d_aux, b.gap_length(foot, Q))
 
 
 # ---------------------------------------------------------------------------

@@ -140,7 +140,7 @@ def brute_distance(atlas, q):
     b = atlas.backend
     q = np.asarray(q, dtype=float)
     pos = atlas.sample_pos
-    grid = atlas.index.coarse
+    grid = atlas.grid
     shape = np.array(grid.shape)
     if b.periods is not None:
         L = np.array(b.periods)

@@ -310,6 +310,10 @@ _SMALL = {"backend": {"kind": "periodic-chart"},
      "submanifold.curve"),
     ({**_INLINE, "submanifold": {**_INLINE["submanifold"], "m_N": "x"}},
      "submanifold.m_N"),
+    ({"backend": {"kind": "periodic-chart"}, "submanifold": [1, 2],
+      "resolution": {"m_N": 64}}, "submanifold"),
+    ({"backend": {"kind": "periodic-chart"}, "submanifold": "x",
+      "resolution": {"m_N": 64}}, "submanifold"),
     ({**FAST, "resolution": {"m": 8}}, "resolution.m"),
     ({**FAST, "resolution": {"m": 16.7}}, "resolution.m"),
     ({**_INLINE, "backend": {**_INLINE["backend"],
@@ -331,7 +335,7 @@ _SMALL = {"backend": {"kind": "periodic-chart"},
         "removed-dedup_radius", "resolution-list", "resolution-text",
         "periods-one", "periods-three", "periods-number", "periods-zero",
         "periods-inf", "point-nan", "point-inf", "curve-nan", "curve-inf",
-        "submanifold-m_N",
+        "submanifold-m_N", "submanifold-list-m_N", "submanifold-text-m_N",
         "m-below-16", "m-fraction", "unknown-metric", "tau-text", "tau-null",
         "tau-nested", "tau-bool", "tau-nan"])
 def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, cfg, key):

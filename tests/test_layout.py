@@ -520,13 +520,12 @@ def test_every_definition_is_reached_from_the_command_line():
 # Reads resolve by name, as reach does: a load x.f anywhere in the package
 # reads every dataclass field called f.  A field can so pass on another
 # object's attribute of its name: PointCloud.dedup_radius passed while
-# res.dedup_radius was loaded, and FootPoint.coarse passes on
-# atlas.index.coarse.  NamedTuple fields are read by unpacking and exempt.
+# res.dedup_radius was loaded, and FootPoint.coarse while the loop scan's
+# atlas.index.coarse was.  NamedTuple fields are read by unpacking and exempt.
 
-# fields that the package stores for the benchmark's tracer (bench/tracing.py
-# reads sample_vel) or for the callers of a TRACED definition (foot_point's
-# d_est) alone
-UNREAD = {"wavefront.WavefrontAtlas.sample_vel", "submanifold.FootPoint.d_est"}
+# fields that the package stores for the callers of a TRACED definition
+# (foot_point's d_est) alone
+UNREAD = {"submanifold.FootPoint.d_est"}
 
 
 def unread_fields(sources: dict[str, str], allowed=()) -> list[str]:
@@ -581,19 +580,30 @@ def test_every_dataclass_field_is_read():
     assert unread_fields(_package_sources(), allowed=UNREAD) == []
 
 
-# -- the cut-time search reads the paths alone --------------------------------
-# Cut times come from the front's self-crossings (cutanalysis.cut_times): no
-# distance query takes part, so the code that cut_times reaches in its module
-# loads none of the atlas's distance entry points.
+# -- the cut-time search and the loop scan read the paths alone --------------
+# Cut times come from the front's self-crossings (cutanalysis.cut_times), and
+# the loop scan reads the coarse cell table that build_atlas makes: the code
+# that either reaches loads none of the distance query's entry points, and
+# the loop scan none of the index that the first query builds.
 
-def test_cut_time_search_makes_no_distance_query():
-    defs, _ = _definitions({"cutanalysis":
-                            (SRC / "cutanalysis.py").read_text()})
-    reached = _reach(defs, ["cutanalysis.cut_times"], [])
-    assert {"cutanalysis._first_crossings", "cutanalysis._near_pairs",
-            "cutanalysis._step_crossings"} <= reached
-    loaded = set()
+def _loaded_from(defs, root: str):
+    """(definitions reached from root, names that their code loads)."""
+    reached, loaded = _reach(defs, [root], []), set()
     for q in reached:
         for node in defs[q].nodes:
             _loads(node, loaded)
+    return reached, loaded
+
+
+def test_cut_time_search_makes_no_distance_query():
+    defs, _ = _definitions({m: (SRC / f"{m}.py").read_text()
+                            for m in ("cutanalysis", "wavefront")})
+    reached, loaded = _loaded_from(defs, "cutanalysis.cut_times")
+    assert {"cutanalysis._first_crossings", "cutanalysis._near_pairs",
+            "cutanalysis._step_crossings"} <= reached
     assert loaded & {"_distance_rows", "distance_many", "distance"} == set()
+    reached, loaded = _loaded_from(defs, "cutanalysis.loop_scan")
+    assert {"wavefront.ring_pairs", "wavefront._pairs",
+            "wavefront._Tier.ranges", "wavefront._Grid.ring"} <= reached
+    assert loaded & {"index", "_near", "_nearest", "_caps",
+                     "_distance_rows"} == set()

@@ -4,9 +4,10 @@ import pytest
 from cutlab.geometry import (GeometryError, ImplicitSurface, PeriodicChart,
                              ambient_scalar_field, chart_metric_field,
                              conformal_family, level_surface)
-from cutlab.submanifold import (CurveSpec, chart_curve, curve_submanifold,
-                                embedding_family, foot_point, foot_points,
-                                frames_for, golden_section, point_submanifold,
+from cutlab.submanifold import (TUBE_RADIUS, CurveSpec, chart_curve,
+                                curve_submanifold, embedding_family,
+                                foot_point, foot_points, frames_for,
+                                golden_section, point_submanifold,
                                 principal_curvature_bound, shape_operators,
                                 surface_curve, unit_normals)
 
@@ -204,7 +205,6 @@ def test_foot_point_flat_line(flat_backend):
     fp = foot_point(flat_backend, N, [0.37, 0.04])
     assert fp.s == pytest.approx(0.37, abs=1e-6)
     assert fp.d_est == pytest.approx(0.04, abs=1e-6)
-    assert not fp.coarse
 
 
 def test_foot_point_wraparound(flat_backend):
@@ -213,10 +213,17 @@ def test_foot_point_wraparound(flat_backend):
     assert fp.d_est == pytest.approx(0.02, abs=1e-6)
 
 
-def test_foot_point_beyond_tube_is_coarse(flat_backend):
+def test_foot_point_beyond_tube_is_coarse(warped_backend):
+    # beyond TUBE_RADIUS d_est is the raw aux distance, not the g-length of
+    # the gap, which is 1.2 times longer here (sqrt G = 1.2 at x = 0.25)
     N = curve_submanifold(chart_curve("horizontal-circle", (1.0, 1.0), y0=0.0))
-    fp = foot_point(flat_backend, N, [0.5, 0.4])
-    assert fp.coarse
+    q = np.array([0.25, 0.4])
+    fp = foot_point(warped_backend, N, q)
+    foot = N.curve(np.array([fp.s]))
+    assert fp.d_est > TUBE_RADIUS
+    assert fp.d_est == warped_backend.aux_distance(foot, q)[0]
+    assert warped_backend.gap_length(foot, q)[0] == \
+        pytest.approx(1.2 * fp.d_est, rel=1e-6)
 
 
 def test_foot_point_of_point_submanifold(flat_backend):
@@ -227,10 +234,10 @@ def test_foot_point_of_point_submanifold(flat_backend):
 def test_foot_points_match_foot_point_row_by_row(warped_backend):
     N = curve_submanifold(chart_curve("horizontal-circle", (1.0, 1.0), y0=0.0))
     Q = np.array([[0.37, 0.04], [0.999, 0.98], [0.5, 0.4], [0.0, 0.0]])
-    s, d_est, coarse = foot_points(warped_backend, N, Q)
+    s, d_est = foot_points(warped_backend, N, Q)
     for i, q in enumerate(Q):
         fp = foot_point(warped_backend, N, q)
-        assert (fp.s, fp.d_est, fp.coarse) == (s[i], d_est[i], coarse[i])
+        assert (fp.s, fp.d_est) == (s[i], d_est[i])
 
 
 def test_golden_section_per_element_brackets():
@@ -299,8 +306,9 @@ def test_foot_points_match_reference_bitwise(name, request, rng):
         if b.periods is None:
             Q = b.project(Q)
         got = foot_points(b, N, Q)
-        want = reference_foot_points(b, N, Q)
-        assert not got[2].all() and got[2].any()    # both branches taken
+        *want, beyond = reference_foot_points(b, N, Q)
+        assert not beyond.all() and beyond.any()    # both branches taken
+        assert len(got) == len(want)
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
 

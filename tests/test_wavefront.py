@@ -6,6 +6,7 @@ import pytest
 from cutlab.config import scenario
 from cutlab.geodesics import hermite_sample
 from cutlab.geometry import PeriodicChart, chart_metric_field
+from cutlab.stability import Resolution, run_case
 from cutlab.submanifold import chart_curve, curve_submanifold, \
     point_submanifold, surface_curve
 from cutlab import wavefront
@@ -136,6 +137,27 @@ def test_eikonal_probe_blocks_do_not_change_the_report(name, request):
             reports[0]["residuals"].tobytes()
         assert rep == {k: v for k, v in reports[0].items()
                        if k != "residuals"}
+
+
+def test_the_index_is_built_by_the_first_query_before_any_fork(monkeypatch):
+    # run_case asks no distance, so the atlas it keeps holds no index; the
+    # eikonal check builds it in this process before its workers fork
+    cfg = scenario("flat-torus-line")
+    b = cfg.build_backend()
+    atlas = run_case(b, cfg.build_submanifold(b),
+                     Resolution(m=32, dt=1e-2, t_max=0.8),
+                     keep_atlas=True).atlas
+    assert "index" not in vars(atlas)
+    fork_map, built = wavefront._fork_map, []
+
+    def spy(job, n, name):
+        built.append((n, "index" in vars(atlas)))
+        return fork_map(job, n, name)
+
+    monkeypatch.setattr(wavefront, "_fork_map", spy)
+    eikonal_residual(atlas, 0.1, workers=2)
+    assert built == [(2, True)]
+    assert "index" in vars(atlas)
 
 
 # -- batched queries against the brute-force scan ----------------------------
