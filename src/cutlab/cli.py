@@ -201,13 +201,7 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
         table = sweep_embedding_family(b, N, N1, taus, cfg.resolution,
                                        workers=cfg.threads)
     em.timings["sweep"] = time.perf_counter() - t0
-    for tau, secs in table.seconds.items():     # without the stacked RK4
-        em.timings[f"case tau={tau:.12g}"] = secs
-    for taus, secs in table.rk4_seconds.items():
-        em.timings["rk4 tau=" + ",".join(f"{t:.12g}" for t in taus)] = secs
-    for tau, stages in table.stage_seconds.items():   # measured in the worker
-        for stage, secs in stages.items():
-            em.timings[f"{stage} tau={tau:.12g}"] = secs
+    em.timings.update(table.timings)
     probe_rho = cut_time_continuity_probe(table)
     probe_focal = focal_free_persistence_probe(table)
     probe_dh = hausdorff_convergence_check(table)

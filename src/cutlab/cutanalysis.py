@@ -314,7 +314,8 @@ def loop_scan(b: Backend, N: SubmanifoldSpec, atlas: WavefrontAtlas
 
 def _polish_returns(b, N, batch, J, t0):
     """Joint (s, t) polish of every capture event (path J, grid time t0) by
-    three alternating rounds of golden sections, all events in lockstep.
+    three alternating rounds of golden sections, all events in lockstep;
+    a point N has a fixed target, so its one golden section is final.
     Returns arrays (t, angle residual, d_min)."""
     tg, pos, vel = batch.t, batch.pos, batch.vel
     dt = batch.dt
@@ -323,7 +324,7 @@ def _polish_returns(b, N, batch, J, t0):
     t = t0
     target = np.broadcast_to(N.point, (len(J),) + N.point.shape) \
         if N.dim == 0 else None
-    for _ in range(3):
+    for _ in range(3 if N.dim else 1):
         if N.dim == 1:
             p, _v = hermite_batch(tg, pos, vel, J, t)
             s_ret, _ = foot_points(b, N, b.wrap(p))
@@ -378,7 +379,6 @@ def compute_profiles(b: Backend, N: SubmanifoldSpec, atlas: WavefrontAtlas,
 class PointCloud:
     """Compact subset sample with provenance."""
 
-    backend: Backend
     points: np.ndarray
     dir_idx: np.ndarray
 
@@ -389,14 +389,14 @@ def cut_locus_cloud(b: Backend, profiles: list[CutProfile]) -> PointCloud:
     pts = np.array([p.cut_point for p in profiles if not p.no_cut])
     dirs = np.array([p.dir_idx for p in profiles if not p.no_cut], dtype=int)
     if not len(pts):
-        return PointCloud(b, np.empty((0, b.dim)), dirs)
+        return PointCloud(np.empty((0, b.dim)), dirs)
     keep = np.ones(len(pts), dtype=bool)
     for i in range(len(pts)):
         if not keep[i]:
             continue
         d = b.aux_distance(pts[i + 1:], pts[i])
         keep[i + 1:] &= d > DEDUP_RADIUS
-    return PointCloud(b, pts[keep], dirs[keep])
+    return PointCloud(pts[keep], dirs[keep])
 
 
 @dataclass

@@ -496,20 +496,21 @@ class PeriodicChart(_Shared):
 
 @dataclass(frozen=True)
 class LevelSurface:
-    """Level function h with analytic gradient and Hessian.
+    """Level function h with analytic gradient and a constant diagonal
+    Hessian, ``hess_diag``.
 
     ``hess_form(p, v)`` is v . Hess h(p) . v for every row, the second-order
-    term of the geodesic equation.  The sphere and the ellipsoid have a
-    constant diagonal Hessian d and give row_sum((d * v) * v), which rounds
-    as an einsum over the full matrix does (d * (v * v) does not).  A level
-    surface whose Hessian varies, such as a torus, supplies its own form.
+    term of the geodesic equation.  The sphere and the ellipsoid give
+    row_sum((d * v) * v), which rounds as an einsum over the full matrix
+    does (d * (v * v) does not).  A level surface whose Hessian varies, such
+    as a torus, needs its own form and curvature.
     """
 
     name: str
     params: dict
     h: Callable
     grad: Callable
-    hess: Callable
+    hess_diag: tuple[float, float, float]
     hess_form: Callable
 
 
@@ -542,10 +543,9 @@ def level_surface(name: str, **params) -> LevelSurface:
         h = lambda p: row_sum((p / ax) ** 2) - 1.0
         grad = lambda p: 2.0 * p / ax ** 2
         d = 2.0 / ax ** 2
-    H = np.diag(d)
-    hess = lambda p: np.broadcast_to(H, p.shape[:-1] + (3, 3))
     hess_form = lambda p, v: row_sum((d * v) * v)
-    return LevelSurface(name, dict(params), h, grad, hess, hess_form)
+    return LevelSurface(name, dict(params), h, grad, tuple(map(float, d)),
+                        hess_form)
 
 
 @dataclass(frozen=True)
@@ -633,21 +633,13 @@ class ImplicitSurface(_Shared):
     # -- curvature ---------------------------------------------------------
 
     def _induced_curvature(self, pts) -> np.ndarray:
-        """Gauss curvature of the level set (Goldman's adjugate formula)."""
+        """Gauss curvature of the level set, Goldman's g . adj(Hess h) . g
+        / |g|^4; the adjugate of diag(d0, d1, d2) is diag(d1 d2, d0 d2,
+        d0 d1)."""
         g = self.surface.grad(pts)
-        H = self.surface.hess(pts)
-        # adjugate of a 3x3 symmetric matrix
-        A = np.empty_like(H)
-        for i in range(3):
-            for j in range(3):
-                r = [k for k in range(3) if k != i]
-                c = [k for k in range(3) if k != j]
-                minor = (H[..., r[0], c[0]] * H[..., r[1], c[1]]
-                         - H[..., r[0], c[1]] * H[..., r[1], c[0]])
-                A[..., j, i] = (-1.0) ** (i + j) * minor
-        num = np.einsum("...ij,...i,...j->...", A, g, g)
-        den = np.sum(g * g, axis=-1) ** 2
-        return num / den
+        d0, d1, d2 = self.surface.hess_diag
+        adj = np.array([d1 * d2, d0 * d2, d0 * d1])
+        return row_sum((adj * g) * g) / row_sum(g * g) ** 2
 
     def _curvature(self, pts) -> np.ndarray:
         """K = (K_induced - Lap psi) e^{-2 psi}, with the induced Laplacian
@@ -661,10 +653,11 @@ class ImplicitSurface(_Shared):
         norm = np.sqrt(row_sum(gh * gh))
         n = gh / norm[..., None]
 
-        tangent_trace = lambda A: (np.trace(A, axis1=-2, axis2=-1)
-                                   - np.einsum("...i,...ij,...j->...", n, A, n))
-        lap = (tangent_trace(np.moveaxis(psi.d2, (0, 1), (-2, -1)))
-               - tangent_trace(self.surface.hess(pts)) / norm
+        d2psi = np.moveaxis(psi.d2, (0, 1), (-2, -1))
+        d0, d1, d2 = self.surface.hess_diag
+        lap = (np.trace(d2psi, axis1=-2, axis2=-1)
+               - np.einsum("...i,...ij,...j->...", n, d2psi, n)
+               - (d0 + d1 + d2 - self.surface.hess_form(pts, n)) / norm
                * row_sum(np.moveaxis(psi.d1, 0, -1) * n))
         return (K - lap) / np.exp(2.0 * psi.val)
 
@@ -819,7 +812,3 @@ def linear_blend(b0: PeriodicChart, b1: PeriodicChart, tau) -> PeriodicChart:
         return b1
     return PeriodicChart(b0.periods,
                          blended_chart_field(b0.metric_field, b1.metric_field, tau))
-
-
-def same_backend_family(a: Backend, b: Backend) -> bool:
-    return type(a) is type(b) and a.periods == b.periods

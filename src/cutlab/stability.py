@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -14,7 +14,7 @@ from .cutanalysis import (CutProfile, PointCloud, compute_profiles,
                           separating_points, warner_bound)
 from .forking import _fork_map, _worker_count
 from .geometry import Backend, GeometryError, conformal_family, linear_blend, \
-    same_backend_family, validation_grid
+    validation_grid
 from .submanifold import SubmanifoldSpec, embedding_family, \
     principal_curvature_bound
 from .wavefront import build_atlas, normal_starts, stacked_paths
@@ -36,12 +36,11 @@ class HausdorffReport:
     b_to_a: float
 
 
-def hausdorff_report(A: PointCloud, B: PointCloud) -> HausdorffReport:
-    if not same_backend_family(A.backend, B.backend):
-        raise GeometryError("clouds live on incomparable backends")
+def hausdorff_report(A: PointCloud, B: PointCloud,
+                     b: Backend) -> HausdorffReport:
+    """The Hausdorff distance of A and B in b's auxiliary distance."""
     if len(A.points) == 0 or len(B.points) == 0:
         raise GeometryError("no cut locus detected")
-    b = A.backend
     ab = float(np.max(_nearest_gaps(b, A.points, B.points)))
     ba = float(np.max(_nearest_gaps(b, B.points, A.points)))
     return HausdorffReport(max(ab, ba), ab, ba)
@@ -72,8 +71,6 @@ class Resolution:
 
 @dataclass
 class ScenarioResult:
-    backend: Backend
-    N: SubmanifoldSpec
     profiles: list[CutProfile]
     cloud: PointCloud
     sep: list
@@ -110,9 +107,9 @@ def run_case(b: Backend, N: SubmanifoldSpec, res: Resolution,
     inj_c, branch = injectivity_radius_char(fmin, l_half)
     cloud = cut_locus_cloud(b, profiles)
     sep = separating_points(b, N, profiles)
-    return ScenarioResult(b, N, profiles, cloud, sep, inj_d, inj_c,
-                          branch, fmin, l_half, atlas.err,
-                          atlas if keep_atlas else None, timings)
+    return ScenarioResult(profiles, cloud, sep, inj_d, inj_c, branch, fmin,
+                          l_half, atlas.err, atlas if keep_atlas else None,
+                          timings)
 
 
 def curvature_stats(b: Backend, N: SubmanifoldSpec) -> dict:
@@ -140,52 +137,43 @@ class SweepTable:
     base: dict                  # tau = 0 record
     records: list[dict]         # per-tau, in ladder order
     verdicts: dict = field(default_factory=dict)
-    seconds: dict = field(default_factory=dict)     # tau -> case wall time
-    rk4_seconds: dict = field(default_factory=dict)  # taus -> stacked RK4
-    stage_seconds: dict = field(default_factory=dict)  # tau -> stage timings
+    # seconds of "case tau=…" (without the shared RK4), "rk4 tau=a,b,…"
+    # and each case's stages, "<stage> tau=…"
+    timings: dict = field(default_factory=dict)
 
     def column(self, key):
         return [r.get(key) for r in self.records]
 
 
-@dataclass
-class _Case:
-    """What a sweep keeps of a run_case, in plain arrays that a worker can
-    pickle: the cloud without its backend, (s, side, rho, focal_t) per
-    profile, and the run's stage timings."""
-
-    cloud: PointCloud
-    profiles: np.ndarray
-    inj_direct: float
-    inj_char: float
-    branch: str
-    fmin: float
-    l_half: float
-    err: float
-    timings: dict
+def _timing_key(what: str, taus) -> str:
+    """The timings key of ``what`` at taus: "<what> tau=a,b,..."."""
+    return f"{what} tau=" + ",".join(f"{t:.12g}" for t in taus)
 
 
-def _case_summary(r: ScenarioResult) -> _Case:
-    prof = np.array([(p.s, p.side, p.rho, p.focal_t) for p in r.profiles],
+def _labels(r: ScenarioResult) -> np.ndarray:
+    """(s, side, rho, focal_t) of each of r's profiles."""
+    return np.array([(p.s, p.side, p.rho, p.focal_t) for p in r.profiles],
                     dtype=float).reshape(-1, 4)
-    return _Case(replace(r.cloud, backend=None), prof, r.inj_direct,
-                 r.inj_char, r.branch, r.fmin, r.l_half, r.err, r.timings)
 
 
-def _case_record(case: _Case, base: _Case | None, res: Resolution) -> dict:
+def _case_record(case: ScenarioResult, base: ScenarioResult | None,
+                 res: Resolution, b: Backend) -> dict:
+    """The sweep record of case, against base unless base is None; the
+    clouds are compared in b's auxiliary distance."""
     rec = {"inj_direct": case.inj_direct, "inj_char": case.inj_char,
            "branch": case.branch, "f_min": case.fmin,
            "l_half": case.l_half, "err": case.err,
            "n_cloud": len(case.cloud.points)}
     rec.update(asdict(res))
-    rec["focal_margin"] = float(min(case.profiles[:, 3] - case.profiles[:, 2]))
+    prof = _labels(case)
+    rec["focal_margin"] = float(min(prof[:, 3] - prof[:, 2]))
     if base is not None:
-        rep = hausdorff_report(case.cloud, base.cloud)
+        rep = hausdorff_report(case.cloud, base.cloud, b)
         rec["d_H"] = rep.value
         rec["d_H_tau_to_0"] = rep.a_to_b
         rec["d_H_0_to_tau"] = rep.b_to_a
         rec["inj_dev"] = abs(case.inj_direct - base.inj_direct)
-        rhos = _matched_rho_dev(case.profiles, base.profiles)
+        rhos = _matched_rho_dev(prof, _labels(base))
         rec["rho_dev_max"] = float(np.max(rhos))
         rec["rho_dev_mean"] = float(np.mean(rhos))
     return rec
@@ -223,8 +211,9 @@ def _failure(tau: float, ex: Exception):
 
 
 def _run_share(backend_at, N_at, res: Resolution, taus):
-    """One worker's cases: ({tau: (case, seconds)}, {stacked taus: RK4
-    seconds}), where a case is a _Case, an error record or the error raised.
+    """One worker's cases: ({tau: (case, seconds)}, {"rk4 tau=<stacked
+    taus>": seconds}), where a case is run_case's ScenarioResult without
+    its atlas, an error record or the error raised.
     backend_at(tau) and N_at(tau) give a case's backend and submanifold;
     backend_at also takes one tau per point row (a stacked backend).
 
@@ -256,13 +245,13 @@ def _run_share(backend_at, N_at, res: Resolution, taus):
         paths = stacked_paths(b_rows, starts, res.t_max, res.dt)
     except Exception:   # run alone, each case fails or not as it would
         paths = [None] * len(cases)
-    rk4 = {key: time.perf_counter() - t0}
+    rk4 = {_timing_key("rk4", key): time.perf_counter() - t0}
     for (tau, b, N, (frames, _, _), secs), batch in zip(cases, paths):
         t0 = time.perf_counter()
         stop = False
         try:
             given = None if batch is None else (frames, batch)
-            case = _case_summary(run_case(b, N, res, paths=given))
+            case = run_case(b, N, res, paths=given)
         except Exception as ex:
             case, stop = _failure(tau, ex)
         out[tau] = (case, secs + time.perf_counter() - t0)
@@ -286,41 +275,43 @@ def _sweep(description, backend_at, N_at, taus, res: Resolution,
     shares = _fork_map(
         lambda w: _run_share(backend_at, N_at, res, ladder[w::n]), n,
         lambda w: f"sweep worker for tau {ladder[w::n]}")
-    outcomes, rk4 = {}, {}
+    outcomes, timings = {}, {}
     for share in shares:
         outcomes.update(share[0])
-        rk4.update(share[1])
+        timings.update(share[1])
 
     def case_at(tau):
-        """The case at tau with its cloud's backend, and its seconds; an
-        error that is not a record is raised."""
+        """The case at tau and its seconds; an error that is not a record
+        is raised."""
         case, secs = outcomes[tau]
         if isinstance(case, Exception):
             raise case
-        if isinstance(case, _Case):
-            case.cloud = replace(case.cloud, backend=backend_at(tau))
         return case, secs
 
     t0 = time.perf_counter()
     base, secs = case_at(0.0)
-    base_rec = _case_record(base, None, res)
-    seconds = {0.0: secs + time.perf_counter() - t0}
+    b = backend_at(0.0)     # a family's backends share one aux distance
+    base_rec = _case_record(base, None, res, b)
+    timings[_timing_key("case", [0.0])] = secs + time.perf_counter() - t0
     records = []
     for tau in taus:
         t0 = time.perf_counter()
         rec, secs = case_at(tau)
-        if isinstance(rec, _Case):
+        if isinstance(rec, ScenarioResult):
             try:
-                rec = _case_record(rec, base, res)
+                rec = _case_record(rec, base, res, b)
             except (GeometryError, ValueError) as ex:
                 rec, _ = _failure(tau, ex)
         rec["tau"] = tau
         records.append(rec)
-        seconds[tau] = secs + time.perf_counter() - t0
-    stages = {tau: outcomes[tau][0].timings for tau in ladder
-              if isinstance(outcomes.get(tau, (None,))[0], _Case)}
+        timings[_timing_key("case", [tau])] = secs + time.perf_counter() - t0
+    for tau in ladder:      # the stages, as the worker measured them
+        case = outcomes[tau][0]
+        if isinstance(case, ScenarioResult):
+            timings.update((_timing_key(stage, [tau]), secs)
+                           for stage, secs in case.timings.items())
     table = SweepTable(description, taus, asdict(res), base_rec, records,
-                       seconds=seconds, rk4_seconds=rk4, stage_seconds=stages)
+                       timings=timings)
     table.verdicts = _sweep_verdicts(table, base.err, FINAL_INJ_TOL,
                                      FINAL_DH_TOL, FINAL_RHO_TOL)
     return table

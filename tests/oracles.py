@@ -69,11 +69,10 @@ def brute_hausdorff(A, B, dist):
     return max(one_sided(A, B), one_sided(B, A))
 
 
-def reference_hausdorff(A, B):
+def reference_hausdorff(A, B, b):
     """Per point of A the auxiliary distance to B, and per point of B to A,
     as stability._nearest_gaps gives them: one aux_distance call per probe
     point, from the probe point to the other cloud."""
-    b = A.backend
     na = np.array([float(np.min(b.aux_distance(p, B.points)))
                    for p in A.points])
     nb = np.array([float(np.min(b.aux_distance(q, A.points)))
@@ -590,10 +589,48 @@ def reference_validation_grid(b, spacing):
     return b.project(r * np.array(pts))
 
 
-# -- the implicit-surface RK4 step and the Jacobi focal loop, as they were
-# written before the step was made call-lean: a full-Hessian einsum, np.sum
-# reductions and e^{2 psi} evaluated even when psi is zero.  The package
-# must agree with them bit for bit.
+# -- the implicit-surface RK4 step, curvature and the Jacobi focal loop, as
+# they were written before they were made call-lean: a full-Hessian einsum,
+# np.sum reductions and e^{2 psi} evaluated even when psi is zero.  The
+# package must agree with them bit for bit.
+
+def full_hessian(b, pts):
+    """The level function's Hessian at every row of pts, a broadcast
+    (n, 3, 3) array built from its constant diagonal."""
+    return np.broadcast_to(np.diag(b.surface.hess_diag),
+                           np.shape(pts)[:-1] + (3, 3))
+
+
+def adjugate_surface_curvature(b, pts):
+    """Gauss curvature on an ImplicitSurface: Goldman's formula with the
+    adjugate of the full Hessian, and the conformal term with the tangent
+    traces of Hess h and Hess psi taken by np.trace and an einsum."""
+    from cutlab.geometry import ZERO_FIELD, row_sum
+    pts = np.asarray(pts, dtype=float)
+    g = b.surface.grad(pts)
+    H = full_hessian(b, pts)
+    A = np.empty_like(H)
+    for i in range(3):
+        for j in range(3):
+            r = [k for k in range(3) if k != i]
+            c = [k for k in range(3) if k != j]
+            minor = (H[..., r[0], c[0]] * H[..., r[1], c[1]]
+                     - H[..., r[0], c[1]] * H[..., r[1], c[0]])
+            A[..., j, i] = (-1.0) ** (i + j) * minor
+    K = (np.einsum("...ij,...i,...j->...", A, g, g)
+         / np.sum(g * g, axis=-1) ** 2)
+    if b.psi is ZERO_FIELD:
+        return K
+    psi = b.psi.jet(pts, 2)
+    norm = np.sqrt(row_sum(g * g))
+    n = g / norm[..., None]
+    tangent_trace = lambda M: (np.trace(M, axis1=-2, axis2=-1)
+                               - np.einsum("...i,...ij,...j->...", n, M, n))
+    lap = (tangent_trace(np.moveaxis(psi.d2, (0, 1), (-2, -1)))
+           - tangent_trace(H) / norm
+           * row_sum(np.moveaxis(psi.d1, 0, -1) * n))
+    return (K - lap) / np.exp(2.0 * psi.val)
+
 
 def einsum_surface_gamma2(b, pts, v):
     """x'' = -gamma2(x, v) on an ImplicitSurface, with v . H . v as an
@@ -602,7 +639,7 @@ def einsum_surface_gamma2(b, pts, v):
     pts = np.asarray(pts, dtype=float)
     v = np.asarray(v, dtype=float)
     g = b.surface.grad(pts)
-    H = b.surface.hess(pts)
+    H = full_hessian(b, pts)
     vHv = np.einsum("...ij,...i,...j->...", H, v, v)
     gg = np.sum(g * g, axis=-1)
     acc = (vHv / gg)[..., None] * g

@@ -111,8 +111,9 @@ def test_criterion_03_sphere_equator(sphere_eq):
     dH = max(float(np.max(np.min(gaps, axis=1))),
              float(np.max(np.min(gaps, axis=0))))
     frame = r.atlas.frames[5]
-    t_jac = normal_exp_jacobian(r.backend, r.N, frame.s, frame.side,
-                                2.0, sphere_eq.res.dt).first_zero()
+    t_jac = normal_exp_jacobian(sphere_eq.backend, sphere_eq.N, frame.s,
+                                frame.side, 2.0,
+                                sphere_eq.res.dt).first_zero()
     focal_diff = abs(t_jac - r.profiles[5].focal_t)
     ok = (abs(r.fmin - np.pi / 2) <= 1e-3
           and abs(r.inj_char - np.pi / 2) <= 1e-3
@@ -196,7 +197,7 @@ def test_criterion_10_focal_free_lower_bound(flat_line, flat_point,
     for name, case in (("flat-line", flat_line), ("flat-point", flat_point),
                        ("sphere", sphere_eq), ("warped", warped_line)):
         r = case.result
-        stats = curvature_stats(r.backend, r.N)
+        stats = curvature_stats(case.backend, case.N)
         if stats["K_max"] <= 0.0:
             continue
         good = r.fmin >= stats["eps_std"] - 1e-3
@@ -233,9 +234,9 @@ def test_criterion_12_hausdorff_brute_oracle(flat_backend, rng):
     ok = True
     for _ in range(100):
         na, nb = int(rng.integers(2, 30)), int(rng.integers(2, 30))
-        A = PointCloud(flat_backend, rng.random((na, 2)), np.arange(na))
-        B = PointCloud(flat_backend, rng.random((nb, 2)), np.arange(nb))
-        ok = ok and hausdorff_report(A, B).value == brute_hausdorff(
-            A.points, B.points, chart_aux_dist)
+        A = PointCloud(rng.random((na, 2)), np.arange(na))
+        B = PointCloud(rng.random((nb, 2)), np.arange(nb))
+        ok = ok and hausdorff_report(A, B, flat_backend).value == \
+            brute_hausdorff(A.points, B.points, chart_aux_dist)
     _report(12, "exact agreement with brute-force Hausdorff oracle on 100 "
                 "random cloud pairs", ok)

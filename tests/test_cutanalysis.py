@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from cutlab import cutanalysis
 from cutlab.config import build_family_field, scenario
 from cutlab.cutanalysis import (ANGLE_TOL, CAPTURE_RADIUS, _clusters,
                                 compute_profiles, cut_time, cut_times,
@@ -139,9 +140,9 @@ def test_axis_cut_time_is_at_most_its_half_loop_and_focal_time(tau):
     m = BUMP_RES.m
     for j in (m // 4, 3 * m // 4, m + m // 4, m + 3 * m // 4):
         p = r.profiles[j]
-        half_loop = 0.5 * axis_loop_length(r.backend, p.s)
-        t_jac = normal_exp_jacobian(r.backend, r.N, p.s, p.side, 1.2,
-                                    BUMP_RES.dt).first_zero()
+        half_loop = 0.5 * axis_loop_length(r.atlas.backend, p.s)
+        t_jac = normal_exp_jacobian(r.atlas.backend, r.atlas.N, p.s, p.side,
+                                    1.2, BUMP_RES.dt).first_zero()
         for t_f in (p.focal_t, np.inf if t_jac is None else t_jac):
             assert p.rho <= min(t_f, half_loop) + 2.0 * BUMP_RES.dt, j
 
@@ -300,6 +301,26 @@ def test_loop_scan_point_flat_torus(flat_backend):
     assert J.size
     # each path is back at the point when its loop closes
     assert np.max(flat_backend.aux_distance(N.point, p)) <= CAPTURE_RADIUS
+
+
+def test_loop_polish_of_a_point_runs_one_golden_section(flat_backend,
+                                                        monkeypatch):
+    # a point N's target and brackets are fixed: a second round of the
+    # polish would be the first one again, bit for bit
+    golden, calls = cutanalysis.golden_section, []
+
+    def once(*args):
+        t = golden(*args)
+        assert np.array_equal(golden(*args), t)
+        calls.append(len(t))
+        return t
+
+    monkeypatch.setattr(cutanalysis, "golden_section", once)
+    N = point_submanifold([0.25, 0.25])
+    atlas = build_atlas(flat_backend, N, 64, 1.1, 1e-3)
+    l_half, _ = loop_scan(flat_backend, N, atlas)
+    assert l_half == pytest.approx(0.5, abs=2e-3)
+    assert len(calls) == 1 and calls[0] > 0
 
 
 def test_loop_scan_line_across_chart_seam(flat_backend):

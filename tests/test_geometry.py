@@ -7,12 +7,13 @@ from cutlab.geometry import (GeometryError, ImplicitSurface, PeriodicChart,
                              blended_chart_field, chart_metric_field,
                              chart_scalar_field, conformal_chart_field,
                              conformal_family, level_surface, linear_blend,
-                             row_sum, same_backend_family, wrap_periodic)
+                             row_sum, wrap_periodic)
 from cutlab.submanifold import chart_curve, surface_curve
 
-from oracles import (dense_jet, dense_metric,
+from oracles import (adjugate_surface_curvature, dense_jet, dense_metric,
                      diag_metric_christoffel_action, einsum_gamma2,
                      einsum_surface_gamma2, fd_gamma2, fd_gauss_curvature,
+                     full_hessian,
                      reference_aux_gap, reference_retract, reference_wrap,
                      warped_curvature)
 
@@ -400,12 +401,6 @@ def test_implicit_tangency_after_constrain():
     assert abs(float(np.sum(v * n))) <= 1e-12
 
 
-def test_same_backend_family():
-    assert same_backend_family(flat(), warped())
-    assert same_backend_family(sphere(), sphere(2.0))
-    assert not same_backend_family(flat(), sphere())
-
-
 # -- named constructors ------------------------------------------------------
 
 @pytest.mark.parametrize("build, name, other", [
@@ -489,13 +484,30 @@ def _bits(a):
 def test_hess_form_rounds_as_the_hessian_einsum(name, rng):
     # (d * v) * v, not d * (v * v): the latter differs on about a fifth of
     # the ellipsoid's rows
-    surf = _SURFACES[name]().surface
+    b = _SURFACES[name]()
     p = rng.standard_normal((100_000, 3))
     v = rng.standard_normal((100_000, 3)) * 10.0 ** rng.integers(
         -6, 7, (100_000, 1))
     v[:8] = [0.0, -0.0, 1.0]
-    want = np.einsum("...ij,...i,...j->...", surf.hess(p), v, v)
-    np.testing.assert_array_equal(_bits(surf.hess_form(p, v)), _bits(want))
+    want = np.einsum("...ij,...i,...j->...", full_hessian(b, p), v, v)
+    np.testing.assert_array_equal(_bits(b.surface.hess_form(p, v)),
+                                  _bits(want))
+
+
+@pytest.mark.parametrize("name", ["sphere", "sphere-r2.3", "ellipsoid"])
+@pytest.mark.parametrize("psi", ["zero", "sine-z"])
+def test_surface_curvature_matches_the_adjugate_oracle_bitwise(name, psi,
+                                                               rng):
+    # the diagonal Hessian's adjugate and tangent trace as row sums round
+    # as the full-matrix adjugate, einsum and np.trace do
+    surf = {"sphere": sphere(), "sphere-r2.3": sphere(2.3),
+            "ellipsoid": _ellipsoid()}[name].surface
+    b = ImplicitSurface(surf, ZERO_FIELD if psi == "zero" else
+                        ambient_scalar_field("sine-z", amplitude=0.3))
+    p = b.project(rng.standard_normal((20_000, 3)))
+    p[:1000] = rng.standard_normal((1000, 3))     # off the surface as well
+    np.testing.assert_array_equal(_bits(b._curvature(p)),
+                                  _bits(adjugate_surface_curvature(b, p)))
 
 
 @pytest.mark.parametrize("name", sorted(_SURFACES))

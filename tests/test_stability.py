@@ -1,5 +1,6 @@
 import json
 import os
+import pickle
 import time
 
 import numpy as np
@@ -25,65 +26,72 @@ from cutlab.wavefront import build_atlas, normal_starts, stacked_paths
 from oracles import brute_hausdorff, chart_aux_dist, reference_hausdorff
 
 
-def _cloud(b, pts):
+def _cloud(pts):
     pts = np.asarray(pts, dtype=float)
-    return PointCloud(b, pts, np.arange(len(pts)))
+    return PointCloud(pts, np.arange(len(pts)))
 
 
 def test_hausdorff_identical_clouds(flat_backend, rng):
-    A = _cloud(flat_backend, rng.random((20, 2)))
-    assert hausdorff_report(A, A).value == 0.0
+    A = _cloud(rng.random((20, 2)))
+    assert hausdorff_report(A, A, flat_backend).value == 0.0
 
 
 def test_hausdorff_symmetry_and_sides(flat_backend, rng):
-    A = _cloud(flat_backend, rng.random((15, 2)))
-    B = _cloud(flat_backend, rng.random((25, 2)))
-    ra = hausdorff_report(A, B)
-    rb = hausdorff_report(B, A)
+    A = _cloud(rng.random((15, 2)))
+    B = _cloud(rng.random((25, 2)))
+    ra = hausdorff_report(A, B, flat_backend)
+    rb = hausdorff_report(B, A, flat_backend)
     assert ra.value == rb.value
     assert ra.a_to_b == rb.b_to_a
     assert ra.value == max(ra.a_to_b, ra.b_to_a)
 
 
 def test_hausdorff_triangle_inequality(flat_backend, rng):
-    A = _cloud(flat_backend, rng.random((10, 2)))
-    B = _cloud(flat_backend, rng.random((10, 2)))
-    C = _cloud(flat_backend, rng.random((10, 2)))
-    assert hausdorff_report(A, C).value <= (hausdorff_report(A, B).value
-                                            + hausdorff_report(B, C).value
-                                            + 1e-12)
+    A = _cloud(rng.random((10, 2)))
+    B = _cloud(rng.random((10, 2)))
+    C = _cloud(rng.random((10, 2)))
+    d = lambda X, Y: hausdorff_report(X, Y, flat_backend).value
+    assert d(A, C) <= d(A, B) + d(B, C) + 1e-12
 
 
 def test_hausdorff_matches_brute_oracle(flat_backend, rng):
-    A = _cloud(flat_backend, rng.random((40, 2)))
-    B = _cloud(flat_backend, rng.random((60, 2)))
+    A = _cloud(rng.random((40, 2)))
+    B = _cloud(rng.random((60, 2)))
     want = brute_hausdorff(A.points, B.points, chart_aux_dist)
-    assert hausdorff_report(A, B).value == pytest.approx(want, abs=1e-12)
+    assert hausdorff_report(A, B, flat_backend).value == \
+        pytest.approx(want, abs=1e-12)
 
 
 def test_hausdorff_known_translation(flat_backend):
     xs = np.linspace(0.0, 1.0, 50, endpoint=False)
-    A = _cloud(flat_backend, np.stack([xs, np.full_like(xs, 0.5)], axis=-1))
-    B = _cloud(flat_backend, np.stack([xs, np.full_like(xs, 0.57)], axis=-1))
-    assert hausdorff_report(A, B).value == pytest.approx(0.07, abs=1e-12)
+    A = _cloud(np.stack([xs, np.full_like(xs, 0.5)], axis=-1))
+    B = _cloud(np.stack([xs, np.full_like(xs, 0.57)], axis=-1))
+    assert hausdorff_report(A, B, flat_backend).value == \
+        pytest.approx(0.07, abs=1e-12)
 
 
 def test_hausdorff_empty_cloud_raises(flat_backend):
-    A = _cloud(flat_backend, np.random.default_rng(0).random((5, 2)))
-    E = PointCloud(flat_backend, np.empty((0, 2)), np.empty(0, dtype=int))
+    A = _cloud(np.random.default_rng(0).random((5, 2)))
+    E = PointCloud(np.empty((0, 2)), np.empty(0, dtype=int))
     with pytest.raises(GeometryError, match="no cut locus"):
-        hausdorff_report(A, E)
-
-
-def test_hausdorff_incompatible_backends(flat_backend, sphere_backend):
-    A = _cloud(flat_backend, np.random.default_rng(0).random((5, 2)))
-    B = PointCloud(sphere_backend, np.random.default_rng(1).random((5, 3)),
-                   np.arange(5))
-    with pytest.raises(GeometryError, match="backend"):
-        hausdorff_report(A, B)
+        hausdorff_report(A, E, flat_backend)
 
 
 # -- scenario runs ----------------------------------------------------------
+
+def test_a_scenario_result_pickles():
+    # a sweep's forked worker sends run_case's result back as it is
+    cfg = scenario("warped-torus-line")
+    b = cfg.build_backend()
+    r = stability.run_case(b, cfg.build_submanifold(b),
+                           Resolution(m=16, dt=2e-2, t_max=0.8))
+    got = pickle.loads(pickle.dumps(r))
+    rho = lambda res: np.array([p.rho for p in res.profiles]).tobytes()
+    assert got.inj_direct == r.inj_direct
+    assert rho(got) == rho(r)
+    assert got.cloud.points.tobytes() == r.cloud.points.tobytes()
+    assert np.array_equal(got.cloud.dir_idx, r.cloud.dir_idx)
+
 
 def test_run_case_flat_line_summary(flat_line):
     r = flat_line.result
@@ -208,15 +216,15 @@ def _fake_sweep(monkeypatch, fail=lambda tau: None, workers=2):
         fail(tau)
         return N
 
-    summary = stability._case_summary
+    run_case = stability.run_case
 
-    def tagged(result):
-        case = summary(result)
-        case.pid = os.getpid()
-        return case
+    def tagged(*args, **kwargs):
+        result = run_case(*args, **kwargs)
+        result.pid = os.getpid()
+        return result
 
-    monkeypatch.setattr(stability, "_case_summary", tagged)
-    monkeypatch.setattr(stability, "_case_record", lambda case, base, res: {
+    monkeypatch.setattr(stability, "run_case", tagged)
+    monkeypatch.setattr(stability, "_case_record", lambda case, base, res, b: {
         "pid": case.pid, "inj_dev": 0.0, "d_H": 0.0, "d_H_tau_to_0": 0.0,
         "d_H_0_to_tau": 0.0, "rho_dev_max": 0.0, "rho_dev_mean": 0.0})
     return stability._sweep("fake", lambda tau: b, N_at, LADDER,
@@ -234,8 +242,10 @@ def test_sweep_workers_take_the_ladder_round_robin(monkeypatch, workers):
     assert pids == [pids[i % n] for i in range(len(LADDER) + 1)]
     assert pids[0] == os.getpid()
     assert [r["tau"] for r in table.records] == LADDER
-    assert list(table.seconds) == [0.0] + LADDER
-    assert sorted(t for key in table.rk4_seconds for t in key) == \
+    assert [k for k in table.timings if k.startswith("case ")] == \
+        [f"case tau={t:.12g}" for t in [0.0] + LADDER]
+    assert sorted(float(t) for k in table.timings if k.startswith("rk4 ")
+                  for t in k.removeprefix("rk4 tau=").split(",")) == \
         [0.0] + LADDER[::-1]
     assert table.verdicts["pass"]
 
@@ -340,11 +350,11 @@ def test_hausdorff_report_matches_the_per_point_loop_bitwise(
     for b, A, B in ((flat_backend, rng.random((300, 2)),
                      rng.random((41, 2)) + [0.0, 0.97]),
                     (sphere_backend, sphere[:30], sphere[30:])):
-        ca, cb = _cloud(b, A), _cloud(b, B)
-        na, nb = reference_hausdorff(ca, cb)
+        ca, cb = _cloud(A), _cloud(B)
+        na, nb = reference_hausdorff(ca, cb, b)
         assert np.array_equal(_nearest_gaps(b, ca.points, cb.points), na)
         assert np.array_equal(_nearest_gaps(b, cb.points, ca.points), nb)
-        rep = hausdorff_report(ca, cb)
+        rep = hausdorff_report(ca, cb, b)
         assert (rep.a_to_b, rep.b_to_a) == (np.max(na), np.max(nb))
         assert rep.value == max(rep.a_to_b, rep.b_to_a)
 
