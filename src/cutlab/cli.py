@@ -23,7 +23,7 @@ from .stability import (Resolution, curvature_stats,
                         focal_free_persistence_probe,
                         hausdorff_convergence_check, run_case,
                         sweep_embedding_family, sweep_metric_family)
-from .wavefront import eikonal_residual, normal_starts
+from .wavefront import eikonal_probes, eikonal_residual, normal_starts
 
 
 def _fmt(x) -> str:
@@ -108,12 +108,12 @@ def _profile_rows(result):
     for p in result.profiles:
         loop_t = p.loop if p.loop is not None else float("inf")
         yield ([p.dir_idx, p.s, p.side, p.rho, p.focal_t, p.no_cut, loop_t,
-                p.flags["method"]] + list(p.cut_point))
+                p.method] + list(p.cut_point))
 
 
 def _cut_methods(result) -> dict:
     """How many directions each cut-time method decided."""
-    methods = [p.flags["method"] for p in result.profiles]
+    methods = [p.method for p in result.profiles]
     return {m: methods.count(m) for m in CUT_METHODS}
 
 
@@ -249,19 +249,24 @@ def cmd_validate(cfg: RunConfig, out: Path) -> int:
     em = _Emitter(cfg, out, "validate")
     b = cfg.build_backend()
     N = cfg.build_submanifold(b)
+    spacing = 0.05 if b.dim == 2 else 0.1
+
+    def probe(atlas, focal):
+        """run_case's beside job: the eikonal probes and their seconds."""
+        t0 = time.perf_counter()
+        return eikonal_probes(atlas, spacing, focal), time.perf_counter() - t0
 
     def run():
         t0 = time.perf_counter()
         result = run_case(b, N, cfg.resolution, keep_atlas=True,
-                          workers=cfg.threads)
+                          workers=cfg.threads, beside=probe)
         em.timings["run_case"] = time.perf_counter() - t0
         em.timings.update(result.timings)
+        probes, probe_s = result.beside
         t0 = time.perf_counter()
-        spacing = 0.05 if b.dim == 2 else 0.1
-        eik = eikonal_residual(result.atlas, spacing,
-                               cut_points=result.cloud.points,
-                               workers=cfg.threads)
-        em.timings["eikonal"] = time.perf_counter() - t0
+        eik = eikonal_residual(result.atlas, probes,
+                               cut_points=result.cloud.points)
+        em.timings["eikonal"] = probe_s + time.perf_counter() - t0
         return result, eik
 
     # the checks run in a child beside run_case when there are two workers,
@@ -324,9 +329,11 @@ def _build_parser() -> argparse.ArgumentParser:
                             "else out/)")
         p.add_argument("--threads", type=_thread_count, default=None,
                        help="most processes a command runs on: a sweep's "
-                            "cases, or the cut-time search, eikonal probes "
-                            "and validate checks of a single run (default: "
-                            "config threads, else one per CPU)")
+                            "cases, or a single run's two branches (the "
+                            "cut-time search beside the loop scan, with "
+                            "validate's eikonal probes) and validate's "
+                            "checks (default: config threads, else one per "
+                            "CPU)")
     return ap
 
 

@@ -4,12 +4,10 @@ bound."""
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .forking import _fork_map, _worker_count
 from .geodesics import _hermite, hermite_batch
 from .geometry import Backend, row_sum
 from .submanifold import (SubmanifoldSpec, foot_points, golden_section,
@@ -43,46 +41,50 @@ class CutProfile:
     side: int
     rho: float
     cut_point: np.ndarray
-    no_cut: bool
+    method: str                 # what decided rho, one of CUT_METHODS
     focal_t: float              # +inf when no focal point before t_max
     loop: float | None          # the first loop's return time, if any
-    flags: dict = field(default_factory=dict)
+
+    @property
+    def no_cut(self) -> bool:
+        """Whether no cut point came before t_max."""
+        return self.method == CUT_METHODS[2]
+
+    @property
+    def flags(self) -> dict:
+        """The cut method and no_cut as one dict, as the benchmark's tracer
+        reads them."""
+        return {"method": self.method, "no_cut": self.no_cut}
 
 
 # ---------------------------------------------------------------------------
 # cut time
 # ---------------------------------------------------------------------------
 
-def cut_time(atlas: WavefrontAtlas, dir_idx: int) -> tuple[float, dict]:
-    """One direction's cut time and flags, with no focal bound."""
-    rho, flags = cut_times(atlas, dirs=[dir_idx])
-    return float(rho[0]), flags[0]
+def cut_time(atlas: WavefrontAtlas, dir_idx: int) -> tuple[float, str]:
+    """One direction's cut time and method, with no focal bound."""
+    rho, method = cut_times(atlas, dirs=[dir_idx])
+    return float(rho[0]), method[0]
 
 
-def cut_times(atlas: WavefrontAtlas, focal=None, dirs=None,
-              workers: int | None = 1) -> tuple[np.ndarray, list[dict]]:
+def cut_times(atlas: WavefrontAtlas, focal=None,
+              dirs=None) -> tuple[np.ndarray, list[str]]:
     """Cut times rho_j = min(t_c, t_f, t_max) of the directions ``dirs``
     (default: all), t_f their focal times ``focal`` (default: none) and t_c
     the first time gamma_j crosses an edge (gamma_k, gamma_{k+1}) of either
     side's front polygon (_front_next) with k, k + 1 != j: two minimizing
     geodesics that meet cross each other's fronts (Sinclair & Tanaka's
-    Loki).  The flags give each direction's "method" (CUT_METHODS) and
-    "no_cut".  Share w of n = min(workers, len(dirs)) (None: one per CPU)
-    takes every n-th direction from the w-th, each in its own process."""
+    Loki).  Each direction's method (CUT_METHODS) says which bound rho
+    is."""
     batch = atlas.batch
     J = np.arange(batch.n_paths) if dirs is None else np.asarray(dirs, int)
     t_f = np.full(batch.n_paths, np.inf) if focal is None else focal
-    n = _worker_count(workers, len(J))
-    shares = _fork_map(lambda w: _first_crossings(atlas, J[w::n], t_f), n,
-                       lambda w: f"cut-time worker for directions {w}::{n}")
-    t_c = np.empty(len(J))
-    for w, share in enumerate(shares):
-        t_c[w::n] = share
+    t_c = _first_crossings(atlas, J, t_f)
     rho = np.minimum(np.minimum(t_c, t_f[J]), atlas.t_max)
     crossing, focal, none = CUT_METHODS
     method = np.where((t_c == rho) & (t_c < t_f[J]), crossing,
                       np.where(t_f[J] == rho, focal, none))
-    return rho, [{"method": str(m), "no_cut": m == none} for m in method]
+    return rho, method.tolist()
 
 
 def _first_crossings(atlas: WavefrontAtlas, J, t_f) -> np.ndarray:
@@ -116,9 +118,10 @@ def _near_pairs(b: Backend, seg: np.ndarray, nxt: np.ndarray, q):
     seg (paths by nodes) that meet.  An edge's box also holds, by half its
     longest length, the points that count as on it (_step_crossings)."""
     c = seg[:, 0]
-    off = b.aux_gap(seg[:, :1], seg)
-    lo = off.min(axis=1) - ROUND_SLACK
-    hi = off.max(axis=1) + ROUND_SLACK
+    # node-major, so that the reductions run over contiguous rows
+    off = np.ascontiguousarray(b.aux_gap(seg[:, :1], seg).transpose(1, 0, 2))
+    lo = np.minimum.reduce(off) - ROUND_SLACK
+    hi = np.maximum.reduce(off) + ROUND_SLACK
     edge = b.aux_gap(seg, seg[nxt])
     half = 0.5 * np.sqrt(np.max(row_sum(edge * edge), axis=1))[:, None]
     e_lo = np.minimum(lo, edge[:, 0] + lo[nxt]) - half
@@ -135,9 +138,16 @@ def _near_pairs(b: Backend, seg: np.ndarray, nxt: np.ndarray, q):
     keep = np.flatnonzero(a < len(c))
     r, a = np.repeat(r, EDGE_GROUP)[keep], a[keep]
     p = q[r]
-    gap = b.aux_gap(c[p], c[a])
-    keep = np.flatnonzero((a != p) & (nxt[a] != p) & np.all(
-        (gap + e_lo[a] <= hi[p]) & (gap + e_hi[a] >= lo[p]), axis=-1))
+    # gathers by take, and the boxes met axis by axis: NumPy's fancy
+    # indexing and its reduction over a short last axis are several times
+    # slower
+    gap = b.aux_gap(c.take(p, axis=0), c.take(a, axis=0))
+    meet = (gap + e_lo.take(a, axis=0) <= hi.take(p, axis=0)) \
+        & (gap + e_hi.take(a, axis=0) >= lo.take(p, axis=0))
+    keep = (a != p) & (nxt[a] != p)
+    for axis in range(meet.shape[-1]):
+        keep &= meet[:, axis]
+    keep = np.flatnonzero(keep)
     return r[keep], a[keep]
 
 
@@ -155,7 +165,10 @@ def _step_crossings(b: Backend, batch, q, a, e, i):
     the Hermite paths, kept in the grid step."""
     tg, pos = batch.t, batch.pos
     idx = np.stack([q, a, e])
-    p0, p1 = pos[idx, i], pos[idx, i + 1]
+    # the nodes by take from the flat samples: fancy indexing is slower
+    at = idx * len(tg) + i
+    flat = pos.reshape(-1, pos.shape[-1])
+    p0, p1 = flat.take(at, axis=0), flat.take(at + 1, axis=0)
     move = b.aux_gap(p0, p1)
     dA, dB = move[2] - move[1], move[0] - move[1]
     A0, B0 = b.aux_gap(p0[1], p0[2]), b.aux_gap(p0[1], p0[0])
@@ -205,6 +218,7 @@ def focal_times_batch(b: Backend, N: SubmanifoldSpec,
 
     Initial data: curve case y(0) = 1, y'(0) = kappa(s, side); point case
     y(0) = 0, y'(0) = 1.  Returns +inf where y has no zero before t_max.
+    The steps stop once y has changed sign along every direction.
     """
     batch = atlas.batch
     k, n, d = batch.pos.shape
@@ -222,6 +236,9 @@ def focal_times_batch(b: Backend, N: SubmanifoldSpec,
         yp[0] = shape_operators(b, N, [f.s for f in atlas.frames],
                                 [f.side for f in atlas.frames])
     tg = batch.t
+    start = 1 if N.dim == 0 else 0
+    flipped = np.zeros(k, dtype=bool)
+    end = n
     for i in range(n - 1):
         h = tg[i + 1] - tg[i]
         a0, am, a1 = neg_K[i], neg_Km[i], neg_K[i + 1]
@@ -232,30 +249,43 @@ def focal_times_batch(b: Backend, N: SubmanifoldSpec,
         k4y, k4v = v0 + h * k3v, a1 * (y0 + h * k3y)
         y[i + 1] = y0 + (h / 6.0) * (k1y + 2 * k2y + 2 * k3y + k4y)
         yp[i + 1] = v0 + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-    start = 1 if N.dim == 0 else 0
-    return np.array([_first_zero(tg, y[:, j], yp[:, j], start, FOCAL_ZERO_TOL)
-                     for j in range(k)])
+        if i >= start:
+            # a negative product is a strict sign change (one that
+            # underflows to -0.0 only delays the stop)
+            flipped |= y0 * y[i + 1] < 0.0
+            if flipped.all():
+                end = i + 2
+                break
+    return _first_zeros(tg, y[:end], yp[:end], start)
 
 
-def _first_zero(tg, y, yp, start, tol):
-    """First zero of y after index start, Newton-polished; +inf if none."""
+def _first_zeros(tg, y, yp, start):
+    """First zero after row start of every column of y (time-major), +inf
+    if none: the secant root of its first strict sign change, polished by
+    Newton steps on the cubic Hermite interpolant of (y, y') until a step
+    is below FOCAL_ZERO_TOL or the slope is zero, eight steps at most."""
     sgn = np.sign(y[start:])
-    flips = np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
-    if not flips.size:
-        return np.inf
-    i = int(flips[0]) + start
-    t = float(tg[i] - y[i] * (tg[i + 1] - tg[i]) / (y[i + 1] - y[i]))
-    # Newton polish on the cubic Hermite interpolant of y
-    h = tg[i + 1] - tg[i]
+    flips = sgn[:-1] * sgn[1:] < 0
+    cols = np.flatnonzero(flips.any(axis=0))
+    out = np.full(y.shape[1], np.inf)
+    if not cols.size:
+        return out
+    i = flips[:, cols].argmax(axis=0) + start
+    t0, t1 = tg[i], tg[i + 1]
+    y0, y1, v0, v1 = y[i, cols], y[i + 1, cols], yp[i, cols], yp[i + 1, cols]
+    t = t0 - y0 * (t1 - t0) / (y1 - y0)
+    h = t1 - t0
+    live = np.ones(len(cols), dtype=bool)
     for _ in range(8):
-        yt, dyt = _hermite(h, (t - tg[i]) / h, y[i], y[i + 1], yp[i], yp[i + 1])
-        if dyt == 0.0:
+        yt, dyt = _hermite(h, (t - t0) / h, y0, y1, v0, v1)
+        live &= dyt != 0.0
+        step = np.divide(yt, dyt, out=np.zeros_like(yt), where=live)
+        t = np.where(live, t - step, t)
+        live &= ~(np.abs(step) < FOCAL_ZERO_TOL)
+        if not live.any():
             break
-        step = yt / dyt
-        t -= step
-        if abs(step) < tol:
-            break
-    return float(np.clip(t, tg[i], tg[i + 1]))
+    out[cols] = np.clip(t, t0, t1)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -352,26 +382,17 @@ def _polish_returns(b, N, batch, J, t0):
 # profiles and injectivity radii
 # ---------------------------------------------------------------------------
 
-def compute_profiles(b: Backend, N: SubmanifoldSpec, atlas: WavefrontAtlas,
-                     loops: list, workers: int | None = 1,
-                     timings: dict | None = None) -> list[CutProfile]:
-    """One CutProfile per atlas direction, with its entry of ``loops`` (the
-    per-direction result of loop_scan); the seconds of the focal solve and
-    of the cut-time search go to ``timings["focal"]`` and
-    ``timings["cut_times"]`` when timings is given."""
-    t0 = time.perf_counter()
-    focal = focal_times_batch(b, N, atlas)
-    t1 = time.perf_counter()
-    rho, flags = cut_times(atlas, focal, workers=workers)
-    if timings is not None:
-        timings["focal"] = t1 - t0
-        timings["cut_times"] = time.perf_counter() - t1
+def compute_profiles(b: Backend, atlas: WavefrontAtlas, focal: np.ndarray,
+                     rho: np.ndarray, method: list[str],
+                     loops: list) -> list[CutProfile]:
+    """One CutProfile per atlas direction, from its focal time, its cut time
+    and method (cut_times) and its entry of ``loops`` (the per-direction
+    result of loop_scan)."""
     batch = atlas.batch
     cut = b.wrap(hermite_batch(batch.t, batch.pos, batch.vel,
                                np.arange(len(rho)), rho)[0])
-    return [CutProfile(j, f.s, f.side, float(rho[j]), cut[j],
-                       flags[j]["no_cut"], float(focal[j]), loops[j],
-                       flags[j])
+    return [CutProfile(j, f.s, f.side, float(rho[j]), cut[j], method[j],
+                       float(focal[j]), loops[j])
             for j, f in enumerate(atlas.frames)]
 
 

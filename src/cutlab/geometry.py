@@ -675,8 +675,17 @@ class ImplicitSurface(_Shared):
 
     def orientation(self, pts, u, w) -> np.ndarray:
         """n . (u x w) of ambient vectors (aux_gaps), n the unit surface
-        normal at pts: positive when w points to the left of u."""
-        return row_sum(self.unit_surface_normal(pts) * np.cross(u, w))
+        normal at pts: positive when w points to the left of u.  The
+        components of u x w are np.cross's products and differences, and
+        their sum row_sum's, without np.cross's axis handling."""
+        n = self.unit_surface_normal(pts)
+        u0, u1, u2 = u[..., 0], u[..., 1], u[..., 2]
+        w0, w1, w2 = w[..., 0], w[..., 1], w[..., 2]
+        out = n[..., 0] * (u1 * w2 - u2 * w1)
+        out += n[..., 1] * (u2 * w0 - u0 * w2)
+        out += n[..., 2] * (u0 * w1 - u1 * w0)
+        out += 0.0
+        return out
 
     # -- the surface's side of the shared algorithms -------------------------
 

@@ -8,10 +8,11 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import cutanalysis
 from .cutanalysis import (CutProfile, PointCloud, compute_profiles,
-                          cut_locus_cloud, f_min, injectivity_radius_char,
-                          injectivity_radius_direct, loop_scan,
-                          separating_points, warner_bound)
+                          cut_locus_cloud, cut_times, f_min,
+                          injectivity_radius_char, injectivity_radius_direct,
+                          loop_scan, separating_points, warner_bound)
 from .forking import _fork_map, _worker_count
 from .geometry import Backend, GeometryError, conformal_family, linear_blend, \
     validation_grid
@@ -82,26 +83,39 @@ class ScenarioResult:
     err: float                  # atlas distance-error bound
     atlas: object = None
     timings: dict = field(default_factory=dict)   # stage -> seconds
+    beside: object = None       # what run_case's beside job returned
 
 
 def run_case(b: Backend, N: SubmanifoldSpec, res: Resolution,
-             keep_atlas: bool = False, paths=None,
-             workers: int | None = 1) -> ScenarioResult:
+             keep_atlas: bool = False, paths=None, workers: int | None = 1,
+             beside=None) -> ScenarioResult:
     """One scenario run; ``paths`` are the (frames, BatchPaths) of N's
-    normal directions when they were integrated elsewhere.  The cut-time
-    search runs on up to ``workers`` processes (None: one per CPU); the
-    result does not depend on their number.  Its ``timings`` hold the
-    seconds of the atlas RK4 ("rk4", unless paths are given), of the index
-    build after it ("atlas"), of the loop scan ("loop_scan"), of the Jacobi
-    focal solve ("focal") and of the cut-time search ("cut_times")."""
+    normal directions when they were integrated elsewhere.
+
+    After the atlas and the Jacobi focal solve the run takes two branches:
+    the cut-time search of every direction (_search_branch) here, and the
+    loop scan followed by ``beside(atlas, focal)``, unless beside is None
+    (_scan_branch), in a forked child when ``workers`` (None: one per CPU)
+    is two or more, else after the search.  No branch forks again, and the
+    result does not depend on the worker count; beside's result is its
+    ``beside``.  Its ``timings`` hold the seconds of the atlas RK4 ("rk4",
+    unless paths are given), of the bucketing after it ("atlas"), of the
+    focal solve ("focal"), of the cut-time search ("cut_times") and of the
+    loop scan ("loop_scan"), each timed in the process that ran it."""
     timings = {}
     atlas = build_atlas(b, N, res.m, res.t_max, res.dt, paths, timings)
     t0 = time.perf_counter()
-    l_half, loops = loop_scan(b, N, atlas)
-    timings["loop_scan"] = time.perf_counter() - t0
-    profiles = compute_profiles(b, N, atlas, loops, workers=workers,
-                                timings=timings)
-    focal = np.array([p.focal_t for p in profiles])
+    # looked up at call time, where the benchmark's tracer wraps it
+    focal = cutanalysis.focal_times_batch(b, N, atlas)
+    timings["focal"] = time.perf_counter() - t0
+    branches = (lambda: _search_branch(atlas, focal),
+                lambda: _scan_branch(b, N, atlas, focal, beside))
+    n = _worker_count(workers, len(branches))
+    (rho, method, search_s), (l_half, loops, scan_s, extra) = _fork_map(
+        lambda w: branches[w](), n, lambda w: "loop-scan worker") + \
+        [branch() for branch in branches[n:]]
+    timings["cut_times"], timings["loop_scan"] = search_s, scan_s
+    profiles = compute_profiles(b, atlas, focal, rho, method, loops)
     fmin = f_min(focal)
     inj_d = injectivity_radius_direct(profiles)
     inj_c, branch = injectivity_radius_char(fmin, l_half)
@@ -109,7 +123,24 @@ def run_case(b: Backend, N: SubmanifoldSpec, res: Resolution,
     sep = separating_points(b, N, profiles)
     return ScenarioResult(profiles, cloud, sep, inj_d, inj_c, branch, fmin,
                           l_half, atlas.err, atlas if keep_atlas else None,
-                          timings)
+                          timings, extra)
+
+
+def _search_branch(atlas, focal):
+    """run_case's cut-time search: (rho, method, its seconds)."""
+    t0 = time.perf_counter()
+    rho, method = cut_times(atlas, focal)
+    return rho, method, time.perf_counter() - t0
+
+
+def _scan_branch(b: Backend, N: SubmanifoldSpec, atlas, focal, beside):
+    """run_case's loop scan, then beside(atlas, focal) unless beside is
+    None: (l_half, loops, the scan's seconds, beside's result)."""
+    t0 = time.perf_counter()
+    l_half, loops = loop_scan(b, N, atlas)
+    secs = time.perf_counter() - t0
+    return l_half, loops, secs, None if beside is None else \
+        beside(atlas, focal)
 
 
 def curvature_stats(b: Backend, N: SubmanifoldSpec) -> dict:

@@ -1,15 +1,15 @@
 """Dense normal-geodesic wavefronts of N on a coarse cell grid; d(N, q) from
 an index that the first query builds, with conservative error bounds; and
-eikonal-residual validation."""
+eikonal-residual validation from an index trimmed at the focal times."""
 from __future__ import annotations
 
 import functools
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .forking import _fork_map, _worker_count
 from .geodesics import BatchPaths, integrate_batch
 from .geometry import Backend, row_sum, validation_grid, wrap_periodic
 from .submanifold import NormalFrame, SubmanifoldSpec, frames_for
@@ -37,18 +37,23 @@ class _Grid:
     period: np.ndarray | None   # chart periods; None for a box
 
     @classmethod
-    def over(cls, b: Backend, pos: np.ndarray, cell: float) -> "_Grid":
-        """Cells at least ``cell`` wide: a chart's periods split into whole
-        cells, or the box around the points pos of an implicit surface."""
+    def over(cls, b: Backend, pos: np.ndarray, cells) -> list["_Grid"]:
+        """One grid per width of ``cells``, with cells at least that wide: a
+        chart's periods split into whole cells, or the box around the points
+        pos of an implicit surface, which is reduced once for every width."""
         if b.periods is not None:
             L = np.array(b.periods)
-            shape = tuple(int(max(1, np.floor(Li / cell))) for Li in L)
-            return cls(np.zeros(2), L / np.array(shape), shape, L)
+            shapes = [tuple(int(max(1, np.floor(Li / cell))) for Li in L)
+                      for cell in cells]
+            return [cls(np.zeros(2), L / np.array(shape), shape, L)
+                    for shape in shapes]
         # column by column: NumPy reduces (n, 3) along axis 0 ~7x slower
         lo = np.array([c.min() for c in pos.T]) - 1e-9
         hi = np.array([c.max() for c in pos.T]) + 1e-9
-        shape = tuple(int(np.floor((h - l) / cell)) + 1 for l, h in zip(lo, hi))
-        return cls(lo, np.full(3, cell), shape, None)
+        return [cls(lo, np.full(3, cell),
+                    tuple(int(np.floor((h - l) / cell)) + 1
+                          for l, h in zip(lo, hi)), None)
+                for cell in cells]
 
     def cells(self, pts, wrap: bool = True) -> np.ndarray:
         """Integer cell coordinates (n, dim); ``wrap`` reduces chart points
@@ -69,8 +74,10 @@ class _Grid:
         mask of the cells that exist, each counted once per row."""
         c = ij[:, None, :] + _ring_offsets(ij.shape[1], r)
         ids = self.ids(c)
-        if self.period is None:
-            valid = np.all((c >= 0) & (c < np.array(self.shape)), axis=-1)
+        if self.period is None:     # axis by axis: np.all over 3 is slower
+            valid = np.ones(ids.shape, dtype=bool)
+            for axis, n in enumerate(self.shape):
+                valid &= (c[..., axis] >= 0) & (c[..., axis] < n)
         else:       # a ring wider than the grid meets some cells twice
             ids.sort(axis=1)
             valid = np.ones(ids.shape, dtype=bool)
@@ -100,21 +107,20 @@ class _Tier:
         ids, valid = self.grid.ring(ij, r)
         ids = np.where(valid, ids, 0)
         at = np.minimum(np.searchsorted(self.keys, ids), len(self.keys) - 1)
-        valid &= self.keys[at] == ids
-        lo, hi = self.starts[at], self.starts[at + 1]
-        keep = valid & (hi > lo)
-        rows = np.broadcast_to(np.arange(len(ij))[:, None], ids.shape)
-        return rows[keep], lo[keep], hi[keep]
+        valid &= self.keys.take(at) == ids
+        lo, hi = self.starts.take(at), self.starts.take(at + 1)
+        keep = np.flatnonzero(valid & (hi > lo))
+        return keep // ids.shape[1], lo.take(keep), hi.take(keep)
 
 
 def _tier(grid: _Grid, pos: np.ndarray, members: np.ndarray, base: int):
     """Sparse tier of the samples ``members`` (ascending), whose slice of
     the shared order array starts at ``base``."""
-    ids = grid.ids(grid.cells(pos[members], wrap=False))
+    ids = grid.ids(grid.cells(pos.take(members, axis=0), wrap=False))
     o = np.argsort(ids, kind="stable")
-    keys, first = np.unique(ids[o], return_index=True)
+    keys, first = np.unique(ids.take(o), return_index=True)
     starts = base + np.append(first, len(members))
-    return _Tier(grid, keys, starts), members[o]
+    return _Tier(grid, keys, starts), members.take(o)
 
 
 @dataclass(frozen=True)
@@ -129,7 +135,9 @@ class SampleIndex:
     at its level: that finds them without gathering the far samples of the
     coarse cells.  The other samples sit on the coarse grid.  Only occupied
     cells are stored; ``order`` holds the samples of every tier.  ``covel``
-    is each sample's velocity lowered by the metric there.
+    is each sample's velocity lowered by the metric there, for every sample
+    of the atlas: a query without a near sample widens its ring over them
+    all (ring_pairs).
     """
 
     tiers: list
@@ -137,18 +145,21 @@ class SampleIndex:
     covel: np.ndarray
 
 
-def _sample_index(atlas: WavefrontAtlas) -> SampleIndex:
+def _sample_index(atlas: WavefrontAtlas, focal=None) -> SampleIndex:
+    """The index of the samples with t <= t_f + cap, t_f the focal time of
+    their direction in ``focal`` (default: none, every sample)."""
     b, pos, cell, dt = atlas.backend, atlas.sample_pos, atlas.cell, atlas.dt
     cap = _caps(atlas.sample_gap, dt)
+    t_f = np.inf if focal is None else focal[atlas.sample_dir]
+    live = atlas.sample_t <= t_f + cap
     # the margins absorb rounding in the cell coordinates
     is_small = cap <= cell * (1.0 - 1e-9)
-    groups = [(atlas.grid, np.flatnonzero(~is_small))]
-    small = np.flatnonzero(is_small)
+    small = np.flatnonzero(live & is_small)
     level = np.ceil(np.log2(cap[small] / (3.0 * dt))).astype(np.int64)
-    for k in np.unique(level):
-        members = small[level == k]
-        width = float(np.max(cap[members])) * (1.0 + 1e-9)
-        groups.append((_Grid.over(b, pos, width), members))
+    members = [small[level == k] for k in np.unique(level)]
+    widths = [float(np.max(cap[m])) * (1.0 + 1e-9) for m in members]
+    groups = [(atlas.grid, np.flatnonzero(live & ~is_small)),
+              *zip(_Grid.over(b, pos, widths), members)]
     tiers, orders, base = [], [], 0
     for grid, members in groups:
         if members.size:
@@ -248,7 +259,7 @@ def build_atlas(b: Backend, N: SubmanifoldSpec, m: int, t_max: float,
     sample_lam = b.lam_sqrt_max(wrapped)
     err = med_gap * float(np.max(sample_lam)) + dt
     cell = max(3.0 * med_gap, 5.0 * dt, 1e-6)
-    grid = _Grid.over(b, wrapped, cell)
+    grid, = _Grid.over(b, wrapped, [cell])
     coarse, order = _tier(grid, wrapped, np.arange(len(wrapped)), 0)
     sample_vel = batch.vel.reshape(-1, batch.pos.shape[-1])
     if timings is not None:
@@ -285,7 +296,7 @@ def _caps(gap, dt):
 
 # distance queries gather candidates for at most _CHUNK_Q queries and about
 # _CHUNK_PAIRS (query, sample) pairs at a time
-_CHUNK_Q = 256
+_CHUNK_Q = 1024
 _CHUNK_PAIRS = 32768
 _RING_LADDER = (2, 4, 8, 16)
 
@@ -318,11 +329,10 @@ def ring_pairs(atlas: WavefrontAtlas, Q: np.ndarray, rings: int):
             yield qi, s
 
 
-def _distance_rows(atlas: WavefrontAtlas, Q: np.ndarray):
-    """distance() of every row of Q without raising: arrays d, err,
-    dir_idx, t and status (0 certified, 1 no trustworthy sample, 2 at the
-    coverage edge)."""
-    ix = atlas.index
+def _distance_rows(atlas: WavefrontAtlas, Q: np.ndarray, ix: SampleIndex):
+    """distance() of every row of Q from the index ix without raising:
+    arrays d, err, dir_idx, t and status (0 certified, 1 no trustworthy
+    sample, 2 at the coverage edge)."""
     n = len(Q)
     pick = np.full(n, -1, dtype=np.int64)
     d = np.full(n, np.nan)
@@ -332,14 +342,15 @@ def _distance_rows(atlas: WavefrontAtlas, Q: np.ndarray):
         parts = [t.ranges(t.grid.cells(Qc), 1) for t in ix.tiers]
         rows, lo, hi = (np.concatenate(a) for a in zip(*parts))
         for qi, s in _pairs(rows + c0, lo, hi, ix.order):
-            _nearest(atlas, *_near(atlas, Q, qi, s), pick, d, gap)
+            _nearest(atlas, ix.covel, *_near(atlas, Q, qi, s), pick, d, gap)
     # no near sample in ring 1: widen the ring over every sample
     pending = np.flatnonzero(pick < 0)
     for rings in _RING_LADDER:
         if not pending.size:
             break
         for qi, s in ring_pairs(atlas, Q[pending], rings):
-            _nearest(atlas, *_near(atlas, Q, pending[qi], s), pick, d, gap)
+            _nearest(atlas, ix.covel, *_near(atlas, Q, pending[qi], s),
+                     pick, d, gap)
         pending = pending[pick[pending] < 0]
     found = pick >= 0
     s = pick[found]
@@ -370,11 +381,11 @@ def _near(atlas, Q, qi, s):
     return qi.take(i), s.take(i), gaps.take(i), vec.take(i, axis=0)
 
 
-def _nearest(atlas, qi, s, gaps, vec, pick, d, gap):
+def _nearest(atlas, covel, qi, s, gaps, vec, pick, d, gap):
     """Per query row, the near sample of least first-order distance; ties
     go to the smallest sample index, i.e. the smallest (dir, t).  vec holds
-    each pair's auxiliary gap from the sample to the query; each pair
-    occurs once."""
+    each pair's auxiliary gap from the sample to the query, covel every
+    sample's lowered velocity; each pair occurs once."""
     if not qi.size:
         return
     # first-order model d(q) = t_i + <v_i, q - x_i>_g: the transversal part
@@ -384,7 +395,7 @@ def _nearest(atlas, qi, s, gaps, vec, pick, d, gap):
     delta = atlas.backend.constrain_velocity(atlas.sample_pos.take(s, axis=0),
                                              vec)
     vals = np.abs(atlas.sample_t.take(s)
-                  + row_sum(atlas.index.covel.take(s, axis=0) * delta))
+                  + row_sum(covel.take(s, axis=0) * delta))
     # the least value of each query, then the least sample among its hits
     row = qi - qi.min()
     low = np.full(row.max() + 1, np.inf)
@@ -421,7 +432,7 @@ def distance_many(atlas: WavefrontAtlas, Q) -> DistanceResult:
     Raises the CoverageError of the first row that cannot be certified.
     """
     Q = np.asarray(Q, dtype=float).reshape(-1, atlas.sample_pos.shape[1])
-    d, err, dir_idx, t, status = _distance_rows(atlas, Q)
+    d, err, dir_idx, t, status = _distance_rows(atlas, Q, atlas.index)
     bad = np.flatnonzero(status)
     if bad.size:
         i = bad[0]
@@ -444,46 +455,59 @@ def distance(atlas: WavefrontAtlas, q) -> DistanceResult:
 # eikonal validation
 # ---------------------------------------------------------------------------
 
-def eikonal_residual(atlas: WavefrontAtlas, grid_spacing: float,
-                     cut_points: np.ndarray | None = None,
-                     workers: int | None = 1) -> dict:
-    """Distribution of | ||grad u||_g - 1 | on a grid, excluding tubes around
-    N and around the supplied cut-locus cloud where u is not differentiable.
-    A point whose central-difference probes cannot all be certified is
-    dropped.  The probe distances are queried in up to ``workers`` blocks
-    of rows, one process each (None: one per CPU); a row's answer does not
-    depend on the other rows, so neither does the result."""
+class EikonalProbes(NamedTuple):
+    """u's central differences at the grid points outside N's tube."""
+
+    radius: float               # of the tubes around N and the cut locus
+    excluded: int               # grid points in N's tube
+    pts: np.ndarray             # the others
+    du: np.ndarray              # u's difference quotients, shape (n, 2)
+    ok: np.ndarray              # whether all four probes were certified
+
+
+def eikonal_probes(atlas: WavefrontAtlas, grid_spacing: float,
+                   focal=None) -> EikonalProbes:
+    """u at q +- h e along two tangent axes e of every grid point q outside
+    N's tube, h half the spacing.  The distances come from an index of the
+    samples within their cap of their direction's focal time in ``focal``
+    (default: none, every sample): past its cut time, which is at most its
+    focal time, a geodesic no longer minimizes.  That index is built for
+    these queries alone, not stored as ``atlas.index``; a row's answer does
+    not depend on the other rows."""
     b = atlas.backend
-    exclusion_radius = max(2.0 * grid_spacing, 2.0 * atlas.err)
+    radius = max(2.0 * grid_spacing, 2.0 * atlas.err)
     grid = validation_grid(b, grid_spacing)
-    N_pts = atlas.N.sample_points()
-    keep = np.ones(len(grid), dtype=bool)
-    for blockers in ([N_pts] if cut_points is None else [N_pts, cut_points]):
-        if len(blockers):
-            keep &= ~(_min_aux_distance(b, grid, blockers) < exclusion_radius)
+    keep = ~(_min_aux_distance(b, grid, atlas.N.sample_points()) < radius)
     pts = grid[keep]
-    # u at q +- h e along two tangent axes e per point; steps is the half-width
-    # of each difference
+    # steps is the half-width of each difference
     probes, steps = b.probe_pairs(pts, 0.5 * grid_spacing)
-    atlas.index     # built here once, not in each forked worker
-    blocks = np.array_split(probes.reshape(-1, probes.shape[-1]),
-                            _worker_count(workers, 4 * len(pts)))
-
-    def share(w):
-        d, _err, _j, _t, status = _distance_rows(atlas, blocks[w])
-        return d, status
-
-    d, status = (np.concatenate(a) for a in zip(*_fork_map(
-        share, len(blocks), lambda w: f"eikonal worker for probe block {w}")))
+    d, _err, _j, _t, status = _distance_rows(
+        atlas, probes.reshape(-1, probes.shape[-1]),
+        _sample_index(atlas, focal))
     d = d.reshape(len(pts), 2, 2)
-    ok = ~np.any(status.reshape(len(pts), 4) != 0, axis=1)
     # central differences (u(q + h e) - u(q - h e)) / (2 h) along each axis
     du = (d[:, :, 0] - d[:, :, 1]) / (2 * steps)
+    return EikonalProbes(radius, int(np.count_nonzero(~keep)), pts, du,
+                         ~np.any(status.reshape(len(pts), 4) != 0, axis=1))
+
+
+def eikonal_residual(atlas: WavefrontAtlas, probes: EikonalProbes,
+                     cut_points: np.ndarray | None = None) -> dict:
+    """Distribution of | ||grad u||_g - 1 | over the grid points of
+    ``probes`` (eikonal_probes), excluding the tubes around the supplied
+    cut-locus cloud too, where u is not differentiable.  A point whose
+    central-difference probes cannot all be certified is dropped."""
+    b = atlas.backend
+    radius, excluded, pts, du, ok = probes
+    if cut_points is not None and len(cut_points):
+        clear = ~(_min_aux_distance(b, pts, cut_points) < radius)
+        excluded += int(np.count_nonzero(~clear))
+        pts, du, ok = pts[clear], du[clear], ok[clear]
     residuals = np.abs(b.dual_norm(pts[ok], du[ok]) - 1.0)
     return {
         "count": int(residuals.size),
         "dropped": int(np.count_nonzero(~ok)),
-        "excluded": int(np.count_nonzero(~keep)),
+        "excluded": excluded,
         "frac_below_1e2": float(np.mean(residuals < 1e-2)) if residuals.size else 0.0,
         "median": float(np.median(residuals)) if residuals.size else float("nan"),
         "max": float(np.max(residuals)) if residuals.size else float("nan"),
@@ -494,10 +518,10 @@ def eikonal_residual(atlas: WavefrontAtlas, grid_spacing: float,
 def _min_aux_distance(b: Backend, pts: np.ndarray,
                       others: np.ndarray) -> np.ndarray:
     """Auxiliary distance from each point to its nearest point of others,
-    _CHUNK_Q points at a time."""
+    256 points at a time."""
     out = np.empty(len(pts))
-    for i in range(0, len(pts), _CHUNK_Q):
-        q = pts[i:i + _CHUNK_Q]
+    for i in range(0, len(pts), 256):
+        q = pts[i:i + 256]
         gaps = b.aux_distance(others[None, :, :], q[:, None, :])
-        out[i:i + _CHUNK_Q] = np.min(gaps, axis=1)
+        out[i:i + 256] = np.min(gaps, axis=1)
     return out

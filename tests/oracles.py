@@ -190,10 +190,11 @@ def reference_near(atlas, Q, qi, s):
     return qi[keep], s[keep], gaps[keep], vec[keep]
 
 
-def reference_nearest(atlas, qi, s, gaps, vec, pick, d, gap):
+def reference_nearest(atlas, covel, qi, s, gaps, vec, pick, d, gap):
     """The distance query's pick by sorting: per query row, the near sample
     of least first-order value, ties to the smallest sample index, found by
-    a lexsort on (row, sample) and a segmented minimum.  Writes pick, d and
+    a lexsort on (row, sample) and a segmented minimum; the metric comes
+    from b.inner, not from the lowered velocities covel.  Writes pick, d and
     gap of the rows it sees."""
     if not qi.size:
         return
@@ -212,6 +213,37 @@ def reference_nearest(atlas, qi, s, gaps, vec, pick, d, gap):
     pick[rows] = s[first]
     d[rows] = vals[first]
     gap[rows] = gaps[first]
+
+
+# -- the eikonal check in its one-pass order ---------------------------------
+def reference_eikonal_residual(atlas, grid_spacing, cut_points):
+    """eikonal_residual in one pass: the tubes around N and around the cut
+    points are both excluded before any probe is queried, and every probe
+    is queried at once from the atlas's own full index."""
+    from cutlab.geometry import validation_grid
+    from cutlab.wavefront import _distance_rows, _min_aux_distance
+    b = atlas.backend
+    radius = max(2.0 * grid_spacing, 2.0 * atlas.err)
+    grid = validation_grid(b, grid_spacing)
+    keep = np.ones(len(grid), dtype=bool)
+    for blockers in (atlas.N.sample_points(), cut_points):
+        if len(blockers):
+            keep &= ~(_min_aux_distance(b, grid, blockers) < radius)
+    pts = grid[keep]
+    probes, steps = b.probe_pairs(pts, 0.5 * grid_spacing)
+    d, _err, _j, _t, status = _distance_rows(
+        atlas, probes.reshape(-1, probes.shape[-1]), atlas.index)
+    d = d.reshape(len(pts), 2, 2)
+    ok = ~np.any(status.reshape(len(pts), 4) != 0, axis=1)
+    du = (d[:, :, 0] - d[:, :, 1]) / (2 * steps)
+    residuals = np.abs(b.dual_norm(pts[ok], du[ok]) - 1.0)
+    return {"count": int(residuals.size),
+            "dropped": int(np.count_nonzero(~ok)),
+            "excluded": int(np.count_nonzero(~keep)),
+            "frac_below_1e2": float(np.mean(residuals < 1e-2)),
+            "median": float(np.median(residuals)),
+            "max": float(np.max(residuals)),
+            "residuals": residuals}
 
 
 # -- brute-force crossing search ---------------------------------------------
@@ -237,14 +269,13 @@ def reference_crossing_times(atlas, focal):
         rows, t = _step_crossings(atlas.backend, batch, Q, A, nxt[A], I)
         np.minimum.at(t_c, Q[rows], t)
     rho = np.minimum(np.minimum(t_c, focal), atlas.t_max)
-    flags = []
+    methods = []
     for j in range(k):
         if t_c[j] == rho[j] and t_c[j] < focal[j]:
-            method = "crossing"
+            methods.append("crossing")
         else:
-            method = "focal" if focal[j] == rho[j] else "none"
-        flags.append({"method": method, "no_cut": method == "none"})
-    return rho, flags
+            methods.append("focal" if focal[j] == rho[j] else "none")
+    return rho, methods
 
 
 # -- mirror axes of the warped torus ------------------------------------------
@@ -671,11 +702,34 @@ def reference_retract(b, x, v):
     return x, v * scale[..., None]
 
 
+def _first_zero(tg, y, yp, start, tol):
+    """First zero of y after index start, Newton-polished; +inf if none."""
+    from cutlab.geodesics import _hermite
+    sgn = np.sign(y[start:])
+    flips = np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
+    if not flips.size:
+        return np.inf
+    i = int(flips[0]) + start
+    t = float(tg[i] - y[i] * (tg[i + 1] - tg[i]) / (y[i + 1] - y[i]))
+    # Newton polish on the cubic Hermite interpolant of y
+    h = tg[i + 1] - tg[i]
+    for _ in range(8):
+        yt, dyt = _hermite(h, (t - tg[i]) / h, y[i], y[i + 1], yp[i], yp[i + 1])
+        if dyt == 0.0:
+            break
+        step = yt / dyt
+        t -= step
+        if abs(step) < tol:
+            break
+    return float(np.clip(t, tg[i], tg[i + 1]))
+
+
 def reference_focal_times(b, N, atlas, zero_tol=1e-8):
     """First zero of y'' + K y = 0 along every atlas direction, the RK4
     stepping direction-major arrays with -K and the mid-step K formed at
-    every step."""
-    from cutlab.cutanalysis import _first_zero, shape_operators
+    every step to t_max, and each direction's zero polished on its own
+    (_first_zero)."""
+    from cutlab.cutanalysis import shape_operators
     batch = atlas.batch
     k, n, d = batch.pos.shape
     K = b.gauss_curvature(batch.pos.reshape(-1, d)).reshape(k, n)
@@ -702,9 +756,7 @@ def reference_focal_times(b, N, atlas, zero_tol=1e-8):
     out = np.full(k, np.inf)
     start = 1 if N.dim == 0 else 0
     for j in range(k):
-        tf = _first_zero(tg, y[j], yp[j], start, zero_tol)
-        if tf is not None:
-            out[j] = tf
+        out[j] = _first_zero(tg, y[j], yp[j], start, zero_tol)
     return out
 
 

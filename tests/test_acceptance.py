@@ -16,7 +16,7 @@ from cutlab.stability import (Resolution, curvature_stats,
                               cut_time_continuity_probe,
                               hausdorff_convergence_check, hausdorff_report,
                               sweep_embedding_family, sweep_metric_family)
-from cutlab.wavefront import eikonal_residual
+from cutlab.wavefront import eikonal_probes, eikonal_residual
 
 from oracles import brute_hausdorff, chart_aux_dist, normal_exp_jacobian
 
@@ -184,7 +184,8 @@ def test_criterion_09_eikonal_validation(flat_line, sphere_eq):
     for name, case, spacing in (("flat", flat_line, 0.05),
                                 ("sphere", sphere_eq, 0.1)):
         r = case.result
-        rep = eikonal_residual(r.atlas, spacing, cut_points=r.cloud.points)
+        rep = eikonal_residual(r.atlas, eikonal_probes(r.atlas, spacing),
+                               cut_points=r.cloud.points)
         fracs[name] = rep["frac_below_1e2"]
     ok = all(f >= 0.95 for f in fracs.values())
     _report(9, "eikonal residual < 1e-2 on >= 95% of grid: "

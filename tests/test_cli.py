@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from cutlab import cli
+from cutlab import cli, cutanalysis, stability
 from cutlab.cli import main
 from cutlab.geometry import GeometryError
 
@@ -82,12 +82,64 @@ def test_validate_check_error_is_one_line_fail_for_any_thread_count(
     monkeypatch.setattr(cli, "curvature_stats", broken)
     cfg = _write_cfg(tmp_path, {"scenario": "flat-torus-line",
                                 "resolution": {"m": 32, "dt": 1e-2}})
-    for th in ("1", "2"):
+    for th in ("1", "2", "3"):
         assert main(["validate", "--config", cfg, "--out",
                      str(tmp_path / th), "--threads", th]) == 1
         _no_child_left()
         assert capsys.readouterr().err == \
             "FAIL: curvature grid is degenerate\n"
+
+
+@pytest.mark.parametrize("command", ["inj", "validate"])
+def test_loop_scan_error_is_one_line_fail_for_any_thread_count(
+        tmp_path, capsys, monkeypatch, command):
+    # with two workers the loop scan runs in run_case's child, beside the
+    # cut-time search; its error is raised here as a one-process run raises
+    # it
+    def broken(b, N, atlas):
+        raise GeometryError("loop scan met a degenerate return")
+
+    monkeypatch.setattr(stability, "loop_scan", broken)
+    cfg = _write_cfg(tmp_path, {"scenario": "flat-torus-line",
+                                "resolution": {"m": 32, "dt": 1e-2}})
+    for th in ("1", "2", "3"):
+        assert main([command, "--config", cfg, "--out",
+                     str(tmp_path / th), "--threads", th]) == 1
+        _no_child_left()
+        assert capsys.readouterr().err == \
+            "FAIL: loop scan met a degenerate return\n"
+
+
+def test_validate_forks_once_after_the_focal_solve(tmp_path, monkeypatch):
+    # the checks fork beside the run; after the focal solve run_case forks
+    # once more, its child running the loop scan and the eikonal probes,
+    # which build their own index: the atlas validate keeps has none
+    events, atlases = [], []
+    for module in (cli, stability):
+        def fork_spy(job, n, name, fork_map=module._fork_map):
+            events.append(n)
+            return fork_map(job, n, name)
+
+        monkeypatch.setattr(module, "_fork_map", fork_spy)
+    focal_solve, residual = cutanalysis.focal_times_batch, cli.eikonal_residual
+
+    def focal_spy(*args):
+        events.append("focal")
+        return focal_solve(*args)
+
+    def residual_spy(atlas, *args, **kwargs):
+        atlases.append(atlas)
+        return residual(atlas, *args, **kwargs)
+
+    monkeypatch.setattr(cutanalysis, "focal_times_batch", focal_spy)
+    monkeypatch.setattr(cli, "eikonal_residual", residual_spy)
+    cfg = _write_cfg(tmp_path, {"scenario": "flat-torus-line",
+                                "resolution": {"m": 32, "dt": 1e-2}})
+    assert main(["validate", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--threads", "2"]) == 0
+    _no_child_left()
+    assert events == [2, "focal", 2]
+    assert len(atlases) == 1 and "index" not in vars(atlases[0])
 
 
 def _scientific_bytes(path):

@@ -1,5 +1,4 @@
 import math
-import os
 
 import numpy as np
 import pytest
@@ -39,9 +38,9 @@ def test_excess_zero_before_cut(point_atlas):
 
 def test_cut_time_flat_point_axis_direction(point_atlas):
     # direction (1, 0): cut at the antipodal line x = 0.75, rho = 0.5
-    rho, flags = cut_time(point_atlas, 0)
+    rho, method = cut_time(point_atlas, 0)
     assert rho == pytest.approx(0.5, abs=3e-3)
-    assert not flags["no_cut"]
+    assert method == "crossing"
 
 
 def test_cut_time_matches_fine_scan_oracle(flat_backend, point_atlas):
@@ -62,8 +61,8 @@ def test_cut_time_no_cut_flag(flat_backend):
     # front too short to reach any cut point
     atlas = build_atlas(flat_backend, point_submanifold([0.25, 0.25]), 128,
                         0.4, 1e-3)
-    rho, flags = cut_time(atlas, 0)
-    assert flags["no_cut"]
+    rho, method = cut_time(atlas, 0)
+    assert method == "none"
     assert rho >= 0.3
 
 
@@ -92,14 +91,15 @@ def test_cut_times_match_scalar_search_bitwise(name, m, t_max, dt):
     else:
         atlas = _atlas(name, m, t_max, dt)
     focal = focal_times_batch(atlas.backend, atlas.N, atlas)
-    rho, flags = cut_times(atlas, focal)
-    want_rho, want_flags = reference_crossing_times(atlas, focal)
+    rho, method = cut_times(atlas, focal)
+    want_rho, want_method = reference_crossing_times(atlas, focal)
     assert rho.tobytes() == want_rho.tobytes()
-    assert flags == want_flags
+    assert method == want_method
+    assert all(type(m) is str for m in method)
     if name != "sphere-equator":    # there every direction is cut at t_f
-        assert "crossing" in {f["method"] for f in flags}
-    if flags[5]["method"] == "crossing":         # cut_time has no t_f
-        assert cut_time(atlas, 5) == (rho[5], flags[5])
+        assert "crossing" in method
+    if method[5] == "crossing":         # cut_time has no t_f
+        assert cut_time(atlas, 5) == (rho[5], method[5])
 
 
 # -- the crossing search against closed forms and mirror symmetry -----------
@@ -194,30 +194,6 @@ def test_degenerate_meetings_are_found(case):
         assert np.all(rho[reach] <= t_axis[reach] + 2.0 * BUMP_RES.dt)
 
 
-# -- direction shares -------------------------------------------------------
-
-def _no_child_left():
-    with pytest.raises(ChildProcessError):      # none running, none unreaped
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.mark.parametrize("name", ["flat-torus-line", "warped-torus-line",
-                                  "sphere-equator"])
-def test_cut_time_shares_match_the_serial_search_bitwise(name):
-    cfg = scenario(name)
-    b = cfg.build_backend()
-    atlas = build_atlas(b, cfg.build_submanifold(b), 64,
-                        cfg.resolution.t_max, 4e-3)
-    focal = focal_times_batch(b, atlas.N, atlas)
-    rho, flags = cut_times(atlas, focal)
-    assert "none" not in {f["method"] for f in flags}
-    for n in (1, 2, 3, 8):
-        rho_n, flags_n = cut_times(atlas, focal, workers=n)
-        _no_child_left()
-        assert rho_n.tobytes() == rho.tobytes(), n
-        assert flags_n == flags, n
-
-
 # -- focal times ------------------------------------------------------------
 
 def test_focal_times_flat_point_infinite(flat_backend, point_atlas):
@@ -249,6 +225,24 @@ def test_focal_times_match_direction_major_loop_bitwise(name):
         b, N = atlas.backend, atlas.N
     focal = focal_times_batch(b, N, atlas)
     assert np.isfinite(focal).any()
+    np.testing.assert_array_equal(focal, reference_focal_times(b, N, atlas))
+
+
+def test_focal_times_stop_once_every_direction_flips(monkeypatch):
+    # every sphere-equator direction meets a pole at t = pi / 2 < t_max / 2:
+    # the steps end there, and the zeros keep the bits of the full loop
+    atlas = _atlas("sphere-equator", 128, 3.4, 4e-3)
+    b, N = atlas.backend, atlas.N
+    rows, first_zeros = [], cutanalysis._first_zeros
+
+    def spy(tg, y, yp, start):
+        rows.append(len(y))
+        return first_zeros(tg, y, yp, start)
+
+    monkeypatch.setattr(cutanalysis, "_first_zeros", spy)
+    focal = focal_times_batch(b, N, atlas)
+    assert np.isfinite(focal).all()
+    assert rows and rows[0] < 0.5 * len(atlas.batch.t)
     np.testing.assert_array_equal(focal, reference_focal_times(b, N, atlas))
 
 
@@ -347,11 +341,21 @@ def test_loop_scan_line_across_chart_seam(flat_backend):
 
 # -- assembly ---------------------------------------------------------------
 
+def _profiles(b, N, atlas):
+    focal = focal_times_batch(b, N, atlas)
+    _, loops = loop_scan(b, N, atlas)
+    return compute_profiles(b, atlas, focal, *cut_times(atlas, focal), loops)
+
+
 def test_compute_profiles_flat_point(flat_backend, point_atlas):
     N = point_submanifold([0.25, 0.25])
-    _, loops = loop_scan(flat_backend, N, point_atlas)
-    profiles = compute_profiles(flat_backend, N, point_atlas, loops)
+    profiles = _profiles(flat_backend, N, point_atlas)
     assert len(profiles) == 128
+    # one stored method per profile; no_cut and flags are read from it
+    assert {p.method for p in profiles} == {"crossing"}
+    assert not any(p.no_cut for p in profiles)
+    assert profiles[0].flags == {"method": "crossing", "no_cut": False}
+    assert "flags" not in vars(profiles[0])
     assert injectivity_radius_direct(profiles) == pytest.approx(0.5, abs=3e-3)
     cloud = cut_locus_cloud(flat_backend, profiles)
     # cut locus is the cross {x = 0.75} union {y = 0.75}
@@ -362,8 +366,7 @@ def test_compute_profiles_flat_point(flat_backend, point_atlas):
 
 def test_separating_points_flat_point(flat_backend, point_atlas):
     N = point_submanifold([0.25, 0.25])
-    _, loops = loop_scan(flat_backend, N, point_atlas)
-    profiles = compute_profiles(flat_backend, N, point_atlas, loops)
+    profiles = _profiles(flat_backend, N, point_atlas)
     seps = separating_points(flat_backend, N, profiles)
     assert seps
     assert all(sp.flag == "sep" for sp in seps)

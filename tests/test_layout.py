@@ -93,6 +93,22 @@ def test_only_the_fork_helper_forks():
                 if isinstance(n, ast.ImportFrom) and n.level > 0]
 
 
+def test_no_fork_nests_in_a_run_case_branch():
+    # run_case forks once, after the focal solve: its two branch jobs, and
+    # the eikonal probes that validate hands it as the beside job, reach no
+    # fork of their own, so a child never forks
+    defs, _ = _definitions(_package_sources())
+    jobs = ["stability._search_branch", "stability._scan_branch",
+            "wavefront.eikonal_probes"]
+    reached = _reach(defs, jobs, [])
+    assert {"cutanalysis.cut_times", "cutanalysis.loop_scan",
+            "wavefront._distance_rows", "wavefront._sample_index"} <= reached
+    assert "forking._fork_map" not in reached
+    # the guard sees a fork that a branch reaches
+    assert "forking._fork_map" in _reach(defs, jobs + ["stability._sweep"],
+                                         [])
+
+
 # -- one wraparound -----------------------------------------------------------
 # np.mod costs tens of ns per element where the floor form of
 # geometry.wrap_periodic costs about one, and a (2,) period broadcast over

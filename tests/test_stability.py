@@ -447,6 +447,37 @@ def test_a_stacked_sweep_hands_every_case_its_paths(monkeypatch, tmp_path):
     assert given == [True] * (5 + 3)
 
 
+def _run_case_bytes(r):
+    """Every output of a run_case result, as comparable values."""
+    prof = [(p.dir_idx, p.s, p.side, p.rho, p.cut_point.tobytes(), p.method,
+             p.focal_t, p.loop) for p in r.profiles]
+    sep = [(sp.point.tobytes(), sp.dir_idx, sp.multiplicity, sp.flag)
+           for sp in r.sep]
+    return (prof, r.cloud.points.tobytes(), r.cloud.dir_idx.tobytes(), sep,
+            r.inj_direct, r.inj_char, r.branch, r.fmin, r.l_half, r.err)
+
+
+@pytest.mark.parametrize("name", ["flat-torus-line", "warped-torus-line",
+                                  "sphere-equator"])
+def test_run_case_does_not_depend_on_workers(name):
+    # the cut-time search and the loop scan run in two processes or one
+    cfg = scenario(name)
+    b = cfg.build_backend()
+    N = cfg.build_submanifold(b)
+    res = Resolution(m=64, dt=4e-3, t_max=cfg.resolution.t_max)
+    runs = []
+    for workers in (1, 2, 3):
+        r = stability.run_case(b, N, res, workers=workers)
+        with pytest.raises(ChildProcessError):      # no worker left behind
+            os.waitpid(-1, os.WNOHANG)
+        assert {"rk4", "atlas", "focal", "cut_times",
+                "loop_scan"} == set(r.timings)
+        assert r.beside is None
+        runs.append(_run_case_bytes(r))
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_manifest_times_every_case_and_every_stack(tmp_path, threads):
     for name, ladder in (("bump", ["0", "0.2", "0.1", "0.05", "0.025"]),

@@ -11,12 +11,14 @@ from cutlab.submanifold import chart_curve, curve_submanifold, \
     point_submanifold, surface_curve
 from cutlab import wavefront
 from cutlab.wavefront import (CoverageError, _distance_rows, _near, _nearest,
-                              build_atlas, distance, distance_many,
-                              eikonal_residual, validation_grid)
+                              _sample_index, build_atlas, distance,
+                              distance_many, eikonal_probes, eikonal_residual,
+                              validation_grid)
 
 from oracles import (brute_distance, flat_torus_line_distance,
                      flat_torus_point_distance, reference_gradient_probes,
-                     reference_grad_norm, reference_near, reference_nearest,
+                     reference_eikonal_residual, reference_grad_norm,
+                     reference_near, reference_nearest,
                      reference_validation_grid)
 
 
@@ -116,48 +118,106 @@ def test_validation_grid_surface_matches_pointwise_net(surface, spacing):
 
 def test_eikonal_residual_flat_line(flat_line_atlas):
     cut = np.stack([np.linspace(0, 1, 41), np.full(41, 0.5)], axis=-1)
-    rep = eikonal_residual(flat_line_atlas, 0.05, cut_points=cut)
+    rep = eikonal_residual(flat_line_atlas,
+                           eikonal_probes(flat_line_atlas, 0.05),
+                           cut_points=cut)
     assert rep["count"] > 100
     assert rep["frac_below_1e2"] >= 0.95
 
 
-@pytest.mark.parametrize("name", ["flat_line_atlas", "bump_atlas",
-                                  "sphere_atlas"])
-def test_eikonal_probe_blocks_do_not_change_the_report(name, request):
-    atlas = request.getfixturevalue(name)
-    spacing = 0.05 if atlas.backend.dim == 2 else 0.1
+def _ellipsoid_point():
+    from cutlab.geometry import ImplicitSurface, level_surface
+    b = ImplicitSurface(level_surface("ellipsoid", semi_axes=(1.4, 1.0, 0.7)))
+    return b, point_submanifold(b.project(np.array([0.5, 0.6, 0.62])))
+
+
+def _psi_sphere():
+    from cutlab.geometry import ImplicitSurface, ambient_scalar_field, \
+        level_surface
+    b = ImplicitSurface(level_surface("sphere", radius=1.0),
+                        psi=ambient_scalar_field("sine-z", amplitude=0.3))
+    return b, curve_submanifold(surface_curve("equator", radius=1.0))
+
+
+# (backend and N, resolution) of the validate scenarios the eikonal check
+# is compared on
+EIKONAL_CASES = {
+    "sphere-equator": (None, Resolution(m=128, dt=4e-3, t_max=3.4)),
+    "flat-torus-line": (None, Resolution(m=64, dt=4e-3, t_max=1.2)),
+    "flat-torus-point": (None, Resolution(m=64, dt=4e-3, t_max=1.2)),
+    "warped-torus-line": (None, Resolution(m=64, dt=4e-3, t_max=1.4)),
+    "warped-torus-bump-sweep": (None, Resolution(m=64, dt=4e-3, t_max=1.6)),
+    "ellipsoid-point": (_ellipsoid_point, Resolution(m=64, dt=4e-3,
+                                                     t_max=4.0)),
+    "psi-sphere-equator": (_psi_sphere, Resolution(m=64, dt=4e-3,
+                                                   t_max=3.4)),
+}
+
+
+def _validate_eikonal(name, workers):
+    """validate's eikonal check of a scenario: run_case with the probes as
+    its beside job, then the cut-locus tubes masked out."""
+    make, res = EIKONAL_CASES[name]
+    if make is None:
+        cfg = scenario(name)
+        b = cfg.build_backend()
+        N = cfg.build_submanifold(b)
+    else:
+        b, N = make()
+    spacing = 0.05 if b.dim == 2 else 0.1
+    r = run_case(b, N, res, keep_atlas=True, workers=workers,
+                 beside=lambda atlas, focal: eikonal_probes(atlas, spacing,
+                                                            focal))
+    rep = eikonal_residual(r.atlas, r.beside, cut_points=r.cloud.points)
+    return r, spacing, rep
+
+
+def _assert_same_report(got, want):
+    assert got["residuals"].tobytes() == want["residuals"].tobytes()
+    assert {k: v for k, v in got.items() if k != "residuals"} == \
+        {k: v for k, v in want.items() if k != "residuals"}
+
+
+@pytest.mark.parametrize("name", ["sphere-equator", "flat-torus-line",
+                                  "flat-torus-point", "warped-torus-line",
+                                  "ellipsoid-point", "psi-sphere-equator"])
+def test_focal_trimmed_eikonal_matches_the_one_pass_check_bitwise(name):
+    # the probes of the points in the cut-locus tubes are queried and then
+    # masked, from an index of the samples before their focal time (plus
+    # cap): no pick of a kept point lies past its direction's focal time
+    r, spacing, rep = _validate_eikonal(name, 1)
+    assert "index" not in vars(r.atlas)
+    want = reference_eikonal_residual(r.atlas, spacing, r.cloud.points)
+    _assert_same_report(rep, want)
+    assert rep["count"] > 100
+
+
+@pytest.mark.parametrize("name", ["flat-torus-line",
+                                  "warped-torus-bump-sweep",
+                                  "sphere-equator"])
+def test_eikonal_report_does_not_depend_on_workers(name):
     reports = []
-    for n in (1, 2, 3):
-        reports.append(eikonal_residual(atlas, spacing, workers=n))
+    for workers in (1, 2, 3):
+        reports.append(_validate_eikonal(name, workers)[2])
         with pytest.raises(ChildProcessError):      # no worker left behind
             os.waitpid(-1, os.WNOHANG)
-    assert reports[0]["count"] > 100
     for rep in reports[1:]:
-        assert rep.pop("residuals").tobytes() == \
-            reports[0]["residuals"].tobytes()
-        assert rep == {k: v for k, v in reports[0].items()
-                       if k != "residuals"}
+        _assert_same_report(rep, reports[0])
 
 
-def test_the_index_is_built_by_the_first_query_before_any_fork(monkeypatch):
-    # run_case asks no distance, so the atlas it keeps holds no index; the
-    # eikonal check builds it in this process before its workers fork
-    cfg = scenario("flat-torus-line")
+def test_the_focal_trimmed_index_drops_the_samples_past_focal_times():
+    cfg = scenario("sphere-equator")
     b = cfg.build_backend()
-    atlas = run_case(b, cfg.build_submanifold(b),
-                     Resolution(m=32, dt=1e-2, t_max=0.8),
-                     keep_atlas=True).atlas
+    atlas = build_atlas(b, cfg.build_submanifold(b), 64, 3.4, 4e-3)
+    focal = np.full(atlas.batch.n_paths, 0.5 * np.pi)
+    trimmed = _sample_index(atlas, focal)
     assert "index" not in vars(atlas)
-    fork_map, built = wavefront._fork_map, []
-
-    def spy(job, n, name):
-        built.append((n, "index" in vars(atlas)))
-        return fork_map(job, n, name)
-
-    monkeypatch.setattr(wavefront, "_fork_map", spy)
-    eikonal_residual(atlas, 0.1, workers=2)
-    assert built == [(2, True)]
-    assert "index" in vars(atlas)
+    kept = np.sort(trimmed.order)
+    cap = np.maximum(1.5 * atlas.sample_gap, 3.0 * atlas.dt)
+    np.testing.assert_array_equal(
+        kept, np.flatnonzero(atlas.sample_t <= 0.5 * np.pi + cap))
+    assert 0.4 < len(kept) / len(atlas.sample_t) < 0.6
+    assert len(atlas.index.order) == len(atlas.sample_t)
 
 
 # -- batched queries against the brute-force scan ----------------------------
@@ -196,7 +256,7 @@ def _queries(atlas, rng, n=80):
 
 
 def _assert_rows_match_brute(atlas, Q):
-    d, err, j, t, status = _distance_rows(atlas, Q)
+    d, err, j, t, status = _distance_rows(atlas, Q, atlas.index)
     want = [brute_distance(atlas, q) for q in Q]
     np.testing.assert_array_equal(status, [w[5] for w in want])
     np.testing.assert_array_equal(d, [w[0] for w in want])
@@ -250,7 +310,7 @@ def test_uncertified_queries_raise_the_scalar_message(flat_backend,
                          1e-2)
     for atlas, knob in ((short, "t_max"), (sparse, "m")):
         Q = _queries(atlas, np.random.default_rng(7), 40)
-        status = _distance_rows(atlas, Q)[4]
+        status = _distance_rows(atlas, Q, atlas.index)[4]
         assert 2 in status
         messages = []
         for q in Q[status != 0]:
@@ -261,7 +321,7 @@ def test_uncertified_queries_raise_the_scalar_message(flat_backend,
         with pytest.raises(CoverageError) as ex:
             distance_many(atlas, Q)
         assert str(ex.value) == messages[0]
-    status = _distance_rows(short, np.array([[0.1, 0.5]]))[4]
+    status = _distance_rows(short, np.array([[0.1, 0.5]]), short.index)[4]
     assert status[0] == 1
     with pytest.raises(CoverageError, match="no trustworthy atlas sample"):
         distance_many(short, [[0.1, 0.1], [0.1, 0.5]])
@@ -272,7 +332,7 @@ def test_distance_err_squares_like_a_python_float(flat_point_atlas, rng):
     # an ndarray ** 2 misses in about one case per thousand
     atlas = flat_point_atlas
     Q = rng.random((4000, 2))
-    d, err, j, t, status = _distance_rows(atlas, Q)
+    d, err, j, t, status = _distance_rows(atlas, Q, atlas.index)
     ok = np.flatnonzero(status == 0)
     tg = atlas.batch.t
     s = j[ok] * len(tg) + np.searchsorted(tg, t[ok])
@@ -405,7 +465,7 @@ def test_sort_free_pick_matches_the_lexsort_pick_on_ties(flat_line_atlas,
         for pick_fn in (_nearest, reference_nearest):
             pick = np.full(400, -1)
             d, gap = np.full(400, np.nan), np.full(400, np.nan)
-            pick_fn(atlas, qi, s, gaps, vec, pick, d, gap)
+            pick_fn(atlas, atlas.index.covel, qi, s, gaps, vec, pick, d, gap)
             out.append((pick, d, gap))
         for g, w in zip(*out):
             np.testing.assert_array_equal(g, w)
@@ -432,9 +492,9 @@ def test_distance_rows_match_the_lexsort_pick(case, flat_line_atlas,
                            np.linspace(0.1, 0.25, 12))
         Q = np.stack([x.ravel(), y.ravel()], axis=-1)
     monkeypatch.setattr(wavefront, "_CHUNK_PAIRS", 97)
-    got = _distance_rows(atlas, Q)
+    got = _distance_rows(atlas, Q, atlas.index)
     monkeypatch.setattr(wavefront, "_nearest", reference_nearest)
-    want = _distance_rows(atlas, Q)
+    want = _distance_rows(atlas, Q, atlas.index)
     for g, w in zip(got, want):
         np.testing.assert_array_equal(g, w)
     if case == "ladder":
