@@ -13,8 +13,7 @@ from .submanifold import (CurveSpec, NormalFrame, SubmanifoldSpec, chart_curve,
                           curve_submanifold, embedding_family, foot_point,
                           point_submanifold, principal_curvature_bound,
                           shape_operators, surface_curve, unit_normals)
-from .wavefront import (CoverageError, WavefrontAtlas, build_atlas, distance,
-                        distance_many, eikonal_residual)
+from .wavefront import WavefrontAtlas, build_atlas, distance, eikonal_residual
 from .cutanalysis import (CutProfile, PointCloud, compute_profiles, cut_time,
                           cut_times, cut_locus_cloud, f_min,
                           injectivity_radius_char, injectivity_radius_direct,

@@ -167,12 +167,11 @@ def _diag(p, order: int, E, G) -> MetricJet:
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Named smooth field with the parameters that built it; ``jet(p,
-    order)`` is its one definition and a call returns the jet's value (a
-    chart metric's jet is a MetricJet, whose value is (E, G))."""
+    """Named smooth field; ``jet(p, order)`` is its one definition and a
+    call returns the jet's value (a chart metric's jet is a MetricJet, whose
+    value is (E, G))."""
 
     name: str
-    params: dict
     jet: Callable[[np.ndarray, int], Jet]
 
     def __call__(self, pts):
@@ -197,7 +196,7 @@ def chart_scalar_field(name: str, periods, **params) -> ScalarField:
     elif name == "bump-xy":
         jet = lambda p, order: _times(_sinusoid(p, order, 0, a, c / L1),
                                       _sinusoid(p, order, 1, 1.0, c / L2))
-    return ScalarField(name, dict(params), jet)
+    return ScalarField(name, jet)
 
 
 def ambient_scalar_field(name: str, **params) -> ScalarField:
@@ -218,7 +217,7 @@ def ambient_scalar_field(name: str, **params) -> ScalarField:
     elif name == "sine-z":
         k = float(params.get("wavenumber", 1.0))
         jet = lambda p, order: _sinusoid(p, order, 2, a, k)
-    return ScalarField(name, dict(params), jet)
+    return ScalarField(name, jet)
 
 
 ZERO_FIELD = ambient_scalar_field("constant", value=0.0)
@@ -251,7 +250,7 @@ def chart_metric_field(name: str, periods, **params) -> ScalarField:
                                  amplitude=float(params.get("amplitude", 0.1)))
         jet = lambda p, order: _times(_exp(2.0, phi.jet(p, order)),
                                       _diag(p, order, 1.0, 1.0))
-    return ScalarField(name, dict(params), jet)
+    return ScalarField(name, jet)
 
 
 def _per_row(tau, p):
@@ -273,7 +272,6 @@ def conformal_chart_field(base: ScalarField, phi: ScalarField,
     tau is a number or one value per point row (see _per_row)."""
     return ScalarField(
         f"conformal({base.name})",
-        {"base": base.params, "phi": phi.name, "tau": tau},
         lambda p, order: _times(_exp(2.0 * _per_row(tau, p),
                                      phi.jet(p, order)), base.jet(p, order)))
 
@@ -284,7 +282,7 @@ def blended_chart_field(g0: ScalarField, g1: ScalarField,
     def jet(p, order):
         t = _per_row(tau, p)
         return _sum(1.0 - t, g0.jet(p, order), t, g1.jet(p, order))
-    return ScalarField(f"blend({g0.name},{g1.name})", {"tau": tau}, jet)
+    return ScalarField(f"blend({g0.name},{g1.name})", jet)
 
 
 # ---------------------------------------------------------------------------
@@ -506,8 +504,6 @@ class LevelSurface:
     as a torus, needs its own form and curvature.
     """
 
-    name: str
-    params: dict
     h: Callable
     grad: Callable
     hess_diag: tuple[float, float, float]
@@ -544,8 +540,7 @@ def level_surface(name: str, **params) -> LevelSurface:
         grad = lambda p: 2.0 * p / ax ** 2
         d = 2.0 / ax ** 2
     hess_form = lambda p, v: row_sum((d * v) * v)
-    return LevelSurface(name, dict(params), h, grad, tuple(map(float, d)),
-                        hess_form)
+    return LevelSurface(h, grad, tuple(map(float, d)), hess_form)
 
 
 @dataclass(frozen=True)
@@ -803,7 +798,7 @@ def conformal_family(b: Backend, phi: ScalarField, tau) -> Backend:
         return b
     base_psi = b.psi
     name = f"{base_psi.name}+{tau}*{phi.name}"
-    combined = ScalarField(name, {"tau": tau}, lambda p, order: _sum(
+    combined = ScalarField(name, lambda p, order: _sum(
         1.0, base_psi.jet(p, order), _per_row(tau, p), phi.jet(p, order)))
     return ImplicitSurface(b.surface, psi=combined)
 

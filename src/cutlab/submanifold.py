@@ -19,8 +19,6 @@ TUBE_RADIUS = 0.1       # aux distance beyond which d_est is not polished
 class CurveSpec:
     """Closed-curve parametrization c : [0, 1) -> M, smooth and periodic."""
 
-    name: str
-    params: dict
     fn: Callable[[np.ndarray], np.ndarray]
 
     def __call__(self, s):
@@ -49,7 +47,7 @@ def chart_curve(name: str, periods, **params) -> CurveSpec:
         def fn(s):
             a = 2.0 * np.pi * s
             return np.stack([cx + r * np.cos(a), cy + r * np.sin(a)], axis=-1)
-    return CurveSpec(name, dict(params), fn)
+    return CurveSpec(fn)
 
 
 def surface_curve(name: str, **params) -> CurveSpec:
@@ -66,7 +64,7 @@ def surface_curve(name: str, **params) -> CurveSpec:
         return np.stack([rho * np.cos(a), rho * np.sin(a),
                          np.full_like(s, z0)], axis=-1)
 
-    return CurveSpec(name, dict(params), fn)
+    return CurveSpec(fn)
 
 
 @dataclass(frozen=True)
@@ -246,18 +244,12 @@ def golden_section(f, lo, hi, tol: float) -> np.ndarray:
         fd[R] = vals[~left]
 
 
-@dataclass(frozen=True)
-class FootPoint:
-    s: float
-    d_est: float
-
-
-def foot_point(b: Backend, N: SubmanifoldSpec, q) -> FootPoint:
-    """Nearest-parameter projection of q onto N in the auxiliary distance,
-    golden-section polished; d_est is a first-order g-length within
-    TUBE_RADIUS of N, otherwise the raw auxiliary value."""
+def foot_point(b: Backend, N: SubmanifoldSpec, q) -> tuple[float, float]:
+    """(s, d_est): the nearest-parameter projection of q onto N in the
+    auxiliary distance, golden-section polished; d_est is a first-order
+    g-length within TUBE_RADIUS of N, otherwise the raw auxiliary value."""
     s, d_est = foot_points(b, N, np.asarray(q, dtype=float)[None, :])
-    return FootPoint(float(s[0]), float(d_est[0]))
+    return float(s[0]), float(d_est[0])
 
 
 def foot_points(b: Backend, N: SubmanifoldSpec, Q: np.ndarray):
@@ -300,5 +292,4 @@ def embedding_family(b: Backend, N0: SubmanifoldSpec, N1: SubmanifoldSpec,
     def fn(s):
         return b.interpolate(c0.fn(s), c1.fn(s), tau)
 
-    spec = CurveSpec(f"family({c0.name},{c1.name})", {"tau": tau}, fn)
-    return SubmanifoldSpec(1, curve=spec, m_N=N0.m_N)
+    return SubmanifoldSpec(1, curve=CurveSpec(fn), m_N=N0.m_N)

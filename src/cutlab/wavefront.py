@@ -1,6 +1,6 @@
-"""Dense normal-geodesic wavefronts of N on a coarse cell grid; d(N, q) from
-an index that the first query builds, with conservative error bounds; and
-eikonal-residual validation from an index trimmed at the focal times."""
+"""Dense normal-geodesic wavefronts of N on a coarse cell grid; d(N, q) with
+conservative error bounds from an index of the samples before their focal
+times, built for each batch of queries; and eikonal-residual validation."""
 from __future__ import annotations
 
 import functools
@@ -13,18 +13,6 @@ import numpy as np
 from .geodesics import BatchPaths, integrate_batch
 from .geometry import Backend, row_sum, validation_grid, wrap_periodic
 from .submanifold import NormalFrame, SubmanifoldSpec, frames_for
-
-class CoverageError(Exception):
-    """Query outside the t_max coverage of the atlas."""
-
-
-@dataclass
-class DistanceResult:
-    d: float
-    err: float
-    dir_idx: int
-    t: float
-
 
 @dataclass(frozen=True)
 class _Grid:
@@ -134,24 +122,21 @@ class SampleIndex:
     as its largest cap, so a near sample lies in the 3^dim cells around q
     at its level: that finds them without gathering the far samples of the
     coarse cells.  The other samples sit on the coarse grid.  Only occupied
-    cells are stored; ``order`` holds the samples of every tier.  ``covel``
-    is each sample's velocity lowered by the metric there, for every sample
-    of the atlas: a query without a near sample widens its ring over them
-    all (ring_pairs).
+    cells are stored; ``order`` holds the samples of every tier.  A query
+    without a near sample widens its ring over every sample of the atlas
+    (ring_pairs), past the index.
     """
 
     tiers: list
     order: np.ndarray
-    covel: np.ndarray
 
 
-def _sample_index(atlas: WavefrontAtlas, focal=None) -> SampleIndex:
+def _sample_index(atlas: WavefrontAtlas, focal: np.ndarray) -> SampleIndex:
     """The index of the samples with t <= t_f + cap, t_f the focal time of
-    their direction in ``focal`` (default: none, every sample)."""
+    their direction in ``focal`` (np.inf for every sample)."""
     b, pos, cell, dt = atlas.backend, atlas.sample_pos, atlas.cell, atlas.dt
     cap = _caps(atlas.sample_gap, dt)
-    t_f = np.inf if focal is None else focal[atlas.sample_dir]
-    live = atlas.sample_t <= t_f + cap
+    live = atlas.sample_t <= focal[atlas.sample_dir] + cap
     # the margins absorb rounding in the cell coordinates
     is_small = cap <= cell * (1.0 - 1e-9)
     small = np.flatnonzero(live & is_small)
@@ -167,14 +152,13 @@ def _sample_index(atlas: WavefrontAtlas, focal=None) -> SampleIndex:
             tiers.append(tier)
             orders.append(order)
             base += len(order)
-    return SampleIndex(tiers, np.concatenate(orders),
-                       b.lower(pos, atlas.sample_vel))
+    return SampleIndex(tiers, np.concatenate(orders))
 
 
 @dataclass
 class WavefrontAtlas:
     """All normal geodesics of N up to t_max, flattened and bucketed on a
-    coarse cell grid; the distance queries' index is built on first use."""
+    coarse cell grid; each distance query builds its own index."""
 
     backend: Backend
     N: SubmanifoldSpec
@@ -197,11 +181,6 @@ class WavefrontAtlas:
     order: np.ndarray
     keys: np.ndarray
     starts: np.ndarray
-
-    @functools.cached_property
-    def index(self) -> SampleIndex:
-        """The ring-1 near-sample index of the distance queries."""
-        return _sample_index(self)
 
 
 def normal_starts(b: Backend, N: SubmanifoldSpec, m: int):
@@ -329,10 +308,19 @@ def ring_pairs(atlas: WavefrontAtlas, Q: np.ndarray, rings: int):
             yield qi, s
 
 
-def _distance_rows(atlas: WavefrontAtlas, Q: np.ndarray, ix: SampleIndex):
-    """distance() of every row of Q from the index ix without raising:
-    arrays d, err, dir_idx, t and status (0 certified, 1 no trustworthy
-    sample, 2 at the coverage edge)."""
+def distance(atlas: WavefrontAtlas, Q: np.ndarray, focal: np.ndarray):
+    """d(N, q) = min over the near atlas samples of the first-order distance
+    t + <v, q - x>_g, for every row q of Q.  The near samples come from the
+    index of the samples within their cap of their direction's focal time
+    in ``focal`` (np.inf for every sample): past its cut time, which is at
+    most its focal time, a geodesic no longer minimizes.  Ties resolve to
+    the smallest direction index, then the smallest t; a row's answer does
+    not depend on the other rows.
+
+    Returns arrays d, err, dir_idx, t and status (0 certified, 1 no
+    trustworthy sample, 2 at the coverage edge).
+    """
+    ix = _sample_index(atlas, focal)
     n = len(Q)
     pick = np.full(n, -1, dtype=np.int64)
     d = np.full(n, np.nan)
@@ -342,15 +330,14 @@ def _distance_rows(atlas: WavefrontAtlas, Q: np.ndarray, ix: SampleIndex):
         parts = [t.ranges(t.grid.cells(Qc), 1) for t in ix.tiers]
         rows, lo, hi = (np.concatenate(a) for a in zip(*parts))
         for qi, s in _pairs(rows + c0, lo, hi, ix.order):
-            _nearest(atlas, ix.covel, *_near(atlas, Q, qi, s), pick, d, gap)
+            _nearest(atlas, *_near(atlas, Q, qi, s), pick, d, gap)
     # no near sample in ring 1: widen the ring over every sample
     pending = np.flatnonzero(pick < 0)
     for rings in _RING_LADDER:
         if not pending.size:
             break
         for qi, s in ring_pairs(atlas, Q[pending], rings):
-            _nearest(atlas, ix.covel, *_near(atlas, Q, pending[qi], s),
-                     pick, d, gap)
+            _nearest(atlas, *_near(atlas, Q, pending[qi], s), pick, d, gap)
         pending = pending[pick[pending] < 0]
     found = pick >= 0
     s = pick[found]
@@ -381,21 +368,22 @@ def _near(atlas, Q, qi, s):
     return qi.take(i), s.take(i), gaps.take(i), vec.take(i, axis=0)
 
 
-def _nearest(atlas, covel, qi, s, gaps, vec, pick, d, gap):
+def _nearest(atlas, qi, s, gaps, vec, pick, d, gap):
     """Per query row, the near sample of least first-order distance; ties
     go to the smallest sample index, i.e. the smallest (dir, t).  vec holds
-    each pair's auxiliary gap from the sample to the query, covel every
-    sample's lowered velocity; each pair occurs once."""
+    each pair's auxiliary gap from the sample to the query; each pair
+    occurs once."""
     if not qi.size:
         return
     # first-order model d(q) = t_i + <v_i, q - x_i>_g: the transversal part
     # of the gap contributes only at second order; the absolute value folds
     # the two sides of a geodesic leaving N back to one distance (on a
     # surface the gap is first projected to the tangent plane at x_i)
-    delta = atlas.backend.constrain_velocity(atlas.sample_pos.take(s, axis=0),
-                                             vec)
+    b = atlas.backend
+    x = atlas.sample_pos.take(s, axis=0)
+    covel = b.lower(x, atlas.sample_vel.take(s, axis=0))
     vals = np.abs(atlas.sample_t.take(s)
-                  + row_sum(covel.take(s, axis=0) * delta))
+                  + row_sum(covel * b.constrain_velocity(x, vec)))
     # the least value of each query, then the least sample among its hits
     row = qi - qi.min()
     low = np.full(row.max() + 1, np.inf)
@@ -414,43 +402,6 @@ def _edge_margin(atlas: WavefrontAtlas) -> float:
     return max(5.0 * atlas.dt, 2.0 * atlas.median_gap)
 
 
-def _coverage_reason(atlas: WavefrontAtlas, status: int, d: float) -> str:
-    if status == 1:
-        return "no trustworthy atlas sample near query; increase m or t_max"
-    if 2.0 * atlas.median_gap > 5.0 * atlas.dt:
-        # the margin comes from the spacing of the direction set
-        return (f"distance {d:.4g} at coverage edge t_max={atlas.t_max} "
-                f"less margin 2*median_gap={2.0 * atlas.median_gap:.4g}; "
-                "increase m")
-    return (f"distance {d:.4g} at coverage edge t_max={atlas.t_max}; "
-            "increase t_max")
-
-
-def distance_many(atlas: WavefrontAtlas, Q) -> DistanceResult:
-    """``distance`` of every row of Q, as a DistanceResult of arrays.
-
-    Raises the CoverageError of the first row that cannot be certified.
-    """
-    Q = np.asarray(Q, dtype=float).reshape(-1, atlas.sample_pos.shape[1])
-    d, err, dir_idx, t, status = _distance_rows(atlas, Q, atlas.index)
-    bad = np.flatnonzero(status)
-    if bad.size:
-        i = bad[0]
-        raise CoverageError(_coverage_reason(atlas, status[i], d[i]))
-    return DistanceResult(d, err, dir_idx, t)
-
-
-def distance(atlas: WavefrontAtlas, q) -> DistanceResult:
-    """d(N, q) = min over atlas samples of (t + g-bounded gap correction).
-
-    Ties resolve to the smallest direction index, then smallest t (the
-    flattened samples are ordered that way).
-    """
-    r = distance_many(atlas, q)
-    return DistanceResult(float(r.d[0]), float(r.err[0]), int(r.dir_idx[0]),
-                          float(r.t[0]))
-
-
 # ---------------------------------------------------------------------------
 # eikonal validation
 # ---------------------------------------------------------------------------
@@ -466,14 +417,10 @@ class EikonalProbes(NamedTuple):
 
 
 def eikonal_probes(atlas: WavefrontAtlas, grid_spacing: float,
-                   focal=None) -> EikonalProbes:
+                   focal: np.ndarray) -> EikonalProbes:
     """u at q +- h e along two tangent axes e of every grid point q outside
-    N's tube, h half the spacing.  The distances come from an index of the
-    samples within their cap of their direction's focal time in ``focal``
-    (default: none, every sample): past its cut time, which is at most its
-    focal time, a geodesic no longer minimizes.  That index is built for
-    these queries alone, not stored as ``atlas.index``; a row's answer does
-    not depend on the other rows."""
+    N's tube, h half the spacing, from one distance query over the samples
+    before their direction's focal time in ``focal``."""
     b = atlas.backend
     radius = max(2.0 * grid_spacing, 2.0 * atlas.err)
     grid = validation_grid(b, grid_spacing)
@@ -481,9 +428,8 @@ def eikonal_probes(atlas: WavefrontAtlas, grid_spacing: float,
     pts = grid[keep]
     # steps is the half-width of each difference
     probes, steps = b.probe_pairs(pts, 0.5 * grid_spacing)
-    d, _err, _j, _t, status = _distance_rows(
-        atlas, probes.reshape(-1, probes.shape[-1]),
-        _sample_index(atlas, focal))
+    d, _err, _j, _t, status = distance(
+        atlas, probes.reshape(-1, probes.shape[-1]), focal)
     d = d.reshape(len(pts), 2, 2)
     # central differences (u(q + h e) - u(q - h e)) / (2 h) along each axis
     du = (d[:, :, 0] - d[:, :, 1]) / (2 * steps)
@@ -492,14 +438,14 @@ def eikonal_probes(atlas: WavefrontAtlas, grid_spacing: float,
 
 
 def eikonal_residual(atlas: WavefrontAtlas, probes: EikonalProbes,
-                     cut_points: np.ndarray | None = None) -> dict:
+                     cut_points: np.ndarray) -> dict:
     """Distribution of | ||grad u||_g - 1 | over the grid points of
     ``probes`` (eikonal_probes), excluding the tubes around the supplied
     cut-locus cloud too, where u is not differentiable.  A point whose
     central-difference probes cannot all be certified is dropped."""
     b = atlas.backend
     radius, excluded, pts, du, ok = probes
-    if cut_points is not None and len(cut_points):
+    if len(cut_points):
         clear = ~(_min_aux_distance(b, pts, cut_points) < radius)
         excluded += int(np.count_nonzero(~clear))
         pts, du, ok = pts[clear], du[clear], ok[clear]

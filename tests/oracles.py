@@ -190,12 +190,12 @@ def reference_near(atlas, Q, qi, s):
     return qi[keep], s[keep], gaps[keep], vec[keep]
 
 
-def reference_nearest(atlas, covel, qi, s, gaps, vec, pick, d, gap):
+def reference_nearest(atlas, qi, s, gaps, vec, pick, d, gap):
     """The distance query's pick by sorting: per query row, the near sample
     of least first-order value, ties to the smallest sample index, found by
     a lexsort on (row, sample) and a segmented minimum; the metric comes
-    from b.inner, not from the lowered velocities covel.  Writes pick, d and
-    gap of the rows it sees."""
+    from b.inner, not from lowered velocities.  Writes pick, d and gap of
+    the rows it sees."""
     if not qi.size:
         return
     o = np.lexsort((s, qi))
@@ -219,9 +219,9 @@ def reference_nearest(atlas, covel, qi, s, gaps, vec, pick, d, gap):
 def reference_eikonal_residual(atlas, grid_spacing, cut_points):
     """eikonal_residual in one pass: the tubes around N and around the cut
     points are both excluded before any probe is queried, and every probe
-    is queried at once from the atlas's own full index."""
+    is queried at once from an index of every sample."""
     from cutlab.geometry import validation_grid
-    from cutlab.wavefront import _distance_rows, _min_aux_distance
+    from cutlab.wavefront import _min_aux_distance, distance
     b = atlas.backend
     radius = max(2.0 * grid_spacing, 2.0 * atlas.err)
     grid = validation_grid(b, grid_spacing)
@@ -231,8 +231,9 @@ def reference_eikonal_residual(atlas, grid_spacing, cut_points):
             keep &= ~(_min_aux_distance(b, grid, blockers) < radius)
     pts = grid[keep]
     probes, steps = b.probe_pairs(pts, 0.5 * grid_spacing)
-    d, _err, _j, _t, status = _distance_rows(
-        atlas, probes.reshape(-1, probes.shape[-1]), atlas.index)
+    d, _err, _j, _t, status = distance(
+        atlas, probes.reshape(-1, probes.shape[-1]),
+        np.full(atlas.batch.n_paths, np.inf))
     d = d.reshape(len(pts), 2, 2)
     ok = ~np.any(status.reshape(len(pts), 4) != 0, axis=1)
     du = (d[:, :, 0] - d[:, :, 1]) / (2 * steps)

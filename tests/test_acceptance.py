@@ -184,7 +184,9 @@ def test_criterion_09_eikonal_validation(flat_line, sphere_eq):
     for name, case, spacing in (("flat", flat_line, 0.05),
                                 ("sphere", sphere_eq, 0.1)):
         r = case.result
-        rep = eikonal_residual(r.atlas, eikonal_probes(r.atlas, spacing),
+        every = np.full(r.atlas.batch.n_paths, np.inf)  # no focal trim
+        rep = eikonal_residual(r.atlas,
+                               eikonal_probes(r.atlas, spacing, every),
                                cut_points=r.cloud.points)
         fracs[name] = rep["frac_below_1e2"]
     ok = all(f >= 0.95 for f in fracs.values())

@@ -33,7 +33,8 @@ def point_atlas(flat_backend):
 def test_excess_zero_before_cut(point_atlas):
     batch = point_atlas.batch
     p, _ = hermite_sample(batch.t, batch.pos[0], batch.vel[0], 0.3)
-    assert abs(0.3 - distance(point_atlas, p).d) <= 2e-3
+    d = distance(point_atlas, p[None], np.full(batch.n_paths, np.inf))[0]
+    assert abs(0.3 - d[0]) <= 2e-3
 
 
 def test_cut_time_flat_point_axis_direction(point_atlas):

@@ -102,7 +102,7 @@ def test_no_fork_nests_in_a_run_case_branch():
             "wavefront.eikonal_probes"]
     reached = _reach(defs, jobs, [])
     assert {"cutanalysis.cut_times", "cutanalysis.loop_scan",
-            "wavefront._distance_rows", "wavefront._sample_index"} <= reached
+            "wavefront.distance", "wavefront._sample_index"} <= reached
     assert "forking._fork_map" not in reached
     # the guard sees a fork that a branch reaches
     assert "forking._fork_map" in _reach(defs, jobs + ["stability._sweep"],
@@ -370,9 +370,9 @@ def test_every_defaulted_parameter_is_set_by_a_call():
 # Annotations and imports reach nothing.
 
 # definitions that no command reaches but the benchmark's tracer patches
-# (bench/tracing.py); what they call counts as reached
+# (bench/tracing.py); what only they call is reported
 TRACED = {"cutanalysis.cut_time", "geodesics.hermite_sample",
-          "submanifold.foot_point", "wavefront.distance"}
+          "submanifold.foot_point"}
 
 
 @dataclasses.dataclass
@@ -452,9 +452,9 @@ def unreached(sources: dict[str, str], roots=("cli.main",), allowed=(),
               patched=()) -> list[str]:
     """'module.qualname' of every function, method and class in the modules
     ``sources`` (module name -> text) that neither the roots nor top-level
-    code reach.  An allowed definition is not reported but counts as a
-    root, unless it is undefined, reached anyway or not in ``patched``:
-    then it is reported with that reason."""
+    code reach.  An allowed definition is not reported, unless it is
+    undefined, reached anyway or not in ``patched``: then it is reported
+    with that reason.  What only allowed definitions reach is reported."""
     defs, top = _definitions(sources)
     allowed = set(allowed)
     reached = _reach(defs, roots, top)
@@ -462,7 +462,6 @@ def unreached(sources: dict[str, str], roots=("cli.main",), allowed=(),
     report += [f"{q} (allowed, but reached)" for q in allowed & reached]
     report += [f"{q} (allowed, but not patched)"
                for q in allowed - set(patched)]
-    reached |= _reach(defs, allowed & set(defs), [])
     return sorted(report + [q for q in defs
                             if q not in reached and q not in allowed])
 
@@ -500,12 +499,14 @@ def test_reach_checker_vets_its_allowlist():
                   "def traced(): return helper()\n"
                   "def helper(): return 2\n")}
     assert unreached(srcs) == ["m.helper", "m.traced"]
-    assert unreached(srcs, allowed={"m.traced"}, patched={"m.traced"}) == []
+    # a traced definition's private helper is no command's code
+    assert unreached(srcs, allowed={"m.traced"}, patched={"m.traced"}) == [
+        "m.helper"]
     assert unreached(srcs, allowed={"m.traced"}) == [
-        "m.traced (allowed, but not patched)"]
+        "m.helper", "m.traced (allowed, but not patched)"]
     both = {"m.traced", "m.used"}
     assert unreached(srcs, allowed=both, patched=both) == [
-        "m.used (allowed, but reached)"]
+        "m.helper", "m.used (allowed, but reached)"]
     assert unreached(srcs, allowed={"m.gone"}, patched={"m.gone"}) == [
         "m.gone (allowed, but not defined)", "m.helper", "m.traced"]
 
@@ -536,12 +537,9 @@ def test_every_definition_is_reached_from_the_command_line():
 # Reads resolve by name, as reach does: a load x.f anywhere in the package
 # reads every dataclass field called f.  A field can so pass on another
 # object's attribute of its name: PointCloud.dedup_radius passed while
-# res.dedup_radius was loaded, and FootPoint.coarse while the loop scan's
-# atlas.index.coarse was.  NamedTuple fields are read by unpacking and exempt.
-
-# fields that the package stores for the callers of a TRACED definition
-# (foot_point's d_est) alone
-UNREAD = {"submanifold.FootPoint.d_est"}
+# res.dedup_radius was loaded, and the params of three specs while
+# conformal_chart_field loaded base.params to build another unread dict.
+# NamedTuple fields are read by unpacking and exempt.
 
 
 def unread_fields(sources: dict[str, str], allowed=()) -> list[str]:
@@ -593,14 +591,14 @@ def test_field_read_checker_resolves_by_name_and_vets_its_allowlist():
 
 
 def test_every_dataclass_field_is_read():
-    assert unread_fields(_package_sources(), allowed=UNREAD) == []
+    assert unread_fields(_package_sources()) == []
 
 
 # -- the cut-time search and the loop scan read the paths alone --------------
 # Cut times come from the front's self-crossings (cutanalysis.cut_times), and
 # the loop scan reads the coarse cell table that build_atlas makes: the code
 # that either reaches loads none of the distance query's entry points, and
-# the loop scan none of the index that the first query builds.
+# the loop scan none of the index that a query builds.
 
 def _loaded_from(defs, root: str):
     """(definitions reached from root, names that their code loads)."""
@@ -617,9 +615,9 @@ def test_cut_time_search_makes_no_distance_query():
     reached, loaded = _loaded_from(defs, "cutanalysis.cut_times")
     assert {"cutanalysis._first_crossings", "cutanalysis._near_pairs",
             "cutanalysis._step_crossings"} <= reached
-    assert loaded & {"_distance_rows", "distance_many", "distance"} == set()
+    assert loaded & {"distance", "_sample_index", "_nearest"} == set()
     reached, loaded = _loaded_from(defs, "cutanalysis.loop_scan")
     assert {"wavefront.ring_pairs", "wavefront._pairs",
             "wavefront._Tier.ranges", "wavefront._Grid.ring"} <= reached
-    assert loaded & {"index", "_near", "_nearest", "_caps",
-                     "_distance_rows"} == set()
+    assert loaded & {"distance", "_sample_index", "_near", "_nearest",
+                     "_caps"} == set()

@@ -114,7 +114,7 @@ def _ellipsoid_latitude(a, b, c, z0):
         return np.stack([a * rho * np.cos(t), b * rho * np.sin(t),
                          np.full_like(s, z0)], axis=-1)
 
-    return curve_submanifold(CurveSpec("ellipse", {}, fn))
+    return curve_submanifold(CurveSpec(fn))
 
 
 def _frame_case(name):
@@ -171,7 +171,7 @@ def test_degenerate_row_raises_the_scalar_loop_message(sphere_backend):
         z = 1.2 + 0.2 * np.cos(2.0 * np.pi * s)
         return np.stack([np.zeros_like(s), np.zeros_like(s), z], axis=-1)
 
-    N = curve_submanifold(CurveSpec("radial", {}, fn))
+    N = curve_submanifold(CurveSpec(fn))
     for rows, want in (([0.3, 0.0], "degenerate normal at s=0.3"),
                        ([0.0, 0.3], "degenerate curve velocity at s=0.0")):
         for batched, scalar in ((unit_normals, reference_unit_normal),
@@ -202,15 +202,15 @@ def test_frames_for_counts_and_order(flat_backend, chart_circle):
 
 def test_foot_point_flat_line(flat_backend):
     N = curve_submanifold(chart_curve("horizontal-circle", (1.0, 1.0), y0=0.0))
-    fp = foot_point(flat_backend, N, [0.37, 0.04])
-    assert fp.s == pytest.approx(0.37, abs=1e-6)
-    assert fp.d_est == pytest.approx(0.04, abs=1e-6)
+    s, d_est = foot_point(flat_backend, N, [0.37, 0.04])
+    assert s == pytest.approx(0.37, abs=1e-6)
+    assert d_est == pytest.approx(0.04, abs=1e-6)
 
 
 def test_foot_point_wraparound(flat_backend):
     N = curve_submanifold(chart_curve("horizontal-circle", (1.0, 1.0), y0=0.0))
-    fp = foot_point(flat_backend, N, [0.999, 0.98])
-    assert fp.d_est == pytest.approx(0.02, abs=1e-6)
+    _, d_est = foot_point(flat_backend, N, [0.999, 0.98])
+    assert d_est == pytest.approx(0.02, abs=1e-6)
 
 
 def test_foot_point_beyond_tube_is_coarse(warped_backend):
@@ -218,17 +218,18 @@ def test_foot_point_beyond_tube_is_coarse(warped_backend):
     # the gap, which is 1.2 times longer here (sqrt G = 1.2 at x = 0.25)
     N = curve_submanifold(chart_curve("horizontal-circle", (1.0, 1.0), y0=0.0))
     q = np.array([0.25, 0.4])
-    fp = foot_point(warped_backend, N, q)
-    foot = N.curve(np.array([fp.s]))
-    assert fp.d_est > TUBE_RADIUS
-    assert fp.d_est == warped_backend.aux_distance(foot, q)[0]
+    s, d_est = foot_point(warped_backend, N, q)
+    foot = N.curve(np.array([s]))
+    assert d_est > TUBE_RADIUS
+    assert d_est == warped_backend.aux_distance(foot, q)[0]
     assert warped_backend.gap_length(foot, q)[0] == \
-        pytest.approx(1.2 * fp.d_est, rel=1e-6)
+        pytest.approx(1.2 * d_est, rel=1e-6)
 
 
 def test_foot_point_of_point_submanifold(flat_backend):
-    fp = foot_point(flat_backend, point_submanifold([0.25, 0.25]), [0.25, 0.3])
-    assert fp.d_est == pytest.approx(0.05, abs=1e-9)
+    _, d_est = foot_point(flat_backend, point_submanifold([0.25, 0.25]),
+                          [0.25, 0.3])
+    assert d_est == pytest.approx(0.05, abs=1e-9)
 
 
 def test_foot_points_match_foot_point_row_by_row(warped_backend):
@@ -236,8 +237,7 @@ def test_foot_points_match_foot_point_row_by_row(warped_backend):
     Q = np.array([[0.37, 0.04], [0.999, 0.98], [0.5, 0.4], [0.0, 0.0]])
     s, d_est = foot_points(warped_backend, N, Q)
     for i, q in enumerate(Q):
-        fp = foot_point(warped_backend, N, q)
-        assert (fp.s, fp.d_est) == (s[i], d_est[i])
+        assert foot_point(warped_backend, N, q) == (s[i], d_est[i])
 
 
 def test_golden_section_per_element_brackets():

@@ -10,9 +10,8 @@ from cutlab.stability import Resolution, run_case
 from cutlab.submanifold import chart_curve, curve_submanifold, \
     point_submanifold, surface_curve
 from cutlab import wavefront
-from cutlab.wavefront import (CoverageError, _distance_rows, _near, _nearest,
-                              _sample_index, build_atlas, distance,
-                              distance_many, eikonal_probes, eikonal_residual,
+from cutlab.wavefront import (_near, _nearest, _sample_index, build_atlas,
+                              distance, eikonal_probes, eikonal_residual,
                               validation_grid)
 
 from oracles import (brute_distance, flat_torus_line_distance,
@@ -34,39 +33,47 @@ def flat_point_atlas(flat_backend):
                        0.9, 1e-3)
 
 
+def _every(atlas):
+    """A focal time per direction that trims no sample."""
+    return np.full(atlas.batch.n_paths, np.inf)
+
+
 def test_distance_flat_line_matches_closed_form(flat_line_atlas, rng):
-    for _ in range(40):
-        q = rng.random(2)
-        if min(q[1], 1.0 - q[1]) > 0.45:    # skip the cut locus itself
-            continue
-        r = distance(flat_line_atlas, q)
-        assert r.d == pytest.approx(flat_torus_line_distance(q), abs=2e-3)
-        assert abs(r.d - flat_torus_line_distance(q)) <= r.err
+    Q = rng.random((40, 2))
+    Q = Q[np.minimum(Q[:, 1], 1.0 - Q[:, 1]) <= 0.45]  # not the cut locus
+    d, err, _j, _t, status = distance(flat_line_atlas, Q,
+                                      _every(flat_line_atlas))
+    want = np.array([flat_torus_line_distance(q) for q in Q])
+    assert np.all(status == 0)
+    assert d == pytest.approx(want, abs=2e-3)
+    assert np.all(np.abs(d - want) <= err)
 
 
 def test_distance_flat_point_matches_closed_form(flat_point_atlas, rng):
     p = np.array([0.25, 0.25])
-    for _ in range(40):
-        q = rng.random(2)
-        want = flat_torus_point_distance(p, q)
-        if want < 0.02 or want > 0.62:
-            continue
-        r = distance(flat_point_atlas, q)
-        assert r.d == pytest.approx(want, abs=2e-3)
+    Q = rng.random((40, 2))
+    want = np.array([flat_torus_point_distance(p, q) for q in Q])
+    keep = (want >= 0.02) & (want <= 0.62)
+    d, _err, _j, _t, status = distance(flat_point_atlas, Q[keep],
+                                       _every(flat_point_atlas))
+    assert np.all(status == 0)
+    assert d == pytest.approx(want[keep], abs=2e-3)
 
 
 def test_distance_err_and_metadata(flat_line_atlas):
-    r = distance(flat_line_atlas, [0.4, 0.2])
-    assert r.err > 0.0
-    assert 0 <= r.dir_idx < len(flat_line_atlas.frames)
-    assert 0.0 <= r.t <= flat_line_atlas.t_max
+    d, err, j, t, status = distance(flat_line_atlas, np.array([[0.4, 0.2]]),
+                                    _every(flat_line_atlas))
+    assert status[0] == 0
+    assert err[0] > 0.0
+    assert 0 <= j[0] < len(flat_line_atlas.frames)
+    assert 0.0 <= t[0] <= flat_line_atlas.t_max
 
 
 def test_coverage_error_past_front(flat_backend):
     N = curve_submanifold(chart_curve("horizontal-circle", (1.0, 1.0), y0=0.0))
     short = build_atlas(flat_backend, N, 64, 0.3, 1e-3)
-    with pytest.raises(CoverageError):
-        distance(short, [0.1, 0.5])   # true distance 0.5 > front extent 0.3
+    # true distance 0.5 > front extent 0.3
+    assert distance(short, np.array([[0.1, 0.5]]), _every(short))[4][0] != 0
 
 
 def test_small_direction_count_rejected(flat_backend):
@@ -76,11 +83,15 @@ def test_small_direction_count_rejected(flat_backend):
 
 
 def test_tie_break_is_deterministic(flat_line_atlas):
-    # equidistant from both sides of the line: repeated queries must agree
-    base = distance(flat_line_atlas, [0.3, 0.2])
-    for _ in range(5):
-        r = distance(flat_line_atlas, [0.3, 0.2])
-        assert (r.d, r.dir_idx, r.t) == (base.d, base.dir_idx, base.t)
+    # equidistant from both sides of the line: repeated queries must agree,
+    # within one call and across calls
+    Q = np.tile([0.3, 0.2], (5, 1))
+    runs = [distance(flat_line_atlas, Q[:k], _every(flat_line_atlas))
+            for k in (1, 5)]
+    assert runs[0][4][0] == 0
+    for got in runs:
+        for g, base in zip(got, runs[0]):
+            assert np.all(g == base[0])
 
 
 def test_thread_count_does_not_change_atlas(flat_backend):
@@ -119,7 +130,8 @@ def test_validation_grid_surface_matches_pointwise_net(surface, spacing):
 def test_eikonal_residual_flat_line(flat_line_atlas):
     cut = np.stack([np.linspace(0, 1, 41), np.full(41, 0.5)], axis=-1)
     rep = eikonal_residual(flat_line_atlas,
-                           eikonal_probes(flat_line_atlas, 0.05),
+                           eikonal_probes(flat_line_atlas, 0.05,
+                                          _every(flat_line_atlas)),
                            cut_points=cut)
     assert rep["count"] > 100
     assert rep["frac_below_1e2"] >= 0.95
@@ -186,7 +198,6 @@ def test_focal_trimmed_eikonal_matches_the_one_pass_check_bitwise(name):
     # masked, from an index of the samples before their focal time (plus
     # cap): no pick of a kept point lies past its direction's focal time
     r, spacing, rep = _validate_eikonal(name, 1)
-    assert "index" not in vars(r.atlas)
     want = reference_eikonal_residual(r.atlas, spacing, r.cloud.points)
     _assert_same_report(rep, want)
     assert rep["count"] > 100
@@ -211,13 +222,13 @@ def test_the_focal_trimmed_index_drops_the_samples_past_focal_times():
     atlas = build_atlas(b, cfg.build_submanifold(b), 64, 3.4, 4e-3)
     focal = np.full(atlas.batch.n_paths, 0.5 * np.pi)
     trimmed = _sample_index(atlas, focal)
-    assert "index" not in vars(atlas)
     kept = np.sort(trimmed.order)
     cap = np.maximum(1.5 * atlas.sample_gap, 3.0 * atlas.dt)
     np.testing.assert_array_equal(
         kept, np.flatnonzero(atlas.sample_t <= 0.5 * np.pi + cap))
     assert 0.4 < len(kept) / len(atlas.sample_t) < 0.6
-    assert len(atlas.index.order) == len(atlas.sample_t)
+    assert len(_sample_index(atlas, _every(atlas)).order) == \
+        len(atlas.sample_t)
 
 
 # -- batched queries against the brute-force scan ----------------------------
@@ -256,7 +267,7 @@ def _queries(atlas, rng, n=80):
 
 
 def _assert_rows_match_brute(atlas, Q):
-    d, err, j, t, status = _distance_rows(atlas, Q, atlas.index)
+    d, err, j, t, status = distance(atlas, Q, _every(atlas))
     want = [brute_distance(atlas, q) for q in Q]
     np.testing.assert_array_equal(status, [w[5] for w in want])
     np.testing.assert_array_equal(d, [w[0] for w in want])
@@ -276,13 +287,11 @@ def test_distance_many_matches_brute_scan_bitwise(name, request, rng):
     want = _assert_rows_match_brute(atlas, Q)
     ok = np.array([w[5] == 0 for w in want])
     assert ok.sum() > len(Q) // 2
-    r = distance_many(atlas, Q[ok])
-    np.testing.assert_array_equal(r.d, [w[0] for w, k in zip(want, ok) if k])
-    np.testing.assert_array_equal(r.dir_idx,
-                                  [w[2] for w, k in zip(want, ok) if k])
-    one = distance(atlas, Q[ok][0])
-    assert (one.d, one.err, one.dir_idx, one.t) == \
-        (r.d[0], r.err[0], r.dir_idx[0], r.t[0])
+    # a row's answer does not depend on the other rows
+    full = distance(atlas, Q, _every(atlas))
+    for rows in (np.flatnonzero(ok), np.flatnonzero(ok)[:1]):
+        for g, f in zip(distance(atlas, Q[rows], _every(atlas)), full):
+            np.testing.assert_array_equal(g, f[rows])
 
 
 def test_distance_many_ring_ladder_matches_brute_scan(flat_backend):
@@ -299,8 +308,8 @@ def test_distance_many_ring_ladder_matches_brute_scan(flat_backend):
     assert {w[5] for w in want} == {0, 1, 2}
 
 
-def test_uncertified_queries_raise_the_scalar_message(flat_backend,
-                                                      sphere_backend):
+def test_uncertified_queries_get_the_edge_and_no_sample_status(
+        flat_backend, sphere_backend):
     # the coverage margin max(5 dt, 2 median_gap) is set by dt on the first
     # atlas and by the direction spacing on the second
     N = curve_submanifold(chart_curve("horizontal-circle", (1.0, 1.0), y0=0.0))
@@ -308,23 +317,14 @@ def test_uncertified_queries_raise_the_scalar_message(flat_backend,
     sparse = build_atlas(sphere_backend,
                          curve_submanifold(surface_curve("equator")), 16, 0.5,
                          1e-2)
-    for atlas, knob in ((short, "t_max"), (sparse, "m")):
+    for atlas, by_gap in ((short, False), (sparse, True)):
+        assert (2.0 * atlas.median_gap > 5.0 * atlas.dt) == by_gap
         Q = _queries(atlas, np.random.default_rng(7), 40)
-        status = _distance_rows(atlas, Q, atlas.index)[4]
+        status = distance(atlas, Q, _every(atlas))[4]
         assert 2 in status
-        messages = []
-        for q in Q[status != 0]:
-            with pytest.raises(CoverageError) as ex:
-                distance(atlas, q)
-            messages.append(str(ex.value))
-        assert any(f"increase {knob}" in m for m in messages)
-        with pytest.raises(CoverageError) as ex:
-            distance_many(atlas, Q)
-        assert str(ex.value) == messages[0]
-    status = _distance_rows(short, np.array([[0.1, 0.5]]), short.index)[4]
-    assert status[0] == 1
-    with pytest.raises(CoverageError, match="no trustworthy atlas sample"):
-        distance_many(short, [[0.1, 0.1], [0.1, 0.5]])
+    status = distance(short, np.array([[0.1, 0.1], [0.1, 0.5]]),
+                      _every(short))[4]
+    assert status.tolist() == [0, 1]
 
 
 def test_distance_err_squares_like_a_python_float(flat_point_atlas, rng):
@@ -332,7 +332,7 @@ def test_distance_err_squares_like_a_python_float(flat_point_atlas, rng):
     # an ndarray ** 2 misses in about one case per thousand
     atlas = flat_point_atlas
     Q = rng.random((4000, 2))
-    d, err, j, t, status = _distance_rows(atlas, Q, atlas.index)
+    d, err, j, t, status = distance(atlas, Q, _every(atlas))
     ok = np.flatnonzero(status == 0)
     tg = atlas.batch.t
     s = j[ok] * len(tg) + np.searchsorted(tg, t[ok])
@@ -440,11 +440,12 @@ def test_near_filter_keeps_pairs_at_the_cap(name, request, rng):
     _assert_rows_match_brute(atlas, Q[near_q])
 
 
-def test_sort_free_pick_matches_the_lexsort_pick_on_ties(flat_line_atlas,
-                                                         rng):
+@pytest.mark.parametrize("name", ["flat_line_atlas", "bump_atlas"])
+def test_sort_free_pick_matches_the_lexsort_pick_on_ties(name, request, rng):
     # with a zero gap each value is the sample's t, shared by every
-    # direction at one time step, so most rows tie
-    atlas = flat_line_atlas
+    # direction at one time step, so most rows tie; a nonzero gap checks
+    # the per-pair covectors against b.inner, on a varying metric too
+    atlas = request.getfixturevalue(name)
     n_t = len(atlas.batch.t)
     n_s = len(atlas.sample_t)
     tied = 0
@@ -465,7 +466,7 @@ def test_sort_free_pick_matches_the_lexsort_pick_on_ties(flat_line_atlas,
         for pick_fn in (_nearest, reference_nearest):
             pick = np.full(400, -1)
             d, gap = np.full(400, np.nan), np.full(400, np.nan)
-            pick_fn(atlas, atlas.index.covel, qi, s, gaps, vec, pick, d, gap)
+            pick_fn(atlas, qi, s, gaps, vec, pick, d, gap)
             out.append((pick, d, gap))
         for g, w in zip(*out):
             np.testing.assert_array_equal(g, w)
@@ -492,9 +493,9 @@ def test_distance_rows_match_the_lexsort_pick(case, flat_line_atlas,
                            np.linspace(0.1, 0.25, 12))
         Q = np.stack([x.ravel(), y.ravel()], axis=-1)
     monkeypatch.setattr(wavefront, "_CHUNK_PAIRS", 97)
-    got = _distance_rows(atlas, Q, atlas.index)
+    got = distance(atlas, Q, _every(atlas))
     monkeypatch.setattr(wavefront, "_nearest", reference_nearest)
-    want = _distance_rows(atlas, Q, atlas.index)
+    want = distance(atlas, Q, _every(atlas))
     for g, w in zip(got, want):
         np.testing.assert_array_equal(g, w)
     if case == "ladder":
